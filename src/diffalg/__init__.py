@@ -27,6 +27,7 @@ from .engine import (
     step_first_form,
     step_second_form,
 )
+from .errors import ResourceLimit
 from .matching import (
     BipartiteMultigraph,
     HallViolation,

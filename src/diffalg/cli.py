@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user or data error, 2 internal invariant violation.
-With --json every report (including errors) is a single JSON document."""
+Exit codes: 0 success, 1 user or data error, 2 internal invariant violation,
+3 resource limit (more maximizing transversals than `jacobi` lists, or the
+step budget of `reduce-linear` exhausted).  With --json every report
+(including errors) is a single JSON document."""
 
 from __future__ import annotations
 
@@ -17,12 +19,12 @@ from .engine import (
     parse_script,
     scripted_divide,
 )
+from .errors import InternalInvariantViolation, ResourceLimit
 from .pencil import build_pencil, fiber_at
 from .reduction import InconsistentSystem, autoreduce_loop, dimensions, ritt_divide
 from .textio import ParseError, parse_system
 from .tropical import (
     HypothesisFailure,
-    InternalInvariantViolation,
     detect_first_form,
     detect_second_form,
     detect_third_form,
@@ -84,12 +86,13 @@ def _emit(args, data, text):
 def cmd_jacobi(args):
     ring, polys = _load(args)
     out = {}
-    lines = []
     for conv in ("weak", "strong"):
         m = order_matrix(polys, None, conv)
-        value, wits = tdet(m.entries, witnesses=True)
+        # the text report prints no witnesses, so it does not list them
+        value, wits = tdet(m.entries, witnesses=True) if args.json else (tdet(m.entries), ())
         out["J_%s" % conv] = _jval(value)
-        out["witnesses_%s" % conv] = [list(w) for w in wits]
+        if args.json:
+            out["witnesses_%s" % conv] = [list(w) for w in wits]
     _emit(args, out, "J(weak)=%s J(strong)=%s" % (out["J_weak"], out["J_strong"]))
 
 
@@ -116,7 +119,7 @@ def cmd_autoreduce(args):
     try:
         res = autoreduce_loop(polys, rk)
     except InconsistentSystem as e:
-        _emit(args, {"inconsistent": True, "constant": render(e.constant)}, "inconsistent system (%s)" % e)
+        _emit(args, {"inconsistent": True, "constant": e.text}, "inconsistent system (%s)" % e)
         return
     data = {
         "charset": [render(p) for p in res.charset.elements],
@@ -136,7 +139,7 @@ def cmd_dims(args):
     try:
         res = autoreduce_loop(polys, rk)
     except InconsistentSystem as e:
-        _emit(args, {"inconsistent": True, "constant": render(e.constant)}, "inconsistent system (%s)" % e)
+        _emit(args, {"inconsistent": True, "constant": e.text}, "inconsistent system (%s)" % e)
         return
     dd, bound = dimensions(res.charset, ring.nvars)
     data = {"diff_dim": dd, "abs_dim_bound": _jval(bound), "converged": res.converged}
@@ -296,6 +299,10 @@ def main(argv=None):
         msg = {"error": str(e), "kind": "internal-invariant-violation"}
         print(json.dumps(msg) if args.json else "internal invariant violation: %s" % e, file=sys.stderr)
         return 2
+    except ResourceLimit as e:
+        msg = {"error": str(e), "kind": "resource-limit"}
+        print(json.dumps(msg) if args.json else "resource limit: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diffpoly import NEG_INF, POS_INF, DiffPoly, elimination, orderly, render, separant
+from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
     DivisionCertificate,
@@ -27,14 +28,16 @@ from .reduction import (
 )
 from .tropical import (
     HypothesisFailure,
-    InternalInvariantViolation,
     LESS,
     OrderMatrix,
     detect_first_form,
     detect_second_form,
+    minor,
     order_matrix,
+    render_grid,
     ritt_compare,
     tdet,
+    tdet_assignment,
     to_first_form,
     to_second_form,
 )
@@ -107,14 +110,14 @@ def _both_matrices(system, var_order):
     )
 
 
-def _assert_division_bound(before, after, drow, grow, vcol):
-    a, b = before.entries, after.entries
+def _assert_division_bound(a, b, drow, grow, vcol):
     shift = a[drow][vcol] - a[grow][vcol]
     for j in range(len(a[0])):
         bound = max(a[drow][j], a[grow][j] + shift)
         if b[drow][j] > bound:
             raise InternalInvariantViolation(
-                "division bound violated at column %d: %s > %s" % (j, b[drow][j], bound)
+                "division bound violated at column %d: %s > %s\nbefore:\n%s\nafter:\n%s"
+                % (j, b[drow][j], bound, render_grid(a), render_grid(b))
             )
 
 
@@ -127,6 +130,54 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
+def _with_row(m, i, p, var_order):
+    """Order matrix m with row i recomputed from the polynomial p."""
+    row = tuple(p.order_in(v, m.convention) for v in var_order)
+    return OrderMatrix(m.entries[:i] + (row,) + m.entries[i + 1 :], m.convention, m.col_names)
+
+
+def _divide_step(system, var_order, kind, charset, strong_b, weak_b, jb, jwb):
+    """The division of a form step, on a system whose order matrices
+    (strong_b, weak_b) are known to be in `kind` form, with Jacobi numbers
+    jb (strong) and jwb (weak).  Returns the new system, the step, and the
+    Assignment of the strong matrix after the step."""
+    ring = system[0].ring
+    pivot_var = var_order[0]
+    dividend = 1 if kind == "first-form" else len(system) - 1
+    _check_pivot_separant(system, 0, pivot_var, charset)
+    cert = ritt_divide(system[dividend], [system[0]], "full", var=pivot_var)
+    out = list(system)
+    out[dividend] = cert.remainder
+    strong_a = _with_row(strong_b, dividend, cert.remainder, var_order)
+    weak_a = _with_row(weak_b, dividend, cert.remainder, var_order)
+    _assert_division_bound(strong_b.entries, strong_a.entries, dividend, 0, 0)
+    sol = tdet_assignment(strong_a.entries, potentials=True)
+    ja = sol.value
+    if ja > jb:
+        raise InternalInvariantViolation(
+            "J increased: %s -> %s\n%s" % (jb, ja, render_grid(strong_a.entries))
+        )
+    if strong_a.entries != strong_b.entries and ritt_compare(strong_a, strong_b) != LESS:
+        raise InternalInvariantViolation(
+            "matrix did not drop in Ritt's ordering:\n%s\n->\n%s"
+            % (render_grid(strong_b.entries), render_grid(strong_a.entries))
+        )
+    step = ReductionStep(
+        kind=kind,
+        dividend=dividend,
+        divisor=0,
+        var=ring.names[pivot_var],
+        j_before=jwb,
+        j_after=tdet(weak_a.entries),
+        j_before_strong=jb,
+        j_after_strong=ja,
+        certificate=cert,
+        matrix_after=weak_a,
+        matrix_after_strong=strong_a,
+    )
+    return out, step, sol
+
+
 def _form_step(system, var_order, kind, charset):
     system = list(system)
     ring = system[0].ring
@@ -134,34 +185,12 @@ def _form_step(system, var_order, kind, charset):
         var_order = list(range(ring.nvars))
     var_order = [ring.index[v] if isinstance(v, str) else v for v in var_order]
     weak_b, strong_b = _both_matrices(system, var_order)
+    jb = tdet(strong_b.entries)
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(strong_b.entries):
+    if not detect(strong_b.entries, jb):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
-    pivot_var = var_order[0]
-    dividend = 1 if kind == "first-form" else len(system) - 1
-    _check_pivot_separant(system, 0, pivot_var, charset)
-    cert = ritt_divide(system[dividend], [system[0]], "full", var=pivot_var)
-    out = list(system)
-    out[dividend] = cert.remainder
-    weak_a, strong_a = _both_matrices(out, var_order)
-    _assert_division_bound(strong_b, strong_a, dividend, 0, 0)
-    jb, ja = tdet(strong_b.entries), tdet(strong_a.entries)
-    if ja > jb:
-        raise InternalInvariantViolation("J increased: %s -> %s" % (jb, ja))
-    if strong_a.entries != strong_b.entries and ritt_compare(strong_a, strong_b) != LESS:
-        raise InternalInvariantViolation("matrix did not drop in Ritt's ordering")
-    step = ReductionStep(
-        kind=kind,
-        dividend=dividend,
-        divisor=0,
-        var=ring.names[pivot_var],
-        j_before=tdet(weak_b.entries),
-        j_after=tdet(weak_a.entries),
-        j_before_strong=jb,
-        j_after_strong=ja,
-        certificate=cert,
-        matrix_after=weak_a,
-        matrix_after_strong=strong_a,
+    out, step, _ = _divide_step(
+        system, var_order, kind, charset, strong_b, weak_b, jb, tdet(weak_b.entries)
     )
     return out, step
 
@@ -202,7 +231,7 @@ def scripted_divide(system, script, var_order=None):
         system[di] = cert.remainder
         weak_a, strong_a = _both_matrices(system, var_order)
         vcol = var_order.index(v)
-        _assert_division_bound(strong, strong_a, di, gi, vcol)
+        _assert_division_bound(strong.entries, strong_a.entries, di, gi, vcol)
         steps.append(
             ReductionStep(
                 kind="scripted",
@@ -283,26 +312,28 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
     max_ord = max([int(o) for o in orders if o != NEG_INF], default=0)
     budget = budget_factor * n * (1 + max_ord)
 
-    j_init = tdet(order_matrix(system, None, "strong").entries)
-    jw0 = tdet(order_matrix(system, None, "weak").entries)
+    # The active system's order matrices and Jacobi numbers are carried from
+    # one iteration to the next: a peel takes a minor, a form step recomputes
+    # one row, and each new strong matrix is solved once, its Assignment
+    # serving both the J-sequence and the next normalization.
+    weak = order_matrix(system, None, "weak")
+    strong = order_matrix(system, None, "strong")
+    sol = tdet_assignment(strong.entries, potentials=True)
+    jw = tdet(weak.entries)
+    j_init = sol.value
     eqs = list(system)
     vars_ = list(range(n))
     solved = []  # (equation, var, order) in peel order
     steps = []
     # reported J: sum of peeled orders plus J of the active submatrix
-    jw_seq, js_seq = [jw0], [j_init]
+    jw_seq, js_seq = [jw], [j_init]
     degenerate = False
     used = 0
 
     def report():
         off = sum(o for _, _, o in solved)
-        if eqs:
-            sw = tdet(order_matrix(eqs, vars_, "strong").entries)
-            ww = tdet(order_matrix(eqs, vars_, "weak").entries)
-        else:
-            sw = ww = 0
-        js_seq.append(off + sw)
-        jw_seq.append(off + ww)
+        js_seq.append(off + (sol.value if eqs else 0))
+        jw_seq.append(off + (jw if eqs else 0))
 
     while True:
         live = [p for p in eqs if p]
@@ -310,6 +341,8 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
             if p.is_constant():
                 raise InconsistentSystem(p)
         if len(live) < len(eqs):
+            # the matrices are now stale, but one equation fewer than
+            # variables ends the loop just below
             degenerate = True
             eqs = live
         if not eqs or not vars_:
@@ -318,19 +351,19 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
         if len(eqs) < len(vars_):
             degenerate = True
             break
-        a = order_matrix(eqs, vars_, "strong")
-        if tdet(a.entries) == NEG_INF:
+        if sol.value == NEG_INF:
             degenerate = True
             break
+        a = strong.entries
         singleton = None
         for c in range(len(vars_)):
-            rows = [i for i in range(len(eqs)) if a.entries[i][c] != NEG_INF]
+            rows = [i for i in range(len(eqs)) if a[i][c] != NEG_INF]
             if len(rows) == 1:
                 singleton = (rows[0], c)
                 break
         if singleton is not None:
             r, c = singleton
-            o = int(a.entries[r][c])
+            o = int(a[r][c])
             solved.append((eqs[r], vars_[c], o))
             steps.append(
                 ReductionStep(
@@ -346,26 +379,32 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
             )
             del eqs[r]
             del vars_[c]
+            if eqs:
+                names = strong.col_names[:c] + strong.col_names[c + 1 :]
+                strong = OrderMatrix(minor(a, r, c), "strong", names)
+                weak = OrderMatrix(minor(weak.entries, r, c), "weak", names)
+                sol = tdet_assignment(strong.entries, potentials=True)
+                jw = tdet(weak.entries)
             report()
             continue
-        # every live column is shared: put the first one in front and
-        # normalize; first form when its hypothesis holds, else second
-        vars_ = [vars_[0]] + vars_[1:]
-        a = order_matrix(eqs, vars_, "strong")
+        # every live column is shared: normalize with the first column in
+        # front; first form when its hypothesis holds, else second
         try:
-            fc = to_first_form(a.entries)
-            stepper = step_first_form
+            fc, kind = to_first_form(a, sol), "first-form"
         except HypothesisFailure:
-            fc = to_second_form(a.entries)
-            stepper = step_second_form
+            fc, kind = to_second_form(a, sol), "second-form"
         eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
         vars_ = [vars_[fc.col_perm[j]] for j in range(len(vars_))]
-        eqs, step = stepper(eqs, vars_)
+        names = tuple(ring.names[v] for v in vars_)
+        strong_b = OrderMatrix(fc.apply(a), "strong", names)
+        weak_b = OrderMatrix(fc.apply(weak.entries), "weak", names)
+        eqs, step, sol = _divide_step(eqs, vars_, kind, None, strong_b, weak_b, sol.value, jw)
+        strong, weak, jw = step.matrix_after_strong, step.matrix_after, step.j_after
         steps.append(step)
         report()
         used += 1
         if used > budget:
-            raise RuntimeError("linear reduction exceeded its step budget (%d)" % budget)
+            raise ResourceLimit("linear reduction exceeded its step budget (%d)" % budget)
 
     if degenerate:
         gens = [p for p, _, _ in solved] + [p for p in eqs if p]
@@ -381,14 +420,20 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
         for p, var, o in reversed(solved):
             if els:
                 p = ritt_divide(p, els, "full", rk).remainder
-            assert p and not p.is_constant()
+            if not p or p.is_constant():
+                raise InternalInvariantViolation(
+                    "back-substitution left %s in place of the %s-equation"
+                    % ("zero" if not p else "a constant", ring.names[var])
+                )
             els.append(p)
         charset = AutoreducedSet(tuple(els), rk)
         diff_dim, bound = dimensions(charset, n)
-        assert diff_dim == 0
-        assert bound == sum(o for _, _, o in solved)
-        if j_init != NEG_INF:
-            assert bound <= j_init, "dimension bound %s exceeds initial J %s" % (bound, j_init)
+        peeled = sum(o for _, _, o in solved)
+        if diff_dim != 0 or bound != peeled or (j_init != NEG_INF and bound > j_init):
+            raise InternalInvariantViolation(
+                "non-degenerate reduction gave diffDim %s and bound %s (peeled orders %s, initial J %s)\n%s"
+                % (diff_dim, bound, peeled, j_init, "\n".join(render(p) for p in system))
+            )
 
     trace = Trace(tuple(steps), tuple(jw_seq), tuple(js_seq))
     return LinearReduceResult(trace, charset, diff_dim, bound, j_init, degenerate, tuple(o for _, _, o in solved))

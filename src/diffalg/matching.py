@@ -1,10 +1,14 @@
-"""Bipartite matching with Hall certificates, regular decompositions, and
+"""Bipartite matching with Hall certificates, regular decompositions, the
+lexicographically least perfect matching and the enumeration of all perfect
+matchings of a square graph (the tropical layer's witness questions), and
 the directed-cycle walk used by the transversal arguments."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+
+from .errors import InternalInvariantViolation
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,10 @@ def hall_matching(graph: BipartiteMultigraph):
             nbhd = set()
             for l in left_set:
                 nbhd |= adj[l]
-            assert len(nbhd) < len(left_set)
+            if len(nbhd) >= len(left_set):
+                raise InternalInvariantViolation(
+                    "alternating tree %r is no Hall violator in %r" % (sorted(left_set), graph)
+                )
             return HallViolation(tuple(sorted(left_set)), tuple(sorted(nbhd)))
     pairs = tuple(sorted((u, v) for v, u in enumerate(match_r) if u is not None))
     return Matching(pairs)
@@ -95,12 +102,83 @@ def decompose_regular(graph: BipartiteMultigraph, k: int):
         sub = BipartiteMultigraph(graph.left, graph.right, tuple(remaining.elements()))
         m = hall_matching(sub)
         if isinstance(m, HallViolation):
-            raise AssertionError("regular graph lost a perfect matching: %r" % (m,))
+            raise InternalInvariantViolation("regular graph lost a perfect matching: %r in %r" % (m, graph))
         out.append(m)
         for e in m.pairs:
             remaining[e] -= 1
-    assert sum(remaining.values()) == 0
+    if sum(remaining.values()):
+        raise InternalInvariantViolation("edges left after %d matchings of %r" % (k, graph))
     return out
+
+
+def lex_least_perfect_matching(adj):
+    """The lexicographically least perfect matching of a square bipartite
+    graph, as rho with rho[i] the right vertex of left vertex i; None when
+    there is none.  adj[i] lists the right neighbours of i in increasing
+    order.
+
+    Rows are fixed greedily: row i takes its least neighbour j such that the
+    remaining rows can still be matched.  With a perfect matching at hand,
+    that check is one augmenting-path search from the row that held j, with
+    the columns already fixed blocked."""
+    n = len(adj)
+    match_r = [None] * n
+    for u in range(n):
+        if not _augment(adj, match_r, u, set()):
+            return None
+    col = [0] * n
+    for v, u in enumerate(match_r):
+        col[u] = v
+    fixed = set()
+    for i in range(n):
+        for j in adj[i]:
+            if j in fixed:
+                continue
+            k = match_r[j]
+            if k == i:
+                break
+            c0 = col[i]
+            match_r[j], match_r[c0] = i, None
+            if _augment(adj, match_r, k, fixed | {j}):
+                break
+            match_r[j], match_r[c0] = k, i
+        else:
+            raise InternalInvariantViolation("row %d lost its column in %r" % (i, adj))
+        fixed.add(j)
+        for v, u in enumerate(match_r):
+            col[u] = v
+    return tuple(col)
+
+
+def perfect_matchings(adj):
+    """Every perfect matching of a square bipartite graph (adjacency lists in
+    increasing order), as rho tuples in lexicographic order.
+
+    Depth-first over rows; a set of used right vertices from which the
+    remaining rows cannot be completed is remembered, so dead ends are
+    explored once."""
+    n = len(adj)
+    rho = [0] * n
+    dead = set()
+
+    def walk(i, used):
+        if i == n:
+            yield tuple(rho)
+            return
+        if used in dead:
+            return
+        found = False
+        for j in adj[i]:
+            bit = 1 << j
+            if not used & bit:
+                rho[i] = j
+                for m in walk(i + 1, used | bit):
+                    found = True
+                    yield m
+        if not found:
+            dead.add(used)
+
+    return walk(0, 0)
 
 
 def find_directed_cycle(successor):

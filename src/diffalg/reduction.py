@@ -11,6 +11,7 @@ which can be re-verified by exact polynomial arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .diffpoly import (
@@ -30,7 +31,21 @@ class InconsistentSystem(Exception):
 
     def __init__(self, constant):
         self.constant = constant
-        super().__init__("nonzero constant remainder %s" % render(constant))
+        self.text = describe_constant(constant)
+        super().__init__("nonzero constant remainder %s" % self.text)
+
+
+def describe_constant(constant):
+    """render(constant), or its size when the decimal form would pass the
+    interpreter's limit on int-to-str conversion."""
+    try:
+        return render(constant)
+    except ValueError:
+        (c,) = constant.terms.values()
+        text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
+        if c.denominator != 1:
+            text += "/<%d-bit integer>" % c.denominator.bit_length()
+        return text
 
 
 @dataclass(frozen=True)
@@ -234,7 +249,14 @@ def compare_autoreduced(a: AutoreducedSet, b: AutoreducedSet) -> int:
 
 
 def _minimal_autoreduced(basis, ranking):
-    ordered = sorted(basis, key=lambda p: (ranking.rank(p), render(p)))
+    # order by (rank, render(p)), rendering only to break ties of rank
+    ranked = sorted(((ranking.rank(p), p) for p in basis), key=lambda rp: rp[0])
+    ordered = []
+    for _, group in itertools.groupby(ranked, key=lambda rp: rp[0]):
+        group = [p for _, p in group]
+        if len(group) > 1:
+            group.sort(key=render)
+        ordered.extend(group)
     chosen = []
     for p in ordered:
         if all(

@@ -1,26 +1,31 @@
-"""Order matrices and their tropical determinant.
+"""Order matrices, their tropical determinant, and Ritt's three forms.
 
 Entries live in Z>=0 together with -inf (float("-inf")); addition saturates
 and max ignores -inf, so plain Python arithmetic does the right thing.  The
 tropical determinant tdet(A) is the maximum transversal sum over all
-permutations; it has a brute-force route (all n! transversals, with
-witnesses) and an assignment route (scipy, big-M for forbidden cells).
+permutations.  It is computed one way only: Kuhn's Hungarian method on
+integers (tdet_assignment), with -inf cells forbidden.  Its dual potentials
+u, v (Jacobi's canon offsets) make u_i + v_j >= a_ij everywhere, with
+equality on the tight graph, whose perfect matchings are exactly the
+maximizing transversals.  Witness lists and the normalizers' questions
+(does some maximizing transversal avoid the column-1 maximum? which one is
+lexicographically least?) are answered by matchings of that graph, never by
+enumerating the n! permutations; tdet_brute does that for the tests only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diffpoly import NEG_INF
+from .errors import InternalInvariantViolation, ResourceLimit
+from .matching import lex_least_perfect_matching, perfect_matchings
 
 
 class HypothesisFailure(Exception):
     """The matrix does not satisfy the hypotheses of the requested form."""
-
-
-class InternalInvariantViolation(AssertionError):
-    """A step the theory guarantees has failed; inputs and state are logged."""
 
 
 # -- matrices ---------------------------------------------------------------
@@ -170,7 +175,8 @@ def cyclic_sum(entries, cycle):
 
 
 def tdet_brute(entries):
-    """(value, all maximizing permutations); factorial, for n <= 8."""
+    """(value, all maximizing permutations); factorial, for n <= 8.  The
+    independent oracle of the tests; the program itself never calls it."""
     n = len(entries)
     if len(entries[0]) != n:
         raise ValueError("tdet needs a square matrix")
@@ -188,36 +194,108 @@ def tdet_brute(entries):
     return best, tuple(wits)
 
 
-def tdet_assignment(entries):
-    """Value only, via linear sum assignment with exact big-M padding."""
-    from scipy.optimize import linear_sum_assignment
+class Assignment(NamedTuple):
+    """An optimal solution of the assignment problem behind tdet.
 
+    u[i] + v[j] >= a_{i,j} for every finite entry, with equality on every
+    maximizing transversal, so value = sum(u) + sum(v).  Without a finite
+    transversal, value is -inf and u, v are None."""
+
+    value: object
+    u: tuple = None
+    v: tuple = None
+
+
+def tdet_assignment(entries, potentials=False):
+    """Tropical determinant by Kuhn's Hungarian method, O(n^3) on integers.
+
+    -inf entries are forbidden cells, never padded.  Returns the value, or
+    with potentials=True the whole Assignment, whose potentials are Jacobi's
+    canon offsets (Pryce's Sigma-method offsets)."""
     n = len(entries)
     if len(entries[0]) != n:
         raise ValueError("tdet needs a square matrix")
-    finite = [e for row in entries for e in row if e != NEG_INF]
-    if not finite:
-        return NEG_INF
-    lo, hi = min(finite), max(finite)
-    # one forbidden cell pushes the total below any all-finite assignment
-    bad = n * lo - (n - 1) * hi - 1
-    cost = [[(bad if e == NEG_INF else int(e)) for e in row] for row in entries]
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    total = sum(cost[i][j] for i, j in zip(rows, cols))
-    if any(entries[i][j] == NEG_INF for i, j in zip(rows, cols)):
-        return NEG_INF
-    return total
+    # Rows enter one at a time; each entry grows a shortest-augmenting-path
+    # tree from the virtual column n.  slack(i, j) = u[i] + v[j] - a[i][j]
+    # stays >= 0 for the rows entered so far.
+    inf = float("inf")
+    u = [0] * n
+    v = [0] * (n + 1)
+    owner = [-1] * (n + 1)  # owner[j]: the row matched to column j
+    for i in range(n):
+        owner[n] = i
+        j0 = n
+        minv = [inf] * n
+        way = [n] * n
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui0 = entries[i0], u[i0]
+            delta, j1 = inf, -1
+            for j in range(n):
+                if not used[j]:
+                    e = row[j]
+                    if e != NEG_INF:
+                        cur = ui0 + v[j] - e
+                        if cur < minv[j]:
+                            minv[j] = cur
+                            way[j] = j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if j1 < 0:  # no alternating path to a free column: Hall fails
+                return Assignment(NEG_INF) if potentials else NEG_INF
+            for j in range(n):
+                if used[j]:
+                    u[owner[j]] -= delta
+                    v[j] += delta
+                else:
+                    minv[j] -= delta
+            u[owner[n]] -= delta
+            j0 = j1
+            if owner[j0] < 0:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    rho = [0] * n
+    for j in range(n):
+        rho[owner[j]] = j
+    value = sum(entries[i][rho[i]] for i in range(n))
+    if not potentials:
+        return value
+    return Assignment(value, tuple(u), tuple(v[:n]))
+
+
+WITNESS_LIMIT = 40320  # 8!: every witness list the factorial route produced
+
+
+def _tight_graph(entries, sol):
+    """Adjacency lists of {(i, j) : u_i + v_j = a_ij}; its perfect matchings
+    are exactly the maximizing transversals."""
+    u, v = sol.u, sol.v
+    return [[j for j, e in enumerate(row) if u[i] + v[j] == e] for i, row in enumerate(entries)]
 
 
 def tdet(entries, witnesses=False):
-    """Tropical determinant; witnesses require the brute route (n <= 8)."""
+    """Tropical determinant; with witnesses=True also every maximizing
+    permutation, in lexicographic order, up to WITNESS_LIMIT of them."""
     if isinstance(entries, OrderMatrix):
         entries = entries.entries
-    n = len(entries)
-    if witnesses or n <= 8:
-        value, wits = tdet_brute(entries)
-        return (value, wits) if witnesses else value
-    return tdet_assignment(entries)
+    if not witnesses:
+        return tdet_assignment(entries)
+    sol = tdet_assignment(entries, potentials=True)
+    if sol.value == NEG_INF:
+        return NEG_INF, ()
+    wits = []
+    for rho in perfect_matchings(_tight_graph(entries, sol)):
+        if len(wits) == WITNESS_LIMIT:
+            raise ResourceLimit(
+                "more than %d maximizing transversals; tdet = %s" % (WITNESS_LIMIT, sol.value)
+            )
+        wits.append(rho)
+    return sol.value, tuple(wits)
 
 
 def permute(entries, sigma, tau):
@@ -231,8 +309,6 @@ def permute(entries, sigma, tau):
 # -- Ritt's ordering on order matrices --------------------------------------
 
 LESS, GREATER, EQUAL = "less", "greater", "equal"
-# total for same-shape integer/-inf matrices; kept for API completeness
-INCOMPARABLE_GUARDED = "incomparable-guarded"
 
 
 def ritt_key(entries):
@@ -259,32 +335,48 @@ def ritt_compare(a, b) -> str:
 # -- Ritt's three forms ------------------------------------------------------
 
 
-def detect_first_form(entries) -> bool:
-    """Diagonal is a maximizing transversal, a21 >= a11 != -inf."""
+def detect_first_form(entries, value=None) -> bool:
+    """Diagonal is a maximizing transversal, a21 >= a11 != -inf.  `value`,
+    when given, is the known tdet of the matrix."""
     if isinstance(entries, OrderMatrix):
         entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         return False
+    if entries[0][0] == NEG_INF or entries[1][0] < entries[0][0]:
+        return False
     diag = sum(entries[i][i] for i in range(n))
-    return tdet(entries) == diag and entries[0][0] != NEG_INF and entries[1][0] >= entries[0][0]
+    return (tdet(entries) if value is None else value) == diag
 
 
-def detect_second_form(entries) -> bool:
+def _pattern_form(entries, pattern, inner, drop_col, value, minor_value):
+    # the test shared by the second and third forms: the corner a_{n,1} is a
+    # column-1 maximum, the pattern transversal is maximizing, and the inner
+    # transversal is finite and maximizing in the minor without the last row
+    # and column drop_col
+    n = len(entries)
+    if inner == NEG_INF or entries[n - 1][0] != max(row[0] for row in entries):
+        return False
+    if (tdet(entries) if value is None else value) != pattern:
+        return False
+    if minor_value is None:
+        minor_value = tdet(minor(entries, n - 1, drop_col))
+    return minor_value == inner
+
+
+def detect_second_form(entries, value=None, minor_value=None) -> bool:
     """Max transversal on the broken antidiagonal pattern, with the corner
-    a_{n,1} a column maximum and the inner diagonal maximal in the minor."""
+    a_{n,1} a column maximum and the inner diagonal maximal in the minor.
+    `value` and `minor_value`, when given, are the known tdet of the matrix
+    and of the minor without its last row and column."""
     if isinstance(entries, OrderMatrix):
         entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         return False
     pattern = entries[0][n - 1] + sum(entries[i][i] for i in range(1, n - 1)) + entries[n - 1][0]
-    if tdet(entries) != pattern:
-        return False
     inner = sum(entries[i][i] for i in range(n - 1))
-    if inner == NEG_INF or tdet(minor(entries, n - 1, n - 1)) != inner:
-        return False
-    return entries[n - 1][0] == max(entries[i][0] for i in range(n))
+    return _pattern_form(entries, pattern, inner, n - 1, value, minor_value)
 
 
 def detect_third_form(entries) -> bool:
@@ -295,12 +387,8 @@ def detect_third_form(entries) -> bool:
     if n < 2 or len(entries[0]) != n:
         return False
     pattern = entries[n - 1][0] + sum(entries[i][i + 1] for i in range(n - 1))
-    if tdet(entries) != pattern:
-        return False
     inner = entries[0][0] + sum(entries[i][i + 1] for i in range(1, n - 1))
-    if inner == NEG_INF or tdet(minor(entries, n - 1, 1)) != inner:
-        return False
-    return entries[n - 1][0] == max(entries[i][0] for i in range(n))
+    return _pattern_form(entries, pattern, inner, 1, None, None)
 
 
 def _cols_cycle(n):
@@ -317,7 +405,8 @@ def third_from_second(entries):
     if not detect_second_form(entries):
         raise ValueError("input is not in second form")
     out = permute(entries, identity_perm(len(entries)), _cols_cycle(len(entries)))
-    assert detect_third_form(out)
+    if not detect_third_form(out):
+        raise InternalInvariantViolation("column cycle of %r is not in third form" % (entries,))
     return out
 
 
@@ -325,7 +414,8 @@ def second_from_third(entries):
     if not detect_third_form(entries):
         raise ValueError("input is not in third form")
     out = permute(entries, identity_perm(len(entries)), inverse(_cols_cycle(len(entries))))
-    assert detect_second_form(out)
+    if not detect_second_form(out):
+        raise InternalInvariantViolation("column cycle of %r is not in second form" % (entries,))
     return out
 
 
@@ -352,35 +442,40 @@ class FormCertificate:
         }
 
 
-def _column_one_data(entries, wits):
-    n = len(entries)
-    col0 = [entries[i][0] for i in range(n)]
-    finite = sum(1 for e in col0 if e != NEG_INF)
-    colmax = max(col0)
-    picks = [(rho, entries[inverse(rho)[0]][0]) for rho in wits]
-    return col0, finite, colmax, picks
-
-
-def to_first_form(entries) -> FormCertificate:
-    """Hypothesis: some maximizing transversal meets column 1 strictly below
-    its (finite) maximum.  Column 1 is never moved."""
+def _normalizer_input(entries, sol):
+    """Shared set-up of the normalizers: the solved matrix, its tight graph,
+    and the tight graph without the column-1 edges at the column maximum
+    (whose perfect matchings are the maximizing transversals meeting
+    column 1 strictly below its maximum)."""
     if isinstance(entries, OrderMatrix):
         entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         raise ValueError("need a square matrix, n >= 2")
-    value, wits = tdet_brute(entries)
-    if value == NEG_INF:
+    if sol is None:
+        sol = tdet_assignment(entries, potentials=True)
+    if sol.value == NEG_INF:
         raise HypothesisFailure("no finite transversal")
-    _, finite, colmax, picks = _column_one_data(entries, wits)
-    if finite < 2:
+    col0 = [row[0] for row in entries]
+    if sum(1 for e in col0 if e != NEG_INF) < 2:
         raise HypothesisFailure("column 1 has fewer than two finite entries")
-    good = [rho for rho, e in picks if e != NEG_INF and e < colmax]
-    if not good:
+    colmax = max(col0)
+    tight = _tight_graph(entries, sol)
+    below = [[j for j in adj if j or col0[i] < colmax] for i, adj in enumerate(tight)]
+    return entries, sol, colmax, tight, below
+
+
+def to_first_form(entries, sol=None) -> FormCertificate:
+    """Hypothesis: some maximizing transversal meets column 1 strictly below
+    its (finite) maximum.  Column 1 is never moved.  `sol`, when given, is
+    tdet_assignment(entries, potentials=True)."""
+    entries, sol, _, _, below = _normalizer_input(entries, sol)
+    n = len(entries)
+    rho = lex_least_perfect_matching(below)
+    if rho is None:
         raise HypothesisFailure(
             "every maximizing transversal meets column 1 at its maximum"
         )
-    rho = min(good)
     sigma = inverse(rho)  # diagonalize: b_{i,i} = a_{rho^{-1}(i), i} on the transversal
     b = permute(entries, sigma, identity_perm(n))
     if b[1][0] >= b[0][0]:
@@ -389,51 +484,53 @@ def to_first_form(entries) -> FormCertificate:
         i = max(range(1, n), key=lambda r: (b[r][0], -r))
     sw = transposition(n, 1, i)
     cert = FormCertificate(compose(sigma, sw), sw, "first")
-    if not detect_first_form(cert.apply(entries)):
+    if not detect_first_form(cert.apply(entries), sol.value):
         raise InternalInvariantViolation("first-form construction failed: %r" % (entries,))
     return cert
 
 
-def to_second_form(entries) -> FormCertificate:
+def to_second_form(entries, sol=None) -> FormCertificate:
     """Hypothesis: every maximizing transversal meets column 1 at its finite
-    maximum and column 1 has another finite entry.  Column 1 is never moved."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
-    n = len(entries)
-    if n < 2 or len(entries[0]) != n:
-        raise ValueError("need a square matrix, n >= 2")
-    value, wits = tdet_brute(entries)
-    if value == NEG_INF:
-        raise HypothesisFailure("no finite transversal")
-    _, finite, colmax, picks = _column_one_data(entries, wits)
-    if finite < 2:
-        raise HypothesisFailure("column 1 has fewer than two finite entries")
-    if any(e != colmax for _, e in picks):
+    maximum and column 1 has another finite entry.  Column 1 is never moved.
+    `sol`, when given, is tdet_assignment(entries, potentials=True)."""
+    entries, sol, colmax, tight, below = _normalizer_input(entries, sol)
+    n, value = len(entries), sol.value
+    if lex_least_perfect_matching(below) is not None:
         raise HypothesisFailure(
             "some maximizing transversal avoids the column-1 maximum"
         )
-    rho = min(wits)
+    rho = lex_least_perfect_matching(tight)
+    if rho is None:
+        raise InternalInvariantViolation("tight graph of %r has no perfect matching" % (entries,))
     r = inverse(rho)[0]
     remaining = [i for i in range(n) if i != r]
     sigma0 = tuple(remaining + [r])
     tau0 = tuple([0] + [rho[i] for i in remaining])
     a1 = permute(entries, sigma0, tau0)
-    assert a1[n - 1][0] == colmax
-    assert a1[n - 1][0] + sum(a1[i][i + 1] for i in range(n - 1)) == value
+    if a1[n - 1][0] != colmax or a1[n - 1][0] + sum(a1[i][i + 1] for i in range(n - 1)) != value:
+        raise InternalInvariantViolation(
+            "transversal %r of %r is not a third-form pattern at the column-1 maximum" % (rho, entries)
+        )
+    # The swaps keep the corner and the pattern's value, so each candidate
+    # is in third form iff its inner transversal is maximal in its minor.
     inv_cycle = inverse(_cols_cycle(n))
     for idx in range(n - 1):
         sw_r = transposition(n, 0, idx)
         sw_c = transposition(n, 1, idx + 1)
         d = permute(a1, sw_r, sw_c)
-        if not detect_third_form(d):
+        inner = d[0][0] + sum(d[i][i + 1] for i in range(1, n - 1))
+        if inner == NEG_INF or tdet(minor(d, n - 1, 1)) != inner:
             continue
         cert = FormCertificate(
             compose(sigma0, sw_r), compose(compose(tau0, sw_c), inv_cycle), "second", idx + 1
         )
         out = cert.apply(entries)
-        if detect_second_form(out):
-            assert out == second_from_third(d)
-            return cert
+        # out's minor is a column permutation of d's, with the same tdet
+        if out != permute(d, identity_perm(n), inv_cycle) or not detect_second_form(out, value, inner):
+            raise InternalInvariantViolation(
+                "second-form certificate %r fails on %r" % (cert, entries)
+            )
+        return cert
     raise InternalInvariantViolation(
         "second-form search exhausted without a valid index: %r" % (entries,)
     )

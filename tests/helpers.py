@@ -97,3 +97,87 @@ def all_cycles(n):
             for rest in itertools.permutations(subset[1:]):
                 out.append((first,) + rest)
     return out
+
+
+# -- brute-force reference normalizers -------------------------------------------
+# The form normalizers as they were before the tight-graph route: every
+# witness question is answered over the full list of maximizing permutations
+# from tdet_brute, and every form test by brute-force determinants.
+
+
+def _brute_value(a):
+    from diffalg import tdet_brute
+
+    return tdet_brute(a)[0]
+
+
+def _brute_third_form(d):
+    from diffalg.tropical import minor
+
+    n = len(d)
+    pattern = d[n - 1][0] + sum(d[i][i + 1] for i in range(n - 1))
+    if _brute_value(d) != pattern:
+        return False
+    inner = d[0][0] + sum(d[i][i + 1] for i in range(1, n - 1))
+    if inner == NEG_INF or _brute_value(minor(d, n - 1, 1)) != inner:
+        return False
+    return d[n - 1][0] == max(d[i][0] for i in range(n))
+
+
+def _brute_witness_data(a):
+    from diffalg import HypothesisFailure, tdet_brute
+    from diffalg.tropical import inverse
+
+    value, wits = tdet_brute(a)
+    if value == NEG_INF:
+        raise HypothesisFailure("no finite transversal")
+    col0 = [row[0] for row in a]
+    if sum(1 for e in col0 if e != NEG_INF) < 2:
+        raise HypothesisFailure("column 1 has fewer than two finite entries")
+    picks = [(rho, a[inverse(rho)[0]][0]) for rho in wits]
+    return value, wits, max(col0), picks
+
+
+def first_form_brute(a):
+    """FormCertificate of the first-form normalizer, from min(good)."""
+    from diffalg import FormCertificate, HypothesisFailure
+    from diffalg.tropical import compose, identity_perm, inverse, permute, transposition
+
+    n = len(a)
+    _, _, colmax, picks = _brute_witness_data(a)
+    good = [rho for rho, e in picks if e != NEG_INF and e < colmax]
+    if not good:
+        raise HypothesisFailure("every maximizing transversal meets column 1 at its maximum")
+    sigma = inverse(min(good))
+    b = permute(a, sigma, identity_perm(n))
+    i = 1 if b[1][0] >= b[0][0] else max(range(1, n), key=lambda r: (b[r][0], -r))
+    sw = transposition(n, 1, i)
+    return FormCertificate(compose(sigma, sw), sw, "first")
+
+
+def second_form_brute(a):
+    """FormCertificate of the second-form normalizer, from min(wits)."""
+    from diffalg import FormCertificate, HypothesisFailure
+    from diffalg.tropical import _cols_cycle, compose, inverse, permute, transposition
+
+    n = len(a)
+    _, wits, colmax, picks = _brute_witness_data(a)
+    if any(e != colmax for _, e in picks):
+        raise HypothesisFailure("some maximizing transversal avoids the column-1 maximum")
+    rho = min(wits)
+    r = inverse(rho)[0]
+    remaining = [i for i in range(n) if i != r]
+    sigma0 = tuple(remaining + [r])
+    tau0 = tuple([0] + [rho[i] for i in remaining])
+    a1 = permute(a, sigma0, tau0)
+    for idx in range(n - 1):
+        sw_r = transposition(n, 0, idx)
+        sw_c = transposition(n, 1, idx + 1)
+        if _brute_third_form(permute(a1, sw_r, sw_c)):
+            return FormCertificate(
+                compose(sigma0, sw_r),
+                compose(compose(tau0, sw_c), inverse(_cols_cycle(n))),
+                "second",
+                idx + 1,
+            )
+    raise AssertionError("no second-form index for %r" % (a,))

@@ -118,3 +118,35 @@ def test_error_json(sysfile, capsys):
     assert main(["jacobi", f, "--json"]) == 1
     err = capsys.readouterr().err
     assert json.loads(err)["kind"] == "ParseError"
+
+
+NINE = "xyzuvwpqs"
+
+
+def test_jacobi_nine_variables(sysfile, capsys):
+    f = sysfile("vars: %s\n" % ", ".join(NINE) + "".join("%s' + %s\n" % (a, b) for a, b in zip(NINE, NINE[1:] + NINE[0])))
+    assert main(["jacobi", f]) == 0
+    assert capsys.readouterr().out.strip() == "J(weak)=9 J(strong)=9"
+    assert main(["jacobi", f, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["witnesses_strong"] == [list(range(9))]
+
+
+def test_witness_limit_is_exit_3(sysfile, capsys):
+    # nine equal equations in nine variables: 9! maximizing transversals
+    f = sysfile("vars: %s\n" % ", ".join(NINE) + ("%s\n" % " + ".join(NINE)) * 9)
+    assert main(["jacobi", f]) == 0  # the text report lists no witnesses
+    assert capsys.readouterr().out.strip() == "J(weak)=0 J(strong)=0"
+    assert main(["jacobi", f, "--json"]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "resource-limit"
+
+
+def test_step_budget_is_exit_3(sysfile, capsys, monkeypatch):
+    import diffalg.cli as cli
+    from diffalg.engine import linear_reduce
+
+    monkeypatch.setattr(cli, "linear_reduce", lambda polys: linear_reduce(polys, budget_factor=0))
+    f = sysfile("vars: x, y\nx' - y\nx'' - y'\n")
+    assert main(["reduce-linear", f, "--json"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "resource-limit" and "step budget" in err["error"]

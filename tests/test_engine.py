@@ -8,6 +8,7 @@ from diffalg import (
     InconsistentSystem,
     NEG_INF,
     POS_INF,
+    ResourceLimit,
     linear_reduce,
     order_matrix,
     orderly,
@@ -166,3 +167,46 @@ def test_linear_reduce_random_smoke():
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         if not res.degenerate:
             assert res.abs_dim_bound <= res.j_initial
+
+
+# -- past the old n <= 8 cap, solve counts, step budget ------------------------------
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_linear_reduce_cyclic_past_eight(n):
+    names = ["x%d" % i for i in range(n)]
+    text = "vars: %s\n" % ", ".join(names) + "".join(
+        "%s' + %s\n" % (names[i], names[(i + 1) % n]) for i in range(n)
+    )
+    _, sys_ = parse_system(text)
+    res = linear_reduce(sys_)
+    assert not res.degenerate
+    assert res.j_initial == n and res.abs_dim_bound == n and res.diff_dim == 0
+
+
+def test_linear_reduce_solve_count(monkeypatch):
+    import diffalg.engine as engine_mod
+    import diffalg.tropical as tropical_mod
+
+    calls = []
+    solve = tropical_mod.tdet_assignment
+
+    def counted(*args, **kw):
+        calls.append(len(args[0]))
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
+    monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
+    sys_ = [P("-x' - 1", R3), P("-z'' - 3*y' - 2*x", R3), P("-2*y' - z + 2*x", R3)]
+    res = linear_reduce(sys_)
+    kinds = [s.kind for s in res.trace.steps]
+    forms = sum(k.endswith("-form") for k in kinds)
+    assert "first-form" in kinds and "second-form" in kinds and "peel" in kinds
+    assert not res.degenerate
+    assert len(calls) <= 2 + 3 * forms + 2 * kinds.count("peel")
+
+
+def test_linear_reduce_step_budget_is_a_resource_limit():
+    sys_ = [P("x' - y"), P("x'' - y'")]
+    with pytest.raises(ResourceLimit):
+        linear_reduce(sys_, budget_factor=0)

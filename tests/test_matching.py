@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from diffalg import (
     find_directed_cycle,
     hall_matching,
 )
+from diffalg.matching import lex_least_perfect_matching, perfect_matchings
 
 
 def test_perfect_matching_found():
@@ -88,3 +90,21 @@ def test_random_functional_graphs():
         assert len(cyc) >= 2 and len(set(cyc)) == len(cyc)
         for k, v in enumerate(cyc):
             assert succ[v] == cyc[(k + 1) % len(cyc)]
+
+
+def _brute_perfect_matchings(adj):
+    n = len(adj)
+    return [rho for rho in itertools.permutations(range(n)) if all(rho[i] in adj[i] for i in range(n))]
+
+
+def test_lex_least_and_all_perfect_matchings():
+    rng = random.Random(77)
+    empty = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        adj = [sorted(j for j in range(n) if rng.random() < 0.45) for _ in range(n)]
+        brute = _brute_perfect_matchings(adj)
+        assert list(perfect_matchings(adj)) == brute
+        assert lex_least_perfect_matching(adj) == (brute[0] if brute else None)
+        empty += not brute
+    assert 0 < empty < 300

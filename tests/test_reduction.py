@@ -186,3 +186,30 @@ def test_random_certificates_sampled():
         mode = rng.choice(["partial", "full"])
         cert = ritt_divide(f, [g], mode, var=v)
         assert cert.verify(f, [g])
+
+
+def test_inconsistent_huge_constant_message():
+    from fractions import Fraction
+
+    e = InconsistentSystem(R2.const(10**5000))
+    assert str(e) == "nonzero constant remainder <16610-bit integer>"
+    e = InconsistentSystem(R2.const(Fraction(-3, 10**6000)))
+    assert str(e) == "nonzero constant remainder -<2-bit integer>/<19932-bit integer>"
+    # constants that render keep their exact text
+    assert str(InconsistentSystem(R2.const(Fraction(-3, 7)))) == "nonzero constant remainder -3/7"
+
+
+def test_minimal_autoreduced_order_unchanged():
+    from diffalg.reduction import _minimal_autoreduced
+
+    rng = random.Random(31)
+    rk = orderly()
+    for _ in range(100):
+        basis = [rand_nonconstant(rng, R2, max_order=2, max_deg=2) for _ in range(rng.randint(1, 6))]
+        basis += basis[: rng.randint(0, 2)]  # equal ranks and equal renders
+        ordered = sorted(basis, key=lambda p: (rk.rank(p), render(p)))
+        chosen = []
+        for p in ordered:
+            if all(is_reduced_wrt(p, q, "full", rk) and is_reduced_wrt(q, p, "full", rk) for q in chosen):
+                chosen.append(p)
+        assert _minimal_autoreduced(basis, rk) == chosen

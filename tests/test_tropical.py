@@ -7,6 +7,7 @@ from diffalg import (
     HypothesisFailure,
     NEG_INF,
     OrderMatrix,
+    ResourceLimit,
     cycle_decompose,
     cyclic_sum,
     detect_first_form,
@@ -26,7 +27,7 @@ from diffalg import (
     transversal_value,
 )
 from diffalg.tropical import compose, identity_perm, inverse, render_grid
-from helpers import all_cycles, rand_matrix
+from helpers import all_cycles, first_form_brute, rand_matrix, second_form_brute
 
 INF = NEG_INF
 
@@ -76,6 +77,7 @@ def test_tdet_routes_agree_sampled():
         a = rand_matrix(rng, rng.randint(1, 6), p_inf=0.3)
         v, _ = tdet_brute(a)
         assert v == tdet_assignment(a)
+    assert tdet_assignment(((INF, 3), (INF, 1))) == INF  # no finite transversal
 
 
 # -- transversals, cycles, permutations -----------------------------------------
@@ -232,3 +234,63 @@ def test_cycle_trick_sampled():
         for cyc in all_cycles(n):
             assert cyclic_sum(d, cyc) <= sum(d[i][i] for i in cyc)
         done += 1
+
+
+# -- duals, witnesses and normalizers against the brute-force oracle --------------
+
+
+def test_assignment_potentials_are_optimal_duals():
+    rng = random.Random(1102)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = rand_matrix(rng, n, p_inf=rng.choice([0.0, 0.3]))
+        sol = tdet_assignment(a, potentials=True)
+        if sol.value == INF:
+            assert sol.u is None and sol.v is None
+            continue
+        for i in range(n):
+            for j in range(n):
+                if a[i][j] != INF:
+                    assert sol.u[i] + sol.v[j] >= a[i][j]
+        assert sum(sol.u) + sum(sol.v) == sol.value
+
+
+def test_tdet_witnesses_match_brute_in_order():
+    rng = random.Random(1103)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = rand_matrix(rng, n, hi=rng.choice([1, 2, 9]), p_inf=rng.choice([0.0, 0.2, 0.5]))
+        assert tdet(a, witnesses=True) == tdet_brute(a)
+
+
+def test_witness_limit():
+    value, wits = tdet(tuple((0,) * 8 for _ in range(8)), witnesses=True)
+    assert value == 0 and len(wits) == 40320 and wits[0] == tuple(range(8))
+    with pytest.raises(ResourceLimit):
+        tdet(tuple((0,) * 9 for _ in range(9)), witnesses=True)
+    # past n = 8 without a witness explosion: the cyclic system's matrix
+    cyc = tuple(tuple(1 if j == i else (0 if j == (i + 1) % 9 else INF) for j in range(9)) for i in range(9))
+    assert tdet(cyc, witnesses=True) == (9, (tuple(range(9)),))
+
+
+def test_normalizers_match_brute_reference():
+    rng = random.Random(1104)
+    seen = {"first": 0, "second": 0, "failure": 0}
+    for trial in range(600):
+        n = rng.randint(2, 6)
+        a = rand_matrix(rng, n, hi=rng.choice([2, 5, 9]), p_inf=rng.choice([0.0, 0.15, 0.3, 0.5]))
+        if trial % 3 == 0:
+            c = rng.randint(0, 5)
+            a = tuple((c,) + row[1:] for row in a)
+        for fast, slow in ((to_first_form, first_form_brute), (to_second_form, second_form_brute)):
+            try:
+                expected = slow(a)
+            except HypothesisFailure as e:
+                with pytest.raises(HypothesisFailure) as got:
+                    fast(a)
+                assert str(got.value) == str(e)
+                seen["failure"] += 1
+                continue
+            assert fast(a) == expected, a
+            seen[expected.form] += 1
+    assert min(seen.values()) >= 50, seen
