@@ -57,7 +57,7 @@ def main():
                 print("  " + render(p))
             print("J-sequence (strong): %s" % ",".join(map(str, res.trace.j_sequence_strong)))
             print("absDimBound=%s  J_initial=%s" % (res.abs_dim_bound, res.j_initial))
-            # exact pseudo-division makes coefficients huge; show leaders only
+            # long charset elements are cut to their leading terms
             shown_cs = "; ".join(
                 s if len(s) <= 60 else s[:57] + "..." for s in map(render, res.charset.elements)
             )

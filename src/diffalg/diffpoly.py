@@ -1,8 +1,9 @@
 """Sparse differential polynomials over Q with rational constants.
 
 A differential polynomial lives in Q{x1,...,xn}: coefficients are exact
-Fractions, monomials are multisets of derivatives x_i^(k).  The derivation
-acts by x_i^(k) -> x_i^(k+1) and kills constants.
+rationals, stored as an int where integral and as a Fraction otherwise;
+monomials are multisets of derivatives x_i^(k).  The derivation acts by
+x_i^(k) -> x_i^(k+1) and kills constants.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def _mono_degree(m):
     return sum(e for _, e in m)
 
 
+def _integral(c):
+    # a Fraction (or other rational) with denominator 1 is stored as an int
+    return c.numerator if c.denominator == 1 else c
+
+
 class DiffRing:
     """Names the variables; polynomials carry a reference to their ring."""
 
@@ -59,8 +65,7 @@ class DiffRing:
         return "DiffRing(%s)" % ", ".join(self.names)
 
     def const(self, c) -> "DiffPoly":
-        c = Fraction(c)
-        return DiffPoly(self, {} if c == 0 else {MONO_ONE: c})
+        return DiffPoly(self, {MONO_ONE: c if isinstance(c, int) else Fraction(c)})
 
     def zero(self):
         return self.const(0)
@@ -76,7 +81,7 @@ class DiffRing:
         if order < 0:
             raise ValueError("negative order")
         mono = ((Derivative(idx, order), 1),)
-        return DiffPoly(self, {mono: Fraction(1)})
+        return DiffPoly(self, {mono: 1})
 
     def extend(self, name) -> "DiffRing":
         """New ring with one fresh variable appended."""
@@ -92,13 +97,14 @@ class DiffRing:
 
 
 class DiffPoly:
-    """Immutable sparse polynomial: dict monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: dict monomial -> nonzero coefficient, an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c if type(c) is int else _integral(c) for m, c in terms.items() if c}
 
     # -- basic ring operations ------------------------------------------
 
@@ -113,7 +119,7 @@ class DiffPoly:
         other = self._coerce(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return DiffPoly(self.ring, acc)
 
     __radd__ = __add__
@@ -133,7 +139,7 @@ class DiffPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return DiffPoly(self.ring, acc)
 
     __rmul__ = __mul__
@@ -163,7 +169,7 @@ class DiffPoly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return Fraction(self.terms.get(MONO_ONE, 0))
 
     def total_degree(self):
         # degree of 0 is -inf by convention
@@ -199,7 +205,7 @@ class DiffPoly:
                     bumped = Derivative(d.var, d.order + 1)
                     rest[bumped] = rest.get(bumped, 0) + 1
                     mono = tuple(sorted(rest.items()))
-                    acc[mono] = acc.get(mono, Fraction(0)) + c * e
+                    acc[mono] = acc.get(mono, 0) + c * e
             p = DiffPoly(p.ring, acc)
         return p
 
@@ -216,7 +222,7 @@ class DiffPoly:
             else:
                 md[d] = e - 1
             mono = tuple(sorted(md.items()))
-            acc[mono] = acc.get(mono, Fraction(0)) + c * e
+            acc[mono] = acc.get(mono, 0) + c * e
         return DiffPoly(self.ring, acc)
 
     def order_in(self, var, convention="strong"):
@@ -240,7 +246,7 @@ class DiffPoly:
             e = md.pop(d, 0)
             mono = tuple(sorted(md.items()))
             bucket = out.setdefault(e, {})
-            bucket[mono] = bucket.get(mono, Fraction(0)) + c
+            bucket[mono] = bucket.get(mono, 0) + c
         return {e: DiffPoly(self.ring, t) for e, t in out.items() if any(c != 0 for c in t.values())}
 
     def deg_in(self, d: Derivative):
@@ -262,7 +268,7 @@ class DiffPoly:
             md = dict(m)
             e = md.pop(d0, 0)
             mono = tuple(sorted(md.items()))
-            acc[mono] = acc.get(mono, Fraction(0)) + c * value**e
+            acc[mono] = acc.get(mono, 0) + c * value**e
         return DiffPoly(self.ring, acc)
 
     def __repr__(self):

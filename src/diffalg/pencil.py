@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffpoly import NEG_INF, Derivative, DiffPoly, DiffRing, separant, render
-from .reduction import AutoreducedSet, membership
+from .errors import InternalInvariantViolation
+from .reduction import AutoreducedSet, describe, membership
 
 
 def coseparant(u: DiffPoly, var):
@@ -26,7 +27,11 @@ def coseparant(u: DiffPoly, var):
     d = u.deg_in(ld)
     s1 = separant(u, var)
     t1 = u * d - ring.var(var, int(o)) * s1
-    assert u * d == t1 + ring.var(var, int(o)) * s1
+    if u * d != t1 + ring.var(var, int(o)) * s1:
+        raise InternalInvariantViolation(
+            "coseparant identity d*u = t1 + leader*s1 failed for u = %s, d = %d: t1 = %s, s1 = %s"
+            % (describe(u), d, describe(t1), describe(s1))
+        )
     return t1, s1, ld, d
 
 

@@ -6,13 +6,18 @@ Two division modes:
   full:    reduce until ord(r, v) < ord(g, v), or equal order with strictly
            smaller leader degree; separants and initials are inverted.
 Every division returns a certificate for the identity s*f = sum Q_i(g_i) + r
-which can be re-verified by exact polynomial arithmetic.
+which can be re-verified by exact polynomial arithmetic.  After every step
+the remainder is divided by its positive rational content (primitive
+remainders, as in Collins's and Brown's primitive remainder sequences), so
+its coefficients stay coprime integers instead of growing step by step.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .diffpoly import (
     NEG_INF,
@@ -24,6 +29,7 @@ from .diffpoly import (
     orderly,
     render,
 )
+from .errors import InternalInvariantViolation
 
 
 class InconsistentSystem(Exception):
@@ -31,25 +37,42 @@ class InconsistentSystem(Exception):
 
     def __init__(self, constant):
         self.constant = constant
-        self.text = describe_constant(constant)
+        self.text = describe(constant)
         super().__init__("nonzero constant remainder %s" % self.text)
 
 
-def describe_constant(constant):
-    """render(constant), or its size when the decimal form would pass the
-    interpreter's limit on int-to-str conversion."""
+_DESCRIBE_LIMIT = 1000  # characters of a polynomial shown in an error message
+
+
+def describe(p: DiffPoly) -> str:
+    """render(p) for error messages: cut after _DESCRIBE_LIMIT characters, and
+    sized instead of written out when a coefficient passes the interpreter's
+    limit on int-to-str conversion."""
     try:
-        return render(constant)
+        text = render(p)
     except ValueError:
-        (c,) = constant.terms.values()
-        text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
-        if c.denominator != 1:
-            text += "/<%d-bit integer>" % c.denominator.bit_length()
-        return text
+        if p.is_constant():
+            (c,) = p.terms.values()
+            text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
+            if c.denominator != 1:
+                text += "/<%d-bit integer>" % c.denominator.bit_length()
+            return text
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values())
+        return "<%d-term polynomial, coefficients up to %d bits>" % (len(p.terms), bits)
+    if len(text) > _DESCRIBE_LIMIT:
+        text = "%s ... <%d characters>" % (text[:_DESCRIBE_LIMIT], len(text))
+    return text
 
 
 @dataclass(frozen=True)
 class DivisionCertificate:
+    """s*f = sum Q_i(g_i) + r for a division of f by the divisors g_i.
+
+    s is a nonzero rational multiple of the product of the step multipliers
+    (separants and initials of the divisors); after at least one step the
+    remainder r is primitive (coprime integer coefficients).
+    """
+
     s: DiffPoly
     quotients: tuple  # one LinOp per divisor
     remainder: DiffPoly
@@ -73,6 +96,21 @@ class DivisionCertificate:
             "remainder": render(self.remainder),
             "mode": self.mode,
         }
+
+
+def _primitive(p: DiffPoly):
+    """(content, p / content).  The content is positive and rational: the gcd
+    of the numerators over the lcm of the denominators, so p / content has
+    coprime integer coefficients.  The zero polynomial has content 1."""
+    cs = p.terms.values()
+    num = math.gcd(*(c.numerator for c in cs))
+    den = math.lcm(*(c.denominator for c in cs))
+    if num in (0, 1) and den == 1:
+        return 1, p
+    if den == 1:
+        return num, DiffPoly(p.ring, {m: c // num for m, c in p.terms.items()})
+    content = Fraction(num, den)
+    return content, DiffPoly(p.ring, {m: c / content for m, c in p.terms.items()})
 
 
 def _division_var(g: DiffPoly, ranking: Ranking):
@@ -100,7 +138,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     in that variable.  Otherwise each divisor reduces in the variable of its
     ranking leader; leading variables must be pairwise distinct.  Always the
     highest unreduced occurrence is eliminated next; the (occurrence, degree)
-    measure must strictly drop at each step and this is asserted.
+    measure must strictly drop at each step, and the certificate must verify,
+    or InternalInvariantViolation is raised.
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
@@ -153,7 +192,11 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         g, v, vg, dg = info[i]
         e = r.deg_in(occ)
         measure = (key, e)
-        assert last_measure is None or measure < last_measure, "division measure did not drop"
+        if last_measure is not None and not measure < last_measure:
+            raise InternalInvariantViolation(
+                "division measure did not drop (%r after %r) dividing %s by %s at remainder %s"
+                % (measure, last_measure, describe(f), [describe(d) for d in divisors], describe(r))
+            )
         last_measure = measure
         a = r.coeffs_in(occ)[e]
         if occ.order > vg:
@@ -167,8 +210,14 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
             mult = cs[dg]  # initial of g in v
             co = a * ring.var(v, vg) ** (e - dg)
             r = mult * r - co * g
-        s = mult * s
         mults.append(mult)
+        # r divided by its content c, and s and the quotients with it, keeps
+        # s*f = sum Q_i(g_i) + r and leaves r primitive
+        c, r = _primitive(r)
+        if c != 1:
+            mult = mult * Fraction(1, c)
+            co = co * Fraction(1, c)
+        s = mult * s
         for q in quots:
             for kk in q:
                 q[kk] = mult * q[kk]
@@ -181,7 +230,11 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         mode=mode,
         multipliers=tuple(mults),
     )
-    assert cert.verify(f, divisors), "division identity failed"
+    if not cert.verify(f, divisors):
+        raise InternalInvariantViolation(
+            "division identity s*f = sum Q_i(g_i) + r failed dividing %s by %s (%s mode): s = %s, r = %s"
+            % (describe(f), [describe(d) for d in divisors], mode, describe(cert.s), describe(r))
+        )
     return cert
 
 
@@ -220,7 +273,10 @@ class AutoreducedSet:
                 if i != j and not is_reduced_wrt(p, q, "full", self.ranking):
                     raise ValueError("element %d is not reduced w.r.t. element %d" % (i, j))
         lvars = [self.ranking.leader(p).var for p in els]
-        assert len(set(lvars)) == len(lvars)
+        if len(set(lvars)) != len(lvars):
+            raise InternalInvariantViolation(
+                "reduced elements share a leading variable: %s" % [describe(p) for p in els]
+            )
 
     def leaders(self):
         return tuple(self.ranking.leader(p) for p in self.elements)
@@ -282,7 +338,8 @@ def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharS
     the rest against it, adjoin nonzero remainders.  A nonzero constant
     remainder (or generator) raises InconsistentSystem.  The chosen
     autoreduced set must strictly decrease in the induced ordering whenever
-    the basis changes; non-convergence within max_rounds raises RuntimeError.
+    the basis changes.  Without convergence within max_rounds the last
+    chosen set is returned with converged=False.
     """
     if ranking is None:
         ranking = orderly()
@@ -298,8 +355,11 @@ def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharS
     for rounds in range(1, max_rounds + 1):
         chosen = _minimal_autoreduced(basis, ranking)
         aset = AutoreducedSet(tuple(chosen), ranking)
-        if prev is not None:
-            assert compare_autoreduced(aset, prev) < 0, "induced ordering did not drop"
+        if prev is not None and not compare_autoreduced(aset, prev) < 0:
+            raise InternalInvariantViolation(
+                "induced ordering did not drop in round %d: %s after %s"
+                % (rounds, [describe(p) for p in chosen], [describe(p) for p in prev.elements])
+            )
         rest = [p for p in basis if not any(p is q for q in chosen)]
         new = []
         for p in rest:

@@ -11,11 +11,15 @@ def ring_of(nvars):
     return DiffRing(NAMES[:nvars])
 
 
-def rand_poly(rng, ring, max_monos=4, max_deg=3, max_order=4, nonzero=True):
+SMALL_INTS = (-3, -2, -1, 1, 2, 3)
+SMALL_RATIONALS = SMALL_INTS + (Fraction(7, 5), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4))
+
+
+def rand_poly(rng, ring, max_monos=4, max_deg=3, max_order=4, nonzero=True, coeffs=SMALL_INTS):
     while True:
         p = ring.zero()
         for _ in range(rng.randint(1, max_monos)):
-            term = ring.const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+            term = ring.const(Fraction(rng.choice(coeffs)))
             for _ in range(rng.randint(0, max_deg)):
                 v = rng.randrange(ring.nvars)
                 term = term * ring.var(v, rng.randint(0, max_order))

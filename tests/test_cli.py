@@ -71,6 +71,13 @@ def test_autoreduce_inconsistent_reported(sysfile, capsys):
     f = sysfile("vars: x\nx' - x\nx' - x - 1\n")
     assert main(["autoreduce", f, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["inconsistent"] is True
+    # remainders are primitive, so the constant found is 1 or -1: here the
+    # division leaves 7, reported as 1
+    f2 = sysfile("vars: x\nx' - x\n3*x' - 3*x - 7\n", "f2.txt")
+    assert main(["autoreduce", f2, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"inconsistent": True, "constant": "1"}
+    assert main(["dims", f2, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["constant"] == "1"
 
 
 def test_forms(sysfile, capsys):
@@ -88,6 +95,19 @@ def test_reduce_linear(sysfile, capsys):
     assert main(["reduce-linear", f, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["diff_dim"] == 0 and data["abs_dim_bound"] == 3
+
+
+def test_reduce_linear_order_six_system(sysfile, capsys):
+    # its coefficients once grew past the int-to-str limit and render failed
+    f = sysfile(
+        "vars: x, y, z\n"
+        "-y^(4) + z''' + 2*x''' + 3*x'' - x' + z\n"
+        "-2*y^(6) - 2*x^(6) + z^(5) - 3*z' - 3*y' + 3*x' - x + 3\n"
+        "z^(5) - 3*z'' + x'' + z' + 3*x\n"
+    )
+    assert main(["reduce-linear", f, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["abs_dim_bound"] == data["J_initial"] == 15
 
 
 def test_pencil(sysfile, capsys):

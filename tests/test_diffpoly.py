@@ -17,7 +17,7 @@ from diffalg import (
     render,
     separant,
 )
-from helpers import rand_poly, ring_of
+from helpers import SMALL_RATIONALS, rand_poly, ring_of
 
 R3 = ring_of(3)
 
@@ -26,9 +26,14 @@ def P(text, ring=R3):
     return parse_poly(text, ring)
 
 
-def small_polys(ring=R3):
+def small_polys(ring=R3, **kw):
     seeds = st.integers(min_value=0, max_value=10**9)
-    return seeds.map(lambda s: rand_poly(random.Random(s), ring, nonzero=False))
+    return seeds.map(lambda s: rand_poly(random.Random(s), ring, nonzero=False, **kw))
+
+
+def stored_canonically(p):
+    # an integral coefficient is an int, any other a Fraction
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values())
 
 
 # -- ring arithmetic --------------------------------------------------------
@@ -51,6 +56,26 @@ def test_exact_rationals():
     f = P("1/2*x + 1/3*y")
     assert (f + f + f).terms[((Derivative(0, 0), 1),)] == Fraction(3, 2)
     assert f * 6 == P("3*x + 2*y")
+
+
+def test_integral_coefficients_are_ints():
+    c = R3.const(Fraction(4, 2)).terms
+    assert c == {(): 2} and type(c[()]) is int
+    assert type(R3.var("x").terms[((Derivative(0, 0), 1),)]) is int
+    half = P("3/2*x")
+    assert render(half) == "3/2*x"
+    assert stored_canonically(half * 2) and (half * 2).terms == P("3*x").terms
+    assert R3.const(Fraction(5, 1)).constant_value() == Fraction(5)
+    assert type(R3.const(7).constant_value()) is Fraction
+
+
+def test_int_and_fraction_built_polynomials_agree():
+    x, y = R3.var("x"), R3.var("y", 2)
+    from_ints = x * 3 - y * y * 2 + 5
+    from_fractions = x * Fraction(3) - y * y * Fraction(6, 3) + R3.const(Fraction(10, 2))
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    assert render(from_ints) == render(from_fractions) == "-2*y''^2 + 3*x + 5"
+    assert stored_canonically(from_fractions)
 
 
 def test_mixed_ring_rejected():
@@ -200,6 +225,9 @@ def test_parse_render_round_trip_300():
 
 
 @settings(max_examples=80)
-@given(small_polys())
+@given(st.one_of(small_polys(), small_polys(coeffs=SMALL_RATIONALS)))
 def test_parse_render_round_trip_property(p):
-    assert parse_poly(render(p), R3) == p
+    # integer and rational coefficients both pass through the text layer
+    q = parse_poly(render(p), R3)
+    assert q == p and hash(q) == hash(p)
+    assert stored_canonically(p) and stored_canonically(q)

@@ -1,6 +1,15 @@
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import diffalg
 
 from diffalg import (
     AutoreducedSet,
@@ -18,7 +27,7 @@ from diffalg import (
     render,
     ritt_divide,
 )
-from helpers import rand_nonconstant, rand_poly, ring_of
+from helpers import SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -188,9 +197,77 @@ def test_random_certificates_sampled():
         assert cert.verify(f, [g])
 
 
-def test_inconsistent_huge_constant_message():
-    from fractions import Fraction
+def test_remainders_are_primitive_integer_polynomials():
+    # inputs with rational coefficients such as 7/5: after a division step the
+    # remainder has coprime integer coefficients, and the certificate holds
+    rng = random.Random(4)
+    stepped = 0
+    for _ in range(150):
+        ring = ring_of(rng.randint(1, 3))
+        f = rand_poly(rng, ring, nonzero=False, coeffs=SMALL_RATIONALS)
+        g = rand_nonconstant(rng, ring, max_monos=3, coeffs=SMALL_RATIONALS)
+        mode = rng.choice(["partial", "full"])
+        cert = ritt_divide(f, [g], mode, var=rng.choice(g.variables()))
+        assert cert.verify(f, [g])
+        r = cert.remainder
+        if not cert.multipliers:
+            assert r == f
+            continue
+        stepped += 1
+        assert all(type(c) is int for c in r.terms.values())
+        assert not r or math.gcd(*r.terms.values()) == 1
+    assert stepped > 50
 
+
+def test_linear_remainders_stay_small():
+    # the remainder is the primitive multiple of x at every step, not a
+    # coefficient that grows with the step count; x' = 15/7*x modulo g
+    f, g = P("x^(12)"), P("7/5*x' - 3*x")
+    cert = ritt_divide(f, [g], "full", var="x")
+    assert cert.remainder == P("x")
+    assert cert.s == R2.const(Fraction(7, 15) ** 12)
+    assert cert.verify(f, [g])
+
+
+def test_invariant_violation_survives_python_O():
+    # the division identity is checked without assert, so it holds under -O,
+    # and the message survives a coefficient past the int-to-str limit
+    code = textwrap.dedent(
+        """
+        from diffalg import DiffRing, parse_poly, ritt_divide
+        from diffalg.errors import InternalInvariantViolation
+        from diffalg.reduction import DivisionCertificate
+
+        assert False, "asserts must be stripped"
+        DivisionCertificate.verify = lambda self, f, divisors: False
+        ring = DiffRing(["x", "y"])
+        f = parse_poly("x'' + y", ring) * 10**5000
+        try:
+            ritt_divide(f, [parse_poly("x' - x", ring)], "full", var="x")
+        except InternalInvariantViolation as e:
+            print(e)
+        """
+    )
+    src = str(Path(diffalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    msg = out.stdout
+    assert "division identity" in msg and "x' - x" in msg
+    assert "<2-term polynomial, coefficients up to 16610 bits>" in msg
+
+
+def test_describe_cuts_long_polynomials():
+    from diffalg.reduction import _DESCRIBE_LIMIT, describe
+
+    p = sum((R2.var("x", k) * k for k in range(1, 200)), R2.zero())
+    text = render(p)
+    assert len(text) > _DESCRIBE_LIMIT
+    assert describe(p) == "%s ... <%d characters>" % (text[:_DESCRIBE_LIMIT], len(text))
+    assert describe(P("x' - x")) == "x' - x"
+
+
+def test_inconsistent_huge_constant_message():
     e = InconsistentSystem(R2.const(10**5000))
     assert str(e) == "nonzero constant remainder <16610-bit integer>"
     e = InconsistentSystem(R2.const(Fraction(-3, 10**6000)))
