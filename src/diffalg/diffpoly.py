@@ -4,6 +4,13 @@ A differential polynomial lives in Q{x1,...,xn}: coefficients are exact
 rationals, stored as an int where integral and as a Fraction otherwise;
 monomials are multisets of derivatives x_i^(k).  The derivation acts by
 x_i^(k) -> x_i^(k+1) and kills constants.
+
+Monomial invariant: a monomial is a tuple of (Derivative, exponent) pairs,
+sorted by derivative, with distinct derivatives and every exponent > 0; the
+unit monomial is ().  Every operation keeps it without re-sorting: products
+merge two sorted tuples, and dropping or lowering one factor (coeffs_in,
+partial, derive) leaves the others in order.  Since derivatives sort by
+(var, order), x_v^(k+1) can only sit right after x_v^(k).
 """
 
 from __future__ import annotations
@@ -21,15 +28,40 @@ class Derivative(NamedTuple):
     order: int
 
 
-# a monomial is a sorted tuple of (Derivative, exponent>0); () is the unit
 MONO_ONE = ()
 
 
 def _mono_mul(m1, m2):
-    acc = dict(m1)
-    for d, e in m2:
-        acc[d] = acc.get(d, 0) + e
-    return tuple(sorted(acc.items()))
+    """Product of two monomials: a merge of two sorted tuples."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    d1, d2 = m1[0][0], m2[0][0]
+    while True:
+        if d1 < d2:
+            out.append(m1[i])
+            i += 1
+            if i == n1:
+                break
+            d1 = m1[i][0]
+        elif d2 < d1:
+            out.append(m2[j])
+            j += 1
+            if j == n2:
+                break
+            d2 = m2[j][0]
+        else:
+            out.append((d1, m1[i][1] + m2[j][1]))
+            i += 1
+            j += 1
+            if i == n1 or j == n2:
+                break
+            d1, d2 = m1[i][0], m2[j][0]
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _mono_degree(m):
@@ -110,7 +142,7 @@ class DiffPoly:
 
     def _coerce(self, other):
         if isinstance(other, DiffPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed rings: %r vs %r" % (self.ring, other.ring))
             return other
         return self.ring.const(other)
@@ -134,15 +166,27 @@ class DiffPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, DiffPoly):
+            # a number scales the coefficients, as ring.const(other) would
+            return self._scaled(other if isinstance(other, int) else Fraction(other))
         other = self._coerce(other)
+        t1, t2 = self.terms, other.terms
+        if not t2 or len(t2) == 1 and MONO_ONE in t2:
+            return self._scaled(t2.get(MONO_ONE, 0))
+        if len(t1) == 1 and MONO_ONE in t1:
+            return other._scaled(t1[MONO_ONE])
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in t1.items():
+            for m2, c2 in t2.items():
                 m = _mono_mul(m1, m2)
                 acc[m] = acc.get(m, 0) + c1 * c2
         return DiffPoly(self.ring, acc)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k):
+        """self * k for a rational number k."""
+        return DiffPoly(self.ring, {m: c * k for m, c in self.terms.items()} if k else {})
 
     def __pow__(self, k):
         if k < 0:
@@ -196,40 +240,35 @@ class DiffPoly:
         for _ in range(times):
             acc = {}
             for m, c in p.terms.items():
+                n = len(m)
                 for i, (d, e) in enumerate(m):
-                    rest = dict(m)
-                    if e == 1:
-                        del rest[d]
-                    else:
-                        rest[d] = e - 1
+                    # d^e -> e * d^(e-1) * d', and d' can only sit at i + 1
+                    head = m[:i] if e == 1 else m[:i] + ((d, e - 1),)
                     bumped = Derivative(d.var, d.order + 1)
-                    rest[bumped] = rest.get(bumped, 0) + 1
-                    mono = tuple(sorted(rest.items()))
+                    if i + 1 < n and m[i + 1][0] == bumped:
+                        mono = head + ((bumped, m[i + 1][1] + 1),) + m[i + 2 :]
+                    else:
+                        mono = head + ((bumped, 1),) + m[i + 1 :]
                     acc[mono] = acc.get(mono, 0) + c * e
             p = DiffPoly(p.ring, acc)
         return p
 
     def partial(self, d: Derivative):
         """Formal partial derivative with respect to one derivative symbol."""
+        # lowering the exponent of d is injective on the monomials holding d
         acc = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            e = md.get(d, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del md[d]
-            else:
-                md[d] = e - 1
-            mono = tuple(sorted(md.items()))
-            acc[mono] = acc.get(mono, 0) + c * e
+            for i, (dd, e) in enumerate(m):
+                if dd == d:
+                    acc[m[:i] + m[i + 1 :] if e == 1 else m[:i] + ((d, e - 1),) + m[i + 1 :]] = c * e
+                    break
         return DiffPoly(self.ring, acc)
 
     def order_in(self, var, convention="strong"):
         """Max derivative order of var; absent -> 0 (weak) or -inf (strong)."""
         if isinstance(var, str):
             var = self.ring.index[var]
-        orders = [d.order for d in self.support() if d.var == var]
+        orders = [d.order for m in self.terms for d, _ in m if d.var == var]
         if orders:
             return max(orders)
         if convention == "weak":
@@ -240,20 +279,22 @@ class DiffPoly:
 
     def coeffs_in(self, d: Derivative):
         """View as univariate in d: dict degree -> coefficient polynomial."""
+        # dropping the factor d^e is injective on the monomials of one degree
+        # e, so no bucket collects two terms and none can cancel
         out = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            e = md.pop(d, 0)
-            mono = tuple(sorted(md.items()))
-            bucket = out.setdefault(e, {})
-            bucket[mono] = bucket.get(mono, 0) + c
-        return {e: DiffPoly(self.ring, t) for e, t in out.items() if any(c != 0 for c in t.values())}
+            for i, (dd, e) in enumerate(m):
+                if dd == d:
+                    out.setdefault(e, {})[m[:i] + m[i + 1 :]] = c
+                    break
+            else:
+                out.setdefault(0, {})[m] = c
+        return {e: DiffPoly(self.ring, t) for e, t in out.items()}
 
     def deg_in(self, d: Derivative):
-        cs = self.coeffs_in(d)
-        if not cs:
-            return NEG_INF if not self.terms else 0
-        return max(cs)
+        if not self.terms:
+            return NEG_INF
+        return max((e for m in self.terms for dd, e in m if dd == d), default=0)
 
     def substitute_constant(self, var, value):
         """Replace x_var (order 0 only) by a rational constant."""
@@ -431,8 +472,10 @@ class LinOp:
 
     def apply(self, g: DiffPoly) -> DiffPoly:
         out = self.ring.zero()
-        for k, c in self.coeffs.items():
-            out = out + c * g.derive(k)
+        gk, k = g, 0
+        for j in sorted(self.coeffs):
+            gk, k = gk.derive(j - k), j  # g^(j) from g^(k), k < j
+            out = out + self.coeffs[j] * gk
         return out
 
     def __repr__(self):

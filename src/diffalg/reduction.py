@@ -71,6 +71,13 @@ class DivisionCertificate:
     s is a nonzero rational multiple of the product of the step multipliers
     (separants and initials of the divisors); after at least one step the
     remainder r is primitive (coprime integer coefficients).
+
+    ritt_divide keeps S*f = sum Q_i(g_i) + den*r while it divides: a step
+    multiplies S and every Q_i by its multiplier only, adds den times the
+    step's quotient term to one Q_i, and multiplies den by the content that
+    makes the new remainder primitive.  s = S/den and Q_i/den are formed
+    once, at the end; they equal dividing s and the quotients by every
+    content as it arises.
     """
 
     s: DiffPoly
@@ -80,11 +87,17 @@ class DivisionCertificate:
     multipliers: tuple = ()  # the individual step multipliers, in step order
 
     def verify(self, f: DiffPoly, divisors) -> bool:
-        lhs = self.s * f
-        rhs = self.remainder
-        for q, g in zip(self.quotients, divisors):
+        s, r, quots = self.s, self.remainder, self.quotients
+        # both sides times the lcm L of the denominators of s, the Q_i and r,
+        # so that the products run on integers; L != 0 keeps the test exact
+        polys = [s, r] + [c for q in quots for c in q.coeffs.values()]
+        lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        if lcm != 1:
+            s, r, quots = s * lcm, r * lcm, [q.lmul(lcm) for q in quots]
+        rhs = r
+        for q, g in zip(quots, divisors):
             rhs = rhs + q.apply(g)
-        return lhs == rhs
+        return s * f == rhs
 
     def to_json(self):
         return {
@@ -165,20 +178,24 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         if len(set(dvars)) != len(dvars):
             raise ValueError("divisors must have distinct leading variables")
 
-    info = []
+    info = []  # per divisor: g, its variable, order, leader degree, separant, initial
     for g, v in zip(divisors, dvars):
         vg = int(g.order_in(v, "strong"))
         lg = Derivative(v, vg)
-        info.append((g, v, vg, g.deg_in(lg)))
+        cs = g.coeffs_in(lg)
+        dg = max(cs)
+        info.append((g, v, vg, dg, g.partial(lg), cs[dg]))
 
+    chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
     s = ring.one()
     quots = [dict() for _ in divisors]
+    den = 1
     mults = []
     r = f
     last_measure = None
     while True:
         best = None
-        for i, (g, v, vg, dg) in enumerate(info):
+        for i, (g, v, vg, dg, _, _) in enumerate(info):
             rv = _violates(r, v, vg, dg, mode)
             if rv is None:
                 continue
@@ -189,7 +206,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         if best is None:
             break
         key, i, occ = best
-        g, v, vg, dg = info[i]
+        g, v, vg, dg, separant, initial = info[i]
         e = r.deg_in(occ)
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
@@ -201,27 +218,32 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         a = r.coeffs_in(occ)[e]
         if occ.order > vg:
             k = occ.order - vg
-            mult = g.partial(Derivative(v, vg))  # separant of g in v
+            mult = separant
             co = a * ring.var(v, occ.order) ** (e - 1)
-            r = mult * r - co * g.derive(k)
+            chain = chains[i]
+            while len(chain) <= k:
+                chain.append(chain[-1].derive())
+            r = mult * r - co * chain[k]
         else:
             k = 0
-            cs = g.coeffs_in(occ)
-            mult = cs[dg]  # initial of g in v
+            mult = initial
             co = a * ring.var(v, vg) ** (e - dg)
             r = mult * r - co * g
         mults.append(mult)
-        # r divided by its content c, and s and the quotients with it, keeps
-        # s*f = sum Q_i(g_i) + r and leaves r primitive
-        c, r = _primitive(r)
-        if c != 1:
-            mult = mult * Fraction(1, c)
-            co = co * Fraction(1, c)
+        # s*f = sum Q_i(g_i) + den*r holds before the step, and after it once
+        # s and the Q_i are multiplied by mult and den*co joins Q_i at D^k;
+        # making r primitive moves its content c into den
         s = mult * s
         for q in quots:
             for kk in q:
                 q[kk] = mult * q[kk]
-        quots[i][k] = quots[i].get(k, ring.zero()) + co
+        quots[i][k] = quots[i].get(k, ring.zero()) + (co if den == 1 else co * den)
+        c, r = _primitive(r)
+        den = den * c
+    if den != 1:
+        inv = Fraction(1, den)
+        s = s * inv
+        quots = [{kk: q * inv for kk, q in qd.items()} for qd in quots]
 
     cert = DivisionCertificate(
         s=s,

@@ -103,6 +103,94 @@ def all_cycles(n):
     return out
 
 
+
+# -- naive reference kernel ----------------------------------------------------------
+# DiffPoly's arithmetic as plain dict-and-sort code on term dicts (monomial ->
+# coefficient): every monomial is rebuilt through a dict and re-sorted, and
+# every sum drops its zero coefficients.
+
+
+def _ref_mono(acc):
+    return tuple(sorted((d, e) for d, e in acc.items() if e))
+
+
+def _ref_clean(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def ref_mono_mul(m1, m2):
+    acc = dict(m1)
+    for d, e in m2:
+        acc[d] = acc.get(d, 0) + e
+    return _ref_mono(acc)
+
+
+def ref_mul(t1, t2):
+    acc = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = ref_mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return _ref_clean(acc)
+
+
+def ref_partial(terms, d):
+    acc = {}
+    for m, c in terms.items():
+        md = dict(m)
+        e = md.get(d, 0)
+        if e:
+            md[d] = e - 1
+            mono = _ref_mono(md)
+            acc[mono] = acc.get(mono, 0) + c * e
+    return _ref_clean(acc)
+
+
+def ref_derive(terms):
+    from diffalg import Derivative
+
+    acc = {}
+    for m, c in terms.items():
+        for d, _ in m:
+            up = Derivative(d.var, d.order + 1)
+            for mono, k in ref_partial({m: c}, d).items():
+                mono = ref_mono_mul(mono, ((up, 1),))
+                acc[mono] = acc.get(mono, 0) + k
+    return _ref_clean(acc)
+
+
+def ref_coeffs_in(terms, d):
+    out = {}
+    for m, c in terms.items():
+        md = dict(m)
+        e = md.pop(d, 0)
+        bucket = out.setdefault(e, {})
+        mono = _ref_mono(md)
+        bucket[mono] = bucket.get(mono, 0) + c
+    return {e: t for e, t in ((e, _ref_clean(t)) for e, t in out.items()) if t}
+
+
+def ref_deg_in(terms, d):
+    return max(ref_coeffs_in(terms, d), default=NEG_INF)
+
+
+def ref_order_in(terms, var, convention):
+    orders = [d.order for m in terms for d, _ in m if d.var == var]
+    if orders:
+        return max(orders)
+    return 0 if convention == "weak" else NEG_INF
+
+
+def is_canonical_monomial(m):
+    """A sorted tuple of distinct (Derivative, exponent > 0) pairs."""
+    from diffalg import Derivative
+
+    return (
+        type(m) is tuple
+        and all(type(d) is Derivative and d.order >= 0 and type(e) is int and e > 0 for d, e in m)
+        and all(a[0] < b[0] for a, b in zip(m, m[1:]))
+    )
+
 # -- brute-force reference normalizers -------------------------------------------
 # The form normalizers as they were before the tight-graph route: every
 # witness question is answered over the full list of maximizing permutations

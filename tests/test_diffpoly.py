@@ -17,7 +17,20 @@ from diffalg import (
     render,
     separant,
 )
-from helpers import SMALL_RATIONALS, rand_poly, ring_of
+from diffalg.diffpoly import MONO_ONE, _mono_mul
+from helpers import (
+    SMALL_RATIONALS,
+    is_canonical_monomial,
+    rand_poly,
+    ref_coeffs_in,
+    ref_deg_in,
+    ref_derive,
+    ref_mono_mul,
+    ref_mul,
+    ref_order_in,
+    ref_partial,
+    ring_of,
+)
 
 R3 = ring_of(3)
 
@@ -204,6 +217,72 @@ def test_linop_apply():
     op = LinOp(R3, {1: R3.one(), 0: R3.one()})  # D + 1
     assert op.apply(P("x' - x")) == P("x'' - x")
 
+
+
+# -- the kernel against a naive reference --------------------------------------------
+
+SCALARS = (0, 1, -3, Fraction(2, 2), Fraction(7, 5), Fraction(-1, 2))
+
+
+def any_polys():
+    # int and rational coefficients, constants, and the zero polynomial
+    return st.one_of(
+        small_polys(),
+        small_polys(coeffs=SMALL_RATIONALS),
+        st.sampled_from(SCALARS).map(R3.const),
+    )
+
+
+derivatives = st.builds(Derivative, st.integers(0, 2), st.integers(0, 4))
+
+
+def canonical(p):
+    return stored_canonically(p) and all(p.terms.values()) and all(map(is_canonical_monomial, p.terms))
+
+
+@settings(max_examples=80)
+@given(any_polys(), any_polys())
+def test_mul_and_mono_mul_match_reference(f, g):
+    prod = f * g
+    assert prod.terms == ref_mul(f.terms, g.terms) and canonical(prod)
+    for m1 in list(f.terms) + [MONO_ONE]:
+        for m2 in list(g.terms) + [MONO_ONE]:
+            m = _mono_mul(m1, m2)
+            assert m == ref_mono_mul(m1, m2) and is_canonical_monomial(m)
+
+
+@settings(max_examples=60)
+@given(any_polys(), st.sampled_from(SCALARS))
+def test_scalar_products_match_reference(f, k):
+    expected = ref_mul(f.terms, {MONO_ONE: k})
+    for prod in (f * k, k * f, f * R3.const(k), R3.const(k) * f):
+        assert prod.terms == expected and canonical(prod)
+
+
+@settings(max_examples=80)
+@given(any_polys(), derivatives)
+def test_derivations_and_reads_match_reference(f, d):
+    assert f.derive().terms == ref_derive(f.terms) and canonical(f.derive())
+    assert f.derive(2).terms == ref_derive(ref_derive(f.terms))
+    assert f.partial(d).terms == ref_partial(f.terms, d) and canonical(f.partial(d))
+    cs = f.coeffs_in(d)
+    assert {e: c.terms for e, c in cs.items()} == ref_coeffs_in(f.terms, d)
+    assert all(canonical(c) for c in cs.values())
+    assert f.deg_in(d) == ref_deg_in(f.terms, d)
+    for v in range(3):
+        for conv in ("weak", "strong"):
+            assert f.order_in(v, conv) == ref_order_in(f.terms, v, conv)
+
+
+@settings(max_examples=40)
+@given(any_polys(), any_polys(), any_polys())
+def test_linop_apply_matches_reference(c1, c3, g):
+    g1 = ref_derive(g.terms)
+    expected = ref_mul(c1.terms, g1)
+    for mono, c in ref_mul(c3.terms, ref_derive(ref_derive(g1))).items():
+        expected[mono] = expected.get(mono, 0) + c
+    expected = {m: c for m, c in expected.items() if c}
+    assert LinOp(R3, {3: c3, 1: c1}).apply(g).terms == expected
 
 # -- rendering and parsing -----------------------------------------------------
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from diffalg import (
     parse_poly,
     parse_script,
     parse_system,
+    render,
     ritt_compare,
     scripted_divide,
     step_first_form,
@@ -210,3 +213,33 @@ def test_linear_reduce_step_budget_is_a_resource_limit():
     sys_ = [P("x' - y"), P("x'' - y'")]
     with pytest.raises(ResourceLimit):
         linear_reduce(sys_, budget_factor=0)
+
+
+# -- pinned outputs ------------------------------------------------------------------
+
+
+def _linear_reduce_digest(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ring = ring_of(rng.randint(2, 3))
+        sys_ = rand_linear_system(rng, ring, max_order=4)
+        try:
+            res = linear_reduce(sys_)
+        except InconsistentSystem as e:
+            out.append(["inconsistent", e.text])
+            continue
+        out.append([
+            res.trace.to_json(),
+            [render(p) for p in res.charset.elements] if res.charset else None,
+            str(res.abs_dim_bound),
+            res.diff_dim,
+            res.degenerate,
+        ])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_linear_reduce_traces_pinned():
+    # traces with certificates, charsets and bounds of a seeded corpus; a
+    # change to the arithmetic must reproduce them exactly
+    assert _linear_reduce_digest(2027, 120) == "cd95d9a6ffa4f31660db24a50f6663d5d1d29338c63b0353041fb9aeb72ec304"

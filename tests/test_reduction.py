@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import os
 import random
@@ -14,6 +17,7 @@ import diffalg
 from diffalg import (
     AutoreducedSet,
     InconsistentSystem,
+    LinOp,
     POS_INF,
     autoreduce_loop,
     compare_autoreduced,
@@ -27,7 +31,7 @@ from diffalg import (
     render,
     ritt_divide,
 )
-from helpers import SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
+from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -227,6 +231,108 @@ def test_linear_remainders_stay_small():
     assert cert.remainder == P("x")
     assert cert.s == R2.const(Fraction(7, 15) ** 12)
     assert cert.verify(f, [g])
+
+
+
+# -- pinned certificates ---------------------------------------------------------
+# to_json() of divisions; how ritt_divide forms s and the quotients may change,
+# their values may not
+
+PINNED_DIVISIONS = [
+    # linear, one content
+    (
+        ("x''' - 2*y' + x", ["3*x' - 2*y + 1"], "full", {"var": "x"}),
+        {"s": "3", "quotients": [[[2, "1"]]], "remainder": "2*y'' - 6*y' + 3*x", "mode": "full"},
+    ),
+    # nonlinear: non-constant separant and initial
+    (
+        ("x''*y + x'^3 - y", ["y*x'^2 + x*x' - 2"], "full", {"var": "x"}),
+        {
+            "s": "2*x'*y^4 + y^3*x",
+            "quotients": [[[1, "y^4"], [0, "-y'*y^3 + 2*x'^2*y^3 - x'*y^2*x - y^3 + 4*y^2 + y*x^2"]]],
+            "remainder": "y'*x'*y^3*x - 2*y'*y^3 - 2*x'*y^5 + x'*y^3*x - 6*x'*y^2*x - x'*y*x^3"
+            " - y^4*x - 2*y^3 + 8*y^2 + 2*y*x^2",
+            "mode": "full",
+        },
+    ),
+    (
+        ("x''*y + x'^3 - y", ["y*x'^2 + x*x' - 2"], "partial", {"var": "x"}),
+        {
+            "s": "2*x'*y + x",
+            "quotients": [[[1, "y"]]],
+            "remainder": "-y'*x'^2*y + 2*x'^4*y + x'^3*x - x'^2*y - 2*x'*y^2 - y*x",
+            "mode": "partial",
+        },
+    ),
+    # several divisors; the contents make s and the quotients rational
+    (
+        ("x''*y' + y''^2 - x", ["2*x' - y", "y'^2 - 3*y"], "full", {"ranking": elimination([[1], [0]])}),
+        {
+            "s": "4/3*y'^2",
+            "quotients": [[[1, "2/3*y'^3"]], [[1, "2/3*y''*y' + y'"], [0, "2/3*y'^2 + 2*y - 4/3*x + 3"]]],
+            "remainder": "6*y^2 - 4*y*x + 9*y",
+            "mode": "full",
+        },
+    ),
+    # a 7/5 coefficient in f
+    (
+        ("7/5*x'' - y*x' + 1/2", ["2*x'*y - x"], "full", {"var": "x"}),
+        {
+            "s": "20*y^2",
+            "quotients": [[[1, "14*y"], [0, "-14*y' - 10*y^2 + 7"]]],
+            "remainder": "-14*y'*x - 10*y^2*x + 10*y^2 + 7*x",
+            "mode": "full",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_DIVISIONS)
+def test_division_certificates_pinned(case, expected):
+    f, gs, mode, kw = case
+    f, gs = P(f), [P(g) for g in gs]
+    cert = ritt_divide(f, gs, mode, **kw)
+    assert json.loads(json.dumps(cert.to_json())) == expected
+    assert cert.verify(f, gs)
+
+
+def _seeded_divisions(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = ring_of(rng.randint(1, 3))
+        f = rand_poly(rng, ring, nonzero=False, coeffs=SMALL_RATIONALS)
+        g = rand_nonconstant(rng, ring, max_monos=3, coeffs=rng.choice([SMALL_INTS, SMALL_RATIONALS]))
+        mode = rng.choice(["partial", "full"])
+        yield f, g, ritt_divide(f, [g], mode, var=rng.choice(g.variables()))
+
+
+def test_seeded_certificates_pinned():
+    out = [[c.to_json(), [render(m) for m in c.multipliers]] for _, _, c in _seeded_divisions(31, 150)]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "07c86dd19faf6d079f36a33a26cea4670596af5a49a7888a8871cf50a7d3a471"
+    )
+
+
+def test_verify_rejects_tampered_certificates():
+    # verify clears denominators by multiplying both sides by one nonzero
+    # integer, so none of these false identities may pass
+    rational = 0
+    for f, g, cert in _seeded_divisions(32, 80):
+        if not f:
+            continue
+        ring = f.ring
+        (q,) = cert.quotients
+        k = max(q.coeffs, default=0)
+        bumped = dict(q.coeffs)
+        bumped[k] = bumped.get(k, ring.zero()) + 1
+        assert cert.verify(f, [g])
+        assert not dataclasses.replace(cert, s=cert.s * 2).verify(f, [g])
+        assert not dataclasses.replace(cert, quotients=(LinOp(ring, bumped),)).verify(f, [g])
+        assert not dataclasses.replace(cert, remainder=cert.remainder + 1).verify(f, [g])
+        if q.coeffs:
+            assert not cert.verify(f, [g + ring.var(0, 5)])
+        rational += any(type(c) is Fraction for c in cert.s.terms.values())
+    assert rational > 5
 
 
 def test_invariant_violation_survives_python_O():
