@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 user or data error, 2 internal invariant violation,
-3 resource limit (more maximizing transversals than `jacobi` lists, or the
-step budget of `reduce-linear` exhausted).  With --json every report
+3 resource limit (more maximizing transversals than `jacobi` lists, the
+step budget of `reduce-linear` exhausted, or an order or exponent over the
+caps of the packed monomials).  With --json every report
 (including errors) is a single JSON document."""
 
 from __future__ import annotations

@@ -5,22 +5,41 @@ rationals, stored as an int where integral and as a Fraction otherwise;
 monomials are multisets of derivatives x_i^(k).  The derivation acts by
 x_i^(k) -> x_i^(k+1) and kills constants.
 
-Monomial invariant: a monomial is a tuple of (Derivative, exponent) pairs,
-sorted by derivative, with distinct derivatives and every exponent > 0; the
-unit monomial is ().  Every operation keeps it without re-sorting: products
-merge two sorted tuples, and dropping or lowering one factor (coeffs_in,
-partial, derive) leaves the others in order.  Since derivatives sort by
-(var, order), x_v^(k+1) can only sit right after x_v^(k).
+Monomial invariant (packed exponent vectors, as in Bachmann and Schoenemann,
+ISSAC 1998, and Monagan and Pearce, CASC 2007): a monomial is one
+non-negative int in which the exponent of x_v^(k) fills the FIELD_BITS-wide
+bit field of index k*n + v, n the number of variables of the ring; the unit
+monomial is 0.  The product of two monomials is the sum of their ints.  The
+field index orders derivatives exactly as (order, var), so comparing two
+monomial ints compares them in the orderly term order that render uses.  A
+factor of a product, a derivation or a power carries exponents of at most
+MAX_EXPONENT, the lower half of a field, so that a sum of two never carries
+into the next field; orders are capped at MAX_ORDER, so a monomial stays a
+bounded int.  Both caps raise ResourceLimit before a field could overflow.
+Each polynomial caches its support word, the OR of its monomials: a field of
+the word is nonzero iff that derivative occurs, so is_constant, order_in and
+the leaders are a test, a mask and a bit_length.  DiffPoly(ring, terms) is
+the public way in, from (Derivative, exponent) tuple monomials; `terms`
+decodes the same dict back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
+
+from .errors import ResourceLimit
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767
+MAX_ORDER = 1000
 
 
 class Derivative(NamedTuple):
@@ -28,49 +47,115 @@ class Derivative(NamedTuple):
     order: int
 
 
-MONO_ONE = ()
-
-
-def _mono_mul(m1, m2):
-    """Product of two monomials: a merge of two sorted tuples."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    d1, d2 = m1[0][0], m2[0][0]
-    while True:
-        if d1 < d2:
-            out.append(m1[i])
-            i += 1
-            if i == n1:
-                break
-            d1 = m1[i][0]
-        elif d2 < d1:
-            out.append(m2[j])
-            j += 1
-            if j == n2:
-                break
-            d2 = m2[j][0]
-        else:
-            out.append((d1, m1[i][1] + m2[j][1]))
-            i += 1
-            j += 1
-            if i == n1 or j == n2:
-                break
-            d1, d2 = m1[i][0], m2[j][0]
-    return tuple(out) + m1[i:] + m2[j:]
-
-
-def _mono_degree(m):
-    return sum(e for _, e in m)
+MONO_ONE = ()  # the unit monomial of the `terms` view
 
 
 def _integral(c):
     # a Fraction (or other rational) with denominator 1 is stored as an int
     return c.numerator if c.denominator == 1 else c
+
+
+_INT = frozenset((int,))
+
+
+def _canon(acc):
+    """A packed term dict without zero coefficients, integral ones as ints
+    (acc itself when it is one already, as it is for most sums and products)."""
+    vals = acc.values()
+    if 0 in vals or not _INT.issuperset(map(type, vals)):
+        return {m: c if type(c) is int else _integral(c) for m, c in acc.items() if c}
+    return acc
+
+
+def _shifts(w):
+    """Bit offsets of the nonzero fields of w, highest first: one step per
+    nonzero field, however many zero fields lie between."""
+    out = []
+    while w:
+        s = (w.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        out.append(s)
+        w -= (w >> s) << s
+    return out
+
+
+def _at(s, nvars):
+    """The derivative whose field starts at bit offset s."""
+    order, var = divmod(s // FIELD_BITS, nvars)
+    return Derivative(var, order)
+
+
+def _top(w, nvars):
+    """The derivative of the highest nonzero field of w."""
+    return _at((w.bit_length() - 1) // FIELD_BITS * FIELD_BITS, nvars)
+
+
+def _mono_degree(m):
+    """Total degree of a packed monomial: the sum of its fields."""
+    return sum((m >> s) & _FIELD for s in _shifts(m))
+
+
+def _encode(ring, mono):
+    """Packed int of a monomial given as (Derivative, exponent) pairs."""
+    exps = {}
+    for d, e in mono:
+        var, order = d
+        if not 0 <= var < ring.nvars:
+            raise ValueError("no variable %r" % (var,))
+        if order < 0 or e < 0:
+            raise ValueError("negative order or exponent in %r" % (mono,))
+        if order > MAX_ORDER:
+            raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
+        idx = order * ring.nvars + var
+        exps[idx] = exps.get(idx, 0) + e
+    m = 0
+    for idx, e in exps.items():
+        if e > _FIELD:
+            raise ResourceLimit("exponent %d does not fit a %d-bit field" % (e, FIELD_BITS))
+        m += e << (idx * FIELD_BITS)
+    return m
+
+
+def _decode(nvars, m):
+    """(Derivative, exponent) pairs of a packed monomial, sorted by derivative."""
+    return tuple(sorted((_at(s, nvars), (m >> s) & _FIELD) for s in _shifts(m)))
+
+
+class _Layout:
+    """Masks over the packed fields of a ring of `nvars` variables: one per
+    variable (its field at every order), and `guard`, the top bit of every
+    field (an exponent over MAX_EXPONENT).  They cover the first `orders`
+    orders and grow with the longest support word they are asked about."""
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self._build(8)
+
+    def _build(self, orders):
+        period = self.nvars * FIELD_BITS
+        rep = sum(1 << (period * k) for k in range(orders))  # 1 in the first field of each order
+        self.var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
+        self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
+        self.blocks = {}
+        self.orders = orders
+        self.limit = (1 << (period * orders)) - 1
+
+    def cover(self, w):
+        """self, with masks at least as long as the word w."""
+        if w > self.limit:
+            period = self.nvars * FIELD_BITS
+            self._build(max(2 * self.orders, -(-w.bit_length() // period)))
+        return self
+
+    def block_masks(self, blocks):
+        """(one mask per block, highest block first; the mask of the
+        variables that no block covers) for an elimination ranking."""
+        got = self.blocks.get(blocks)
+        if got is None:
+            masks = [reduce(or_, (self.var[v] for v in b if 0 <= v < self.nvars), 0)
+                     for b in reversed(blocks)]
+            outside = reduce(or_, self.var, 0) & ~reduce(or_, masks, 0)
+            got = self.blocks[blocks] = (tuple(masks), outside)
+        return got
 
 
 class DiffRing:
@@ -81,11 +166,9 @@ class DiffRing:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names: %r" % (names,))
         self.names = names
+        self.nvars = len(names)
         self.index = {nm: i for i, nm in enumerate(names)}
-
-    @property
-    def nvars(self):
-        return len(self.names)
+        self._layout = _Layout(self.nvars)
 
     def __eq__(self, other):
         return isinstance(other, DiffRing) and self.names == other.names
@@ -97,7 +180,9 @@ class DiffRing:
         return "DiffRing(%s)" % ", ".join(self.names)
 
     def const(self, c) -> "DiffPoly":
-        return DiffPoly(self, {MONO_ONE: c if isinstance(c, int) else Fraction(c)})
+        if type(c) is not int:
+            c = _integral(Fraction(c))
+        return _poly(self, {0: c} if c else {})
 
     def zero(self):
         return self.const(0)
@@ -112,8 +197,9 @@ class DiffRing:
             raise ValueError("no variable %r" % (which,))
         if order < 0:
             raise ValueError("negative order")
-        mono = ((Derivative(idx, order), 1),)
-        return DiffPoly(self, {mono: 1})
+        if order > MAX_ORDER:
+            raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
+        return _poly(self, {1 << ((order * self.nvars + idx) * FIELD_BITS): 1})
 
     def extend(self, name) -> "DiffRing":
         """New ring with one fresh variable appended."""
@@ -125,18 +211,53 @@ class DiffRing:
         """Reinterpret a polynomial of a prefix ring in this ring."""
         if poly.ring.names != self.names[: len(poly.ring.names)]:
             raise ValueError("ring %r is not a prefix of %r" % (poly.ring, self))
-        return DiffPoly(self, dict(poly.terms))
+        if poly.ring.nvars == self.nvars:
+            return _poly(self, poly._packed)
+        # the field index k*n + v depends on n: re-encode
+        return DiffPoly(self, poly.terms)
 
 
 class DiffPoly:
-    """Immutable sparse polynomial: dict monomial -> nonzero coefficient, an
+    """Immutable sparse polynomial: packed monomial -> nonzero coefficient, an
     int when integral and a Fraction otherwise."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_packed", "_word", "_view", "_lead")
 
     def __init__(self, ring, terms):
+        """From a dict (Derivative, exponent)-tuple monomial -> rational;
+        zero coefficients are dropped and integral ones stored as ints."""
+        acc = {}
+        for mono, c in terms.items():
+            m = _encode(ring, mono)
+            acc[m] = acc.get(m, 0) + c
         self.ring = ring
-        self.terms = {m: c if type(c) is int else _integral(c) for m, c in terms.items() if c}
+        self._packed = _canon(acc)
+        self._word = self._view = self._lead = None
+
+    @property
+    def terms(self):
+        """dict monomial -> coefficient, each monomial a tuple of
+        (Derivative, exponent) pairs sorted by derivative; decoded once."""
+        view = self._view
+        if view is None:
+            n = self.ring.nvars
+            view = self._view = {_decode(n, m): c for m, c in self._packed.items()}
+        return view
+
+    def _support(self):
+        """The support word: the OR of all monomials, cached."""
+        w = self._word
+        if w is None:
+            w = self._word = reduce(or_, self._packed, 0)
+        return w
+
+    def _shift(self, d):
+        """Bit offset of the field of derivative d, None if d cannot occur."""
+        var, order = d
+        n = self.ring.nvars
+        if 0 <= var < n and 0 <= order <= MAX_ORDER:
+            return (order * n + var) * FIELD_BITS
+        return None
 
     # -- basic ring operations ------------------------------------------
 
@@ -149,18 +270,28 @@ class DiffPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return DiffPoly(self.ring, acc)
+        acc = dict(self._packed)
+        for m, c in other._packed.items():
+            if m in acc:
+                acc[m] += c
+            else:
+                acc[m] = c
+        return _poly(self.ring, _canon(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {m: -c for m, c in self._packed.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        acc = dict(self._packed)
+        for m, c in other._packed.items():
+            if m in acc:
+                acc[m] -= c
+            else:
+                acc[m] = -c
+        return _poly(self.ring, _canon(acc))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -169,28 +300,55 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             # a number scales the coefficients, as ring.const(other) would
             return self._scaled(other if isinstance(other, int) else Fraction(other))
-        other = self._coerce(other)
-        t1, t2 = self.terms, other.terms
-        if not t2 or len(t2) == 1 and MONO_ONE in t2:
-            return self._scaled(t2.get(MONO_ONE, 0))
-        if len(t1) == 1 and MONO_ONE in t1:
-            return other._scaled(t1[MONO_ONE])
+        if other.ring is not self.ring:
+            self._coerce(other)  # equal rings pass, mixed rings raise
+        t1, t2 = self._packed, other._packed
+        if not t2 or len(t2) == 1 and 0 in t2:
+            return self._scaled(t2.get(0, 0))
+        if len(t1) == 1 and 0 in t1:
+            return other._scaled(t1[0])
+        w = self._support() | other._support()
+        if w & self.ring._layout.cover(w).guard:
+            raise ResourceLimit(
+                "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
+                % (MAX_EXPONENT, FIELD_BITS)
+            )
         acc = {}
         for m1, c1 in t1.items():
             for m2, c2 in t2.items():
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return DiffPoly(self.ring, acc)
+                m = m1 + m2
+                if m in acc:
+                    acc[m] += c1 * c2
+                else:
+                    acc[m] = c1 * c2
+        return _poly(self.ring, _canon(acc))
 
     __rmul__ = __mul__
 
     def _scaled(self, k):
         """self * k for a rational number k."""
-        return DiffPoly(self.ring, {m: c * k for m, c in self.terms.items()} if k else {})
+        if not k:
+            return _poly(self.ring, {})
+        if k == 1:
+            return self
+        return _poly(self.ring, _canon({m: c * k for m, c in self._packed.items()}))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
+        t = self._packed
+        w = self._support()
+        # the power's largest exponent is k times the base's: refuse it
+        # unbuilt (a constant's power is held to k <= MAX_EXPONENT as well)
+        top = max((m >> s) & _FIELD for m in t for s in _shifts(w)) if w else 1
+        if k * top > MAX_EXPONENT:
+            raise ResourceLimit(
+                "power %d of a polynomial with exponents up to %d exceeds the cap MAX_EXPONENT = %d"
+                % (k, top, MAX_EXPONENT)
+            )
+        if len(t) == 1:
+            ((m, c),) = t.items()
+            return _poly(self.ring, {m * k: c**k})
         out = self.ring.one()
         for _ in range(k):
             out = out * self
@@ -199,35 +357,26 @@ class DiffPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, DiffPoly) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, DiffPoly) and self.ring == other.ring and self._packed == other._packed
 
     def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
+        return hash((self.ring.names, tuple(sorted(self._packed.items()))))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_constant(self):
-        return all(m == MONO_ONE for m in self.terms)
+        return not self._support()
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        return Fraction(self.terms.get(MONO_ONE, 0))
-
-    def total_degree(self):
-        # degree of 0 is -inf by convention
-        if not self.terms:
-            return NEG_INF
-        return max(_mono_degree(m) for m in self.terms)
+        return Fraction(self._packed.get(0, 0))
 
     def support(self):
         """All derivatives occurring in some monomial."""
-        out = set()
-        for m in self.terms:
-            for d, _ in m:
-                out.add(d)
-        return out
+        n = self.ring.nvars
+        return {_at(s, n) for s in _shifts(self._support())}
 
     def variables(self):
         return sorted({d.var for d in self.support()})
@@ -237,40 +386,53 @@ class DiffPoly:
     def derive(self, times=1):
         """Apply the derivation (Leibniz on monomials, constants to 0)."""
         p = self
+        ring = self.ring
+        up = ring.nvars * FIELD_BITS  # from the field of x_v^(k) to that of x_v^(k+1)
         for _ in range(times):
+            w = p._support()
+            if w and (w.bit_length() - 1) // up >= MAX_ORDER:
+                raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
+            if w & ring._layout.cover(w).guard:
+                raise ResourceLimit("derivation refused: an exponent over MAX_EXPONENT = %d" % MAX_EXPONENT)
+            # d^e -> e * d^(e-1) * d': one field down by one, the next order's up by one
+            steps = [(s, (1 << (s + up)) - (1 << s)) for s in _shifts(w)]
             acc = {}
-            for m, c in p.terms.items():
-                n = len(m)
-                for i, (d, e) in enumerate(m):
-                    # d^e -> e * d^(e-1) * d', and d' can only sit at i + 1
-                    head = m[:i] if e == 1 else m[:i] + ((d, e - 1),)
-                    bumped = Derivative(d.var, d.order + 1)
-                    if i + 1 < n and m[i + 1][0] == bumped:
-                        mono = head + ((bumped, m[i + 1][1] + 1),) + m[i + 2 :]
-                    else:
-                        mono = head + ((bumped, 1),) + m[i + 1 :]
-                    acc[mono] = acc.get(mono, 0) + c * e
-            p = DiffPoly(p.ring, acc)
+            for m, c in p._packed.items():
+                for s, bump in steps:
+                    e = (m >> s) & _FIELD
+                    if e:
+                        mono = m + bump
+                        if mono in acc:
+                            acc[mono] += c * e
+                        else:
+                            acc[mono] = c * e
+            p = _poly(ring, _canon(acc))
         return p
 
     def partial(self, d: Derivative):
         """Formal partial derivative with respect to one derivative symbol."""
+        s = self._shift(d)
+        if s is None or not (self._support() >> s) & _FIELD:
+            return _poly(self.ring, {})
         # lowering the exponent of d is injective on the monomials holding d
+        one = 1 << s
         acc = {}
-        for m, c in self.terms.items():
-            for i, (dd, e) in enumerate(m):
-                if dd == d:
-                    acc[m[:i] + m[i + 1 :] if e == 1 else m[:i] + ((d, e - 1),) + m[i + 1 :]] = c * e
-                    break
-        return DiffPoly(self.ring, acc)
+        for m, c in self._packed.items():
+            e = (m >> s) & _FIELD
+            if e:
+                acc[m - one] = c * e
+        return _poly(self.ring, _canon(acc))
 
     def order_in(self, var, convention="strong"):
         """Max derivative order of var; absent -> 0 (weak) or -inf (strong)."""
         if isinstance(var, str):
             var = self.ring.index[var]
-        orders = [d.order for m in self.terms for d, _ in m if d.var == var]
-        if orders:
-            return max(orders)
+        w = self._support()
+        n = self.ring.nvars
+        if w and 0 <= var < n:
+            x = w & self.ring._layout.cover(w).var[var]
+            if x:
+                return (x.bit_length() - 1) // (n * FIELD_BITS)
         if convention == "weak":
             return 0
         if convention == "strong":
@@ -279,43 +441,47 @@ class DiffPoly:
 
     def coeffs_in(self, d: Derivative):
         """View as univariate in d: dict degree -> coefficient polynomial."""
+        t = self._packed
+        s = self._shift(d)
+        if s is None or not (self._support() >> s) & _FIELD:
+            return {0: self} if t else {}
         # dropping the factor d^e is injective on the monomials of one degree
         # e, so no bucket collects two terms and none can cancel
         out = {}
-        for m, c in self.terms.items():
-            for i, (dd, e) in enumerate(m):
-                if dd == d:
-                    out.setdefault(e, {})[m[:i] + m[i + 1 :]] = c
-                    break
-            else:
-                out.setdefault(0, {})[m] = c
-        return {e: DiffPoly(self.ring, t) for e, t in out.items()}
+        for m, c in t.items():
+            e = (m >> s) & _FIELD
+            bucket = out.get(e)
+            if bucket is None:
+                bucket = out[e] = {}
+            bucket[m - (e << s)] = c
+        return {e: _poly(self.ring, b) for e, b in out.items()}
 
     def deg_in(self, d: Derivative):
-        if not self.terms:
+        t = self._packed
+        if not t:
             return NEG_INF
-        return max((e for m in self.terms for dd, e in m if dd == d), default=0)
-
-    def substitute_constant(self, var, value):
-        """Replace x_var (order 0 only) by a rational constant."""
-        if isinstance(var, str):
-            var = self.ring.index[var]
-        if any(d.var == var and d.order > 0 for d in self.support()):
-            raise ValueError("cannot substitute: proper derivatives of %s present" % self.ring.names[var])
-        value = Fraction(value)
-        d0 = Derivative(var, 0)
-        acc = {}
-        for m, c in self.terms.items():
-            md = dict(m)
-            e = md.pop(d0, 0)
-            mono = tuple(sorted(md.items()))
-            acc[mono] = acc.get(mono, 0) + c * value**e
-        return DiffPoly(self.ring, acc)
+        s = self._shift(d)
+        if s is None or not (self._support() >> s) & _FIELD:
+            return 0
+        return max((m >> s) & _FIELD for m in t)
 
     def __repr__(self):
         return "DiffPoly(%s)" % render(self)
 
     __str__ = __repr__
+
+
+_new = object.__new__
+
+
+def _poly(ring, packed):
+    """Trusted constructor: `packed` is a packed term dict that is canonical
+    already (nonzero coefficients, integral ones as ints)."""
+    p = _new(DiffPoly)
+    p.ring = ring
+    p._packed = packed
+    p._word = p._view = p._lead = None
+    return p
 
 
 # -- rankings -------------------------------------------------------------
@@ -353,14 +519,31 @@ class Ranking:
         return (self._block_of(d.var), d.order, d.var)
 
     def leader(self, p: DiffPoly) -> Derivative:
-        sup = p.support()
-        if not sup:
+        return self.leader_degree(p)[0]
+
+    def leader_degree(self, p: DiffPoly):
+        """(leader, degree of p in it), cached on p for this ranking."""
+        got = p._lead
+        if got is not None and got[0] is self:
+            return got[1]
+        w = p._support()
+        if not w:
             raise ValueError("leader of a constant")
-        return max(sup, key=self.key)
+        n = p.ring.nvars
+        if self.kind == "elim":
+            # the top field under the highest block that p meets
+            masks, outside = p.ring._layout.cover(w).block_masks(self.blocks)
+            if w & outside:
+                raise ValueError("variable %d not covered by blocks" % _top(w & outside, n).var)
+            w = next(x for x in (w & mask for mask in masks) if x)
+        ld = _top(w, n)
+        got = (ld, p.deg_in(ld))
+        p._lead = (self, got)
+        return got
 
     def mono_key(self, m):
-        # descending multiset of derivative keys; total refinement of the
-        # ranking on leading derivatives, used for canonical term order
+        # descending multiset of derivative keys of a tuple monomial; total
+        # refinement of the ranking on leading derivatives
         ks = []
         for d, e in m:
             ks.extend([self.key(d)] * e)
@@ -369,8 +552,8 @@ class Ranking:
 
     def rank(self, p: DiffPoly):
         """(leader key, leader degree): the rank used by autoreduced sets."""
-        ld = self.leader(p)
-        return (self.key(ld), p.deg_in(ld))
+        ld, deg = self.leader_degree(p)
+        return (self.key(ld), deg)
 
 
 def orderly() -> Ranking:
@@ -445,10 +628,6 @@ class LinOp:
     def from_poly(cls, c: DiffPoly):
         return cls(c.ring, {0: c})
 
-    @classmethod
-    def derivation(cls, ring, k=1):
-        return cls(ring, {k: ring.one()})
-
     def __add__(self, other):
         acc = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -502,27 +681,26 @@ def render_derivative(ring, d: Derivative) -> str:
 
 
 def _render_mono(ring, m) -> str:
-    facs = sorted(m, key=lambda de: (de[0].order, de[0].var), reverse=True)
+    # factors from the top field down: descending (order, var)
     bits = []
-    for d, e in facs:
-        s = render_derivative(ring, d)
-        if e > 1:
-            s += "^%d" % e
-        bits.append(s)
+    for s in _shifts(m):
+        e = (m >> s) & _FIELD
+        text = render_derivative(ring, _at(s, ring.nvars))
+        bits.append(text + "^%d" % e if e > 1 else text)
     return "*".join(bits)
 
 
 def render(p: DiffPoly) -> str:
     """Canonical text form: terms descending under the orderly ranking."""
-    if not p.terms:
+    t = p._packed
+    if not t:
         return "0"
-    rk = orderly()
     out = []
-    for m in sorted(p.terms, key=rk.mono_key, reverse=True):
-        c = p.terms[m]
+    for m in sorted(t, reverse=True):
+        c = t[m]
         sign = "-" if c < 0 else "+"
         a = abs(c)
-        if m == MONO_ONE:
+        if not m:
             body = str(a)
         elif a == 1:
             body = _render_mono(p.ring, m)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diffpoly import NEG_INF, POS_INF, DiffPoly, elimination, orderly, render, separant
+from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
@@ -270,7 +270,7 @@ def parse_script(text):
 
 
 def _is_linear(p: DiffPoly) -> bool:
-    return all(sum(e for _, e in m) <= 1 for m in p.terms)
+    return all(_mono_degree(m) <= 1 for m in p._packed)
 
 
 @dataclass

@@ -11,4 +11,5 @@ class InternalInvariantViolation(AssertionError):
 
 
 class ResourceLimit(RuntimeError):
-    """A computation exceeded an explicit limit (witness count, step budget)."""
+    """A computation exceeded an explicit limit (witness count, step budget,
+    the order and exponent caps of packed monomials)."""

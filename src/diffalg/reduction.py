@@ -26,6 +26,8 @@ from .diffpoly import (
     DiffPoly,
     LinOp,
     Ranking,
+    _integral,
+    _poly,
     orderly,
     render,
 )
@@ -52,13 +54,13 @@ def describe(p: DiffPoly) -> str:
         text = render(p)
     except ValueError:
         if p.is_constant():
-            (c,) = p.terms.values()
+            (c,) = p._packed.values()
             text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
             if c.denominator != 1:
                 text += "/<%d-bit integer>" % c.denominator.bit_length()
             return text
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values())
-        return "<%d-term polynomial, coefficients up to %d bits>" % (len(p.terms), bits)
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p._packed.values())
+        return "<%d-term polynomial, coefficients up to %d bits>" % (len(p._packed), bits)
     if len(text) > _DESCRIBE_LIMIT:
         text = "%s ... <%d characters>" % (text[:_DESCRIBE_LIMIT], len(text))
     return text
@@ -91,7 +93,7 @@ class DivisionCertificate:
         # both sides times the lcm L of the denominators of s, the Q_i and r,
         # so that the products run on integers; L != 0 keeps the test exact
         polys = [s, r] + [c for q in quots for c in q.coeffs.values()]
-        lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        lcm = math.lcm(*(c.denominator for p in polys for c in p._packed.values()))
         if lcm != 1:
             s, r, quots = s * lcm, r * lcm, [q.lmul(lcm) for q in quots]
         rhs = r
@@ -115,15 +117,15 @@ def _primitive(p: DiffPoly):
     """(content, p / content).  The content is positive and rational: the gcd
     of the numerators over the lcm of the denominators, so p / content has
     coprime integer coefficients.  The zero polynomial has content 1."""
-    cs = p.terms.values()
-    num = math.gcd(*(c.numerator for c in cs))
-    den = math.lcm(*(c.denominator for c in cs))
+    t = p._packed
+    num = math.gcd(*(c.numerator for c in t.values()))
+    den = math.lcm(*(c.denominator for c in t.values()))
     if num in (0, 1) and den == 1:
         return 1, p
     if den == 1:
-        return num, DiffPoly(p.ring, {m: c // num for m, c in p.terms.items()})
+        return num, _poly(p.ring, {m: c // num for m, c in t.items()})
     content = Fraction(num, den)
-    return content, DiffPoly(p.ring, {m: c / content for m, c in p.terms.items()})
+    return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
 
 
 def _division_var(g: DiffPoly, ranking: Ranking):
@@ -266,9 +268,8 @@ def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = Non
         ranking = orderly()
     if not g or g.is_constant():
         raise ValueError("reference polynomial must be non-constant")
-    ld = ranking.leader(g)
-    v, vg = ld.var, ld.order
-    return _violates(f, v, vg, g.deg_in(ld), mode) is None
+    ld, dg = ranking.leader_degree(g)
+    return _violates(f, ld.var, ld.order, dg, mode) is None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ Grammar (whitespace-insensitive within a line):
     deriv  := NAME primes | NAME '^(' INT ')'
 Primes mark orders 1..3 in output but any count parses; x^(k) parses for
 k >= 0.  A bare '^' followed by an integer is a power, so x'^2 is (x')^2.
+Orders over diffpoly.MAX_ORDER and powers over diffpoly.MAX_EXPONENT raise
+ResourceLimit, an implementation cap, before anything is built.
 
 System files: one polynomial per line, '#' comments, optional leading
 "vars: x, y, z" line fixing the variable order.
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import re
 
-from .diffpoly import DiffPoly, DiffRing
+from .diffpoly import MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
+from .errors import ResourceLimit
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^/()'])|(?P<bad>\S))"
@@ -28,6 +31,12 @@ class ParseError(ValueError):
     def __init__(self, msg, text, pos):
         self.pos = pos
         super().__init__("%s at column %d: %r" % (msg, pos + 1, text))
+
+
+def _capped(value, cap, what, text, pos):
+    if value > cap:
+        raise ResourceLimit("%s %d over the cap of %d at column %d: %r" % (what, value, cap, pos + 1, text))
+    return value
 
 
 def _tokenize(text):
@@ -113,7 +122,7 @@ class _Parser:
             if k2 == "int":
                 self.take()
                 self.take()
-                p = p**v2
+                p = p ** _capped(v2, MAX_EXPONENT, "power", self.text, pos2)
             elif not (k2 == "op" and v2 == "("):
                 raise ParseError("expected exponent", self.text, pos2)
         return p
@@ -155,7 +164,7 @@ class _Parser:
                         raise ParseError("expected derivative order", self.text, pos4)
                     self.expect_op(")")
                     order = v4
-            return self.ring.var(val, order)
+            return self.ring.var(val, _capped(order, MAX_ORDER, "derivative order", self.text, pos))
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")

@@ -191,6 +191,106 @@ def is_canonical_monomial(m):
         and all(a[0] < b[0] for a, b in zip(m, m[1:]))
     )
 
+def ref_render(p):
+    """render(p) from the terms view: terms sorted by the orderly ranking's
+    mono_key, factors by descending (order, var)."""
+    from diffalg import orderly
+    from diffalg.diffpoly import render_derivative
+
+    if not p.terms:
+        return "0"
+    out = []
+    for m in sorted(p.terms, key=orderly().mono_key, reverse=True):
+        c = p.terms[m]
+        facs = sorted(m, key=lambda de: (de[0].order, de[0].var), reverse=True)
+        mono = "*".join(render_derivative(p.ring, d) + ("^%d" % e if e > 1 else "") for d, e in facs)
+        a = abs(c)
+        body = str(a) if not m else mono if a == 1 else "%s*%s" % (a, mono)
+        out.append(("-" if c < 0 else "+", body))
+    text = ("-" if out[0][0] == "-" else "") + out[0][1]
+    return text + "".join(" %s %s" % sb for sb in out[1:])
+
+
+# -- determinant oracle for constant-coefficient linear systems ----------------------
+# P(D) has entries in Z[D], each a tuple of integer coefficients, lowest power
+# first, without trailing zeros (the zero polynomial is ()).
+
+
+def _trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return tuple(a)
+
+
+def _dsub(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _dmul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ddiv_exact(a, b):
+    """a / b in Z[D], which must divide exactly."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c, rem = divmod(a[k + len(b) - 1], b[-1])
+        assert rem == 0, "inexact division in Z[D]"
+        q[k] = c
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    assert not any(a), "inexact division in Z[D]"
+    return _trim(q)
+
+
+def bareiss_det(m):
+    """Fraction-free determinant (Bareiss 1968) of a square matrix over Z[D]."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, (1,)
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return ()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = _ddiv_exact(_dsub(_dmul(m[i][j], m[k][k]), _dmul(m[i][k], m[k][j])), prev)
+        prev = m[k][k]
+    return tuple(sign * c for c in m[n - 1][n - 1])
+
+
+def rand_constant_coefficient_system(rng, n, max_order):
+    """(P(D), text): a square linear system with integer coefficients, as its
+    operator matrix and as system-file text; constants are added at random
+    (they do not enter P(D))."""
+    names = NAMES[:n]
+    matrix, lines = [], []
+    for i in range(n):
+        row, terms = [], []
+        for j in range(n):
+            cell = [0] * (max_order + 1)
+            if j == i or rng.random() < 0.6:
+                for k in rng.sample(range(max_order + 1), rng.randint(1, 2)):
+                    cell[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+            row.append(_trim(cell))
+            terms += [(c, "%s^(%d)" % (names[j], k)) for k, c in enumerate(cell) if c]
+        if rng.random() < 0.3:
+            terms.append((rng.choice([-2, -1, 1, 2]), "1"))
+        matrix.append(row)
+        lines.append(" ".join("%s %d*%s" % ("-" if c < 0 else "+", abs(c), t) for c, t in terms))
+    return matrix, "vars: %s\n%s\n" % (", ".join(names), "\n".join(lines))
+
+
 # -- brute-force reference normalizers -------------------------------------------
 # The form normalizers as they were before the tight-graph route: every
 # witness question is answered over the full list of maximizing permutations

@@ -170,3 +170,13 @@ def test_step_budget_is_exit_3(sysfile, capsys, monkeypatch):
     assert main(["reduce-linear", f, "--json"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "resource-limit" and "step budget" in err["error"]
+
+
+def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
+    for text in ("vars: x, y\nx^1000000000 + y\ny\n", "vars: x, y\nx^(1000000000) + y\ny\n"):
+        f = sysfile(text)
+        assert main(["jacobi", f, "--json"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "resource-limit" and "over the cap" in err["error"]
+        assert main(["dims", f]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: ")

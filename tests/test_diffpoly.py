@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from diffalg import (
     NEG_INF,
     Derivative,
+    DiffPoly,
     DiffRing,
     LinOp,
+    ResourceLimit,
     elimination,
     initial,
     is_lower_than,
@@ -17,10 +20,12 @@ from diffalg import (
     render,
     separant,
 )
-from diffalg.diffpoly import MONO_ONE, _mono_mul
+from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MONO_ONE, _decode, _encode
 from helpers import (
+    SMALL_INTS,
     SMALL_RATIONALS,
     is_canonical_monomial,
+    rand_nonconstant,
     rand_poly,
     ref_coeffs_in,
     ref_deg_in,
@@ -29,6 +34,7 @@ from helpers import (
     ref_mul,
     ref_order_in,
     ref_partial,
+    ref_render,
     ring_of,
 )
 
@@ -247,7 +253,8 @@ def test_mul_and_mono_mul_match_reference(f, g):
     assert prod.terms == ref_mul(f.terms, g.terms) and canonical(prod)
     for m1 in list(f.terms) + [MONO_ONE]:
         for m2 in list(g.terms) + [MONO_ONE]:
-            m = _mono_mul(m1, m2)
+            # the packed product is the sum of the packed monomials
+            m = _decode(3, _encode(R3, m1) + _encode(R3, m2))
             assert m == ref_mono_mul(m1, m2) and is_canonical_monomial(m)
 
 
@@ -310,3 +317,123 @@ def test_parse_render_round_trip_property(p):
     q = parse_poly(render(p), R3)
     assert q == p and hash(q) == hash(p)
     assert stored_canonically(p) and stored_canonically(q)
+
+
+# -- the packed representation -------------------------------------------------
+
+
+@settings(max_examples=80)
+@given(any_polys())
+def test_terms_view_round_trip(p):
+    q = DiffPoly(R3, p.terms)
+    assert q == p and hash(q) == hash(p) and q.terms == p.terms
+    assert all(map(is_canonical_monomial, p.terms))
+
+
+def test_terms_constructor_merges_and_normalizes():
+    x, x1 = Derivative(0, 0), Derivative(0, 1)
+    p = DiffPoly(R3, {((x1, 1), (x, 2)): Fraction(3, 2), ((x, 1), (x1, 1), (x, 1)): Fraction(1, 2), (): 0})
+    assert p.terms == {((x, 2), (x1, 1)): 2} and type(p.terms[((x, 2), (x1, 1))]) is int
+
+
+def test_render_order_matches_mono_key_1600():
+    rng = random.Random(1600)
+    for i in range(1600):
+        coeffs = SMALL_RATIONALS if i % 2 else SMALL_INTS
+        p = rand_poly(rng, ring_of(1 + i % 4), max_monos=6, max_order=5, nonzero=False, coeffs=coeffs)
+        assert render(p) == ref_render(p)
+
+
+def test_leaders_match_brute_force():
+    rng = random.Random(41)
+    R4 = ring_of(4)
+    rankings = [orderly(), elimination([[0], [1, 2, 3]]), elimination([[3, 1], [0], [2]]),
+                elimination([[2], [0, 1], [3]]), elimination([[0, 1, 2, 3]])]
+    for _ in range(400):
+        p = rand_nonconstant(rng, R4, max_monos=5, max_order=12)
+        brute_support = {d for m in p.terms for d, _ in m}
+        assert p.support() == brute_support
+        for rk in rankings:
+            ld = max(brute_support, key=rk.key)
+            assert rk.leader(p) == ld
+            assert rk.rank(p) == (rk.key(ld), max(dict(m).get(ld, 0) for m in p.terms))
+    with pytest.raises(ValueError, match="not covered"):
+        elimination([[0], [1]]).leader(R4.var("z", 2) + R4.var("x"))
+
+
+def test_orders_past_the_first_masks():
+    # the masks grow with the orders they meet; order_in and the leaders follow
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rand_poly(rng, R3, max_order=40)
+        for v in range(3):
+            assert p.order_in(v, "strong") == ref_order_in(p.terms, v, "strong")
+        if not p.is_constant():
+            assert orderly().leader(p) == max(p.support(), key=orderly().key)
+
+
+def test_lift_into_extended_ring():
+    rng = random.Random(17)
+    ext = R3.extend("w")
+    w = ext.var("w")
+    for _ in range(150):
+        f, g = rand_poly(rng, R3, nonzero=False), rand_poly(rng, R3, nonzero=False)
+        lf, lg = ext.lift(f), ext.lift(g)
+        assert lf.ring is ext and lf.terms == f.terms and render(lf) == render(f)
+        assert ext.lift(f * g) == lf * lg and ext.lift(f + g) == lf + lg
+        assert ext.lift(f.derive()) == lf.derive()
+        for v in range(3):
+            assert lf.order_in(v, "weak") == f.order_in(v, "weak")
+        assert (lf * w).order_in("w", "strong") == (0 if f else NEG_INF)
+    assert R3.lift(P("x' + 1")) == P("x' + 1")
+    with pytest.raises(ValueError):
+        ring_of(2).lift(P("x"))
+
+
+def test_equality_and_hash_across_equal_rings():
+    A, B = DiffRing(("x", "y", "z")), DiffRing(("x", "y", "z"))
+    assert A is not B
+    rng = random.Random(3)
+    for _ in range(100):
+        p = rand_poly(rng, R3, nonzero=False)
+        text = render(p)
+        pa, pb = parse_poly(text, A), parse_poly(text, B)
+        assert pa == pb and hash(pa) == hash(pb)
+        assert pa * pb == parse_poly(render(p * p), A) and (pa - pb) == A.zero()
+    assert parse_poly("x", DiffRing(("y", "x"))) != parse_poly("x", A)
+
+
+def _refused_fast(make):
+    t = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        make()
+    assert time.perf_counter() - t < 1.0
+
+
+def test_exponent_and_order_caps():
+    x = R3.var("x")
+    _refused_fast(lambda: P("x^1000000000"))
+    _refused_fast(lambda: P("2^1000000000*x"))
+    _refused_fast(lambda: P("x^(1000000000)"))
+    _refused_fast(lambda: P("x" + "'" * (MAX_ORDER + 1)))
+    _refused_fast(lambda: R3.var("x", MAX_ORDER + 1))
+    _refused_fast(lambda: R3.var("x", MAX_ORDER).derive())
+    _refused_fast(lambda: DiffPoly(R3, {((Derivative(0, 10**9), 1),): 1}))
+    _refused_fast(lambda: DiffPoly(R3, {((Derivative(0, 0), 1 << 40),): 1}))
+    _refused_fast(lambda: x ** (MAX_EXPONENT + 1))
+    _refused_fast(lambda: (x * x + 1) ** (MAX_EXPONENT // 2 + 1))
+    assert R3.var("x", MAX_ORDER - 1).derive() == R3.var("x", MAX_ORDER)
+    assert P("x^%d" % MAX_EXPONENT) == x**MAX_EXPONENT
+
+
+def test_products_refused_before_a_field_carries():
+    x, y = R3.var("x"), R3.var("y")
+    top = x**MAX_EXPONENT
+    big = top * top  # both factors within the cap: 2*MAX_EXPONENT fits the field
+    assert big.deg_in(Derivative(0, 0)) == 2 * MAX_EXPONENT and big.order_in("y") == NEG_INF
+    _refused_fast(lambda: big * x)
+    _refused_fast(lambda: (big + y) * (y + 1))
+    _refused_fast(lambda: big.derive())
+    full = DiffPoly(R3, {((Derivative(0, 0), (1 << 16) - 1),): 1})  # the field's largest value
+    _refused_fast(lambda: full * (x + y))
+    assert big * 3 == 3 * big and (big * 3).deg_in(Derivative(0, 0)) == 2 * MAX_EXPONENT

@@ -24,7 +24,7 @@ from diffalg import (
     step_second_form,
     tdet,
 )
-from helpers import rand_linear_system, ring_of
+from helpers import bareiss_det, rand_constant_coefficient_system, rand_linear_system, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -173,6 +173,35 @@ def test_linear_reduce_random_smoke():
 
 
 # -- past the old n <= 8 cap, solve counts, step budget ------------------------------
+
+
+def test_bareiss_det_small_cases():
+    D = (0, 1)
+    assert bareiss_det([[(1, 1)]]) == (1, 1)
+    # [[D, 1], [1, D]]: D^2 - 1, and a zero pivot that needs a row swap
+    assert bareiss_det([[D, (1,)], [(1,), D]]) == (-1, 0, 1)
+    assert bareiss_det([[(), (1,)], [(1,), D]]) == (-1,)
+    assert bareiss_det([[D, D], [(2,), (2,)]]) == ()
+
+
+def test_linear_reduce_bound_is_deg_det_constant_coefficients():
+    # independent oracle: for a constant-coefficient system with det P(D) != 0
+    # the absolute dimension bound is deg_D det P(D), with P(D) taken from the
+    # integer coefficients before the system is rendered and parsed
+    rng = random.Random(2027)
+    checked = 0
+    for n, max_order, count in ((2, 3, 90), (3, 2, 70), (4, 1, 30)):
+        while count:
+            matrix, text = rand_constant_coefficient_system(rng, n, max_order)
+            det = bareiss_det(matrix)
+            if not det:
+                continue
+            count -= 1
+            res = linear_reduce(parse_system(text)[1])
+            assert not res.degenerate, text
+            assert res.abs_dim_bound == len(det) - 1, (text, det)
+            checked += 1
+    assert checked >= 150
 
 
 @pytest.mark.parametrize("n", [9, 10])
