@@ -307,21 +307,7 @@ class DiffPoly:
             return self._scaled(t2.get(0, 0))
         if len(t1) == 1 and 0 in t1:
             return other._scaled(t1[0])
-        w = self._support() | other._support()
-        if w & self.ring._layout.cover(w).guard:
-            raise ResourceLimit(
-                "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
-                % (MAX_EXPONENT, FIELD_BITS)
-            )
-        acc = {}
-        for m1, c1 in t1.items():
-            for m2, c2 in t2.items():
-                m = m1 + m2
-                if m in acc:
-                    acc[m] += c1 * c2
-                else:
-                    acc[m] = c1 * c2
-        return _poly(self.ring, _canon(acc))
+        return _poly(self.ring, _canon(_addmul({}, self, other)))
 
     __rmul__ = __mul__
 
@@ -463,7 +449,15 @@ class DiffPoly:
         s = self._shift(d)
         if s is None or not (self._support() >> s) & _FIELD:
             return 0
-        return max((m >> s) & _FIELD for m in t)
+        mask = _FIELD << s
+        return max(m & mask for m in t) >> s
+
+    def _lowered(self, d: Derivative, e, k):
+        """The terms of degree e in d with k of their factors d removed, for
+        an occurring d and k <= e: the coefficient of d^e times d^(e-k)."""
+        s = self._shift(d)
+        mask, top, down = _FIELD << s, e << s, k << s
+        return _poly(self.ring, {m - down: c for m, c in self._packed.items() if m & mask == top})
 
     def __repr__(self):
         return "DiffPoly(%s)" % render(self)
@@ -472,6 +466,38 @@ class DiffPoly:
 
 
 _new = object.__new__
+
+
+def _addmul(acc, a, b, negate=False):
+    """acc + a*b, or acc - a*b when negate, into the packed term dict acc
+    (returned; it may hold zero coefficients, see _canon).  The one product
+    loop of the kernel: __mul__, a Ritt division step and the certificate
+    check all sum their products here.  Unless a or b is a constant, it
+    refuses, as __mul__ does, a factor with an exponent over MAX_EXPONENT,
+    whose sum with another could carry out of its field."""
+    if a.ring is not b.ring:
+        a._coerce(b)  # equal rings pass, mixed rings raise
+    wa, wb = a._support(), b._support()
+    if wa and wb:
+        w = wa | wb
+        if w & a.ring._layout.cover(w).guard:
+            raise ResourceLimit(
+                "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
+                % (MAX_EXPONENT, FIELD_BITS)
+            )
+    t1, t2 = a._packed, b._packed
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    for m1, c1 in t1.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in t2.items():
+            m = m1 + m2
+            if m in acc:
+                acc[m] += c1 * c2
+            else:
+                acc[m] = c1 * c2
+    return acc
 
 
 def _poly(ring, packed):
@@ -621,10 +647,6 @@ class LinOp:
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
     def from_poly(cls, c: DiffPoly):
         return cls(c.ring, {0: c})
 
@@ -637,10 +659,6 @@ class LinOp:
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.ring == other.ring and self.coeffs == other.coeffs
 
-    def lmul(self, c: DiffPoly):
-        """Left multiplication by a polynomial: (c*L)(g) = c * L(g)."""
-        return LinOp(self.ring, {k: c * q for k, q in self.coeffs.items()})
-
     def dmul(self):
         """Left multiplication by the derivation: D o L = sum c_k' D^k + c_k D^(k+1)."""
         acc = {}
@@ -650,12 +668,12 @@ class LinOp:
         return LinOp(self.ring, acc)
 
     def apply(self, g: DiffPoly) -> DiffPoly:
-        out = self.ring.zero()
+        acc = {}
         gk, k = g, 0
         for j in sorted(self.coeffs):
             gk, k = gk.derive(j - k), j  # g^(j) from g^(k), k < j
-            out = out + self.coeffs[j] * gk
-        return out
+            _addmul(acc, self.coeffs[j], gk)
+        return _poly(self.ring, _canon(acc))
 
     def __repr__(self):
         if not self.coeffs:

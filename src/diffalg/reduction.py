@@ -5,11 +5,21 @@ Two division modes:
   partial: reduce until ord(r, v) <= ord(g, v); only separants are inverted.
   full:    reduce until ord(r, v) < ord(g, v), or equal order with strictly
            smaller leader degree; separants and initials are inverted.
-Every division returns a certificate for the identity s*f = sum Q_i(g_i) + r
-which can be re-verified by exact polynomial arithmetic.  After every step
-the remainder is divided by its positive rational content (primitive
-remainders, as in Collins's and Brown's primitive remainder sequences), so
-its coefficients stay coprime integers instead of growing step by step.
+Every division returns a certificate for the identity s*f = sum Q_i(g_i) + r.
+After every step the remainder is divided by its positive rational content
+(primitive remainders, as in Collins's and Brown's primitive remainder
+sequences), so its coefficients stay coprime integers instead of growing
+step by step.
+
+A step replaces r by the primitive part of mult*r - co*G, summed in one
+accumulator: G is the divisor or one of its derivatives, mult its separant
+or initial, and co the degree-e slice of r in the eliminated derivative,
+lowered by one power (separant) or by the divisor's leader degree (initial).
+The certificate keeps the running values of S*f = sum Q_i(g_i) + den*r,
+which are integral for integral f and g_i; s = S/den and the quotients
+Q_i/den are formed only when read.  Every division checks its certificate
+exactly: S*f - sum_ik Q_ik * g_i^(k) - den*r is summed in one accumulator
+over exact rationals and must be zero.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diffpoly import (
     NEG_INF,
@@ -26,6 +37,9 @@ from .diffpoly import (
     DiffPoly,
     LinOp,
     Ranking,
+    _INT,
+    _addmul,
+    _canon,
     _integral,
     _poly,
     orderly,
@@ -74,32 +88,51 @@ class DivisionCertificate:
     (separants and initials of the divisors); after at least one step the
     remainder r is primitive (coprime integer coefficients).
 
-    ritt_divide keeps S*f = sum Q_i(g_i) + den*r while it divides: a step
-    multiplies S and every Q_i by its multiplier only, adds den times the
-    step's quotient term to one Q_i, and multiplies den by the content that
-    makes the new remainder primitive.  s = S/den and Q_i/den are formed
-    once, at the end; they equal dividing s and the quotients by every
-    content as it arises.
+    The certificate holds the values ritt_divide keeps while it divides:
+    S*f = sum Q_i(g_i) + den*r.  A step multiplies S and every Q_i by its
+    multiplier only, adds den times the step's quotient term to one Q_i, and
+    multiplies den by the content that makes the new remainder primitive, so
+    S and the Q_i are integral for integral f and g_i.  s = S/den and the
+    quotients Q_i/den are formed once, when first read; they equal dividing s
+    and the quotients by every content as it arises.  verify checks the
+    identity of S, the Q_i and den itself, with no denominators to clear: it
+    sums S*f - sum Q_i(g_i) - den*r in one accumulator over exact rationals
+    and tests it for zero.
     """
 
-    s: DiffPoly
-    quotients: tuple  # one LinOp per divisor
+    S: DiffPoly
+    Q: tuple  # one LinOp per divisor
     remainder: DiffPoly
+    den: object  # a positive int, or a Fraction for rational f or g_i
     mode: str
     multipliers: tuple = ()  # the individual step multipliers, in step order
 
+    @cached_property
+    def s(self):
+        return self.S if self.den == 1 else self.S * Fraction(1, self.den)
+
+    @cached_property
+    def quotients(self):
+        if self.den == 1:
+            return self.Q
+        inv = Fraction(1, self.den)
+        return tuple(LinOp(q.ring, {k: c * inv for k, c in q.coeffs.items()}) for q in self.Q)
+
     def verify(self, f: DiffPoly, divisors) -> bool:
-        s, r, quots = self.s, self.remainder, self.quotients
-        # both sides times the lcm L of the denominators of s, the Q_i and r,
-        # so that the products run on integers; L != 0 keeps the test exact
-        polys = [s, r] + [c for q in quots for c in q.coeffs.values()]
-        lcm = math.lcm(*(c.denominator for p in polys for c in p._packed.values()))
-        if lcm != 1:
-            s, r, quots = s * lcm, r * lcm, [q.lmul(lcm) for q in quots]
-        rhs = r
-        for q, g in zip(quots, divisors):
-            rhs = rhs + q.apply(g)
-        return s * f == rhs
+        """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is zero, summed exactly
+        in one accumulator.  Inside ritt_divide the derivatives g_i^(k) come
+        from the division's own chain, g_i, g_i', ... of the same divisors."""
+        chains = self.__dict__.get("_chains") or [[g] for g in divisors]
+        acc = _addmul({}, self.S, f)
+        for q, g, chain in zip(self.Q, divisors, chains):
+            if chain[0] is not g:
+                chain = [g]
+            for k, c in q.coeffs.items():
+                while len(chain) <= k:
+                    chain.append(chain[-1].derive())
+                _addmul(acc, c, chain[k], negate=True)
+        _addmul(acc, self.remainder, f.ring.const(self.den), negate=True)
+        return not any(acc.values())
 
     def to_json(self):
         return {
@@ -118,8 +151,12 @@ def _primitive(p: DiffPoly):
     of the numerators over the lcm of the denominators, so p / content has
     coprime integer coefficients.  The zero polynomial has content 1."""
     t = p._packed
-    num = math.gcd(*(c.numerator for c in t.values()))
-    den = math.lcm(*(c.denominator for c in t.values()))
+    vals = t.values()
+    if _INT.issuperset(map(type, vals)):
+        num, den = math.gcd(*vals), 1
+    else:
+        num = math.gcd(*(c.numerator for c in vals))
+        den = math.lcm(*(c.denominator for c in vals))
     if num in (0, 1) and den == 1:
         return 1, p
     if den == 1:
@@ -184,12 +221,11 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     for g, v in zip(divisors, dvars):
         vg = int(g.order_in(v, "strong"))
         lg = Derivative(v, vg)
-        cs = g.coeffs_in(lg)
-        dg = max(cs)
-        info.append((g, v, vg, dg, g.partial(lg), cs[dg]))
+        dg = g.deg_in(lg)
+        info.append((g, v, vg, dg, g.partial(lg), g._lowered(lg, dg, dg)))
 
     chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
-    s = ring.one()
+    S = ring.one()
     quots = [dict() for _ in divisors]
     den = 1
     mults = []
@@ -217,44 +253,43 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
                 % (measure, last_measure, describe(f), [describe(d) for d in divisors], describe(r))
             )
         last_measure = measure
-        a = r.coeffs_in(occ)[e]
+        # mult*r - co*G cancels the terms a*occ^e of r: G = g^(k) has the part
+        # mult*occ in occ (separant, k > 0) or mult*occ^dg (initial, k = 0),
+        # and co = a*occ^(e-1) or a*occ^(e-dg) is read off r's degree-e slice
         if occ.order > vg:
             k = occ.order - vg
             mult = separant
-            co = a * ring.var(v, occ.order) ** (e - 1)
+            co = r._lowered(occ, e, 1)
             chain = chains[i]
             while len(chain) <= k:
                 chain.append(chain[-1].derive())
-            r = mult * r - co * chain[k]
+            G = chain[k]
         else:
             k = 0
             mult = initial
-            co = a * ring.var(v, vg) ** (e - dg)
-            r = mult * r - co * g
+            co = r._lowered(occ, e, dg)
+            G = g
         mults.append(mult)
-        # s*f = sum Q_i(g_i) + den*r holds before the step, and after it once
-        # s and the Q_i are multiplied by mult and den*co joins Q_i at D^k;
+        # S*f = sum Q_i(g_i) + den*r holds before the step, and after it once
+        # S and the Q_i are multiplied by mult and den*co joins Q_i at D^k;
         # making r primitive moves its content c into den
-        s = mult * s
+        S = mult * S
         for q in quots:
             for kk in q:
                 q[kk] = mult * q[kk]
         quots[i][k] = quots[i].get(k, ring.zero()) + (co if den == 1 else co * den)
-        c, r = _primitive(r)
+        c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
         den = den * c
-    if den != 1:
-        inv = Fraction(1, den)
-        s = s * inv
-        quots = [{kk: q * inv for kk, q in qd.items()} for qd in quots]
 
-    cert = DivisionCertificate(
-        s=s,
-        quotients=tuple(LinOp(ring, q) for q in quots),
-        remainder=r,
-        mode=mode,
-        multipliers=tuple(mults),
-    )
-    if not cert.verify(f, divisors):
+    cert = DivisionCertificate(S, tuple(LinOp(ring, q) for q in quots), r, den, mode, tuple(mults))
+    # verify reads the derivatives from the division's chains, which are
+    # dropped afterwards so that a kept certificate holds none of them
+    cert.__dict__["_chains"] = chains
+    try:
+        ok = cert.verify(f, divisors)
+    finally:
+        del cert.__dict__["_chains"]
+    if not ok:
         raise InternalInvariantViolation(
             "division identity s*f = sum Q_i(g_i) + r failed dividing %s by %s (%s mode): s = %s, r = %s"
             % (describe(f), [describe(d) for d in divisors], mode, describe(cert.s), describe(r))

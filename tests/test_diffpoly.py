@@ -18,9 +18,10 @@ from diffalg import (
     orderly,
     parse_poly,
     render,
+    ritt_divide,
     separant,
 )
-from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MONO_ONE, _decode, _encode
+from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MONO_ONE, _addmul, _canon, _decode, _encode, _poly
 from helpers import (
     SMALL_INTS,
     SMALL_RATIONALS,
@@ -437,3 +438,65 @@ def test_products_refused_before_a_field_carries():
     full = DiffPoly(R3, {((Derivative(0, 0), (1 << 16) - 1),): 1})  # the field's largest value
     _refused_fast(lambda: full * (x + y))
     assert big * 3 == 3 * big and (big * 3).deg_in(Derivative(0, 0)) == 2 * MAX_EXPONENT
+
+
+# -- the product-accumulate kernel ------------------------------------------------
+
+
+def fused(a, b, c, d):
+    """a*b - c*d through one accumulator, as a Ritt division step forms it."""
+    return _poly(R3, _canon(_addmul(_addmul({}, a, b), c, d, negate=True)))
+
+
+@settings(max_examples=80)
+@given(any_polys(), any_polys(), any_polys(), any_polys())
+def test_fused_step_matches_products(a, b, c, d):
+    got = fused(a, b, c, d)
+    assert got == a * b - c * d and canonical(got)
+    expected = ref_mul(a.terms, b.terms)
+    for mono, coeff in ref_mul(c.terms, d.terms).items():
+        expected[mono] = expected.get(mono, 0) - coeff
+    assert got.terms == {m: coeff for m, coeff in expected.items() if coeff}
+    # full cancellation leaves the zero polynomial, in either factor order
+    assert not fused(a, b, a, b) and not fused(a, b, b, a)
+    assert fused(a, b, R3.zero(), d) == a * b and fused(R3.one(), a, R3.zero(), d) == a
+
+
+def _refuses(make):
+    try:
+        make()
+    except ResourceLimit:
+        return True
+    return False
+
+
+def test_fused_step_refuses_exactly_what_mul_refuses():
+    x, y = R3.var("x"), R3.var("y")
+    big = x**MAX_EXPONENT * x**MAX_EXPONENT  # a field's top bit set
+    full = DiffPoly(R3, {((Derivative(0, 0), (1 << 16) - 1),): 1})
+    polys = [big, big + y, full, x**MAX_EXPONENT, x + y, R3.const(3), R3.const(Fraction(1, 2)), R3.zero()]
+    refused = 0
+    for a in polys:
+        for b in polys:
+            by_mul = _refuses(lambda: a * b)
+            refused += by_mul
+            assert _refuses(lambda: _addmul({}, a, b)) == by_mul
+            assert _refuses(lambda: fused(x, y, a, b)) == by_mul
+    assert refused == 3 * 5 + 2 * 3  # two non-constants, one of the first three among them
+
+
+def test_certificate_reads_match_scaling_by_one_over_den():
+    # s = S/den and the quotients Q_i/den, formed when first read, equal the
+    # values of scaling S and every Q_i by Fraction(1, den)
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(200):
+        f = rand_poly(rng, R3, nonzero=False, coeffs=SMALL_RATIONALS)
+        g = rand_nonconstant(rng, R3, max_monos=3, coeffs=SMALL_RATIONALS)
+        cert = ritt_divide(f, [g], rng.choice(["partial", "full"]), var=rng.choice(g.variables()))
+        inv = Fraction(1, cert.den)
+        assert cert.s == cert.S * inv and cert.s is cert.s
+        assert cert.quotients == tuple(LinOp(R3, {k: c * inv for k, c in q.coeffs.items()}) for q in cert.Q)
+        assert all(canonical(c) for q in cert.quotients for c in q.coeffs.values())
+        checked += cert.den != 1
+    assert checked > 50
