@@ -16,13 +16,7 @@ from diffalg import (
     to_first_form,
     to_second_form,
 )
-
-
-def rand_matrix(rng, n, p_inf):
-    return tuple(
-        tuple(NEG_INF if rng.random() < p_inf else rng.randint(0, 9) for _ in range(n))
-        for _ in range(n)
-    )
+from diffalg.generators import rand_matrix
 
 
 def main():
@@ -36,7 +30,7 @@ def main():
     tally = {"first": 0, "second": 0, "neither": 0, "singular": 0}
     for _ in range(args.count):
         n = rng.randint(2, args.max_n)
-        a = rand_matrix(rng, n, rng.choice([0.0, 0.15, 0.35]))
+        a = rand_matrix(rng, n, p_inf=rng.choice([0.0, 0.15, 0.35]))
         if tdet(a) == NEG_INF:
             tally["singular"] += 1
             continue

@@ -8,20 +8,7 @@ import argparse
 import random
 
 from diffalg import DiffRing, InconsistentSystem, linear_reduce, render
-
-
-def rand_linear_system(rng, ring, max_order):
-    n = ring.nvars
-    out = []
-    for i in range(n):
-        p = ring.var(i, rng.randint(0, max_order)) * rng.choice([-2, -1, 1, 2])
-        for _ in range(rng.randint(0, 3)):
-            v = rng.randrange(n)
-            p = p + ring.var(v, rng.randint(0, max_order)) * rng.choice([-2, -1, 1, 2])
-        if rng.random() < 0.3:
-            p = p + ring.const(rng.randint(-3, 3))
-        out.append(p)
-    return out
+from diffalg.generators import rand_linear_system
 
 
 def main():

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user or data error, 2 internal invariant violation,
-3 resource limit (more maximizing transversals than `jacobi` lists, the
-step budget of `reduce-linear` exhausted, or an order or exponent over the
-caps of the packed monomials).  With --json every report
-(including errors) is a single JSON document."""
+Exit codes: 0 success, 1 user or data error (a rejected command line
+included), 2 internal invariant violation, 3 resource limit (more maximizing
+transversals than `jacobi` lists, the step budget of `reduce-linear`
+exhausted, or an order or exponent over the caps of the packed monomials).
+With --json every report (including errors) is a single JSON document."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import corpus
-from .diffpoly import NEG_INF, POS_INF, elimination, orderly, render
+from .diffpoly import elimination, jsonable, orderly, render
 from .engine import (
     DegenerateSituation,
     linear_reduce,
@@ -41,8 +41,17 @@ class UserError(Exception):
     pass
 
 
-def _jval(v):
-    return "-inf" if v == NEG_INF else ("inf" if v == POS_INF else v)
+class UsageError(UserError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # no abbreviated flags: main tells a rejected --json by its full name
+    def __init__(self, **kw):
+        super().__init__(allow_abbrev=False, **kw)
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
 
 
 def _load(args):
@@ -59,7 +68,7 @@ def _load(args):
 
 
 def _ranking(args, ring):
-    spec = getattr(args, "ranking", "orderly") or "orderly"
+    spec = args.ranking or "orderly"
     if spec == "orderly":
         return orderly()
     if spec.startswith("elim:"):
@@ -91,7 +100,7 @@ def cmd_jacobi(args):
         m = order_matrix(polys, None, conv)
         # the text report prints no witnesses, so it does not list them
         value, wits = tdet(m.entries, witnesses=True) if args.json else (tdet(m.entries), ())
-        out["J_%s" % conv] = _jval(value)
+        out["J_%s" % conv] = jsonable(value)
         if args.json:
             out["witnesses_%s" % conv] = [list(w) for w in wits]
     _emit(args, out, "J(weak)=%s J(strong)=%s" % (out["J_weak"], out["J_strong"]))
@@ -143,8 +152,8 @@ def cmd_dims(args):
         _emit(args, {"inconsistent": True, "constant": e.text}, "inconsistent system (%s)" % e)
         return
     dd, bound = dimensions(res.charset, ring.nvars)
-    data = {"diff_dim": dd, "abs_dim_bound": _jval(bound), "converged": res.converged}
-    _emit(args, data, "diffDim=%d absDimBound=%s" % (dd, _jval(bound)))
+    data = {"diff_dim": dd, "abs_dim_bound": jsonable(bound), "converged": res.converged}
+    _emit(args, data, "diffDim=%d absDimBound=%s" % (dd, jsonable(bound)))
 
 
 def cmd_forms(args):
@@ -160,7 +169,7 @@ def cmd_forms(args):
         return
     cert = to_first_form(m.entries) if args.to == "first" else to_second_form(m.entries)
     out = cert.apply(m.entries)
-    data = dict(cert.to_json(), matrix=[["-inf" if e == NEG_INF else e for e in row] for row in out])
+    data = dict(cert.to_json(), matrix=[[jsonable(e) for e in row] for row in out])
     _emit(args, data, "rows=%s cols=%s\n%s" % (cert.row_perm, cert.col_perm, render_grid(out)))
 
 
@@ -171,14 +180,14 @@ def cmd_reduce_linear(args):
         "trace": res.trace.to_json(),
         "charset": [render(p) for p in res.charset.elements] if res.charset else None,
         "diff_dim": res.diff_dim,
-        "abs_dim_bound": _jval(res.abs_dim_bound),
-        "J_initial": _jval(res.j_initial),
+        "abs_dim_bound": jsonable(res.abs_dim_bound),
+        "J_initial": jsonable(res.j_initial),
         "degenerate": res.degenerate,
     }
     text = "J-sequence: %s\ndiffDim=%d absDimBound=%s" % (
-        ",".join(str(_jval(v)) for v in res.trace.j_sequence_strong),
+        ",".join(str(jsonable(v)) for v in res.trace.j_sequence_strong),
         res.diff_dim,
-        _jval(res.abs_dim_bound),
+        jsonable(res.abs_dim_bound),
     )
     if res.charset:
         text += "\ncharset:\n" + "\n".join("  " + render(p) for p in res.charset.elements)
@@ -194,7 +203,7 @@ def cmd_trace(args):
     final, trace = scripted_divide(polys, script)
     data = trace.to_json()
     data["final_system"] = [render(p) for p in final]
-    text = "J-sequence: %s" % ",".join(str(_jval(v)) for v in trace.j_sequence)
+    text = "J-sequence: %s" % ",".join(str(jsonable(v)) for v in trace.j_sequence)
     _emit(args, data, text)
 
 
@@ -231,22 +240,20 @@ def cmd_examples(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="diffalg", description=__doc__)
+    ap = _Parser(prog="diffalg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="system file")
+    def common(p):
+        p.add_argument("file", help="system file")
         p.add_argument("--json", action="store_true")
         p.add_argument("--vars", help="comma-separated variable/column order")
-        p.add_argument("--convention", choices=["weak", "strong"], default="strong")
-        p.add_argument("--ranking", default="orderly", help="orderly or elim:b1;b2 (lowest block first)")
 
     p = sub.add_parser("jacobi", help="Jacobi number and witnesses, both conventions")
     common(p)
     p.set_defaults(func=cmd_jacobi)
     p = sub.add_parser("matrix", help="order matrix")
     common(p)
+    p.add_argument("--convention", choices=["weak", "strong"], default="strong")
     p.set_defaults(func=cmd_matrix)
     p = sub.add_parser("divide", help="one division with certificate")
     common(p)
@@ -257,12 +264,15 @@ def build_parser():
     p.set_defaults(func=cmd_divide)
     p = sub.add_parser("autoreduce", help="characteristic set iteration")
     common(p)
+    p.add_argument("--ranking", default="orderly", help="orderly or elim:b1;b2 (lowest block first)")
     p.set_defaults(func=cmd_autoreduce)
     p = sub.add_parser("dims", help="differential dimension and order bound")
     common(p)
+    p.add_argument("--ranking", default="orderly", help="orderly or elim:b1;b2 (lowest block first)")
     p.set_defaults(func=cmd_dims)
     p = sub.add_parser("forms", help="detect or normalize Ritt forms")
     common(p)
+    p.add_argument("--convention", choices=["weak", "strong"], default="strong")
     p.add_argument("--to", choices=["first", "second"])
     p.set_defaults(func=cmd_forms)
     p = sub.add_parser("reduce-linear", help="linear elimination with full trace")
@@ -286,23 +296,26 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a rejected command line has no parsed --json flag to read
+    as_json = "--json" in argv
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         rc = args.func(args)
         return 0 if rc is None else rc
     except (UserError, ParseError, ValueError, OSError, InconsistentSystem,
             HypothesisFailure, DegenerateSituation) as e:
-        msg = {"error": str(e), "kind": type(e).__name__}
-        print(json.dumps(msg) if args.json else "error: %s" % e, file=sys.stderr)
+        kind = "usage" if isinstance(e, UsageError) else type(e).__name__
+        print(json.dumps({"error": str(e), "kind": kind}) if as_json else "error: %s" % e, file=sys.stderr)
         return 1
     except (InternalInvariantViolation, AssertionError) as e:
         msg = {"error": str(e), "kind": "internal-invariant-violation"}
-        print(json.dumps(msg) if args.json else "internal invariant violation: %s" % e, file=sys.stderr)
+        print(json.dumps(msg) if as_json else "internal invariant violation: %s" % e, file=sys.stderr)
         return 2
     except ResourceLimit as e:
         msg = {"error": str(e), "kind": "resource-limit"}
-        print(json.dumps(msg) if args.json else "resource limit: %s" % e, file=sys.stderr)
+        print(json.dumps(msg) if as_json else "resource limit: %s" % e, file=sys.stderr)
         return 3
 
 

@@ -36,6 +36,12 @@ from .errors import ResourceLimit
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+
+def jsonable(v):
+    """v for a JSON document: NEG_INF and POS_INF become "-inf" and "inf"."""
+    return "-inf" if v == NEG_INF else "inf" if v == POS_INF else v
+
+
 FIELD_BITS = 16
 _FIELD = (1 << FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767

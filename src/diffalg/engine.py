@@ -13,9 +13,9 @@ move."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, orderly, render, separant
+from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, jsonable, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
@@ -68,16 +68,15 @@ class ReductionStep:
     matrix_after_strong: OrderMatrix = None
 
     def to_json(self):
-        fix = lambda v: "-inf" if v == NEG_INF else v
         out = {
             "kind": self.kind,
             "dividend": self.dividend,
             "divisor": self.divisor,
             "var": self.var,
-            "J_before": fix(self.j_before),
-            "J_after": fix(self.j_after),
-            "J_before_strong": fix(self.j_before_strong),
-            "J_after_strong": fix(self.j_after_strong),
+            "J_before": jsonable(self.j_before),
+            "J_after": jsonable(self.j_after),
+            "J_before_strong": jsonable(self.j_before_strong),
+            "J_after_strong": jsonable(self.j_after_strong),
         }
         if self.matrix_after is not None:
             out["matrix_after"] = self.matrix_after.to_json()
@@ -95,19 +94,11 @@ class Trace:
     j_sequence_strong: tuple
 
     def to_json(self):
-        fix = lambda v: "-inf" if v == NEG_INF else v
         return {
             "steps": [s.to_json() for s in self.steps],
-            "J_sequence": [fix(v) for v in self.j_sequence],
-            "J_sequence_strong": [fix(v) for v in self.j_sequence_strong],
+            "J_sequence": [jsonable(v) for v in self.j_sequence],
+            "J_sequence_strong": [jsonable(v) for v in self.j_sequence_strong],
         }
-
-
-def _both_matrices(system, var_order):
-    return (
-        order_matrix(system, var_order, "weak"),
-        order_matrix(system, var_order, "strong"),
-    )
 
 
 def _assert_division_bound(a, b, drow, grow, vcol):
@@ -130,79 +121,72 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
-def _with_row(m, i, p, var_order):
+def _with_row(m, i, p):
     """Order matrix m with row i recomputed from the polynomial p."""
-    row = tuple(p.order_in(v, m.convention) for v in var_order)
+    row = tuple(p.order_in(name, m.convention) for name in m.col_names)
     return OrderMatrix(m.entries[:i] + (row,) + m.entries[i + 1 :], m.convention, m.col_names)
 
 
-def _divide_step(system, var_order, kind, charset, strong_b, weak_b, jb, jwb):
-    """The division of a form step, on a system whose order matrices
-    (strong_b, weak_b) are known to be in `kind` form, with Jacobi numbers
-    jb (strong) and jwb (weak).  Returns the new system, the step, and the
-    Assignment of the strong matrix after the step."""
-    ring = system[0].ring
-    pivot_var = var_order[0]
-    dividend = 1 if kind == "first-form" else len(system) - 1
-    _check_pivot_separant(system, 0, pivot_var, charset)
-    cert = ritt_divide(system[dividend], [system[0]], "full", var=pivot_var)
+def _divide_step(system, di, gi, var, kind, weak, strong, jw, js):
+    """Divide equation di by equation gi in the variable named var: partial
+    division for a scripted step, full division for a form step.  weak and
+    strong are the system's order matrices and jw, js their Jacobi numbers;
+    only row di changes, so only it is recomputed, and the new strong matrix
+    is solved once.  Returns the new system, the step, and the Assignment of
+    the strong matrix after the step."""
+    cert = ritt_divide(system[di], [system[gi]], "partial" if kind == "scripted" else "full", var=var)
     out = list(system)
-    out[dividend] = cert.remainder
-    strong_a = _with_row(strong_b, dividend, cert.remainder, var_order)
-    weak_a = _with_row(weak_b, dividend, cert.remainder, var_order)
-    _assert_division_bound(strong_b.entries, strong_a.entries, dividend, 0, 0)
+    out[di] = cert.remainder
+    weak_a = _with_row(weak, di, cert.remainder)
+    strong_a = _with_row(strong, di, cert.remainder)
+    _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
     sol = tdet_assignment(strong_a.entries, potentials=True)
-    ja = sol.value
-    if ja > jb:
-        raise InternalInvariantViolation(
-            "J increased: %s -> %s\n%s" % (jb, ja, render_grid(strong_a.entries))
-        )
-    if strong_a.entries != strong_b.entries and ritt_compare(strong_a, strong_b) != LESS:
-        raise InternalInvariantViolation(
-            "matrix did not drop in Ritt's ordering:\n%s\n->\n%s"
-            % (render_grid(strong_b.entries), render_grid(strong_a.entries))
-        )
-    step = ReductionStep(
-        kind=kind,
-        dividend=dividend,
-        divisor=0,
-        var=ring.names[pivot_var],
-        j_before=jwb,
-        j_after=tdet(weak_a.entries),
-        j_before_strong=jb,
-        j_after_strong=ja,
-        certificate=cert,
-        matrix_after=weak_a,
-        matrix_after_strong=strong_a,
-    )
+    step = ReductionStep(kind, di, gi, var, jw, tdet(weak_a.entries), js, sol.value, cert, weak_a, strong_a)
     return out, step, sol
 
 
-def _form_step(system, var_order, kind, charset):
+def _form_step(system, kind, charset, weak, strong, jw, js):
+    """The division of a form step, on a system whose order matrices are
+    known to be in `kind` form: equation 2 (first form) or n (second form)
+    by equation 1 in the first column's variable.  The Jacobi number must not
+    rise, and a changed matrix must drop in Ritt's ordering."""
+    var = strong.col_names[0]
+    _check_pivot_separant(system, 0, system[0].ring.index[var], charset)
+    dividend = 1 if kind == "first-form" else len(system) - 1
+    out, step, sol = _divide_step(system, dividend, 0, var, kind, weak, strong, jw, js)
+    strong_a = step.matrix_after_strong
+    if sol.value > js:
+        raise InternalInvariantViolation(
+            "J increased: %s -> %s\n%s" % (js, sol.value, render_grid(strong_a.entries))
+        )
+    if strong_a.entries != strong.entries and ritt_compare(strong_a, strong) != LESS:
+        raise InternalInvariantViolation(
+            "matrix did not drop in Ritt's ordering:\n%s\n->\n%s"
+            % (render_grid(strong.entries), render_grid(strong_a.entries))
+        )
+    return out, step, sol
+
+
+def _detected_form_step(system, var_order, kind, charset):
     system = list(system)
-    ring = system[0].ring
-    if var_order is None:
-        var_order = list(range(ring.nvars))
-    var_order = [ring.index[v] if isinstance(v, str) else v for v in var_order]
-    weak_b, strong_b = _both_matrices(system, var_order)
-    jb = tdet(strong_b.entries)
+    weak = order_matrix(system, var_order, "weak")
+    strong = order_matrix(system, var_order, "strong")
+    js = tdet(strong.entries)
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(strong_b.entries, jb):
+    if not detect(strong.entries, js):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
-    out, step, _ = _divide_step(
-        system, var_order, kind, charset, strong_b, weak_b, jb, tdet(weak_b.entries)
-    )
+    out, step, _ = _form_step(system, kind, charset, weak, strong, tdet(weak.entries), js)
     return out, step
 
 
 def step_first_form(system, var_order=None, charset=None):
     """Divide equation 2 by equation 1 in the first variable."""
-    return _form_step(system, var_order, "first-form", charset)
+    return _detected_form_step(system, var_order, "first-form", charset)
 
 
 def step_second_form(system, var_order=None, charset=None):
     """Divide the last equation by equation 1 in the first variable."""
-    return _form_step(system, var_order, "second-form", charset)
+    return _detected_form_step(system, var_order, "second-form", charset)
 
 
 def scripted_divide(system, script, var_order=None):
@@ -211,13 +195,10 @@ def scripted_divide(system, script, var_order=None):
     claimed, only the division bound and the certificate identity."""
     system = list(system)
     ring = system[0].ring
-    if var_order is None:
-        var_order = list(range(ring.nvars))
-    var_order = [ring.index[v] if isinstance(v, str) else v for v in var_order]
-    weak, strong = _both_matrices(system, var_order)
+    weak = order_matrix(system, var_order, "weak")
+    strong = order_matrix(system, var_order, "strong")
+    jw_seq, js_seq = [tdet(weak.entries)], [tdet(strong.entries)]
     steps = []
-    jw = [tdet(weak.entries)]
-    js = [tdet(strong.entries)]
     for pos, (di, gi, var) in enumerate(script):
         v = ring.index[var] if isinstance(var, str) else var
         if not (0 <= di < len(system) and 0 <= gi < len(system)) or di == gi:
@@ -227,30 +208,14 @@ def scripted_divide(system, script, var_order=None):
             raise ValueError("script entry %d: divisor does not involve %s" % (pos, ring.names[v]))
         if system[di].order_in(v, "strong") < g.order_in(v, "strong"):
             raise ValueError("script entry %d: dividend has lower order in %s" % (pos, ring.names[v]))
-        cert = ritt_divide(system[di], [g], "partial", var=v)
-        system[di] = cert.remainder
-        weak_a, strong_a = _both_matrices(system, var_order)
-        vcol = var_order.index(v)
-        _assert_division_bound(strong.entries, strong_a.entries, di, gi, vcol)
-        steps.append(
-            ReductionStep(
-                kind="scripted",
-                dividend=di,
-                divisor=gi,
-                var=ring.names[v],
-                j_before=jw[-1],
-                j_after=tdet(weak_a.entries),
-                j_before_strong=js[-1],
-                j_after_strong=tdet(strong_a.entries),
-                certificate=cert,
-                matrix_after=weak_a,
-                matrix_after_strong=strong_a,
-            )
+        system, step, _ = _divide_step(
+            system, di, gi, ring.names[v], "scripted", weak, strong, jw_seq[-1], js_seq[-1]
         )
-        jw.append(steps[-1].j_after)
-        js.append(steps[-1].j_after_strong)
-        weak, strong = weak_a, strong_a
-    return system, Trace(tuple(steps), tuple(jw), tuple(js))
+        steps.append(step)
+        weak, strong = step.matrix_after, step.matrix_after_strong
+        jw_seq.append(step.j_after)
+        js_seq.append(step.j_after_strong)
+    return system, Trace(tuple(steps), tuple(jw_seq), tuple(js_seq))
 
 
 def parse_script(text):
@@ -284,17 +249,20 @@ class LinearReduceResult:
     peel_orders: tuple
 
 
-def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
+STEP_BUDGET_FACTOR = 10
+
+
+def linear_reduce(system) -> LinearReduceResult:
     """Eliminate a square linear system by form-preserving steps.
 
     Loop: peel variables that occur in a single equation; otherwise move a
     shared column to the front, normalize to first (preferably) or second
     form, and perform one division step.  Each step strictly lowers the
     active matrix in Ritt's ordering, so the run ends within the step budget
-    10 * n * (1 + max initial order).  The peeled equations back-substitute
-    into an autoreduced set whose leaders are the peeled derivatives; the
-    absolute dimension bound is the sum of the peeled orders and never
-    exceeds the initial strong Jacobi number.  Rank-deficient or
+    STEP_BUDGET_FACTOR * n * (1 + max initial order).  The peeled equations
+    back-substitute into an autoreduced set whose leaders are the peeled
+    derivatives; the absolute dimension bound is the sum of the peeled orders
+    and never exceeds the initial strong Jacobi number.  Rank-deficient or
     underdetermined situations fall back to the general autoreduction loop
     and report an infinite bound."""
     system = list(system)
@@ -310,7 +278,7 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
 
     orders = [p.order_in(v, "strong") for p in system for v in range(n)]
     max_ord = max([int(o) for o in orders if o != NEG_INF], default=0)
-    budget = budget_factor * n * (1 + max_ord)
+    budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
 
     # The active system's order matrices and Jacobi numbers are carried from
     # one iteration to the next: a peel takes a minor, a form step recomputes
@@ -335,22 +303,11 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
         js_seq.append(off + (sol.value if eqs else 0))
         jw_seq.append(off + (jw if eqs else 0))
 
-    while True:
-        live = [p for p in eqs if p]
-        for p in live:
-            if p.is_constant():
+    while eqs:
+        for p in eqs:
+            if p and p.is_constant():
                 raise InconsistentSystem(p)
-        if len(live) < len(eqs):
-            # the matrices are now stale, but one equation fewer than
-            # variables ends the loop just below
-            degenerate = True
-            eqs = live
-        if not eqs or not vars_:
-            degenerate = degenerate or bool(vars_)
-            break
-        if len(eqs) < len(vars_):
-            degenerate = True
-            break
+        # a zero equation leaves a row of -inf, so it is caught here too
         if sol.value == NEG_INF:
             degenerate = True
             break
@@ -398,7 +355,7 @@ def linear_reduce(system, budget_factor=10) -> LinearReduceResult:
         names = tuple(ring.names[v] for v in vars_)
         strong_b = OrderMatrix(fc.apply(a), "strong", names)
         weak_b = OrderMatrix(fc.apply(weak.entries), "weak", names)
-        eqs, step, sol = _divide_step(eqs, vars_, kind, None, strong_b, weak_b, sol.value, jw)
+        eqs, step, sol = _form_step(eqs, kind, None, weak_b, strong_b, jw, sol.value)
         strong, weak, jw = step.matrix_after_strong, step.matrix_after, step.j_after
         steps.append(step)
         report()

@@ -88,6 +88,9 @@ def build_pencil(system, pivot_index, var, fresh="w") -> RittPencil:
 
 def fiber_at(pencil: RittPencil, mu):
     """Specialize w = mu; returns the fiber system in the original ring."""
-    mu = Fraction(mu)
+    try:
+        mu = Fraction(mu)
+    except ZeroDivisionError:
+        raise ValueError("fiber value %s has a zero denominator" % (mu,))
     fib = pencil.coseparant + pencil.separant * mu
     return (fib,) + pencil.carried

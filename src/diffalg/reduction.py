@@ -120,19 +120,8 @@ class DivisionCertificate:
 
     def verify(self, f: DiffPoly, divisors) -> bool:
         """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is zero, summed exactly
-        in one accumulator.  Inside ritt_divide the derivatives g_i^(k) come
-        from the division's own chain, g_i, g_i', ... of the same divisors."""
-        chains = self.__dict__.get("_chains") or [[g] for g in divisors]
-        acc = _addmul({}, self.S, f)
-        for q, g, chain in zip(self.Q, divisors, chains):
-            if chain[0] is not g:
-                chain = [g]
-            for k, c in q.coeffs.items():
-                while len(chain) <= k:
-                    chain.append(chain[-1].derive())
-                _addmul(acc, c, chain[k], negate=True)
-        _addmul(acc, self.remainder, f.ring.const(self.den), negate=True)
-        return not any(acc.values())
+        in one accumulator."""
+        return _identity_holds(self.S, self.Q, self.den, self.remainder, f, [[g] for g in divisors])
 
     def to_json(self):
         return {
@@ -144,6 +133,20 @@ class DivisionCertificate:
             "remainder": render(self.remainder),
             "mode": self.mode,
         }
+
+
+def _identity_holds(S, Q, den, r, f, chains):
+    """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is zero, summed exactly in
+    one accumulator.  chains[i] starts g_i, g_i', ...; it is extended in
+    place as far as the Q_i need."""
+    acc = _addmul({}, S, f)
+    for q, chain in zip(Q, chains):
+        for k, c in q.coeffs.items():
+            while len(chain) <= k:
+                chain.append(chain[-1].derive())
+            _addmul(acc, c, chain[k], negate=True)
+    _addmul(acc, r, f.ring.const(den), negate=True)
+    return not any(acc.values())
 
 
 def _primitive(p: DiffPoly):
@@ -282,14 +285,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         den = den * c
 
     cert = DivisionCertificate(S, tuple(LinOp(ring, q) for q in quots), r, den, mode, tuple(mults))
-    # verify reads the derivatives from the division's chains, which are
-    # dropped afterwards so that a kept certificate holds none of them
-    cert.__dict__["_chains"] = chains
-    try:
-        ok = cert.verify(f, divisors)
-    finally:
-        del cert.__dict__["_chains"]
-    if not ok:
+    # the check reads the derivatives the division already formed
+    if not _identity_holds(S, cert.Q, den, r, f, chains):
         raise InternalInvariantViolation(
             "division identity s*f = sum Q_i(g_i) + r failed dividing %s by %s (%s mode): s = %s, r = %s"
             % (describe(f), [describe(d) for d in divisors], mode, describe(cert.s), describe(r))

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diffpoly import NEG_INF
+from .diffpoly import NEG_INF, jsonable
 from .errors import InternalInvariantViolation, ResourceLimit
 from .matching import lex_least_perfect_matching, perfect_matchings
 
@@ -76,7 +76,7 @@ class OrderMatrix:
 
     def to_json(self):
         return {
-            "entries": [[("-inf" if e == NEG_INF else e) for e in row] for row in self.entries],
+            "entries": [[jsonable(e) for e in row] for row in self.entries],
             "convention": self.convention,
             "cols": list(self.col_names),
         }

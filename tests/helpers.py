@@ -35,21 +35,6 @@ def rand_nonconstant(rng, ring, **kw):
             return p
 
 
-def rand_linear_system(rng, ring, max_order=5, extra_terms=3):
-    """Square linear system with a guaranteed diagonal entry per equation."""
-    n = ring.nvars
-    out = []
-    for i in range(n):
-        p = ring.var(i, rng.randint(0, max_order)) * rng.choice([-2, -1, 1, 2])
-        for _ in range(rng.randint(0, extra_terms)):
-            v = rng.randrange(n)
-            p = p + ring.var(v, rng.randint(0, max_order)) * rng.choice([-2, -1, 1, 2])
-        if rng.random() < 0.3:
-            p = p + ring.const(rng.randint(-3, 3))
-        out.append(p)
-    return out
-
-
 def rand_unit_separant_system(rng, n, max_order=4, boost_first=False):
     """Square system whose top derivative in every variable it contains has a
     constant coefficient, so all separants and initials are constants.  May
@@ -78,16 +63,6 @@ def rand_unit_separant_system(rng, n, max_order=4, boost_first=False):
             p = p + ring.const(rng.randint(-2, 2))
         out.append(p)
     return ring, out
-
-
-def rand_matrix(rng, n, lo=0, hi=9, p_inf=0.2, finite_col0=False):
-    return tuple(
-        tuple(
-            (NEG_INF if (rng.random() < p_inf and not (finite_col0 and j == 0)) else rng.randint(lo, hi))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def all_cycles(n):

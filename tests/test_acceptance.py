@@ -40,13 +40,12 @@ from diffalg import (
     transversal_value,
 )
 from diffalg.corpus import J_INCREASING, J_INCREASING_SECOND_FORM
+from diffalg.generators import rand_linear_system, rand_matrix
 from diffalg.tropical import compose, identity_perm, inverse
 
 from conftest import ACCEPTANCE_LINES
 from helpers import (
     all_cycles,
-    rand_linear_system,
-    rand_matrix,
     rand_nonconstant,
     rand_poly,
     rand_unit_separant_system,

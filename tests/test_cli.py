@@ -140,7 +140,63 @@ def test_error_json(sysfile, capsys):
     assert json.loads(err)["kind"] == "ParseError"
 
 
-NINE = "xyzuvwpqs"
+def _usage_error(argv, capsys):
+    """Whether argv is rejected as a usage error, exit 1, in text and in JSON."""
+    text_rc = main(argv)
+    text = capsys.readouterr()
+    json_rc = main(argv + ["--json"])
+    out = capsys.readouterr()
+    return (
+        text_rc == json_rc == 1
+        and text.out == out.out == ""
+        and text.err.startswith("error: ")
+        and json.loads(out.err)["kind"] == "usage"
+    )
+
+
+def test_usage_errors_are_exit_1(sysfile, capsys):
+    f = sysfile("vars: x, y\nx' + y^(18)\n(y')^2 + y\n")
+    assert _usage_error(["jacobi"], capsys)
+    assert _usage_error(["jacobi", f, "--bogus"], capsys)
+    assert _usage_error(["jacobi", f, "--js"], capsys)  # no abbreviations
+    assert _usage_error(["divide", f, "--dividend", "zero", "--divisor", "1", "--var", "x"], capsys)
+    assert _usage_error([], capsys)
+    with pytest.raises(SystemExit) as e:
+        main(["jacobi", "--help"])
+    assert e.value.code == 0
+    assert "--vars" in capsys.readouterr().out
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(sysfile, capsys):
+    f = sysfile("vars: x, y\nx' + y^(18)\n(y')^2 + y\n")
+    division = ["divide", f, "--dividend", "0", "--divisor", "1", "--var", "y"]
+    assert _usage_error(division + ["--ranking", "elim:q"], capsys)
+    assert _usage_error(division + ["--convention", "weak"], capsys)
+    for cmd in ("jacobi", "reduce-linear"):
+        assert _usage_error([cmd, f, "--convention", "weak"], capsys)
+        assert _usage_error([cmd, f, "--ranking", "orderly"], capsys)
+    assert _usage_error(["matrix", f, "--ranking", "orderly"], capsys)
+    assert _usage_error(["dims", f, "--convention", "weak"], capsys)
+    # the commands that read them still take them
+    assert main(["matrix", f, "--convention", "weak"]) == 0
+    assert main(["forms", f, "--convention", "weak"]) == 0
+    assert main(["autoreduce", f, "--ranking", "elim:x;y"]) == 0
+    assert main(["dims", f, "--ranking", "elim:y;x"]) == 0
+    capsys.readouterr()
+
+
+def test_pencil_bad_fiber_is_a_user_error(sysfile, capsys):
+    f = sysfile("vars: x, y\nx'^2 - x\ny' - x\n")
+    for fibers in ("0,1/0", "abc"):
+        argv = ["pencil", f, "--pivot", "0", "--var", "x", "--fibers", fibers]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(argv + ["--json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["kind"] == "ValueError"
+
+
+NINE ="xyzuvwpqs"
 
 
 def test_jacobi_nine_variables(sysfile, capsys):
@@ -162,10 +218,9 @@ def test_witness_limit_is_exit_3(sysfile, capsys):
 
 
 def test_step_budget_is_exit_3(sysfile, capsys, monkeypatch):
-    import diffalg.cli as cli
-    from diffalg.engine import linear_reduce
+    import diffalg.engine as engine
 
-    monkeypatch.setattr(cli, "linear_reduce", lambda polys: linear_reduce(polys, budget_factor=0))
+    monkeypatch.setattr(engine, "STEP_BUDGET_FACTOR", 0)
     f = sysfile("vars: x, y\nx' - y\nx'' - y'\n")
     assert main(["reduce-linear", f, "--json"]) == 3
     err = json.loads(capsys.readouterr().err)

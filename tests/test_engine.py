@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import diffalg.engine as engine_mod
 from diffalg import (
     AutoreducedSet,
     DegenerateSituation,
@@ -24,7 +25,8 @@ from diffalg import (
     step_second_form,
     tdet,
 )
-from helpers import bareiss_det, rand_constant_coefficient_system, rand_linear_system, ring_of
+from diffalg.generators import rand_linear_system
+from helpers import bareiss_det, rand_constant_coefficient_system, rand_unit_separant_system, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -111,6 +113,49 @@ def test_scripted_validation():
         scripted_divide(sys_, [(1, 0, "x")])  # dividend below divisor order? no x at all
     with pytest.raises(ValueError):
         scripted_divide(sys_, [(0, 5, "x")])
+
+
+def _valid_moves(system, ring):
+    return [
+        (di, gi, name)
+        for di, f in enumerate(system)
+        for gi, g in enumerate(system)
+        for name in ring.names
+        if di != gi and g.order_in(name, "strong") != NEG_INF
+        and f.order_in(name, "strong") >= g.order_in(name, "strong")
+    ]
+
+
+def test_scripted_steps_carry_the_recomputed_matrices():
+    # a step recomputes only the dividend's row of the matrices it carries;
+    # they must equal the order matrices of the system after the step
+    rng = random.Random(23)
+    steps = 0
+    for trial in range(120):
+        n = rng.randint(2, 3)
+        if trial % 2:
+            ring, system = rand_unit_separant_system(rng, n, max_order=3)
+        else:
+            ring = ring_of(n)
+            system = rand_linear_system(rng, ring, max_order=4)
+        var_order = rng.sample(ring.names, n)
+        script, cur = [], system
+        for _ in range(rng.randint(1, 3)):
+            moves = _valid_moves(cur, ring)
+            if not moves:
+                break
+            script.append(rng.choice(moves))
+            cur, _ = scripted_divide(cur, script[-1:], var_order)
+        final, trace = scripted_divide(system, script, var_order)
+        assert final == cur
+        cur = list(system)
+        for step in trace.steps:
+            cur[step.dividend] = step.certificate.remainder
+            weak, strong = order_matrix(cur, var_order, "weak"), order_matrix(cur, var_order, "strong")
+            assert step.matrix_after == weak and step.matrix_after_strong == strong
+            assert (step.j_after, step.j_after_strong) == (tdet(weak), tdet(strong))
+            steps += 1
+    assert steps > 150
 
 
 # -- linear reduction ----------------------------------------------------------------
@@ -217,7 +262,6 @@ def test_linear_reduce_cyclic_past_eight(n):
 
 
 def test_linear_reduce_solve_count(monkeypatch):
-    import diffalg.engine as engine_mod
     import diffalg.tropical as tropical_mod
 
     calls = []
@@ -238,10 +282,11 @@ def test_linear_reduce_solve_count(monkeypatch):
     assert len(calls) <= 2 + 3 * forms + 2 * kinds.count("peel")
 
 
-def test_linear_reduce_step_budget_is_a_resource_limit():
+def test_linear_reduce_step_budget_is_a_resource_limit(monkeypatch):
+    monkeypatch.setattr(engine_mod, "STEP_BUDGET_FACTOR", 0)
     sys_ = [P("x' - y"), P("x'' - y'")]
     with pytest.raises(ResourceLimit):
-        linear_reduce(sys_, budget_factor=0)
+        linear_reduce(sys_)
 
 
 # -- pinned outputs ------------------------------------------------------------------

@@ -27,7 +27,8 @@ from diffalg import (
     transversal_value,
 )
 from diffalg.tropical import compose, identity_perm, inverse, render_grid
-from helpers import all_cycles, first_form_brute, rand_matrix, second_form_brute
+from diffalg.generators import rand_matrix
+from helpers import all_cycles, first_form_brute, second_form_brute
 
 INF = NEG_INF
 
