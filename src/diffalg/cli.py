@@ -9,7 +9,6 @@ With --json every report (including errors) is a single JSON document."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import corpus
@@ -86,9 +85,17 @@ def _ranking(args, ring):
     raise UserError("bad --ranking %r (want orderly or elim:b1;b2)" % spec)
 
 
+def _json(data, **kw):
+    """data as a JSON document.  json is imported here, on first use, so that
+    a text-mode command never loads it."""
+    import json
+
+    return json.dumps(data, **kw)
+
+
 def _emit(args, data, text):
     if args.json:
-        print(json.dumps(data, indent=2))
+        print(_json(data, indent=2))
     else:
         print(text)
 
@@ -232,7 +239,7 @@ def cmd_examples(args):
         ok = ok and good
         rows.append({"check": label, "pass": good, "expected": str(expected), "actual": str(actual)})
     if args.json:
-        print(json.dumps({"checks": rows, "pass": ok}, indent=2))
+        print(_json({"checks": rows, "pass": ok}, indent=2))
     else:
         for r in rows:
             print("%s %s" % ("PASS" if r["pass"] else "FAIL", r["check"]))
@@ -307,15 +314,15 @@ def main(argv=None):
     except (UserError, ParseError, ValueError, OSError, InconsistentSystem,
             HypothesisFailure, DegenerateSituation) as e:
         kind = "usage" if isinstance(e, UsageError) else type(e).__name__
-        print(json.dumps({"error": str(e), "kind": kind}) if as_json else "error: %s" % e, file=sys.stderr)
+        print(_json({"error": str(e), "kind": kind}) if as_json else "error: %s" % e, file=sys.stderr)
         return 1
     except (InternalInvariantViolation, AssertionError) as e:
         msg = {"error": str(e), "kind": "internal-invariant-violation"}
-        print(json.dumps(msg) if as_json else "internal invariant violation: %s" % e, file=sys.stderr)
+        print(_json(msg) if as_json else "internal invariant violation: %s" % e, file=sys.stderr)
         return 2
     except ResourceLimit as e:
         msg = {"error": str(e), "kind": "resource-limit"}
-        print(json.dumps(msg) if as_json else "resource limit: %s" % e, file=sys.stderr)
+        print(_json(msg) if as_json else "resource limit: %s" % e, file=sys.stderr)
         return 3
 
 

@@ -25,11 +25,10 @@ decodes the same dict back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import NamedTuple
 
 from .errors import ResourceLimit
 
@@ -48,9 +47,10 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767
 MAX_ORDER = 1000
 
 
-class Derivative(NamedTuple):
-    var: int
-    order: int
+class Derivative(namedtuple("Derivative", "var order")):
+    """The derivative x_var^(order)."""
+
+    __slots__ = ()
 
 
 MONO_ONE = ()  # the unit monomial of the `terms` view
@@ -519,7 +519,6 @@ def _poly(ring, packed):
 # -- rankings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ranking:
     """Orderly or block-elimination ranking on derivatives.
 
@@ -528,16 +527,28 @@ class Ranking:
     within a block compare (order, var index).
     """
 
-    kind: str
-    blocks: tuple = ()
+    __slots__ = ("kind", "blocks")
 
-    def __post_init__(self):
-        if self.kind not in ("orderly", "elim"):
-            raise ValueError("unknown ranking kind %r" % self.kind)
-        if self.kind == "elim":
-            seen = [v for b in self.blocks for v in b]
+    def __init__(self, kind, blocks=()):
+        if kind not in ("orderly", "elim"):
+            raise ValueError("unknown ranking kind %r" % kind)
+        if kind == "elim":
+            seen = [v for b in blocks for v in b]
             if len(seen) != len(set(seen)):
                 raise ValueError("variable repeated across blocks")
+        self.kind = kind
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if type(other) is not Ranking:
+            return NotImplemented
+        return self.kind == other.kind and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.kind, self.blocks))
+
+    def __repr__(self):
+        return "Ranking(kind=%r, blocks=%r)" % (self.kind, self.blocks)
 
     def _block_of(self, var):
         for i, b in enumerate(self.blocks):

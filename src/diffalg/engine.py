@@ -13,13 +13,10 @@ move."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, jsonable, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
-    DivisionCertificate,
     InconsistentSystem,
     autoreduce_loop,
     dimensions,
@@ -53,19 +50,23 @@ class DegenerateSituation(Exception):
         super().__init__("degenerate pivot %d in variable %r" % (pivot_index, var))
 
 
-@dataclass(frozen=True)
 class ReductionStep:
-    kind: str  # "first-form" | "second-form" | "scripted" | "peel"
-    dividend: int
-    divisor: int
-    var: str
-    j_before: object  # weak convention
-    j_after: object
-    j_before_strong: object
-    j_after_strong: object
-    certificate: DivisionCertificate = None
-    matrix_after: OrderMatrix = None  # weak
-    matrix_after_strong: OrderMatrix = None
+    __slots__ = ("kind", "dividend", "divisor", "var", "j_before", "j_after", "j_before_strong",
+                 "j_after_strong", "certificate", "matrix_after", "matrix_after_strong")
+
+    def __init__(self, kind, dividend, divisor, var, j_before, j_after, j_before_strong, j_after_strong,
+                 certificate=None, matrix_after=None, matrix_after_strong=None):
+        self.kind = kind  # "first-form" | "second-form" | "scripted" | "peel"
+        self.dividend = dividend
+        self.divisor = divisor
+        self.var = var
+        self.j_before = j_before  # weak convention
+        self.j_after = j_after
+        self.j_before_strong = j_before_strong
+        self.j_after_strong = j_after_strong
+        self.certificate = certificate  # a DivisionCertificate
+        self.matrix_after = matrix_after  # weak OrderMatrix
+        self.matrix_after_strong = matrix_after_strong
 
     def to_json(self):
         out = {
@@ -87,11 +88,13 @@ class ReductionStep:
         return out
 
 
-@dataclass(frozen=True)
 class Trace:
-    steps: tuple
-    j_sequence: tuple  # weak convention, starting with the initial J
-    j_sequence_strong: tuple
+    __slots__ = ("steps", "j_sequence", "j_sequence_strong")
+
+    def __init__(self, steps, j_sequence, j_sequence_strong):
+        self.steps = steps
+        self.j_sequence = j_sequence  # weak convention, starting with the initial J
+        self.j_sequence_strong = j_sequence_strong
 
     def to_json(self):
         return {
@@ -238,15 +241,17 @@ def _is_linear(p: DiffPoly) -> bool:
     return all(_mono_degree(m) <= 1 for m in p._packed)
 
 
-@dataclass
 class LinearReduceResult:
-    trace: Trace
-    charset: AutoreducedSet  # None when nothing remains
-    diff_dim: int
-    abs_dim_bound: object  # int or +inf
-    j_initial: object  # strong convention
-    degenerate: bool
-    peel_orders: tuple
+    __slots__ = ("trace", "charset", "diff_dim", "abs_dim_bound", "j_initial", "degenerate", "peel_orders")
+
+    def __init__(self, trace, charset, diff_dim, abs_dim_bound, j_initial, degenerate, peel_orders):
+        self.trace = trace
+        self.charset = charset  # an AutoreducedSet, None when nothing remains
+        self.diff_dim = diff_dim
+        self.abs_dim_bound = abs_dim_bound  # int or +inf
+        self.j_initial = j_initial  # strong convention
+        self.degenerate = degenerate
+        self.peel_orders = peel_orders
 
 
 STEP_BUDGET_FACTOR = 10

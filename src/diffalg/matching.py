@@ -6,23 +6,25 @@ the directed-cycle walk used by the transversal arguments."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
 
 
-@dataclass(frozen=True)
 class BipartiteMultigraph:
     """Left vertices 0..left-1, right vertices 0..right-1, edges a multiset."""
 
-    left: int
-    right: int
-    edges: tuple  # ((l, r), ...) with repetitions allowed
+    __slots__ = ("left", "right", "edges")
 
-    def __post_init__(self):
-        for l, r in self.edges:
-            if not (0 <= l < self.left and 0 <= r < self.right):
+    def __init__(self, left, right, edges):
+        for l, r in edges:
+            if not (0 <= l < left and 0 <= r < right):
                 raise ValueError("edge (%d, %d) out of range" % (l, r))
+        self.left = left
+        self.right = right
+        self.edges = edges  # ((l, r), ...) with repetitions allowed
+
+    def __repr__(self):
+        return "BipartiteMultigraph(left=%r, right=%r, edges=%r)" % (self.left, self.right, self.edges)
 
     def adjacency(self):
         adj = [set() for _ in range(self.left)]
@@ -39,17 +41,24 @@ class BipartiteMultigraph:
         return dl, dr
 
 
-@dataclass(frozen=True)
 class Matching:
-    pairs: tuple  # ((l, r), ...), left-saturating, sorted by l
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = pairs  # ((l, r), ...), left-saturating, sorted by l
 
 
-@dataclass(frozen=True)
 class HallViolation:
     """A left set S with |N(S)| < |S|, witnessing that no matching exists."""
 
-    left_set: tuple
-    neighborhood: tuple
+    __slots__ = ("left_set", "neighborhood")
+
+    def __init__(self, left_set, neighborhood):
+        self.left_set = left_set
+        self.neighborhood = neighborhood
+
+    def __repr__(self):
+        return "HallViolation(left_set=%r, neighborhood=%r)" % (self.left_set, self.neighborhood)
 
 
 def _augment(adj, match_r, u, seen):

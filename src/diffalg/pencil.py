@@ -7,10 +7,9 @@ specializing w to a rational recovers a fiber in the original ring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffpoly import NEG_INF, Derivative, DiffPoly, DiffRing, separant, render
+from .diffpoly import NEG_INF, Derivative, DiffPoly, separant, render
 from .errors import InternalInvariantViolation
 from .reduction import AutoreducedSet, describe, membership
 
@@ -40,19 +39,23 @@ def is_degenerate(u: DiffPoly, var, charset: AutoreducedSet) -> bool:
     return membership(separant(u, var), charset)
 
 
-@dataclass(frozen=True)
 class RittPencil:
-    ring: DiffRing
-    ext_ring: DiffRing
-    pivot_index: int
-    var: int
-    leader: Derivative
-    degree: int
-    separant: DiffPoly
-    coseparant: DiffPoly
-    generator: DiffPoly  # t1 + w*s1 in the extended ring
-    carried: tuple  # the non-pivot equations, original ring
-    fresh: str
+    __slots__ = ("ring", "ext_ring", "pivot_index", "var", "leader", "degree", "separant", "coseparant",
+                 "generator", "carried", "fresh")
+
+    def __init__(self, ring, ext_ring, pivot_index, var, leader, degree, separant, coseparant, generator,
+                 carried, fresh):
+        self.ring = ring
+        self.ext_ring = ext_ring
+        self.pivot_index = pivot_index
+        self.var = var
+        self.leader = leader
+        self.degree = degree
+        self.separant = separant
+        self.coseparant = coseparant
+        self.generator = generator  # t1 + w*s1 in the extended ring
+        self.carried = carried  # the non-pivot equations, original ring
+        self.fresh = fresh
 
     def base_generators(self):
         """t1, s1 and the carried equations, all in the original ring."""

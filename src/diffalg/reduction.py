@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -80,7 +79,6 @@ def describe(p: DiffPoly) -> str:
     return text
 
 
-@dataclass(frozen=True)
 class DivisionCertificate:
     """s*f = sum Q_i(g_i) + r for a division of f by the divisors g_i.
 
@@ -100,12 +98,13 @@ class DivisionCertificate:
     and tests it for zero.
     """
 
-    S: DiffPoly
-    Q: tuple  # one LinOp per divisor
-    remainder: DiffPoly
-    den: object  # a positive int, or a Fraction for rational f or g_i
-    mode: str
-    multipliers: tuple = ()  # the individual step multipliers, in step order
+    def __init__(self, S, Q, remainder, den, mode, multipliers=()):
+        self.S = S
+        self.Q = Q  # one LinOp per divisor
+        self.remainder = remainder
+        self.den = den  # a positive int, or a Fraction for rational f or g_i
+        self.mode = mode
+        self.multipliers = multipliers  # the individual step multipliers, in step order
 
     @cached_property
     def s(self):
@@ -304,34 +303,33 @@ def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = Non
     return _violates(f, ld.var, ld.order, dg, mode) is None
 
 
-@dataclass(frozen=True)
 class AutoreducedSet:
     """Nonempty tuple of pairwise fully-reduced polynomials, strictly
     increasing in rank (leader key, leader degree) under the ranking."""
 
-    elements: tuple
-    ranking: Ranking
+    __slots__ = ("elements", "ranking")
 
-    def __post_init__(self):
-        els = self.elements
-        if not els:
+    def __init__(self, elements, ranking):
+        if not elements:
             raise ValueError("autoreduced set must be nonempty")
-        for p in els:
+        for p in elements:
             if not p or p.is_constant():
                 raise ValueError("autoreduced sets contain non-constants only")
-        ranks = [self.ranking.rank(p) for p in els]
+        ranks = [ranking.rank(p) for p in elements]
         for a, b in zip(ranks, ranks[1:]):
             if not a < b:
                 raise ValueError("elements must strictly increase in rank")
-        for i, p in enumerate(els):
-            for j, q in enumerate(els):
-                if i != j and not is_reduced_wrt(p, q, "full", self.ranking):
+        for i, p in enumerate(elements):
+            for j, q in enumerate(elements):
+                if i != j and not is_reduced_wrt(p, q, "full", ranking):
                     raise ValueError("element %d is not reduced w.r.t. element %d" % (i, j))
-        lvars = [self.ranking.leader(p).var for p in els]
+        lvars = [ranking.leader(p).var for p in elements]
         if len(set(lvars)) != len(lvars):
             raise InternalInvariantViolation(
-                "reduced elements share a leading variable: %s" % [describe(p) for p in els]
+                "reduced elements share a leading variable: %s" % [describe(p) for p in elements]
             )
+        self.elements = elements
+        self.ranking = ranking
 
     def leaders(self):
         return tuple(self.ranking.leader(p) for p in self.elements)
@@ -378,12 +376,14 @@ def _minimal_autoreduced(basis, ranking):
     return chosen
 
 
-@dataclass
 class CharSetResult:
-    charset: AutoreducedSet
-    converged: bool
-    rounds: int
-    multipliers: tuple = ()
+    __slots__ = ("charset", "converged", "rounds", "multipliers")
+
+    def __init__(self, charset, converged, rounds, multipliers=()):
+        self.charset = charset  # an AutoreducedSet
+        self.converged = converged
+        self.rounds = rounds
+        self.multipliers = multipliers
 
 
 def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharSetResult:

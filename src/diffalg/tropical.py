@@ -16,8 +16,7 @@ enumerating the n! permutations; tdet_brute does that for the tests only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diffpoly import NEG_INF, jsonable
 from .errors import InternalInvariantViolation, ResourceLimit
@@ -51,20 +50,33 @@ def _as_entries(rows):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class OrderMatrix:
-    entries: tuple
-    convention: str = "strong"
-    col_names: tuple = ()
+    __slots__ = ("entries", "convention", "col_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_entries(self.entries))
-        if self.convention not in ("weak", "strong"):
-            raise ValueError("unknown convention %r" % self.convention)
-        if self.convention == "weak":
-            for row in self.entries:
+    def __init__(self, entries, convention="strong", col_names=()):
+        entries = _as_entries(entries)
+        if convention not in ("weak", "strong"):
+            raise ValueError("unknown convention %r" % convention)
+        if convention == "weak":
+            for row in entries:
                 if NEG_INF in row:
                     raise ValueError("weak matrices have no -inf entries")
+        self.entries = entries
+        self.convention = convention
+        self.col_names = col_names
+
+    def __eq__(self, other):
+        if type(other) is not OrderMatrix:
+            return NotImplemented
+        return (self.entries, self.convention, self.col_names) == (
+            other.entries, other.convention, other.col_names)
+
+    def __hash__(self):
+        return hash((self.entries, self.convention, self.col_names))
+
+    def __repr__(self):
+        return "OrderMatrix(entries=%r, convention=%r, col_names=%r)" % (
+            self.entries, self.convention, self.col_names)
 
     @property
     def n(self):
@@ -194,16 +206,14 @@ def tdet_brute(entries):
     return best, tuple(wits)
 
 
-class Assignment(NamedTuple):
+class Assignment(namedtuple("Assignment", "value u v", defaults=(None, None))):
     """An optimal solution of the assignment problem behind tdet.
 
     u[i] + v[j] >= a_{i,j} for every finite entry, with equality on every
     maximizing transversal, so value = sum(u) + sum(v).  Without a finite
     transversal, value is -inf and u, v are None."""
 
-    value: object
-    u: tuple = None
-    v: tuple = None
+    __slots__ = ()
 
 
 def tdet_assignment(entries, potentials=False):
@@ -419,14 +429,29 @@ def second_from_third(entries):
     return out
 
 
-@dataclass(frozen=True)
 class FormCertificate:
     """Row/column permutations carrying a matrix into the named form."""
 
-    row_perm: tuple
-    col_perm: tuple
-    form: str
-    index: int = 0  # the search index i chosen by the second-form argument
+    __slots__ = ("row_perm", "col_perm", "form", "index")
+
+    def __init__(self, row_perm, col_perm, form, index=0):
+        self.row_perm = row_perm
+        self.col_perm = col_perm
+        self.form = form
+        self.index = index  # the search index i chosen by the second-form argument
+
+    def __eq__(self, other):
+        if type(other) is not FormCertificate:
+            return NotImplemented
+        return (self.row_perm, self.col_perm, self.form, self.index) == (
+            other.row_perm, other.col_perm, other.form, other.index)
+
+    def __hash__(self):
+        return hash((self.row_perm, self.col_perm, self.form, self.index))
+
+    def __repr__(self):
+        return "FormCertificate(row_perm=%r, col_perm=%r, form=%r, index=%r)" % (
+            self.row_perm, self.col_perm, self.form, self.index)
 
     def apply(self, entries):
         if isinstance(entries, OrderMatrix):

@@ -1,7 +1,13 @@
+import importlib.util
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffalg
 from diffalg.cli import main
 
 
@@ -235,3 +241,27 @@ def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
         assert err["kind"] == "resource-limit" and "over the cap" in err["error"]
         assert main(["dims", f]) == 3
         assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_cli_import_loads_no_stdlib_extras_and_every_traced_module():
+    # Under -S no .pth file is read, so an editable install is not on the
+    # path: the directory that holds the package goes there by hand.
+    src = str(Path(diffalg.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "import diffalg.cli",
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules))",
+        "print(' '.join(sorted(m[len('diffalg.'):] for m in sys.modules if m.startswith('diffalg.'))))",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    extras, loaded = out.stdout.split("\n")[:2]
+    assert extras == ""
+    # the benchmark's tracer looks each of these up in sys.modules
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = set(tracer.SPANS) | set(re.findall(r'sys\.modules\["diffalg\.(\w+)"\]', path.read_text()))
+    assert {"diffpoly", "engine", "matching", "pencil", "reduction", "textio", "tropical"} <= traced
+    assert traced <= set(loaded.split())

@@ -11,6 +11,7 @@ from diffalg import (
     DiffPoly,
     DiffRing,
     LinOp,
+    Ranking,
     ResourceLimit,
     elimination,
     initial,
@@ -172,6 +173,28 @@ def test_elimination_ranking():
     rk = elimination([[1], [0]])
     assert rk.key(Derivative(1, 100)) < rk.key(Derivative(0, 0))
     assert rk.leader(P("x + y^(9)")) == Derivative(0, 0)
+
+
+def test_ranking_is_a_validated_value():
+    assert Ranking("orderly") == orderly() == Ranking(kind="orderly", blocks=())
+    assert hash(Ranking("orderly")) == hash(orderly())
+    assert elimination([[1], [0]]) == Ranking("elim", ((1,), (0,)))
+    assert hash(elimination([[1], [0]])) == hash(Ranking(blocks=((1,), (0,)), kind="elim"))
+    assert elimination([[1], [0]]) != elimination([[0], [1]]) and orderly() != "orderly"
+    assert len({orderly(), orderly(), elimination([[0, 1]])}) == 2
+    assert repr(elimination([[1], [0]])) == "Ranking(kind='elim', blocks=((1,), (0,)))"
+    with pytest.raises(ValueError, match="unknown ranking kind 'lex'"):
+        Ranking("lex")
+    with pytest.raises(ValueError, match="variable repeated across blocks"):
+        elimination([[0], [1, 0]])
+
+
+def test_derivative_is_a_named_pair():
+    d = Derivative(var=1, order=2)
+    assert d == (1, 2) and d == Derivative(1, 2) and hash(d) == hash((1, 2))
+    assert (d.var, d.order) == (1, 2) and d._fields == ("var", "order")
+    assert repr(d) == "Derivative(var=1, order=2)"
+    assert d < Derivative(2, 0)
 
 
 def test_ranking_axioms_sampled():
@@ -495,7 +518,7 @@ def test_certificate_reads_match_scaling_by_one_over_den():
         g = rand_nonconstant(rng, R3, max_monos=3, coeffs=SMALL_RATIONALS)
         cert = ritt_divide(f, [g], rng.choice(["partial", "full"]), var=rng.choice(g.variables()))
         inv = Fraction(1, cert.den)
-        assert cert.s == cert.S * inv and cert.s is cert.s
+        assert cert.s == cert.S * inv and cert.s is cert.s and cert.quotients is cert.quotients
         assert cert.quotients == tuple(LinOp(R3, {k: c * inv for k, c in q.coeffs.items()}) for q in cert.Q)
         assert all(canonical(c) for q in cert.quotients for c in q.coeffs.values())
         checked += cert.den != 1

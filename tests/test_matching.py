@@ -22,6 +22,15 @@ def test_perfect_matching_found():
     assert len({r for _, r in m.pairs}) == 3
 
 
+def test_graph_rejects_edges_out_of_range():
+    g = BipartiteMultigraph(left=2, right=3, edges=((1, 2),))
+    assert (g.left, g.right, g.edges) == (2, 3, ((1, 2),))
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
+        BipartiteMultigraph(2, 3, ((0, 0), (0, 3)))
+    with pytest.raises(ValueError, match=r"edge \(2, 0\) out of range"):
+        BipartiteMultigraph(2, 3, ((2, 0),))
+
+
 def test_hall_violation_certificate():
     # lefts 0,1,2 all crowd into rights {0,1}
     g = BipartiteMultigraph(3, 3, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)))

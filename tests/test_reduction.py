@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +15,7 @@ import diffalg
 
 from diffalg import (
     AutoreducedSet,
+    DivisionCertificate,
     InconsistentSystem,
     LinOp,
     POS_INF,
@@ -127,13 +127,17 @@ def test_is_reduced_wrt():
 
 def test_autoreduced_set_validation():
     rk = orderly()
-    AutoreducedSet((P("x' - x"), P("y' - x")), rk)
-    with pytest.raises(ValueError):
-        AutoreducedSet((P("y' - x"), P("x' - x")), rk)  # ranks out of order
-    with pytest.raises(ValueError):
-        AutoreducedSet((P("x' - x"), P("x'' - x")), rk)  # not pairwise reduced
-    with pytest.raises(ValueError):
+    els = (P("x' - x"), P("y' - x"))
+    cs = AutoreducedSet(ranking=rk, elements=els)
+    assert cs.elements is els and cs.ranking is rk
+    with pytest.raises(ValueError, match="strictly increase in rank"):
+        AutoreducedSet((P("y' - x"), P("x' - x")), rk)
+    with pytest.raises(ValueError, match="element 1 is not reduced w.r.t. element 0"):
+        AutoreducedSet((P("x' - x"), P("x'' - x")), rk)
+    with pytest.raises(ValueError, match="nonempty"):
         AutoreducedSet((), rk)
+    with pytest.raises(ValueError, match="non-constants only"):
+        AutoreducedSet((P("3"),), rk)
 
 
 def test_induced_ordering():
@@ -405,11 +409,12 @@ def test_verify_rejects_tampered_certificates():
         bumped = dict(q.coeffs)
         bumped[k] = bumped.get(k, ring.zero()) + 1
         assert cert.verify(f, [g])
-        assert not dataclasses.replace(cert, S=cert.S * 2).verify(f, [g])
-        assert not dataclasses.replace(cert, Q=(LinOp(ring, bumped),)).verify(f, [g])
-        assert not dataclasses.replace(cert, remainder=cert.remainder + 1).verify(f, [g])
+        S, Q, r, den, mode = cert.S, cert.Q, cert.remainder, cert.den, cert.mode
+        assert not DivisionCertificate(S * 2, Q, r, den, mode).verify(f, [g])
+        assert not DivisionCertificate(S, (LinOp(ring, bumped),), r, den, mode).verify(f, [g])
+        assert not DivisionCertificate(S, Q, r + 1, den, mode).verify(f, [g])
         if cert.remainder:  # with r = 0 every den gives a true identity
-            assert not dataclasses.replace(cert, den=cert.den + 1).verify(f, [g])
+            assert not DivisionCertificate(S, Q, r, den + 1, mode).verify(f, [g])
         if q.coeffs:
             assert not cert.verify(f, [g + ring.var(0, 5)])
         rational += any(type(c) is Fraction for c in cert.s.terms.values())

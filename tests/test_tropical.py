@@ -4,6 +4,7 @@ import random
 import pytest
 
 from diffalg import (
+    FormCertificate,
     HypothesisFailure,
     NEG_INF,
     OrderMatrix,
@@ -26,7 +27,7 @@ from diffalg import (
     to_second_form,
     transversal_value,
 )
-from diffalg.tropical import compose, identity_perm, inverse, render_grid
+from diffalg.tropical import Assignment, compose, identity_perm, inverse, render_grid
 from diffalg.generators import rand_matrix
 from helpers import all_cycles, first_form_brute, second_form_brute
 
@@ -40,8 +41,34 @@ def test_order_matrix_conventions():
     ring, sys_ = parse_system("vars: x, y\nx' + y^(18)\n(y')^2 + y\n")
     assert order_matrix(sys_, None, "weak").entries == ((1, 18), (0, 1))
     assert order_matrix(sys_, None, "strong").entries == ((1, 18), (INF, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weak matrices have no -inf entries"):
         OrderMatrix(((1, INF),), "weak")
+    with pytest.raises(ValueError, match="unknown convention 'both'"):
+        OrderMatrix(((1,),), "both")
+    with pytest.raises(ValueError, match="ragged"):
+        OrderMatrix([[1, 2], [3]])
+
+
+def test_order_matrix_is_a_normalized_value():
+    m = OrderMatrix(entries=[[1, None], ["-inf", 2.0]])
+    assert (m.entries, m.convention, m.col_names) == (((1, INF), (INF, 2)), "strong", ())
+    assert m == OrderMatrix(((1, INF), (INF, 2)), "strong", ()) and hash(m) == hash(OrderMatrix(m.entries))
+    assert m != OrderMatrix(m.entries, col_names=("x", "y")) and m != m.entries
+    assert OrderMatrix(((1, 0),), "weak") != OrderMatrix(((1, 0),), "strong")
+    assert repr(OrderMatrix(((0,),), "weak", ("x",))) == (
+        "OrderMatrix(entries=((0,),), convention='weak', col_names=('x',))"
+    )
+    assert (m.n, m.m) == (2, 2)
+
+
+def test_form_certificate_and_assignment_values():
+    c = FormCertificate(row_perm=(1, 0), col_perm=(0, 1), form="first")
+    assert c.index == 0 and c == FormCertificate((1, 0), (0, 1), "first", 0)
+    assert hash(c) == hash(FormCertificate((1, 0), (0, 1), "first"))
+    assert c != FormCertificate((1, 0), (0, 1), "first", 1) and c != FormCertificate((1, 0), (0, 1), "second")
+    assert repr(c) == "FormCertificate(row_perm=(1, 0), col_perm=(0, 1), form='first', index=0)"
+    assert Assignment(INF) == (INF, None, None) and Assignment(value=3, v=(1,)).u is None
+    assert repr(Assignment(3, (1,), (2,))) == "Assignment(value=3, u=(1,), v=(2,))"
 
 
 def test_column_order_follows_var_order():
