@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 user or data error (a rejected command line
 included), 2 internal invariant violation, 3 resource limit (more maximizing
 transversals than `jacobi` lists, the step budget of `reduce-linear`
-exhausted, or an order or exponent over the caps of the packed monomials).
+exhausted, an order or exponent over the caps of the packed monomials, or
+an integer longer than the interpreter's limit on integer-to-string
+conversion).
 With --json every report (including errors) is a single JSON document."""
 
 from __future__ import annotations
@@ -130,13 +132,19 @@ def cmd_divide(args):
     _emit(args, cert.to_json(), text)
 
 
-def cmd_autoreduce(args):
+def _charset(args):
+    """(ring, autoreduce_loop result), the result None once an inconsistent system is reported."""
     ring, polys = _load(args)
-    rk = _ranking(args, ring)
     try:
-        res = autoreduce_loop(polys, rk)
+        return ring, autoreduce_loop(polys, _ranking(args, ring))
     except InconsistentSystem as e:
         _emit(args, {"inconsistent": True, "constant": e.text}, "inconsistent system (%s)" % e)
+        return ring, None
+
+
+def cmd_autoreduce(args):
+    _, res = _charset(args)
+    if res is None:
         return
     data = {
         "charset": [render(p) for p in res.charset.elements],
@@ -151,12 +159,8 @@ def cmd_autoreduce(args):
 
 
 def cmd_dims(args):
-    ring, polys = _load(args)
-    rk = _ranking(args, ring)
-    try:
-        res = autoreduce_loop(polys, rk)
-    except InconsistentSystem as e:
-        _emit(args, {"inconsistent": True, "constant": e.text}, "inconsistent system (%s)" % e)
+    ring, res = _charset(args)
+    if res is None:
         return
     dd, bound = dimensions(res.charset, ring.nvars)
     data = {"diff_dim": dd, "abs_dim_bound": jsonable(bound), "converged": res.converged}

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, digit_limit
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -360,11 +360,6 @@ class DiffPoly:
     def is_constant(self):
         return not self._support()
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return Fraction(self._packed.get(0, 0))
-
     def support(self):
         """All derivatives occurring in some monomial."""
         n = self.ring.nvars
@@ -415,8 +410,10 @@ class DiffPoly:
                 acc[m - one] = c * e
         return _poly(self.ring, _canon(acc))
 
-    def order_in(self, var, convention="strong"):
-        """Max derivative order of var; absent -> 0 (weak) or -inf (strong)."""
+    def order_in(self, var):
+        """Max derivative order of var, -inf when var does not occur (the
+        strong convention; tropical.weak_entries reads -inf as 0 for the
+        weak one)."""
         if isinstance(var, str):
             var = self.ring.index[var]
         w = self._support()
@@ -425,11 +422,18 @@ class DiffPoly:
             x = w & self.ring._layout.cover(w).var[var]
             if x:
                 return (x.bit_length() - 1) // (n * FIELD_BITS)
-        if convention == "weak":
-            return 0
-        if convention == "strong":
-            return NEG_INF
-        raise ValueError("unknown convention %r" % convention)
+        return NEG_INF
+
+    def leader_in(self, var):
+        """(x_var^(k), degree in it) for k the order of var, or None when var
+        does not occur."""
+        if isinstance(var, str):
+            var = self.ring.index[var]
+        o = self.order_in(var)
+        if o == NEG_INF:
+            return None
+        ld = Derivative(var, o)
+        return ld, self.deg_in(ld)
 
     def coeffs_in(self, d: Derivative):
         """View as univariate in d: dict degree -> coefficient polynomial."""
@@ -584,15 +588,6 @@ class Ranking:
         p._lead = (self, got)
         return got
 
-    def mono_key(self, m):
-        # descending multiset of derivative keys of a tuple monomial; total
-        # refinement of the ranking on leading derivatives
-        ks = []
-        for d, e in m:
-            ks.extend([self.key(d)] * e)
-        ks.sort(reverse=True)
-        return tuple(ks)
-
     def rank(self, p: DiffPoly):
         """(leader key, leader degree): the rank used by autoreduced sets."""
         ld, deg = self.leader_degree(p)
@@ -607,47 +602,34 @@ def elimination(blocks) -> Ranking:
     return Ranking("elim", tuple(tuple(b) for b in blocks))
 
 
+def _leader_degree(p: DiffPoly, var, ranking):
+    """(leader, degree): in var if given, else under ranking."""
+    if var is None:
+        return ranking.leader_degree(p)
+    got = p.leader_in(var)
+    if got is None:
+        name = var if isinstance(var, str) else p.ring.names[var]
+        raise ValueError("polynomial does not involve variable %s" % name)
+    return got
+
+
 def separant(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """d p / d(leader); leader taken in var if given, else under ranking."""
-    if var is not None:
-        if isinstance(var, str):
-            var = p.ring.index[var]
-        o = p.order_in(var, "strong")
-        if o == NEG_INF:
-            raise ValueError("polynomial does not involve variable %s" % p.ring.names[var])
-        ld = Derivative(var, int(o))
-    else:
-        ld = ranking.leader(p)
-    return p.partial(ld)
+    return p.partial(_leader_degree(p, var, ranking)[0])
 
 
 def initial(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """Coefficient of the highest power of the leader."""
-    if var is not None:
-        if isinstance(var, str):
-            var = p.ring.index[var]
-        o = p.order_in(var, "strong")
-        if o == NEG_INF:
-            raise ValueError("polynomial does not involve variable %s" % p.ring.names[var])
-        ld = Derivative(var, int(o))
-    else:
-        ld = ranking.leader(p)
-    cs = p.coeffs_in(ld)
-    return cs[max(cs)]
+    ld, d = _leader_degree(p, var, ranking)
+    return p._lowered(ld, d, d)
 
 
 def is_lower_than(f: DiffPoly, g: DiffPoly, var) -> bool:
     """f lower than g per var: smaller order, or equal order and smaller
     degree in the leading derivative of var."""
-    if isinstance(var, str):
-        var = f.ring.index[var]
-    of, og = f.order_in(var, "strong"), g.order_in(var, "strong")
-    if of != og:
-        return of < og
-    if of == NEG_INF:
-        return False
-    d = Derivative(var, int(of))
-    return f.deg_in(d) < g.deg_in(d)
+    lf, lg = f.leader_in(var), g.leader_in(var)
+    # (x_var^(k), degree) pairs of one variable compare by order, then degree
+    return lg is not None and (lf is None or lf < lg)
 
 
 # -- linear differential operators ----------------------------------------
@@ -663,26 +645,8 @@ class LinOp:
         self.ring = ring
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
-    @classmethod
-    def from_poly(cls, c: DiffPoly):
-        return cls(c.ring, {0: c})
-
-    def __add__(self, other):
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, self.ring.zero()) + c
-        return LinOp(self.ring, acc)
-
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.ring == other.ring and self.coeffs == other.coeffs
-
-    def dmul(self):
-        """Left multiplication by the derivation: D o L = sum c_k' D^k + c_k D^(k+1)."""
-        acc = {}
-        for k, c in self.coeffs.items():
-            acc[k] = acc.get(k, self.ring.zero()) + c.derive()
-            acc[k + 1] = acc.get(k + 1, self.ring.zero()) + c
-        return LinOp(self.ring, acc)
 
     def apply(self, g: DiffPoly) -> DiffPoly:
         acc = {}
@@ -731,17 +695,21 @@ def render(p: DiffPoly) -> str:
     if not t:
         return "0"
     out = []
-    for m in sorted(t, reverse=True):
-        c = t[m]
-        sign = "-" if c < 0 else "+"
-        a = abs(c)
-        if not m:
-            body = str(a)
-        elif a == 1:
-            body = _render_mono(p.ring, m)
-        else:
-            body = "%s*%s" % (a, _render_mono(p.ring, m))
-        out.append((sign, body))
+    try:
+        for m in sorted(t, reverse=True):
+            c = t[m]
+            sign = "-" if c < 0 else "+"
+            a = abs(c)
+            if not m:
+                body = str(a)
+            elif a == 1:
+                body = _render_mono(p.ring, m)
+            else:
+                body = "%s*%s" % (a, _render_mono(p.ring, m))
+            out.append((sign, body))
+    except ValueError:  # str() of a coefficient past the interpreter's digit limit
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
+        raise digit_limit("a coefficient of %d bits" % bits) from None
     first_sign, first_body = out[0]
     s = ("-" if first_sign == "-" else "") + first_body
     for sign, body in out[1:]:

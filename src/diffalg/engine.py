@@ -37,6 +37,7 @@ from .tropical import (
     tdet_assignment,
     to_first_form,
     to_second_form,
+    weak_entries,
 )
 
 
@@ -52,10 +53,10 @@ class DegenerateSituation(Exception):
 
 class ReductionStep:
     __slots__ = ("kind", "dividend", "divisor", "var", "j_before", "j_after", "j_before_strong",
-                 "j_after_strong", "certificate", "matrix_after", "matrix_after_strong")
+                 "j_after_strong", "certificate", "matrix_after_strong")
 
     def __init__(self, kind, dividend, divisor, var, j_before, j_after, j_before_strong, j_after_strong,
-                 certificate=None, matrix_after=None, matrix_after_strong=None):
+                 certificate=None, matrix_after_strong=None):
         self.kind = kind  # "first-form" | "second-form" | "scripted" | "peel"
         self.dividend = dividend
         self.divisor = divisor
@@ -65,8 +66,13 @@ class ReductionStep:
         self.j_before_strong = j_before_strong
         self.j_after_strong = j_after_strong
         self.certificate = certificate  # a DivisionCertificate
-        self.matrix_after = matrix_after  # weak OrderMatrix
         self.matrix_after_strong = matrix_after_strong
+
+    @property
+    def matrix_after(self):
+        """The weak OrderMatrix after the step, derived from the strong one."""
+        m = self.matrix_after_strong
+        return None if m is None else OrderMatrix(weak_entries(m.entries), "weak", m.col_names)
 
     def to_json(self):
         out = {
@@ -124,39 +130,42 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
-def _with_row(m, i, p):
-    """Order matrix m with row i recomputed from the polynomial p."""
-    row = tuple(p.order_in(name, m.convention) for name in m.col_names)
-    return OrderMatrix(m.entries[:i] + (row,) + m.entries[i + 1 :], m.convention, m.col_names)
+def _start(system, var_order):
+    """What every entry point carries from step to step: the system's strong
+    order matrix, its Assignment, and the weak Jacobi number, read off the
+    strong matrix."""
+    strong = order_matrix(system, var_order)
+    return strong, tdet_assignment(strong.entries, potentials=True), tdet(weak_entries(strong.entries))
 
 
-def _divide_step(system, di, gi, var, kind, weak, strong, jw, js):
+def _divide_step(system, di, gi, var, kind, strong, jw, js):
     """Divide equation di by equation gi in the variable named var: partial
-    division for a scripted step, full division for a form step.  weak and
-    strong are the system's order matrices and jw, js their Jacobi numbers;
-    only row di changes, so only it is recomputed, and the new strong matrix
-    is solved once.  Returns the new system, the step, and the Assignment of
-    the strong matrix after the step."""
+    division for a scripted step, full division for a form step.  strong is
+    the system's strong order matrix and jw, js its weak and strong Jacobi
+    numbers; only row di changes, so only it is recomputed, and the new
+    matrix is solved once.  Returns the new system, the step, and the
+    Assignment of the strong matrix after the step."""
     cert = ritt_divide(system[di], [system[gi]], "partial" if kind == "scripted" else "full", var=var)
     out = list(system)
     out[di] = cert.remainder
-    weak_a = _with_row(weak, di, cert.remainder)
-    strong_a = _with_row(strong, di, cert.remainder)
+    row = tuple(cert.remainder.order_in(name) for name in strong.col_names)
+    strong_a = OrderMatrix(strong.entries[:di] + (row,) + strong.entries[di + 1 :], "strong", strong.col_names)
     _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
     sol = tdet_assignment(strong_a.entries, potentials=True)
-    step = ReductionStep(kind, di, gi, var, jw, tdet(weak_a.entries), js, sol.value, cert, weak_a, strong_a)
+    jw_a = tdet(weak_entries(strong_a.entries))
+    step = ReductionStep(kind, di, gi, var, jw, jw_a, js, sol.value, cert, strong_a)
     return out, step, sol
 
 
-def _form_step(system, kind, charset, weak, strong, jw, js):
-    """The division of a form step, on a system whose order matrices are
-    known to be in `kind` form: equation 2 (first form) or n (second form)
+def _form_step(system, kind, charset, strong, jw, js):
+    """The division of a form step, on a system whose order matrix is known
+    to be in `kind` form: equation 2 (first form) or n (second form)
     by equation 1 in the first column's variable.  The Jacobi number must not
     rise, and a changed matrix must drop in Ritt's ordering."""
     var = strong.col_names[0]
     _check_pivot_separant(system, 0, system[0].ring.index[var], charset)
     dividend = 1 if kind == "first-form" else len(system) - 1
-    out, step, sol = _divide_step(system, dividend, 0, var, kind, weak, strong, jw, js)
+    out, step, sol = _divide_step(system, dividend, 0, var, kind, strong, jw, js)
     strong_a = step.matrix_after_strong
     if sol.value > js:
         raise InternalInvariantViolation(
@@ -172,13 +181,11 @@ def _form_step(system, kind, charset, weak, strong, jw, js):
 
 def _detected_form_step(system, var_order, kind, charset):
     system = list(system)
-    weak = order_matrix(system, var_order, "weak")
-    strong = order_matrix(system, var_order, "strong")
-    js = tdet(strong.entries)
+    strong, sol, jw = _start(system, var_order)
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(strong.entries, js):
+    if not detect(strong.entries, sol.value):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
-    out, step, _ = _form_step(system, kind, charset, weak, strong, tdet(weak.entries), js)
+    out, step, _ = _form_step(system, kind, charset, strong, jw, sol.value)
     return out, step
 
 
@@ -198,24 +205,22 @@ def scripted_divide(system, script, var_order=None):
     claimed, only the division bound and the certificate identity."""
     system = list(system)
     ring = system[0].ring
-    weak = order_matrix(system, var_order, "weak")
-    strong = order_matrix(system, var_order, "strong")
-    jw_seq, js_seq = [tdet(weak.entries)], [tdet(strong.entries)]
+    strong, sol, jw = _start(system, var_order)
+    jw_seq, js_seq = [jw], [sol.value]
     steps = []
     for pos, (di, gi, var) in enumerate(script):
         v = ring.index[var] if isinstance(var, str) else var
         if not (0 <= di < len(system) and 0 <= gi < len(system)) or di == gi:
             raise ValueError("script entry %d: bad equation indices" % pos)
         g = system[gi]
-        if g.order_in(v, "strong") == NEG_INF:
+        og = system[gi].order_in(v)
+        if og == NEG_INF:
             raise ValueError("script entry %d: divisor does not involve %s" % (pos, ring.names[v]))
-        if system[di].order_in(v, "strong") < g.order_in(v, "strong"):
+        if system[di].order_in(v) < og:
             raise ValueError("script entry %d: dividend has lower order in %s" % (pos, ring.names[v]))
-        system, step, _ = _divide_step(
-            system, di, gi, ring.names[v], "scripted", weak, strong, jw_seq[-1], js_seq[-1]
-        )
+        system, step, _ = _divide_step(system, di, gi, ring.names[v], "scripted", strong, jw_seq[-1], js_seq[-1])
         steps.append(step)
-        weak, strong = step.matrix_after, step.matrix_after_strong
+        strong = step.matrix_after_strong
         jw_seq.append(step.j_after)
         js_seq.append(step.j_after_strong)
     return system, Trace(tuple(steps), tuple(jw_seq), tuple(js_seq))
@@ -281,19 +286,14 @@ def linear_reduce(system) -> LinearReduceResult:
         if not _is_linear(p):
             raise ValueError("equation %d is not linear" % i)
 
-    orders = [p.order_in(v, "strong") for p in system for v in range(n)]
-    max_ord = max([int(o) for o in orders if o != NEG_INF], default=0)
-    budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
-
-    # The active system's order matrices and Jacobi numbers are carried from
-    # one iteration to the next: a peel takes a minor, a form step recomputes
-    # one row, and each new strong matrix is solved once, its Assignment
+    # The active system's strong order matrix and Jacobi numbers are carried
+    # from one iteration to the next: a peel takes a minor, a form step
+    # recomputes one row, and each new matrix is solved once, its Assignment
     # serving both the J-sequence and the next normalization.
-    weak = order_matrix(system, None, "weak")
-    strong = order_matrix(system, None, "strong")
-    sol = tdet_assignment(strong.entries, potentials=True)
-    jw = tdet(weak.entries)
+    strong, sol, jw = _start(system, None)
     j_init = sol.value
+    max_ord = max((e for row in strong.entries for e in row if e != NEG_INF), default=0)
+    budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
     vars_ = list(range(n))
     solved = []  # (equation, var, order) in peel order
@@ -327,26 +327,15 @@ def linear_reduce(system) -> LinearReduceResult:
             r, c = singleton
             o = int(a[r][c])
             solved.append((eqs[r], vars_[c], o))
-            steps.append(
-                ReductionStep(
-                    kind="peel",
-                    dividend=r,
-                    divisor=-1,
-                    var=ring.names[vars_[c]],
-                    j_before=jw_seq[-1],
-                    j_after=jw_seq[-1],
-                    j_before_strong=js_seq[-1],
-                    j_after_strong=js_seq[-1],
-                )
-            )
+            jw0, js0 = jw_seq[-1], js_seq[-1]  # a peel leaves J as it is
+            steps.append(ReductionStep("peel", r, -1, ring.names[vars_[c]], jw0, jw0, js0, js0))
             del eqs[r]
             del vars_[c]
             if eqs:
                 names = strong.col_names[:c] + strong.col_names[c + 1 :]
                 strong = OrderMatrix(minor(a, r, c), "strong", names)
-                weak = OrderMatrix(minor(weak.entries, r, c), "weak", names)
                 sol = tdet_assignment(strong.entries, potentials=True)
-                jw = tdet(weak.entries)
+                jw = tdet(weak_entries(strong.entries))
             report()
             continue
         # every live column is shared: normalize with the first column in
@@ -358,10 +347,8 @@ def linear_reduce(system) -> LinearReduceResult:
         eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
         vars_ = [vars_[fc.col_perm[j]] for j in range(len(vars_))]
         names = tuple(ring.names[v] for v in vars_)
-        strong_b = OrderMatrix(fc.apply(a), "strong", names)
-        weak_b = OrderMatrix(fc.apply(weak.entries), "weak", names)
-        eqs, step, sol = _form_step(eqs, kind, None, weak_b, strong_b, jw, sol.value)
-        strong, weak, jw = step.matrix_after_strong, step.matrix_after, step.j_after
+        eqs, step, sol = _form_step(eqs, kind, None, OrderMatrix(fc.apply(a), "strong", names), jw, sol.value)
+        strong, jw = step.matrix_after_strong, step.j_after
         steps.append(step)
         report()
         used += 1

@@ -7,10 +7,11 @@ specializing w to a rational recovers a fiber in the original ring."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .diffpoly import NEG_INF, Derivative, DiffPoly, separant, render
-from .errors import InternalInvariantViolation
+from .diffpoly import DiffPoly, render, separant
+from .errors import InternalInvariantViolation, digit_limit, digits_size
 from .reduction import AutoreducedSet, describe, membership
 
 
@@ -19,14 +20,14 @@ def coseparant(u: DiffPoly, var):
     ring = u.ring
     if isinstance(var, str):
         var = ring.index[var]
-    o = u.order_in(var, "strong")
-    if o == NEG_INF:
+    got = u.leader_in(var)
+    if got is None:
         raise ValueError("pivot does not involve %s" % ring.names[var])
-    ld = Derivative(var, int(o))
-    d = u.deg_in(ld)
-    s1 = separant(u, var)
-    t1 = u * d - ring.var(var, int(o)) * s1
-    if u * d != t1 + ring.var(var, int(o)) * s1:
+    ld, d = got
+    s1 = u.partial(ld)
+    lv = ring.var(var, ld.order)
+    t1 = u * d - lv * s1
+    if u * d != t1 + lv * s1:
         raise InternalInvariantViolation(
             "coseparant identity d*u = t1 + leader*s1 failed for u = %s, d = %d: t1 = %s, s1 = %s"
             % (describe(u), d, describe(t1), describe(s1))
@@ -89,11 +90,25 @@ def build_pencil(system, pivot_index, var, fresh="w") -> RittPencil:
     return RittPencil(ring, ext, pivot_index, var, ld, d, s1, t1, gen, carried, fresh)
 
 
+def _well_formed(text):
+    """Whether Fraction reads text once each run of digits is cut to one."""
+    try:
+        Fraction(re.sub(r"\d+", "1", text))
+    except ValueError:
+        return False
+    return True
+
+
 def fiber_at(pencil: RittPencil, mu):
     """Specialize w = mu; returns the fiber system in the original ring."""
     try:
         mu = Fraction(mu)
     except ZeroDivisionError:
         raise ValueError("fiber value %s has a zero denominator" % (mu,))
+    except ValueError:
+        # a well-formed value fails only on the interpreter's digit limit
+        if not isinstance(mu, str) or not _well_formed(mu):
+            raise
+        raise digit_limit("fiber value of %s" % digits_size(sum(map(str.isdigit, mu)))) from None
     fib = pencil.coseparant + pencil.separant * mu
     return (fib,) + pencil.carried

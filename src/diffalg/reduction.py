@@ -44,7 +44,7 @@ from .diffpoly import (
     orderly,
     render,
 )
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, ResourceLimit
 
 
 class InconsistentSystem(Exception):
@@ -65,7 +65,7 @@ def describe(p: DiffPoly) -> str:
     limit on int-to-str conversion."""
     try:
         text = render(p)
-    except ValueError:
+    except ResourceLimit:
         if p.is_constant():
             (c,) = p._packed.values()
             text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
@@ -167,13 +167,8 @@ def _primitive(p: DiffPoly):
     return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
 
 
-def _division_var(g: DiffPoly, ranking: Ranking):
-    ld = ranking.leader(g)
-    return ld.var
-
-
 def _violates(r, v, vg, dg, mode):
-    rv = r.order_in(v, "strong")
+    rv = r.order_in(v)
     if rv == NEG_INF or rv < vg:
         return None
     if rv > vg:
@@ -207,24 +202,20 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     if var is not None:
         if len(divisors) != 1:
             raise ValueError("explicit variable needs exactly one divisor")
-        if isinstance(var, str):
-            var = ring.index[var]
-        dvars = [var]
-        if divisors[0].order_in(var, "strong") == NEG_INF:
+        leads = [divisors[0].leader_in(var)]
+        if leads[0] is None:
             raise ValueError("divisor does not involve the division variable")
     else:
         if ranking is None:
             ranking = orderly()
-        dvars = [_division_var(g, ranking) for g in divisors]
-        if len(set(dvars)) != len(dvars):
+        # the ranking's leader is the top derivative of its own variable
+        leads = [ranking.leader_degree(g) for g in divisors]
+        if len({lg.var for lg, _ in leads}) != len(leads):
             raise ValueError("divisors must have distinct leading variables")
 
     info = []  # per divisor: g, its variable, order, leader degree, separant, initial
-    for g, v in zip(divisors, dvars):
-        vg = int(g.order_in(v, "strong"))
-        lg = Derivative(v, vg)
-        dg = g.deg_in(lg)
-        info.append((g, v, vg, dg, g.partial(lg), g._lowered(lg, dg, dg)))
+    for g, (lg, dg) in zip(divisors, leads):
+        info.append((g, lg.var, lg.order, dg, g.partial(lg), g._lowered(lg, dg, dg)))
 
     chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
     S = ring.one()
@@ -386,14 +377,17 @@ class CharSetResult:
         self.multipliers = multipliers
 
 
-def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharSetResult:
+MAX_ROUNDS = 64
+
+
+def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
     """Ritt-Wu style characteristic set iteration without case splitting.
 
     Each round: take a minimal autoreduced subset of the basis, fully reduce
     the rest against it, adjoin nonzero remainders.  A nonzero constant
     remainder (or generator) raises InconsistentSystem.  The chosen
     autoreduced set must strictly decrease in the induced ordering whenever
-    the basis changes.  Without convergence within max_rounds the last
+    the basis changes.  Without convergence within MAX_ROUNDS the last
     chosen set is returned with converged=False.
     """
     if ranking is None:
@@ -407,7 +401,7 @@ def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharS
 
     mults = []
     prev = None
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         chosen = _minimal_autoreduced(basis, ranking)
         aset = AutoreducedSet(tuple(chosen), ranking)
         if prev is not None and not compare_autoreduced(aset, prev) < 0:
@@ -432,7 +426,7 @@ def autoreduce_loop(generators, ranking: Ranking = None, max_rounds=64) -> CharS
             return CharSetResult(aset, True, rounds, tuple(mults))
         basis = chosen + new
         prev = aset
-    return CharSetResult(aset, False, max_rounds, tuple(mults))
+    return CharSetResult(aset, False, MAX_ROUNDS, tuple(mults))
 
 
 def membership(f: DiffPoly, charset: AutoreducedSet) -> bool:

@@ -9,7 +9,8 @@ Grammar (whitespace-insensitive within a line):
 Primes mark orders 1..3 in output but any count parses; x^(k) parses for
 k >= 0.  A bare '^' followed by an integer is a power, so x'^2 is (x')^2.
 Orders over diffpoly.MAX_ORDER and powers over diffpoly.MAX_EXPONENT raise
-ResourceLimit, an implementation cap, before anything is built.
+ResourceLimit, an implementation cap, before anything is built; so does an
+integer literal longer than the interpreter converts from text.
 
 System files: one polynomial per line, '#' comments, optional leading
 "vars: x, y, z" line fixing the variable order.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .diffpoly import MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
-from .errors import ResourceLimit
+from .errors import ResourceLimit, digit_limit, digits_size
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^/()'])|(?P<bad>\S))"
@@ -51,7 +52,11 @@ def _tokenize(text):
         if m.group("name"):
             out.append(("name", m.group("name"), m.start("name")))
         elif m.group("int"):
-            out.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                out.append(("int", int(m.group("int")), m.start("int")))
+            except ValueError:  # more digits than the interpreter converts
+                where = " at column %d: %r" % (m.start("int") + 1, text)
+                raise digit_limit("integer of %s" % digits_size(len(m.group("int"))), where) from None
         else:
             out.append(("op", m.group("op"), m.start("op")))
         pos = m.end()

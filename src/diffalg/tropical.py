@@ -94,6 +94,12 @@ class OrderMatrix:
         }
 
 
+def weak_entries(entries):
+    """The weak convention's entries from the strong ones: an absent
+    variable's order -inf is read as 0."""
+    return tuple(tuple(0 if e == NEG_INF else e for e in row) for row in entries)
+
+
 def order_matrix(polys, var_order=None, convention="strong") -> OrderMatrix:
     """Row per polynomial, column per variable, entry = order of the variable."""
     polys = list(polys)
@@ -103,7 +109,9 @@ def order_matrix(polys, var_order=None, convention="strong") -> OrderMatrix:
     if var_order is None:
         var_order = list(range(ring.nvars))
     cols = [ring.index[v] if isinstance(v, str) else v for v in var_order]
-    ents = tuple(tuple(p.order_in(j, convention) for j in cols) for p in polys)
+    ents = tuple(tuple(p.order_in(j) for j in cols) for p in polys)
+    if convention == "weak":
+        ents = weak_entries(ents)
     return OrderMatrix(ents, convention, tuple(ring.names[j] for j in cols))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from diffalg import DiffRing, NEG_INF
 
-NAMES = ("x", "y", "z", "t")
+NAMES = ("x", "y", "z", "t", "u", "v")
 
 
 def ring_of(nvars):
@@ -166,16 +166,27 @@ def is_canonical_monomial(m):
         and all(a[0] < b[0] for a, b in zip(m, m[1:]))
     )
 
+def mono_key(m, ranking):
+    """Descending multiset of the ranking's keys of the derivatives of a
+    tuple monomial: a total refinement of the ranking on leading derivatives."""
+    ks = []
+    for d, e in m:
+        ks.extend([ranking.key(d)] * e)
+    ks.sort(reverse=True)
+    return tuple(ks)
+
+
 def ref_render(p):
-    """render(p) from the terms view: terms sorted by the orderly ranking's
-    mono_key, factors by descending (order, var)."""
+    """render(p) from the terms view: terms sorted by mono_key under the
+    orderly ranking, factors by descending (order, var)."""
     from diffalg import orderly
     from diffalg.diffpoly import render_derivative
 
     if not p.terms:
         return "0"
     out = []
-    for m in sorted(p.terms, key=orderly().mono_key, reverse=True):
+    rk = orderly()
+    for m in sorted(p.terms, key=lambda m: mono_key(m, rk), reverse=True):
         c = p.terms[m]
         facs = sorted(m, key=lambda de: (de[0].order, de[0].var), reverse=True)
         mono = "*".join(render_derivative(p.ring, d) + ("^%d" % e if e > 1 else "") for d, e in facs)

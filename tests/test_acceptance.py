@@ -96,7 +96,7 @@ def test_scripted_trace():
 def _reduced_in(r, g, v, mode):
     from diffalg import Derivative
 
-    rv, gv = r.order_in(v, "strong"), g.order_in(v, "strong")
+    rv, gv = r.order_in(v), g.order_in(v)
     if rv == NEG_INF or rv < gv:
         return True
     if rv > gv:

@@ -243,6 +243,28 @@ def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
         assert capsys.readouterr().err.startswith("resource limit: ")
 
 
+def test_integer_string_limit_is_exit_3(sysfile, capsys):
+    # valid inputs with integers longer than the interpreter converts to or
+    # from text: a power under MAX_EXPONENT, met by render; a 5,000-digit
+    # literal, met by the tokenizer; the same value as a fiber
+    big = sysfile("vars: x, y\nx - 2^20000\ny' - x\n", "power.sys")
+    literal = sysfile("vars: x, y\nx - %s\ny' - x\n" % ("7" * 5000), "literal.sys")
+    cases = [
+        ["autoreduce", big],
+        ["reduce-linear", big],
+        ["pencil", big, "--pivot", "0", "--var", "x"],
+        ["divide", big, "--dividend", "1", "--divisor", "0", "--var", "x", "--mode", "full"],
+        ["jacobi", literal],
+        ["pencil", sysfile("vars: x, y\nx'^2 - x\ny' - x\n"), "--pivot", "0", "--var", "x", "--fibers", "7" * 5000],
+    ]
+    for argv in cases:
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and " bits" in err and "integer-string conversion" in err
+        assert main(argv + ["--json"]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "resource-limit"
+
+
 def test_cli_import_loads_no_stdlib_extras_and_every_traced_module():
     # Under -S no .pth file is read, so an editable install is not on the
     # path: the directory that holds the package goes there by hand.

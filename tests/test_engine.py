@@ -121,8 +121,7 @@ def _valid_moves(system, ring):
         for di, f in enumerate(system)
         for gi, g in enumerate(system)
         for name in ring.names
-        if di != gi and g.order_in(name, "strong") != NEG_INF
-        and f.order_in(name, "strong") >= g.order_in(name, "strong")
+        if di != gi and g.order_in(name) != NEG_INF and f.order_in(name) >= g.order_in(name)
     ]
 
 
@@ -317,3 +316,39 @@ def test_linear_reduce_traces_pinned():
     # traces with certificates, charsets and bounds of a seeded corpus; a
     # change to the arithmetic must reproduce them exactly
     assert _linear_reduce_digest(2027, 120) == "cd95d9a6ffa4f31660db24a50f6663d5d1d29338c63b0353041fb9aeb72ec304"
+
+
+def _wide_digest(seed, count):
+    # the linear-wide shape: 5-6 variables of order <= 2, one linear_reduce
+    # and one two-step scripted_divide per system
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ring = ring_of(rng.randint(5, 6))
+        sys_ = rand_linear_system(rng, ring, max_order=2)
+        script = [rng.choice(_valid_moves(sys_, ring))]
+        cur, _ = scripted_divide(sys_, script)
+        moves = _valid_moves(cur, ring)
+        if moves:
+            script.append(rng.choice(moves))
+        final, trace = scripted_divide(sys_, script)
+        out.append([script, trace.to_json(), [render(p) for p in final]])
+        try:
+            res = linear_reduce(sys_)
+        except InconsistentSystem as e:
+            out.append(["inconsistent", e.text])
+            continue
+        out.append([
+            res.trace.to_json(),
+            [render(p) for p in res.charset.elements] if res.charset else None,
+            str(res.abs_dim_bound),
+            res.diff_dim,
+            res.degenerate,
+        ])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_wide_traces_pinned():
+    # weak and strong matrices and J-sequences of wide systems, from
+    # linear_reduce and from scripted divisions, exactly as recorded
+    assert _wide_digest(2031, 120) == "721a3d31f9eedcf61de5ffc67e0fe102aa9bb79fd599d6172d9f5ed3066a15d5"
