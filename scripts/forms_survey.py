@@ -6,17 +6,27 @@ Run:  python3 scripts/forms_survey.py --count 2000 --seed 7
 
 import argparse
 import random
+import sys
 
 from diffalg import (
     HypothesisFailure,
     NEG_INF,
     detect_first_form,
     detect_second_form,
+    render_grid,
     tdet,
     to_first_form,
     to_second_form,
 )
 from diffalg.generators import rand_matrix
+
+
+def normalized(a, normalize, detect):
+    """normalize(a), checked by its detector on every run, also under -O."""
+    cert = normalize(a)
+    if not detect(cert.apply(a)):
+        print("%s fails its detector on\n%s\nwith %r" % (normalize.__name__, render_grid(a), cert), file=sys.stderr)
+        sys.exit(1)
 
 
 def main():
@@ -35,15 +45,13 @@ def main():
             tally["singular"] += 1
             continue
         try:
-            cert = to_first_form(a)
-            assert detect_first_form(cert.apply(a))
+            normalized(a, to_first_form, detect_first_form)
             tally["first"] += 1
             continue
         except HypothesisFailure:
             pass
         try:
-            cert = to_second_form(a)
-            assert detect_second_form(cert.apply(a))
+            normalized(a, to_second_form, detect_second_form)
             tally["second"] += 1
         except HypothesisFailure:
             tally["neither"] += 1

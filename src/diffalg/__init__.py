@@ -27,7 +27,7 @@ from .engine import (
     step_first_form,
     step_second_form,
 )
-from .errors import ResourceLimit
+from .errors import InternalInvariantViolation, ResourceLimit
 from .matching import (
     BipartiteMultigraph,
     HallViolation,
@@ -36,7 +36,7 @@ from .matching import (
     find_directed_cycle,
     hall_matching,
 )
-from .pencil import RittPencil, build_pencil, coseparant, fiber_at, is_degenerate
+from .pencil import RittPencil, build_pencil, coseparant, fiber_at
 from .reduction import (
     AutoreducedSet,
     CharSetResult,
@@ -54,9 +54,7 @@ from .textio import ParseError, parse_poly, parse_system
 from .tropical import (
     FormCertificate,
     HypothesisFailure,
-    InternalInvariantViolation,
     OrderMatrix,
-    cycle_decompose,
     cyclic_sum,
     detect_first_form,
     detect_second_form,
@@ -65,11 +63,9 @@ from .tropical import (
     permute,
     render_grid,
     ritt_compare,
-    second_from_third,
     tdet,
     tdet_assignment,
     tdet_brute,
-    third_from_second,
     to_first_form,
     to_second_form,
     transversal_value,

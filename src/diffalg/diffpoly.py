@@ -196,11 +196,16 @@ class DiffRing:
     def one(self):
         return self.const(1)
 
+    def var_index(self, which) -> int:
+        """The index of a variable given by name or by index."""
+        idx = self.index.get(which) if isinstance(which, str) else which
+        if idx is None or not 0 <= idx < self.nvars:
+            raise ValueError("no variable %r" % (which,))
+        return idx
+
     def var(self, which, order=0) -> "DiffPoly":
         """The derivative x_which^(order) as a polynomial."""
-        idx = self.index[which] if isinstance(which, str) else which
-        if not 0 <= idx < self.nvars:
-            raise ValueError("no variable %r" % (which,))
+        idx = self.var_index(which)
         if order < 0:
             raise ValueError("negative order")
         if order > MAX_ORDER:
@@ -415,7 +420,7 @@ class DiffPoly:
         strong convention; tropical.weak_entries reads -inf as 0 for the
         weak one)."""
         if isinstance(var, str):
-            var = self.ring.index[var]
+            var = self.ring.var_index(var)
         w = self._support()
         n = self.ring.nvars
         if w and 0 <= var < n:
@@ -427,8 +432,7 @@ class DiffPoly:
     def leader_in(self, var):
         """(x_var^(k), degree in it) for k the order of var, or None when var
         does not occur."""
-        if isinstance(var, str):
-            var = self.ring.index[var]
+        var = self.ring.var_index(var)
         o = self.order_in(var)
         if o == NEG_INF:
             return None
@@ -608,8 +612,7 @@ def _leader_degree(p: DiffPoly, var, ranking):
         return ranking.leader_degree(p)
     got = p.leader_in(var)
     if got is None:
-        name = var if isinstance(var, str) else p.ring.names[var]
-        raise ValueError("polynomial does not involve variable %s" % name)
+        raise ValueError("polynomial does not involve variable %s" % p.ring.names[p.ring.var_index(var)])
     return got
 
 

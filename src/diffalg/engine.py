@@ -52,6 +52,10 @@ class DegenerateSituation(Exception):
 
 
 class ReductionStep:
+    """One step of a trace.  Its J values and matrix_after_strong describe
+    the system it acted on; in linear_reduce a form step acts on the active
+    system left after the peels (see linear_reduce for the totals)."""
+
     __slots__ = ("kind", "dividend", "divisor", "var", "j_before", "j_after", "j_before_strong",
                  "j_after_strong", "certificate", "matrix_after_strong")
 
@@ -163,7 +167,7 @@ def _form_step(system, kind, charset, strong, jw, js):
     by equation 1 in the first column's variable.  The Jacobi number must not
     rise, and a changed matrix must drop in Ritt's ordering."""
     var = strong.col_names[0]
-    _check_pivot_separant(system, 0, system[0].ring.index[var], charset)
+    _check_pivot_separant(system, 0, system[0].ring.var_index(var), charset)
     dividend = 1 if kind == "first-form" else len(system) - 1
     out, step, sol = _divide_step(system, dividend, 0, var, kind, strong, jw, js)
     strong_a = step.matrix_after_strong
@@ -209,7 +213,7 @@ def scripted_divide(system, script, var_order=None):
     jw_seq, js_seq = [jw], [sol.value]
     steps = []
     for pos, (di, gi, var) in enumerate(script):
-        v = ring.index[var] if isinstance(var, str) else var
+        v = ring.var_index(var)
         if not (0 <= di < len(system) and 0 <= gi < len(system)) or di == gi:
             raise ValueError("script entry %d: bad equation indices" % pos)
         g = system[gi]
@@ -274,7 +278,13 @@ def linear_reduce(system) -> LinearReduceResult:
     derivatives; the absolute dimension bound is the sum of the peeled orders
     and never exceeds the initial strong Jacobi number.  Rank-deficient or
     underdetermined situations fall back to the general autoreduction loop
-    and report an infinite bound."""
+    and report an infinite bound.
+
+    The trace's J-sequences are totals: after step k they hold the orders
+    peeled so far plus the active system's Jacobi number.  A form step's own
+    J_before/J_after and matrix_after* describe only the active system, so
+    j_sequence_strong[k + 1] is the peeled orders plus steps[k].j_after_strong;
+    a peel step's J values are the unchanged total."""
     system = list(system)
     if not system:
         raise ValueError("empty system")

@@ -1,7 +1,7 @@
 """Bipartite matching with Hall certificates, regular decompositions, the
 lexicographically least perfect matching and the enumeration of all perfect
 matchings of a square graph (the tropical layer's witness questions), and
-the directed-cycle walk used by the transversal arguments."""
+the paper's directed-cycle construction, which no other module calls."""
 
 from __future__ import annotations
 
@@ -194,7 +194,8 @@ def find_directed_cycle(successor):
     """A directed cycle in an out-degree-one digraph without self-loops.
 
     `successor` is a sequence with successor[i] the unique out-neighbour of
-    i.  Walk from the smallest vertex; the first repeat closes the cycle."""
+    i.  Walk from the smallest vertex; the first repeat closes the cycle.
+    The paper's directed-cycle construction, kept as such."""
     n = len(successor)
     for i, s in enumerate(successor):
         if not 0 <= s < n:

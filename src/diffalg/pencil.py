@@ -10,16 +10,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, render, separant
+from .diffpoly import DiffPoly, render
 from .errors import InternalInvariantViolation, digit_limit, digits_size
-from .reduction import AutoreducedSet, describe, membership
+from .reduction import describe
 
 
 def coseparant(u: DiffPoly, var):
     """(t1, s1, leader, degree) with d*u = t1 + leader*s1."""
     ring = u.ring
-    if isinstance(var, str):
-        var = ring.index[var]
+    var = ring.var_index(var)
     got = u.leader_in(var)
     if got is None:
         raise ValueError("pivot does not involve %s" % ring.names[var])
@@ -33,11 +32,6 @@ def coseparant(u: DiffPoly, var):
             % (describe(u), d, describe(t1), describe(s1))
         )
     return t1, s1, ld, d
-
-
-def is_degenerate(u: DiffPoly, var, charset: AutoreducedSet) -> bool:
-    """Whether the pivot's separant vanishes on the component of the charset."""
-    return membership(separant(u, var), charset)
 
 
 class RittPencil:
@@ -81,8 +75,7 @@ def build_pencil(system, pivot_index, var, fresh="w") -> RittPencil:
         raise ValueError("pivot index out of range")
     u = system[pivot_index]
     ring = u.ring
-    if isinstance(var, str):
-        var = ring.index[var]
+    var = ring.var_index(var)
     t1, s1, ld, d = coseparant(u, var)
     ext = ring.extend(fresh)
     gen = ext.lift(t1) + ext.var(fresh) * ext.lift(s1)

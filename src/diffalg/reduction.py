@@ -461,7 +461,7 @@ def elimination_project(charset: AutoreducedSet, keep) -> AutoreducedSet:
     exactly the kept variables; the kept polynomials must form a prefix.
     """
     ring = charset.elements[0].ring
-    keep_idx = tuple(ring.index[v] if isinstance(v, str) else v for v in keep)
+    keep_idx = tuple(ring.var_index(v) for v in keep)
     rk = charset.ranking
     if rk.kind != "elim" or set(rk.blocks[0]) != set(keep_idx):
         raise ValueError("ranking's lowest block must equal the kept variables")

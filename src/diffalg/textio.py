@@ -19,6 +19,7 @@ System files: one polynomial per line, '#' comments, optional leading
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .diffpoly import MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
 from .errors import ResourceLimit, digit_limit, digits_size
@@ -143,8 +144,6 @@ class _Parser:
                     raise ParseError("expected denominator", self.text, pos3)
                 if v3 == 0:
                     raise ParseError("zero denominator", self.text, pos3)
-                from fractions import Fraction
-
                 return self.ring.const(Fraction(val, v3))
             return self.ring.const(val)
         if kind == "name":

@@ -11,6 +11,9 @@ maximizing transversals.  Witness lists and the normalizers' questions
 (does some maximizing transversal avoid the column-1 maximum? which one is
 lexicographically least?) are answered by matchings of that graph, never by
 enumerating the n! permutations; tdet_brute does that for the tests only.
+
+The functions here take a matrix as a tuple of row tuples (OrderMatrix.entries);
+only tdet and ritt_compare also accept an OrderMatrix itself.
 """
 
 from __future__ import annotations
@@ -31,23 +34,12 @@ class HypothesisFailure(Exception):
 
 
 def _as_entries(rows):
-    out = []
-    width = None
-    for row in rows:
-        r = []
-        for e in row:
-            if e == NEG_INF or e is None or e == "-inf":
-                r.append(NEG_INF)
-            else:
-                r.append(int(e))
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValueError("ragged matrix")
-        out.append(tuple(r))
-    if not out or width == 0:
+    out = tuple(tuple(row) for row in rows)
+    if any(len(row) != len(out[0]) for row in out):
+        raise ValueError("ragged matrix")
+    if not out or not out[0]:
         raise ValueError("empty matrix")
-    return tuple(out)
+    return out
 
 
 class OrderMatrix:
@@ -108,7 +100,7 @@ def order_matrix(polys, var_order=None, convention="strong") -> OrderMatrix:
     ring = polys[0].ring
     if var_order is None:
         var_order = list(range(ring.nvars))
-    cols = [ring.index[v] if isinstance(v, str) else v for v in var_order]
+    cols = [ring.var_index(v) for v in var_order]
     ents = tuple(tuple(p.order_in(j) for j in cols) for p in polys)
     if convention == "weak":
         ents = weak_entries(ents)
@@ -154,27 +146,6 @@ def transposition(n, i, j):
     return tuple(p)
 
 
-def cycle_decompose(perm):
-    """(cycles, fixed points); cycles in orbit order from their least element."""
-    seen = set()
-    cycles, fixed = [], []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            orbit.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        if len(orbit) == 1:
-            fixed.append(start)
-        else:
-            cycles.append(tuple(orbit))
-    return cycles, fixed
-
-
 # -- tropical determinant ---------------------------------------------------
 
 
@@ -196,7 +167,8 @@ def cyclic_sum(entries, cycle):
 
 def tdet_brute(entries):
     """(value, all maximizing permutations); factorial, for n <= 8.  The
-    independent oracle of the tests; the program itself never calls it."""
+    independent oracle of the tests; the program itself never calls it, and
+    the benchmark's tracer (bench/tracer.py) wraps it by name."""
     n = len(entries)
     if len(entries[0]) != n:
         raise ValueError("tdet needs a square matrix")
@@ -356,8 +328,6 @@ def ritt_compare(a, b) -> str:
 def detect_first_form(entries, value=None) -> bool:
     """Diagonal is a maximizing transversal, a21 >= a11 != -inf.  `value`,
     when given, is the known tdet of the matrix."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         return False
@@ -387,8 +357,6 @@ def detect_second_form(entries, value=None, minor_value=None) -> bool:
     a_{n,1} a column maximum and the inner diagonal maximal in the minor.
     `value` and `minor_value`, when given, are the known tdet of the matrix
     and of the minor without its last row and column."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         return False
@@ -399,8 +367,6 @@ def detect_second_form(entries, value=None, minor_value=None) -> bool:
 
 def detect_third_form(entries) -> bool:
     """Column-cycled image of the second form."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         return False
@@ -417,24 +383,6 @@ def _cols_cycle(n):
     for j in range(2, n):
         rho[j] = j - 1
     return tuple(rho)
-
-
-def third_from_second(entries):
-    if not detect_second_form(entries):
-        raise ValueError("input is not in second form")
-    out = permute(entries, identity_perm(len(entries)), _cols_cycle(len(entries)))
-    if not detect_third_form(out):
-        raise InternalInvariantViolation("column cycle of %r is not in third form" % (entries,))
-    return out
-
-
-def second_from_third(entries):
-    if not detect_third_form(entries):
-        raise ValueError("input is not in third form")
-    out = permute(entries, identity_perm(len(entries)), inverse(_cols_cycle(len(entries))))
-    if not detect_second_form(out):
-        raise InternalInvariantViolation("column cycle of %r is not in second form" % (entries,))
-    return out
 
 
 class FormCertificate:
@@ -462,8 +410,6 @@ class FormCertificate:
             self.row_perm, self.col_perm, self.form, self.index)
 
     def apply(self, entries):
-        if isinstance(entries, OrderMatrix):
-            entries = entries.entries
         return permute(entries, self.row_perm, self.col_perm)
 
     def to_json(self):
@@ -480,8 +426,6 @@ def _normalizer_input(entries, sol):
     and the tight graph without the column-1 edges at the column maximum
     (whose perfect matchings are the maximizing transversals meeting
     column 1 strictly below its maximum)."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         raise ValueError("need a square matrix, n >= 2")

@@ -265,6 +265,15 @@ def test_integer_string_limit_is_exit_3(sysfile, capsys):
         assert json.loads(capsys.readouterr().err)["kind"] == "resource-limit"
 
 
+def _bench_tracer():
+    """bench/tracer.py, loaded as a module without running the benchmark."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer, path
+
+
 def test_cli_import_loads_no_stdlib_extras_and_every_traced_module():
     # Under -S no .pth file is read, so an editable install is not on the
     # path: the directory that holds the package goes there by hand.
@@ -280,10 +289,39 @@ def test_cli_import_loads_no_stdlib_extras_and_every_traced_module():
     extras, loaded = out.stdout.split("\n")[:2]
     assert extras == ""
     # the benchmark's tracer looks each of these up in sys.modules
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer, path = _bench_tracer()
     traced = set(tracer.SPANS) | set(re.findall(r'sys\.modules\["diffalg\.(\w+)"\]', path.read_text()))
     assert {"diffpoly", "engine", "matching", "pencil", "reduction", "textio", "tropical"} <= traced
     assert traced <= set(loaded.split())
+
+
+def test_bench_tracer_installs_and_restores_every_wrapped_name():
+    # The benchmark's tracer wraps diffalg's functions and methods by name,
+    # so each name it lists (tdet_brute, hall_matching, step_first_form,
+    # step_second_form, detect_third_form, DiffPoly.coeffs_in,
+    # DivisionCertificate.verify, ...) stays public although only tests or
+    # the benchmark call it.  Deleting or renaming one fails here.
+    tracer_mod, _ = _bench_tracer()
+    from diffalg.diffpoly import DiffPoly
+    from diffalg.reduction import DivisionCertificate
+
+    mods = {name: mod for name, mod in sys.modules.items() if name == "diffalg" or name.startswith("diffalg.")}
+    before = {name: dict(vars(mod)) for name, mod in mods.items()}
+    classes = {cls: dict(vars(cls)) for cls in (DiffPoly, DivisionCertificate)}
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for modname, names in tracer_mod.SPANS.items():
+            for fname in names:
+                assert hasattr(getattr(sys.modules["diffalg." + modname], fname), "__wrapped__"), fname
+        for method in (DiffPoly.__mul__, DiffPoly.derive, DiffPoly.coeffs_in, DivisionCertificate.verify):
+            assert hasattr(method, "__wrapped__")
+        diffalg.linear_reduce(diffalg.parse_system("vars: x, y\nx'' + y\nx + y'\n")[1])
+        assert tracer.summary()["calls"]["linear_reduce"] == 1
+    finally:
+        tracer.restore()
+    for name, mod in mods.items():
+        now = vars(mod)
+        assert all(now[k] is v for k, v in before[name].items()), name
+    for cls, attrs in classes.items():
+        assert all(vars(cls)[k] is v for k, v in attrs.items()), cls

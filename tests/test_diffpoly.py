@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -7,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from diffalg import (
     NEG_INF,
+    AutoreducedSet,
     Derivative,
     DiffPoly,
     DiffRing,
     LinOp,
     Ranking,
     ResourceLimit,
+    build_pencil,
+    coseparant,
     elimination,
+    elimination_project,
     initial,
     is_lower_than,
     order_matrix,
@@ -21,6 +26,7 @@ from diffalg import (
     parse_poly,
     render,
     ritt_divide,
+    scripted_divide,
     separant,
 )
 from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MONO_ONE, _addmul, _canon, _decode, _encode, _poly
@@ -230,6 +236,34 @@ def test_is_lower_than():
     assert is_lower_than(P("x'"), P("x'^2"), "x")
     assert not is_lower_than(P("x'^2"), P("x'"), "x")
     assert is_lower_than(R3.zero(), P("x"), "x")
+
+
+def test_bad_variable_is_one_value_error():
+    # every name-or-index variable argument goes through DiffRing.var_index
+    ring = DiffRing(("x", "y"))
+    system = [parse_poly("x'^2 - y", ring), parse_poly("x'' - y'", ring)]
+    u = system[0]
+    charset = AutoreducedSet((parse_poly("y' - y", ring), parse_poly("x' - y", ring)), elimination([[1], [0]]))
+    assert (ring.var_index("y"), ring.var_index(1)) == (1, 1)
+    for bad in (5, -1, "q"):
+        calls = [
+            lambda: ring.var_index(bad),
+            lambda: ring.var(bad),
+            lambda: separant(u, bad),
+            lambda: initial(u, bad),
+            lambda: coseparant(u, bad),
+            lambda: build_pencil(system, 0, bad),
+            lambda: u.leader_in(bad),
+            lambda: order_matrix(system, [0, bad]),
+            lambda: scripted_divide(system, [(1, 0, bad)]),
+            lambda: ritt_divide(system[1], [u], var=bad),
+            lambda: elimination_project(charset, [bad]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("no variable %r" % (bad,))):
+                call()
+    # an int outside the ring still reads as an absent variable's order
+    assert u.order_in(5) == NEG_INF
 
 
 # -- linear differential operators -------------------------------------------

@@ -78,6 +78,9 @@ def test_step_degenerate_pivot():
     cs = AutoreducedSet((P("x'^2 - y"),), orderly())
     out, step = step_first_form(sys_, charset=cs)
     assert step.j_after_strong <= step.j_before_strong
+    # one on which it does vanish (the separant 2x' on x' = 0) still blocks it
+    with pytest.raises(DegenerateSituation):
+        step_first_form(sys_, charset=AutoreducedSet((P("x'"),), orderly()))
 
 
 # -- scripted divisions ----------------------------------------------------------
@@ -214,6 +217,31 @@ def test_linear_reduce_random_smoke():
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         if not res.degenerate:
             assert res.abs_dim_bound <= res.j_initial
+
+
+def test_linear_reduce_j_sequence_adds_the_peeled_orders():
+    # A form step's J values belong to the active system left after the
+    # peels; the J-sequence reports totals, which add the orders peeled so
+    # far.  A peel leaves the total as it is.
+    rng = random.Random(3)
+    mixed = 0
+    for _ in range(150):
+        sys_ = rand_linear_system(rng, R3, max_order=4)
+        try:
+            res = linear_reduce(sys_)
+        except InconsistentSystem:
+            continue
+        tr, peels = res.trace, iter(res.peel_orders)
+        peeled = 0
+        for k, step in enumerate(tr.steps):
+            if step.kind == "peel":
+                peeled += next(peels)
+                assert tr.j_sequence_strong[k + 1] == step.j_after_strong
+            else:
+                assert tr.j_sequence_strong[k + 1] == peeled + step.j_after_strong
+                assert tr.j_sequence[k + 1] == peeled + step.j_after
+                mixed += peeled > 0
+    assert mixed > 20  # form steps after a peel occur in this corpus
 
 
 # -- past the old n <= 8 cap, solve counts, step budget ------------------------------

@@ -4,13 +4,10 @@ from fractions import Fraction
 import pytest
 
 from diffalg import (
-    AutoreducedSet,
     build_pencil,
     coseparant,
     fiber_at,
-    is_degenerate,
     is_lower_than,
-    orderly,
     parse_poly,
     separant,
 )
@@ -59,15 +56,6 @@ def test_fiber_pivot_is_lower():
         pen = build_pencil([u], 0, v)
         mu = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         assert is_lower_than(fiber_at(pen, mu)[0], u, v)
-
-
-def test_is_degenerate():
-    # on the component of x'^2 - x ... not degenerate: 2x' stays nonzero there
-    cs = AutoreducedSet((P("x'^2 - x"),), orderly())
-    assert not is_degenerate(P("x'^2 - x"), "x", cs)
-    # but the separant of x'^2 (pivot x'^2, component x' = 0) does vanish
-    cs2 = AutoreducedSet((P("x'"),), orderly())
-    assert is_degenerate(P("x'^2"), "x", cs2)
 
 
 def test_pencil_errors():
