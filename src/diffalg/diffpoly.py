@@ -718,3 +718,26 @@ def render(p: DiffPoly) -> str:
     for sign, body in out[1:]:
         s += " %s %s" % (sign, body)
     return s
+
+
+_DESCRIBE_LIMIT = 1000  # characters of a polynomial shown in an error message
+
+
+def describe(p: DiffPoly) -> str:
+    """render(p) for error messages: cut after _DESCRIBE_LIMIT characters, and
+    sized instead of written out when a coefficient passes the interpreter's
+    limit on int-to-str conversion."""
+    try:
+        text = render(p)
+    except ResourceLimit:
+        if p.is_constant():
+            (c,) = p._packed.values()
+            text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
+            if c.denominator != 1:
+                text += "/<%d-bit integer>" % c.denominator.bit_length()
+            return text
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p._packed.values())
+        return "<%d-term polynomial, coefficients up to %d bits>" % (len(p._packed), bits)
+    if len(text) > _DESCRIBE_LIMIT:
+        text = "%s ... <%d characters>" % (text[:_DESCRIBE_LIMIT], len(text))
+    return text

@@ -13,6 +13,8 @@ move."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, jsonable, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
@@ -51,26 +53,16 @@ class DegenerateSituation(Exception):
         super().__init__("degenerate pivot %d in variable %r" % (pivot_index, var))
 
 
-class ReductionStep:
+class ReductionStep(namedtuple("ReductionStep", "kind dividend divisor var j_before j_after j_before_strong "
+                               "j_after_strong certificate matrix_after_strong", defaults=(None, None))):
     """One step of a trace.  Its J values and matrix_after_strong describe
     the system it acted on; in linear_reduce a form step acts on the active
-    system left after the peels (see linear_reduce for the totals)."""
+    system left after the peels (see linear_reduce for the totals).
 
-    __slots__ = ("kind", "dividend", "divisor", "var", "j_before", "j_after", "j_before_strong",
-                 "j_after_strong", "certificate", "matrix_after_strong")
+    kind is "first-form", "second-form", "scripted" or "peel"; j_before and
+    j_after are in the weak convention; certificate is a DivisionCertificate."""
 
-    def __init__(self, kind, dividend, divisor, var, j_before, j_after, j_before_strong, j_after_strong,
-                 certificate=None, matrix_after_strong=None):
-        self.kind = kind  # "first-form" | "second-form" | "scripted" | "peel"
-        self.dividend = dividend
-        self.divisor = divisor
-        self.var = var
-        self.j_before = j_before  # weak convention
-        self.j_after = j_after
-        self.j_before_strong = j_before_strong
-        self.j_after_strong = j_after_strong
-        self.certificate = certificate  # a DivisionCertificate
-        self.matrix_after_strong = matrix_after_strong
+    __slots__ = ()
 
     @property
     def matrix_after(self):
@@ -98,13 +90,11 @@ class ReductionStep:
         return out
 
 
-class Trace:
-    __slots__ = ("steps", "j_sequence", "j_sequence_strong")
+class Trace(namedtuple("Trace", "steps j_sequence j_sequence_strong")):
+    """The steps of a run and its Jacobi numbers, starting with the initial
+    J; j_sequence is in the weak convention."""
 
-    def __init__(self, steps, j_sequence, j_sequence_strong):
-        self.steps = steps
-        self.j_sequence = j_sequence  # weak convention, starting with the initial J
-        self.j_sequence_strong = j_sequence_strong
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -134,12 +124,17 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
+def _solve(strong):
+    """The one solve of a new strong order matrix: its Assignment and the
+    weak Jacobi number, read off the strong matrix."""
+    return tdet_assignment(strong.entries), tdet(weak_entries(strong.entries))
+
+
 def _start(system, var_order):
     """What every entry point carries from step to step: the system's strong
-    order matrix, its Assignment, and the weak Jacobi number, read off the
-    strong matrix."""
+    order matrix, its Assignment, and the weak Jacobi number."""
     strong = order_matrix(system, var_order)
-    return strong, tdet_assignment(strong.entries, potentials=True), tdet(weak_entries(strong.entries))
+    return (strong,) + _solve(strong)
 
 
 def _divide_step(system, di, gi, var, kind, strong, jw, js):
@@ -155,8 +150,7 @@ def _divide_step(system, di, gi, var, kind, strong, jw, js):
     row = tuple(cert.remainder.order_in(name) for name in strong.col_names)
     strong_a = OrderMatrix(strong.entries[:di] + (row,) + strong.entries[di + 1 :], "strong", strong.col_names)
     _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
-    sol = tdet_assignment(strong_a.entries, potentials=True)
-    jw_a = tdet(weak_entries(strong_a.entries))
+    sol, jw_a = _solve(strong_a)
     step = ReductionStep(kind, di, gi, var, jw, jw_a, js, sol.value, cert, strong_a)
     return out, step, sol
 
@@ -175,7 +169,7 @@ def _form_step(system, kind, charset, strong, jw, js):
         raise InternalInvariantViolation(
             "J increased: %s -> %s\n%s" % (js, sol.value, render_grid(strong_a.entries))
         )
-    if strong_a.entries != strong.entries and ritt_compare(strong_a, strong) != LESS:
+    if strong_a.entries != strong.entries and ritt_compare(strong_a.entries, strong.entries) != LESS:
         raise InternalInvariantViolation(
             "matrix did not drop in Ritt's ordering:\n%s\n->\n%s"
             % (render_grid(strong.entries), render_grid(strong_a.entries))
@@ -250,17 +244,12 @@ def _is_linear(p: DiffPoly) -> bool:
     return all(_mono_degree(m) <= 1 for m in p._packed)
 
 
-class LinearReduceResult:
-    __slots__ = ("trace", "charset", "diff_dim", "abs_dim_bound", "j_initial", "degenerate", "peel_orders")
+class LinearReduceResult(namedtuple("LinearReduceResult", "trace charset diff_dim abs_dim_bound j_initial "
+                                     "degenerate peel_orders")):
+    """charset is an AutoreducedSet, None when nothing remains;
+    abs_dim_bound is an int or +inf; j_initial is in the strong convention."""
 
-    def __init__(self, trace, charset, diff_dim, abs_dim_bound, j_initial, degenerate, peel_orders):
-        self.trace = trace
-        self.charset = charset  # an AutoreducedSet, None when nothing remains
-        self.diff_dim = diff_dim
-        self.abs_dim_bound = abs_dim_bound  # int or +inf
-        self.j_initial = j_initial  # strong convention
-        self.degenerate = degenerate
-        self.peel_orders = peel_orders
+    __slots__ = ()
 
 
 STEP_BUDGET_FACTOR = 10
@@ -305,7 +294,6 @@ def linear_reduce(system) -> LinearReduceResult:
     max_ord = max((e for row in strong.entries for e in row if e != NEG_INF), default=0)
     budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
-    vars_ = list(range(n))
     solved = []  # (equation, var, order) in peel order
     steps = []
     # reported J: sum of peeled orders plus J of the active submatrix
@@ -328,7 +316,7 @@ def linear_reduce(system) -> LinearReduceResult:
             break
         a = strong.entries
         singleton = None
-        for c in range(len(vars_)):
+        for c in range(len(a[0])):
             rows = [i for i in range(len(eqs)) if a[i][c] != NEG_INF]
             if len(rows) == 1:
                 singleton = (rows[0], c)
@@ -336,16 +324,15 @@ def linear_reduce(system) -> LinearReduceResult:
         if singleton is not None:
             r, c = singleton
             o = int(a[r][c])
-            solved.append((eqs[r], vars_[c], o))
+            name = strong.col_names[c]
+            solved.append((eqs[r], ring.var_index(name), o))
             jw0, js0 = jw_seq[-1], js_seq[-1]  # a peel leaves J as it is
-            steps.append(ReductionStep("peel", r, -1, ring.names[vars_[c]], jw0, jw0, js0, js0))
+            steps.append(ReductionStep("peel", r, -1, name, jw0, jw0, js0, js0))
             del eqs[r]
-            del vars_[c]
             if eqs:
                 names = strong.col_names[:c] + strong.col_names[c + 1 :]
                 strong = OrderMatrix(minor(a, r, c), "strong", names)
-                sol = tdet_assignment(strong.entries, potentials=True)
-                jw = tdet(weak_entries(strong.entries))
+                sol, jw = _solve(strong)
             report()
             continue
         # every live column is shared: normalize with the first column in
@@ -355,8 +342,7 @@ def linear_reduce(system) -> LinearReduceResult:
         except HypothesisFailure:
             fc, kind = to_second_form(a, sol), "second-form"
         eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
-        vars_ = [vars_[fc.col_perm[j]] for j in range(len(vars_))]
-        names = tuple(ring.names[v] for v in vars_)
+        names = tuple(strong.col_names[j] for j in fc.col_perm)
         eqs, step, sol = _form_step(eqs, kind, None, OrderMatrix(fc.apply(a), "strong", names), jw, sol.value)
         strong, jw = step.matrix_after_strong, step.j_after
         steps.append(step)

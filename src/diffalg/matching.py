@@ -5,7 +5,7 @@ the paper's directed-cycle construction, which no other module calls."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .errors import InternalInvariantViolation
 
@@ -41,24 +41,16 @@ class BipartiteMultigraph:
         return dl, dr
 
 
-class Matching:
-    __slots__ = ("pairs",)
+class Matching(namedtuple("Matching", "pairs")):
+    """pairs is ((l, r), ...), left-saturating, sorted by l."""
 
-    def __init__(self, pairs):
-        self.pairs = pairs  # ((l, r), ...), left-saturating, sorted by l
+    __slots__ = ()
 
 
-class HallViolation:
+class HallViolation(namedtuple("HallViolation", "left_set neighborhood")):
     """A left set S with |N(S)| < |S|, witnessing that no matching exists."""
 
-    __slots__ = ("left_set", "neighborhood")
-
-    def __init__(self, left_set, neighborhood):
-        self.left_set = left_set
-        self.neighborhood = neighborhood
-
-    def __repr__(self):
-        return "HallViolation(left_set=%r, neighborhood=%r)" % (self.left_set, self.neighborhood)
+    __slots__ = ()
 
 
 def _augment(adj, match_r, u, seen):

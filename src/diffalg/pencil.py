@@ -8,11 +8,11 @@ specializing w to a rational recovers a fiber in the original ring."""
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, render
+from .diffpoly import DiffPoly, describe, render
 from .errors import InternalInvariantViolation, digit_limit, digits_size
-from .reduction import describe
 
 
 def coseparant(u: DiffPoly, var):
@@ -34,23 +34,12 @@ def coseparant(u: DiffPoly, var):
     return t1, s1, ld, d
 
 
-class RittPencil:
-    __slots__ = ("ring", "ext_ring", "pivot_index", "var", "leader", "degree", "separant", "coseparant",
-                 "generator", "carried", "fresh")
+class RittPencil(namedtuple("RittPencil", "ring ext_ring pivot_index var leader degree separant coseparant "
+                             "generator carried fresh")):
+    """generator is t1 + w*s1 in the extended ring; carried holds the
+    non-pivot equations, in the original ring."""
 
-    def __init__(self, ring, ext_ring, pivot_index, var, leader, degree, separant, coseparant, generator,
-                 carried, fresh):
-        self.ring = ring
-        self.ext_ring = ext_ring
-        self.pivot_index = pivot_index
-        self.var = var
-        self.leader = leader
-        self.degree = degree
-        self.separant = separant
-        self.coseparant = coseparant
-        self.generator = generator  # t1 + w*s1 in the extended ring
-        self.carried = carried  # the non-pivot equations, original ring
-        self.fresh = fresh
+    __slots__ = ()
 
     def base_generators(self):
         """t1, s1 and the carried equations, all in the original ring."""

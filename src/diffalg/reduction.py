@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,10 +42,11 @@ from .diffpoly import (
     _canon,
     _integral,
     _poly,
+    describe,
     orderly,
     render,
 )
-from .errors import InternalInvariantViolation, ResourceLimit
+from .errors import InternalInvariantViolation
 
 
 class InconsistentSystem(Exception):
@@ -54,29 +56,6 @@ class InconsistentSystem(Exception):
         self.constant = constant
         self.text = describe(constant)
         super().__init__("nonzero constant remainder %s" % self.text)
-
-
-_DESCRIBE_LIMIT = 1000  # characters of a polynomial shown in an error message
-
-
-def describe(p: DiffPoly) -> str:
-    """render(p) for error messages: cut after _DESCRIBE_LIMIT characters, and
-    sized instead of written out when a coefficient passes the interpreter's
-    limit on int-to-str conversion."""
-    try:
-        text = render(p)
-    except ResourceLimit:
-        if p.is_constant():
-            (c,) = p._packed.values()
-            text = "%s<%d-bit integer>" % ("-" if c < 0 else "", c.numerator.bit_length())
-            if c.denominator != 1:
-                text += "/<%d-bit integer>" % c.denominator.bit_length()
-            return text
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p._packed.values())
-        return "<%d-term polynomial, coefficients up to %d bits>" % (len(p._packed), bits)
-    if len(text) > _DESCRIBE_LIMIT:
-        text = "%s ... <%d characters>" % (text[:_DESCRIBE_LIMIT], len(text))
-    return text
 
 
 class DivisionCertificate:
@@ -367,14 +346,10 @@ def _minimal_autoreduced(basis, ranking):
     return chosen
 
 
-class CharSetResult:
-    __slots__ = ("charset", "converged", "rounds", "multipliers")
+class CharSetResult(namedtuple("CharSetResult", "charset converged rounds multipliers", defaults=((),))):
+    """charset is an AutoreducedSet."""
 
-    def __init__(self, charset, converged, rounds, multipliers=()):
-        self.charset = charset  # an AutoreducedSet
-        self.converged = converged
-        self.rounds = rounds
-        self.multipliers = multipliers
+    __slots__ = ()
 
 
 MAX_ROUNDS = 64

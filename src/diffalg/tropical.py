@@ -12,8 +12,8 @@ maximizing transversals.  Witness lists and the normalizers' questions
 lexicographically least?) are answered by matchings of that graph, never by
 enumerating the n! permutations; tdet_brute does that for the tests only.
 
-The functions here take a matrix as a tuple of row tuples (OrderMatrix.entries);
-only tdet and ritt_compare also accept an OrderMatrix itself.
+The functions here take a matrix as a tuple of row tuples (OrderMatrix.entries),
+never an OrderMatrix itself.
 """
 
 from __future__ import annotations
@@ -196,12 +196,12 @@ class Assignment(namedtuple("Assignment", "value u v", defaults=(None, None))):
     __slots__ = ()
 
 
-def tdet_assignment(entries, potentials=False):
+def tdet_assignment(entries):
     """Tropical determinant by Kuhn's Hungarian method, O(n^3) on integers.
 
-    -inf entries are forbidden cells, never padded.  Returns the value, or
-    with potentials=True the whole Assignment, whose potentials are Jacobi's
-    canon offsets (Pryce's Sigma-method offsets)."""
+    -inf entries are forbidden cells, never padded.  Returns the Assignment:
+    the value and the potentials, which are Jacobi's canon offsets (Pryce's
+    Sigma-method offsets)."""
     n = len(entries)
     if len(entries[0]) != n:
         raise ValueError("tdet needs a square matrix")
@@ -234,7 +234,7 @@ def tdet_assignment(entries, potentials=False):
                     if minv[j] < delta:
                         delta, j1 = minv[j], j
             if j1 < 0:  # no alternating path to a free column: Hall fails
-                return Assignment(NEG_INF) if potentials else NEG_INF
+                return Assignment(NEG_INF)
             for j in range(n):
                 if used[j]:
                     u[owner[j]] -= delta
@@ -253,8 +253,6 @@ def tdet_assignment(entries, potentials=False):
     for j in range(n):
         rho[owner[j]] = j
     value = sum(entries[i][rho[i]] for i in range(n))
-    if not potentials:
-        return value
     return Assignment(value, tuple(u), tuple(v[:n]))
 
 
@@ -271,11 +269,9 @@ def _tight_graph(entries, sol):
 def tdet(entries, witnesses=False):
     """Tropical determinant; with witnesses=True also every maximizing
     permutation, in lexicographic order, up to WITNESS_LIMIT of them."""
-    if isinstance(entries, OrderMatrix):
-        entries = entries.entries
+    sol = tdet_assignment(entries)
     if not witnesses:
-        return tdet_assignment(entries)
-    sol = tdet_assignment(entries, potentials=True)
+        return sol.value
     if sol.value == NEG_INF:
         return NEG_INF, ()
     wits = []
@@ -308,10 +304,6 @@ def ritt_key(entries):
 
 
 def ritt_compare(a, b) -> str:
-    if isinstance(a, OrderMatrix):
-        a = a.entries
-    if isinstance(b, OrderMatrix):
-        b = b.entries
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         raise ValueError("shape mismatch")
     ka, kb = ritt_key(a), ritt_key(b)
@@ -385,29 +377,12 @@ def _cols_cycle(n):
     return tuple(rho)
 
 
-class FormCertificate:
-    """Row/column permutations carrying a matrix into the named form."""
+class FormCertificate(namedtuple("FormCertificate", "row_perm col_perm form index", defaults=(0,))):
+    """Row/column permutations carrying a matrix into the named form.  index
+    is the search index i chosen by the second-form argument (it shadows
+    tuple.index)."""
 
-    __slots__ = ("row_perm", "col_perm", "form", "index")
-
-    def __init__(self, row_perm, col_perm, form, index=0):
-        self.row_perm = row_perm
-        self.col_perm = col_perm
-        self.form = form
-        self.index = index  # the search index i chosen by the second-form argument
-
-    def __eq__(self, other):
-        if type(other) is not FormCertificate:
-            return NotImplemented
-        return (self.row_perm, self.col_perm, self.form, self.index) == (
-            other.row_perm, other.col_perm, other.form, other.index)
-
-    def __hash__(self):
-        return hash((self.row_perm, self.col_perm, self.form, self.index))
-
-    def __repr__(self):
-        return "FormCertificate(row_perm=%r, col_perm=%r, form=%r, index=%r)" % (
-            self.row_perm, self.col_perm, self.form, self.index)
+    __slots__ = ()
 
     def apply(self, entries):
         return permute(entries, self.row_perm, self.col_perm)
@@ -430,7 +405,7 @@ def _normalizer_input(entries, sol):
     if n < 2 or len(entries[0]) != n:
         raise ValueError("need a square matrix, n >= 2")
     if sol is None:
-        sol = tdet_assignment(entries, potentials=True)
+        sol = tdet_assignment(entries)
     if sol.value == NEG_INF:
         raise HypothesisFailure("no finite transversal")
     col0 = [row[0] for row in entries]
@@ -445,7 +420,7 @@ def _normalizer_input(entries, sol):
 def to_first_form(entries, sol=None) -> FormCertificate:
     """Hypothesis: some maximizing transversal meets column 1 strictly below
     its (finite) maximum.  Column 1 is never moved.  `sol`, when given, is
-    tdet_assignment(entries, potentials=True)."""
+    tdet_assignment(entries)."""
     entries, sol, _, _, below = _normalizer_input(entries, sol)
     n = len(entries)
     rho = lex_least_perfect_matching(below)
@@ -469,7 +444,7 @@ def to_first_form(entries, sol=None) -> FormCertificate:
 def to_second_form(entries, sol=None) -> FormCertificate:
     """Hypothesis: every maximizing transversal meets column 1 at its finite
     maximum and column 1 has another finite entry.  Column 1 is never moved.
-    `sol`, when given, is tdet_assignment(entries, potentials=True)."""
+    `sol`, when given, is tdet_assignment(entries)."""
     entries, sol, colmax, tight, below = _normalizer_input(entries, sol)
     n, value = len(entries), sol.value
     if lex_least_perfect_matching(below) is not None:

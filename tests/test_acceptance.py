@@ -186,7 +186,7 @@ def test_form_monotonicity():
         out, step = step_fn(perm_sys, var_order=var_order)
         assert step.j_after_strong <= step.j_before_strong
         before = order_matrix(perm_sys, var_order, "strong")
-        assert ritt_compare(step.matrix_after_strong, before) == "less"
+        assert ritt_compare(step.matrix_after_strong.entries, before.entries) == "less"
         hits[form] += 1
     assert hits == {"first": 200, "second": 200}, hits
 
@@ -288,7 +288,7 @@ def test_tropical_oracles():
         n = rng.randint(1, 7)
         a = rand_matrix(rng, n, p_inf=rng.choice([0.0, 0.2, 0.5]))
         value, _ = tdet_brute(a)
-        assert value == tdet_assignment(a)
+        assert value == tdet_assignment(a).value
     for _ in range(3):
         a = rand_matrix(rng, 3, p_inf=0.2)
         for sigma in itertools.permutations(range(3)):

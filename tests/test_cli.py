@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import re
@@ -325,3 +326,50 @@ def test_bench_tracer_installs_and_restores_every_wrapped_name():
         assert all(now[k] is v for k, v in before[name].items()), name
     for cls, attrs in classes.items():
         assert all(vars(cls)[k] is v for k, v in attrs.items()), cls
+
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
+
+
+def _pinned_invocations():
+    """Every command on every shipped system, in text and --json.  The
+    weak_strong charset is known to be wrong, so its autoreduce and dims
+    outputs are left unpinned."""
+    per_file = [
+        ["jacobi"],
+        ["matrix"],
+        ["matrix", "--convention", "weak"],
+        ["forms"],
+        ["forms", "--convention", "weak"],
+        ["forms", "--to", "first"],
+        ["forms", "--to", "second"],
+        ["reduce-linear"],
+        ["trace", "--script", "0/1@x"],
+        ["divide", "--dividend", "0", "--divisor", "1", "--var", "x", "--mode", "full"],
+        ["pencil", "--pivot", "0", "--var", "x", "--fibers", "0,1,1/2"],
+    ]
+    charset = [["autoreduce"], ["dims"], ["autoreduce", "--ranking", "elim:z;y;x"], ["dims", "--ranking", "elim:z;y;x"]]
+    for path in sorted(SYSTEMS_DIR.glob("*.sys")):
+        for cmd in per_file + (charset if path.name != "weak_strong.sys" else []):
+            for fmt in ([], ["--json"]):
+                yield path, [cmd[0], str(path)] + cmd[1:] + fmt
+    yield None, ["examples"]
+    yield None, ["examples", "--json"]
+
+
+def test_cli_outputs_are_pinned(capsys):
+    # One digest over (argv, exit code, stdout, stderr) of every pinned
+    # invocation, with the system file's path replaced by its name, so any
+    # change to the CLI's text or JSON shows here.
+    h = hashlib.sha256()
+    count = 0
+    for path, argv in _pinned_invocations():
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if path is not None:
+            argv = [path.name if a == str(path) else a for a in argv]
+            out, err = out.replace(str(path), path.name), err.replace(str(path), path.name)
+        h.update(json.dumps([argv, rc, out, err]).encode())
+        count += 1
+    assert count == 84
+    assert h.hexdigest() == "4dad821f752d4c7920828c4ad391780a3fec1555f39381567ecc11e869c0ca2c"

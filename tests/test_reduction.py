@@ -450,7 +450,7 @@ def test_invariant_violation_survives_python_O():
 
 
 def test_describe_cuts_long_polynomials():
-    from diffalg.reduction import _DESCRIBE_LIMIT, describe
+    from diffalg.diffpoly import _DESCRIBE_LIMIT, describe
 
     p = sum((R2.var("x", k) * k for k in range(1, 200)), R2.zero())
     text = render(p)

@@ -68,6 +68,36 @@ def test_form_certificate_and_assignment_values():
     assert repr(Assignment(3, (1,), (2,))) == "Assignment(value=3, u=(1,), v=(2,))"
 
 
+def test_result_records_are_immutable_values():
+    import diffalg
+
+    # per record: its fields in order, and the defaults of the trailing ones
+    records = {
+        "ReductionStep": ("kind dividend divisor var j_before j_after j_before_strong j_after_strong certificate "
+                          "matrix_after_strong", {"certificate": None, "matrix_after_strong": None}),
+        "Trace": ("steps j_sequence j_sequence_strong", {}),
+        "LinearReduceResult": ("trace charset diff_dim abs_dim_bound j_initial degenerate peel_orders", {}),
+        "CharSetResult": ("charset converged rounds multipliers", {"multipliers": ()}),
+        "Matching": ("pairs", {}),
+        "HallViolation": ("left_set neighborhood", {}),
+        "RittPencil": ("ring ext_ring pivot_index var leader degree separant coseparant generator carried fresh", {}),
+        "FormCertificate": ("row_perm col_perm form index", {"index": 0}),
+    }
+    for name, (fields, defaults) in records.items():
+        cls = getattr(diffalg, name)
+        fields = fields.split()
+        values = {f: (i, f) for i, f in enumerate(fields)}
+        a, b = cls(*values.values()), cls(**values)
+        assert a == b and hash(a) == hash(b) and a is not b, name
+        assert a != cls(**dict(values, **{fields[0]: "other"})), name
+        assert [getattr(a, f) for f in fields] == list(values.values()), name
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, None)
+        required = {f: v for f, v in values.items() if f not in defaults}
+        assert {f: getattr(cls(**required), f) for f in defaults} == defaults, name
+
+
 def test_column_order_follows_var_order():
     ring, sys_ = parse_system("vars: x, y\nx' + y^(18)\n(y')^2 + y\n")
     assert order_matrix(sys_, ["y", "x"], "weak").entries == ((18, 1), (1, 0))
@@ -101,8 +131,8 @@ def test_tdet_routes_agree_sampled():
     for _ in range(80):
         a = rand_matrix(rng, rng.randint(1, 6), p_inf=0.3)
         v, _ = tdet_brute(a)
-        assert v == tdet_assignment(a)
-    assert tdet_assignment(((INF, 3), (INF, 1))) == INF  # no finite transversal
+        assert v == tdet_assignment(a).value
+    assert tdet_assignment(((INF, 3), (INF, 1))).value == INF  # no finite transversal
 
 
 # -- transversals, cycles, permutations -----------------------------------------
@@ -264,7 +294,7 @@ def test_assignment_potentials_are_optimal_duals():
     for _ in range(200):
         n = rng.randint(1, 6)
         a = rand_matrix(rng, n, p_inf=rng.choice([0.0, 0.3]))
-        sol = tdet_assignment(a, potentials=True)
+        sol = tdet_assignment(a)
         if sol.value == INF:
             assert sol.u is None and sol.v is None
             continue
