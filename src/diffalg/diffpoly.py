@@ -17,10 +17,12 @@ MAX_EXPONENT, the lower half of a field, so that a sum of two never carries
 into the next field; orders are capped at MAX_ORDER, so a monomial stays a
 bounded int.  Both caps raise ResourceLimit before a field could overflow.
 Each polynomial caches its support word, the OR of its monomials: a field of
-the word is nonzero iff that derivative occurs, so is_constant, order_in and
-the leaders are a test, a mask and a bit_length.  DiffPoly(ring, terms) is
-the public way in, from (Derivative, exponent) tuple monomials; `terms`
-decodes the same dict back.
+the word is nonzero iff that derivative occurs, so is_constant and order_in
+are a test and a mask, and the orderly leader is the word's top field.  An
+elimination leader is the occurring derivative of largest Ranking.key, the
+order a division's measure compares (Ritt 1950, ch. I; Kolchin 1973).
+DiffPoly(ring, terms) is the public way in, from (Derivative, exponent)
+tuple monomials; `terms` decodes the same dict back.
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ def _at(s, nvars):
     return Derivative(var, order)
 
 
-def _top(w, nvars):
-    """The derivative of the highest nonzero field of w."""
-    return _at((w.bit_length() - 1) // FIELD_BITS * FIELD_BITS, nvars)
-
-
 def _mono_degree(m):
     """Total degree of a packed monomial: the sum of its fields."""
     return sum((m >> s) & _FIELD for s in _shifts(m))
@@ -141,7 +138,6 @@ class _Layout:
         rep = sum(1 << (period * k) for k in range(orders))  # 1 in the first field of each order
         self.var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
         self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
-        self.blocks = {}
         self.orders = orders
         self.limit = (1 << (period * orders)) - 1
 
@@ -151,17 +147,6 @@ class _Layout:
             period = self.nvars * FIELD_BITS
             self._build(max(2 * self.orders, -(-w.bit_length() // period)))
         return self
-
-    def block_masks(self, blocks):
-        """(one mask per block, highest block first; the mask of the
-        variables that no block covers) for an elimination ranking."""
-        got = self.blocks.get(blocks)
-        if got is None:
-            masks = [reduce(or_, (self.var[v] for v in b if 0 <= v < self.nvars), 0)
-                     for b in reversed(blocks)]
-            outside = reduce(or_, self.var, 0) & ~reduce(or_, masks, 0)
-            got = self.blocks[blocks] = (tuple(masks), outside)
-        return got
 
 
 class DiffRing:
@@ -535,15 +520,14 @@ class Ranking:
     within a block compare (order, var index).
     """
 
-    __slots__ = ("kind", "blocks")
+    __slots__ = ("kind", "blocks", "_block")
 
     def __init__(self, kind, blocks=()):
         if kind not in ("orderly", "elim"):
             raise ValueError("unknown ranking kind %r" % kind)
-        if kind == "elim":
-            seen = [v for b in blocks for v in b]
-            if len(seen) != len(set(seen)):
-                raise ValueError("variable repeated across blocks")
+        self._block = {v: i for i, b in enumerate(blocks) for v in b}  # var -> its block
+        if len(self._block) != sum(map(len, blocks)):
+            raise ValueError("variable repeated across blocks")
         self.kind = kind
         self.blocks = blocks
 
@@ -558,22 +542,21 @@ class Ranking:
     def __repr__(self):
         return "Ranking(kind=%r, blocks=%r)" % (self.kind, self.blocks)
 
-    def _block_of(self, var):
-        for i, b in enumerate(self.blocks):
-            if var in b:
-                return i
-        raise ValueError("variable %d not covered by blocks" % var)
-
     def key(self, d: Derivative):
         if self.kind == "orderly":
             return (d.order, d.var)
-        return (self._block_of(d.var), d.order, d.var)
+        block = self._block.get(d.var)
+        if block is None:
+            raise ValueError("variable %d not covered by blocks" % d.var)
+        return (block, d.order, d.var)
 
     def leader(self, p: DiffPoly) -> Derivative:
         return self.leader_degree(p)[0]
 
     def leader_degree(self, p: DiffPoly):
-        """(leader, degree of p in it), cached on p for this ranking."""
+        """(leader, degree of p in it), cached on p for this ranking.  The
+        leader is the occurring derivative of largest key; under the orderly
+        ranking that is the top field of the support word."""
         got = p._lead
         if got is not None and got[0] is self:
             return got[1]
@@ -581,13 +564,12 @@ class Ranking:
         if not w:
             raise ValueError("leader of a constant")
         n = p.ring.nvars
-        if self.kind == "elim":
-            # the top field under the highest block that p meets
-            masks, outside = p.ring._layout.cover(w).block_masks(self.blocks)
-            if w & outside:
-                raise ValueError("variable %d not covered by blocks" % _top(w & outside, n).var)
-            w = next(x for x in (w & mask for mask in masks) if x)
-        ld = _top(w, n)
+        if self.kind == "orderly":
+            ld = _at((w.bit_length() - 1) // FIELD_BITS * FIELD_BITS, n)
+        else:
+            # keys are taken highest field first, so an uncovered variable is
+            # reported at its highest occurring derivative
+            ld = max((_at(s, n) for s in _shifts(w)), key=self.key)
         got = (ld, p.deg_in(ld))
         p._lead = (self, got)
         return got

@@ -15,11 +15,13 @@ A step replaces r by the primitive part of mult*r - co*G, summed in one
 accumulator: G is the divisor or one of its derivatives, mult its separant
 or initial, and co the degree-e slice of r in the eliminated derivative,
 lowered by one power (separant) or by the divisor's leader degree (initial).
-The certificate keeps the running values of S*f = sum Q_i(g_i) + den*r,
-which are integral for integral f and g_i; s = S/den and the quotients
-Q_i/den are formed only when read.  Every division checks its certificate
-exactly: S*f - sum_ik Q_ik * g_i^(k) - den*r is summed in one accumulator
-over exact rationals and must be zero.
+Each step logs its divisor, its order k, den*co and mult, where den is the
+product of the contents divided out so far; after the last step one pass
+back over the log forms S and the Q_i of S*f = sum Q_i(g_i) + den*r, which
+are integral for integral f and g_i.  s = S/den and the quotients Q_i/den
+are formed only when read.  Every division checks its certificate exactly:
+S*f - sum_ik Q_ik * g_i^(k) - den*r is summed in one accumulator over exact
+rationals and must be zero.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .diffpoly import (
     orderly,
     render,
 )
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, ResourceLimit
 
 
 class InconsistentSystem(Exception):
@@ -65,16 +67,16 @@ class DivisionCertificate:
     (separants and initials of the divisors); after at least one step the
     remainder r is primitive (coprime integer coefficients).
 
-    The certificate holds the values ritt_divide keeps while it divides:
-    S*f = sum Q_i(g_i) + den*r.  A step multiplies S and every Q_i by its
-    multiplier only, adds den times the step's quotient term to one Q_i, and
-    multiplies den by the content that makes the new remainder primitive, so
-    S and the Q_i are integral for integral f and g_i.  s = S/den and the
-    quotients Q_i/den are formed once, when first read; they equal dividing s
-    and the quotients by every content as it arises.  verify checks the
-    identity of S, the Q_i and den itself, with no denominators to clear: it
-    sums S*f - sum Q_i(g_i) - den*r in one accumulator over exact rationals
-    and tests it for zero.
+    The certificate holds S*f = sum Q_i(g_i) + den*r, formed by ritt_divide
+    from its step log: S is the product of the multipliers, and Q_i at D^k
+    sums den*co of each step at (i, k) times the multipliers of the steps
+    after it, den being the product of the contents divided out before the
+    step.  S and the Q_i are integral for integral f and g_i.  s = S/den and
+    the quotients Q_i/den are formed once, when first read; they equal
+    dividing s and the quotients by every content as it arises.  verify
+    checks the identity of S, the Q_i and den itself, with no denominators
+    to clear: it sums S*f - sum Q_i(g_i) - den*r in one accumulator over
+    exact rationals and tests it for zero.
     """
 
     def __init__(self, S, Q, remainder, den, mode, multipliers=()):
@@ -197,10 +199,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         info.append((g, lg.var, lg.order, dg, g.partial(lg), g._lowered(lg, dg, dg)))
 
     chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
-    S = ring.one()
-    quots = [dict() for _ in divisors]
+    log = []  # per step: divisor index, order k, den*co, multiplier
     den = 1
-    mults = []
     r = f
     last_measure = None
     while True:
@@ -241,19 +241,21 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
             mult = initial
             co = r._lowered(occ, e, dg)
             G = g
-        mults.append(mult)
-        # S*f = sum Q_i(g_i) + den*r holds before the step, and after it once
-        # S and the Q_i are multiplied by mult and den*co joins Q_i at D^k;
+        log.append((i, k, co if den == 1 else co * den, mult))
         # making r primitive moves its content c into den
-        S = mult * S
-        for q in quots:
-            for kk in q:
-                q[kk] = mult * q[kk]
-        quots[i][k] = quots[i].get(k, ring.zero()) + (co if den == 1 else co * den)
         c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
         den = den * c
 
-    cert = DivisionCertificate(S, tuple(LinOp(ring, q) for q in quots), r, den, mode, tuple(mults))
+    # S*f = sum Q_i(g_i) + den*r for S the product of the multipliers and Q_i
+    # at D^k the sum, over the steps at (i, k), of den*co times the multipliers
+    # of the later steps: one pass from the last step back forms both
+    S = ring.one()
+    quots = [{} for _ in divisors]
+    for i, k, t, mult in reversed(log):
+        q = quots[i]
+        q[k] = q[k] + S * t if k in q else S * t
+        S = mult * S
+    cert = DivisionCertificate(S, tuple(LinOp(ring, q) for q in quots), r, den, mode, tuple(m for *_, m in log))
     # the check reads the derivatives the division already formed
     if not _identity_holds(S, cert.Q, den, r, f, chains):
         raise InternalInvariantViolation(
@@ -328,13 +330,17 @@ def compare_autoreduced(a: AutoreducedSet, b: AutoreducedSet) -> int:
 
 
 def _minimal_autoreduced(basis, ranking):
-    # order by (rank, render(p)), rendering only to break ties of rank
+    # order by (rank, render(p)), rendering only to break ties of rank; a tie
+    # with a polynomial too long to render keeps basis order (sorts are stable)
     ranked = sorted(((ranking.rank(p), p) for p in basis), key=lambda rp: rp[0])
     ordered = []
     for _, group in itertools.groupby(ranked, key=lambda rp: rp[0]):
         group = [p for _, p in group]
         if len(group) > 1:
-            group.sort(key=render)
+            try:
+                group = sorted(group, key=render)
+            except ResourceLimit:
+                pass
         ordered.extend(group)
     chosen = []
     for p in ordered:

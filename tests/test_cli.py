@@ -87,6 +87,17 @@ def test_autoreduce_inconsistent_reported(sysfile, capsys):
     assert json.loads(capsys.readouterr().out)["constant"] == "1"
 
 
+def test_tie_too_long_to_render_reports_inconsistency(sysfile, capsys):
+    # x - 1 and x - 2^20000 tie in rank, and the second cannot be rendered
+    # to break the tie: basis order decides, and the remainder -1 is reported
+    f = sysfile("vars: x\nx - 1\nx - 2^20000\n")
+    for command in ("autoreduce", "dims"):
+        assert main([command, f]) == 0
+        assert capsys.readouterr().out == "inconsistent system (nonzero constant remainder -1)\n"
+        assert main([command, f, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"inconsistent": True, "constant": "-1"}
+
+
 def test_forms(sysfile, capsys):
     f = sysfile("vars: x, y\nx' - x\nx'' - y\n")
     assert main(["forms", f]) == 0
@@ -138,6 +149,34 @@ def test_error_paths(sysfile, capsys):
     f3 = sysfile("vars: x, y\nx^(4) + y'''\nx'' + y'\n", "f3.txt")
     assert main(["forms", f3, "--to", "second"]) == 1  # hypothesis failure
     capsys.readouterr()
+
+
+def _value_error(argv, capsys):
+    """The library's ValueError text for argv, checked to exit 1 in text and in JSON."""
+    assert main(argv) == 1
+    text = capsys.readouterr().err
+    assert main(argv + ["--json"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError" and text == "error: %s\n" % err["error"]
+    return err["error"]
+
+
+def test_divide_unknown_variable(sysfile, capsys):
+    f = sysfile("vars: x, y\nx'' - y\nx' - x\n")
+    assert _value_error(["divide", f, "--dividend", "0", "--divisor", "1", "--var", "q"], capsys) == "no variable 'q'"
+
+
+def test_trace_unknown_variable(sysfile, capsys):
+    f = sysfile("vars: x, y\nx'' - y\nx' - x\n")
+    assert _value_error(["trace", f, "--script", "0/1@q"], capsys) == "no variable 'q'"
+
+
+def test_pencil_bad_pivot_and_variable(sysfile, capsys):
+    f = sysfile("vars: x, y\nx'^2 - x\ny' - x\n")
+    for pivot in ("2", "-1"):
+        argv = ["pencil", f, "--pivot", pivot, "--var", "x"]
+        assert _value_error(argv, capsys) == "pivot index out of range"
+    assert _value_error(["pencil", f, "--pivot", "0", "--var", "q"], capsys) == "no variable 'q'"
 
 
 def test_error_json(sysfile, capsys):

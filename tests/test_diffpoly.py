@@ -488,6 +488,32 @@ def test_exponent_and_order_caps():
     assert P("x^%d" % MAX_EXPONENT) == x**MAX_EXPONENT
 
 
+def test_powers_of_a_multi_term_base():
+    # a base of several terms is multiplied out k times
+    base = P("x + y'")
+    prod, ref = R3.one(), {MONO_ONE: 1}
+    for k in range(5):
+        p = base**k
+        assert p == prod and p.terms == ref and canonical(p)
+        prod, ref = prod * base, ref_mul(ref, base.terms)
+    cube = P("x' - 2*y")
+    assert P("(x' - 2*y)^3") == cube * cube * cube
+
+
+def test_multi_term_power_refused_unbuilt(monkeypatch):
+    # k times the base's largest exponent passes MAX_EXPONENT: no power of
+    # the base is multiplied out (the parser may still scale by constants)
+    factors = []
+    mul = DiffPoly.__mul__
+    monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: factors.append(b) or mul(a, b))
+    base = P("x^2 + y'")
+    k = MAX_EXPONENT // 2 + 1
+    _refused_fast(lambda: base**k)
+    _refused_fast(lambda: P("(x^2 + y')^%d" % k))
+    assert not any(isinstance(b, DiffPoly) and not b.is_constant() for b in factors)
+    assert base**2 == P("x^4 + 2*x^2*y' + y'^2") and base in factors
+
+
 def test_products_refused_before_a_field_carries():
     x, y = R3.var("x"), R3.var("y")
     top = x**MAX_EXPONENT

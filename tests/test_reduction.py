@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -370,6 +372,21 @@ def test_seeded_multi_divisor_certificates_pinned():
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
         "5ee9cb1370cac08e8c9389a1d5e375047322accfb020e281fed94662b004c7ad"
     )
+
+
+def test_certificates_replay_their_step_log():
+    # S is the product of the step multipliers, and the quotients formed by
+    # the one pass back over the log verify; among the divisions are long
+    # ones that step with both divisors and hold fewer nonzero quotient
+    # entries than steps, so an entry collects several steps
+    long_ones = 0
+    for f, gs, cert in _seeded_multi_divisions(41, 120):
+        assert cert.S == functools.reduce(operator.mul, cert.multipliers, f.ring.one())
+        assert cert.verify(f, gs)
+        steps = len(cert.multipliers)
+        entries = sum(len(q.coeffs) for q in cert.Q)
+        long_ones += steps >= 5 and entries < steps and all(q.coeffs for q in cert.Q)
+    assert long_ones >= 10
 
 
 def test_seeded_nonlinear_charsets_pinned():
