@@ -15,16 +15,11 @@ import sys
 
 from . import corpus
 from .diffpoly import elimination, jsonable, orderly, render
-from .engine import (
-    DegenerateSituation,
-    linear_reduce,
-    parse_script,
-    scripted_divide,
-)
+from .engine import linear_reduce, parse_script, scripted_divide
 from .errors import ResourceLimit
 from .pencil import build_pencil, fiber_at
 from .reduction import InconsistentSystem, autoreduce_loop, dimensions, ritt_divide
-from .textio import ParseError, parse_system
+from .textio import parse_system
 from .tropical import (
     HypothesisFailure,
     detect_first_form,
@@ -305,8 +300,7 @@ def main(argv=None):
         as_json = args.json
         rc = args.func(args)
         return 0 if rc is None else rc
-    except (UserError, ParseError, ValueError, OSError, InconsistentSystem,
-            HypothesisFailure, DegenerateSituation) as e:
+    except (UserError, ValueError, OSError, InconsistentSystem, HypothesisFailure) as e:
         kind = "usage" if isinstance(e, UsageError) else type(e).__name__
         print(_json({"error": str(e), "kind": kind}) if as_json else "error: %s" % e, file=sys.stderr)
         return 1

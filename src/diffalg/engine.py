@@ -155,15 +155,13 @@ def _divide_step(system, di, gi, var, kind, strong, jw, js):
     return out, step, sol
 
 
-def _form_step(system, kind, charset, strong, jw, js):
+def _form_step(system, kind, strong, jw, js):
     """The division of a form step, on a system whose order matrix is known
     to be in `kind` form: equation 2 (first form) or n (second form)
     by equation 1 in the first column's variable.  The Jacobi number must not
     rise, and a changed matrix must drop in Ritt's ordering."""
-    var = strong.col_names[0]
-    _check_pivot_separant(system, 0, system[0].ring.var_index(var), charset)
     dividend = 1 if kind == "first-form" else len(system) - 1
-    out, step, sol = _divide_step(system, dividend, 0, var, kind, strong, jw, js)
+    out, step, sol = _divide_step(system, dividend, 0, strong.col_names[0], kind, strong, jw, js)
     strong_a = step.matrix_after_strong
     if sol.value > js:
         raise InternalInvariantViolation(
@@ -183,7 +181,9 @@ def _detected_form_step(system, var_order, kind, charset):
     detect = detect_first_form if kind == "first-form" else detect_second_form
     if not detect(strong.entries, sol.value):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
-    out, step, _ = _form_step(system, kind, charset, strong, jw, sol.value)
+    # only here: on linear_reduce's linear systems every pivot separant is constant
+    _check_pivot_separant(system, 0, system[0].ring.var_index(strong.col_names[0]), charset)
+    out, step, _ = _form_step(system, kind, strong, jw, sol.value)
     return out, step
 
 
@@ -343,7 +343,7 @@ def linear_reduce(system) -> LinearReduceResult:
             fc, kind = to_second_form(a, sol), "second-form"
         eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
         names = tuple(strong.col_names[j] for j in fc.col_perm)
-        eqs, step, sol = _form_step(eqs, kind, None, OrderMatrix(fc.apply(a), "strong", names), jw, sol.value)
+        eqs, step, sol = _form_step(eqs, kind, OrderMatrix(fc.apply(a), "strong", names), jw, sol.value)
         strong, jw = step.matrix_after_strong, step.j_after
         steps.append(step)
         report()

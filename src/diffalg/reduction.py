@@ -342,12 +342,13 @@ def _minimal_autoreduced(basis, ranking):
             except ResourceLimit:
                 pass
         ordered.extend(group)
+    # Each chosen q ranks no higher than p, so only p needs testing: a lower
+    # leader puts every derivative of q below p's leader and its proper
+    # derivatives, so q is reduced with respect to p; with equal leaders
+    # p is not reduced with respect to q.
     chosen = []
     for p in ordered:
-        if all(
-            is_reduced_wrt(p, q, "full", ranking) and is_reduced_wrt(q, p, "full", ranking)
-            for q in chosen
-        ):
+        if all(is_reduced_wrt(p, q, "full", ranking) for q in chosen):
             chosen.append(p)
     return chosen
 

@@ -70,14 +70,6 @@ class OrderMatrix:
         return "OrderMatrix(entries=%r, convention=%r, col_names=%r)" % (
             self.entries, self.convention, self.col_names)
 
-    @property
-    def n(self):
-        return len(self.entries)
-
-    @property
-    def m(self):
-        return len(self.entries[0])
-
     def to_json(self):
         return {
             "entries": [[jsonable(e) for e in row] for row in self.entries],
@@ -367,16 +359,6 @@ def detect_third_form(entries) -> bool:
     return _pattern_form(entries, pattern, inner, 1, None, None)
 
 
-def _cols_cycle(n):
-    # second -> third: new col 1 is old col n-1, cols 2..n-1 shift right
-    rho = [0] * n
-    if n >= 2:
-        rho[1] = n - 1
-    for j in range(2, n):
-        rho[j] = j - 1
-    return tuple(rho)
-
-
 class FormCertificate(namedtuple("FormCertificate", "row_perm col_perm form index", defaults=(0,))):
     """Row/column permutations carrying a matrix into the named form.  index
     is the search index i chosen by the second-form argument (it shadows
@@ -397,9 +379,9 @@ class FormCertificate(namedtuple("FormCertificate", "row_perm col_perm form inde
 
 
 def _normalizer_input(entries, sol):
-    """Shared set-up of the normalizers: the solved matrix, its tight graph,
-    and the tight graph without the column-1 edges at the column maximum
-    (whose perfect matchings are the maximizing transversals meeting
+    """Shared set-up of the normalizers: the matrix's Assignment, its tight
+    graph, and the tight graph without the column-1 edges at the column
+    maximum (whose perfect matchings are the maximizing transversals meeting
     column 1 strictly below its maximum)."""
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
@@ -414,26 +396,27 @@ def _normalizer_input(entries, sol):
     colmax = max(col0)
     tight = _tight_graph(entries, sol)
     below = [[j for j in adj if j or col0[i] < colmax] for i, adj in enumerate(tight)]
-    return entries, sol, colmax, tight, below
+    return sol, tight, below
 
 
 def to_first_form(entries, sol=None) -> FormCertificate:
     """Hypothesis: some maximizing transversal meets column 1 strictly below
     its (finite) maximum.  Column 1 is never moved.  `sol`, when given, is
     tdet_assignment(entries)."""
-    entries, sol, _, _, below = _normalizer_input(entries, sol)
+    sol, _, below = _normalizer_input(entries, sol)
     n = len(entries)
     rho = lex_least_perfect_matching(below)
     if rho is None:
         raise HypothesisFailure(
             "every maximizing transversal meets column 1 at its maximum"
         )
-    sigma = inverse(rho)  # diagonalize: b_{i,i} = a_{rho^{-1}(i), i} on the transversal
-    b = permute(entries, sigma, identity_perm(n))
-    if b[1][0] >= b[0][0]:
+    # rows sigma diagonalize the transversal; column 1 then reads a[sigma(k)][0]
+    sigma = inverse(rho)
+    col = [entries[s][0] for s in sigma]
+    if col[1] >= col[0]:
         i = 1
     else:
-        i = max(range(1, n), key=lambda r: (b[r][0], -r))
+        i = max(range(1, n), key=lambda r: (col[r], -r))
     sw = transposition(n, 1, i)
     cert = FormCertificate(compose(sigma, sw), sw, "first")
     if not detect_first_form(cert.apply(entries), sol.value):
@@ -444,8 +427,13 @@ def to_first_form(entries, sol=None) -> FormCertificate:
 def to_second_form(entries, sol=None) -> FormCertificate:
     """Hypothesis: every maximizing transversal meets column 1 at its finite
     maximum and column 1 has another finite entry.  Column 1 is never moved.
-    `sol`, when given, is tdet_assignment(entries)."""
-    entries, sol, colmax, tight, below = _normalizer_input(entries, sol)
+    `sol`, when given, is tdet_assignment(entries).
+
+    With rho the lex-least maximizing transversal and r = rho^-1(0), the
+    search takes the first row i != r whose inner transversal (rho with row
+    i moved to column 1) is finite and maximal in the minor without row r and
+    column rho(i); index is i's place among the rows other than r, plus 1."""
+    sol, tight, below = _normalizer_input(entries, sol)
     n, value = len(entries), sol.value
     if lex_least_perfect_matching(below) is not None:
         raise HypothesisFailure(
@@ -454,31 +442,20 @@ def to_second_form(entries, sol=None) -> FormCertificate:
     rho = lex_least_perfect_matching(tight)
     if rho is None:
         raise InternalInvariantViolation("tight graph of %r has no perfect matching" % (entries,))
-    r = inverse(rho)[0]
-    remaining = [i for i in range(n) if i != r]
-    sigma0 = tuple(remaining + [r])
-    tau0 = tuple([0] + [rho[i] for i in remaining])
-    a1 = permute(entries, sigma0, tau0)
-    if a1[n - 1][0] != colmax or a1[n - 1][0] + sum(a1[i][i + 1] for i in range(n - 1)) != value:
-        raise InternalInvariantViolation(
-            "transversal %r of %r is not a third-form pattern at the column-1 maximum" % (rho, entries)
-        )
-    # The swaps keep the corner and the pattern's value, so each candidate
-    # is in third form iff its inner transversal is maximal in its minor.
-    inv_cycle = inverse(_cols_cycle(n))
-    for idx in range(n - 1):
-        sw_r = transposition(n, 0, idx)
-        sw_c = transposition(n, 1, idx + 1)
-        d = permute(a1, sw_r, sw_c)
-        inner = d[0][0] + sum(d[i][i + 1] for i in range(1, n - 1))
-        if inner == NEG_INF or tdet(minor(d, n - 1, 1)) != inner:
+    r = rho.index(0)
+    others = [k for k in range(n) if k != r]
+    for idx, i in enumerate(others):
+        inner = value - entries[r][0] - entries[i][rho[i]] + entries[i][0]
+        if inner == NEG_INF or tdet(minor(entries, r, rho[i])) != inner:
             continue
+        rows = list(others)
+        rows[0], rows[idx] = i, rows[0]
         cert = FormCertificate(
-            compose(sigma0, sw_r), compose(compose(tau0, sw_c), inv_cycle), "second", idx + 1
+            tuple(rows) + (r,), (0,) + tuple(rho[k] for k in rows[1:]) + (rho[i],), "second", idx + 1
         )
-        out = cert.apply(entries)
-        # out's minor is a column permutation of d's, with the same tdet
-        if out != permute(d, identity_perm(n), inv_cycle) or not detect_second_form(out, value, inner):
+        # the rows end in r and the columns in rho(i), so the output's minor
+        # permutes the one just solved and inner may stand for its tdet
+        if not detect_second_form(cert.apply(entries), value, inner):
             raise InternalInvariantViolation(
                 "second-form certificate %r fails on %r" % (cert, entries)
             )

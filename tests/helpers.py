@@ -333,10 +333,20 @@ def first_form_brute(a):
     return FormCertificate(compose(sigma, sw), sw, "first")
 
 
+def _cols_cycle(n):
+    # second -> third: new col 1 is old col n-1, cols 2..n-1 shift right
+    rho = [0] * n
+    if n >= 2:
+        rho[1] = n - 1
+    for j in range(2, n):
+        rho[j] = j - 1
+    return tuple(rho)
+
+
 def second_form_brute(a):
     """FormCertificate of the second-form normalizer, from min(wits)."""
     from diffalg import FormCertificate, HypothesisFailure
-    from diffalg.tropical import _cols_cycle, compose, inverse, permute, transposition
+    from diffalg.tropical import compose, inverse, permute, transposition
 
     n = len(a)
     _, wits, colmax, picks = _brute_witness_data(a)

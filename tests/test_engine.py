@@ -219,6 +219,25 @@ def test_linear_reduce_random_smoke():
             assert res.abs_dim_bound <= res.j_initial
 
 
+def test_linear_reduce_evaluates_no_separant(monkeypatch):
+    # On linear systems every pivot separant is a nonzero constant, so the
+    # degenerate-pivot test belongs to step_first_form/step_second_form only.
+    def forbidden(*args, **kw):
+        raise AssertionError("linear_reduce evaluated a separant")
+
+    monkeypatch.setattr(engine_mod, "separant", forbidden)
+    _, sys_ = parse_system("vars: x, y, z\nx^(100) + y' + z'\nx^(50) + y + z\nx' + y' + 1\n")
+    kinds = [s.kind for s in linear_reduce(sys_).trace.steps]
+    rng = random.Random(14)
+    for _ in range(40):
+        try:
+            res = linear_reduce(rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4))
+        except InconsistentSystem:
+            continue
+        kinds += [s.kind for s in res.trace.steps]
+    assert "first-form" in kinds and "second-form" in kinds
+
+
 def test_linear_reduce_j_sequence_adds_the_peeled_orders():
     # A form step's J values belong to the active system left after the
     # peels; the J-sequence reports totals, which add the orders peeled so
