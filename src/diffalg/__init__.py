@@ -59,6 +59,7 @@ from .tropical import (
     detect_first_form,
     detect_second_form,
     detect_third_form,
+    normalize,
     order_matrix,
     permute,
     render_grid,

@@ -26,19 +26,17 @@ from .reduction import (
     ritt_divide,
 )
 from .tropical import (
-    HypothesisFailure,
     LESS,
     OrderMatrix,
     detect_first_form,
     detect_second_form,
     minor,
+    normalize,
     order_matrix,
     render_grid,
     ritt_compare,
     tdet,
     tdet_assignment,
-    to_first_form,
-    to_second_form,
     weak_entries,
 )
 
@@ -81,9 +79,9 @@ class ReductionStep(namedtuple("ReductionStep", "kind dividend divisor var j_bef
             "J_before_strong": jsonable(self.j_before_strong),
             "J_after_strong": jsonable(self.j_after_strong),
         }
-        if self.matrix_after is not None:
-            out["matrix_after"] = self.matrix_after.to_json()
-        if self.matrix_after_strong is not None:
+        weak = self.matrix_after
+        if weak is not None:
+            out["matrix_after"] = weak.to_json()
             out["matrix_after_strong"] = self.matrix_after_strong.to_json()
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
@@ -336,14 +334,11 @@ def linear_reduce(system) -> LinearReduceResult:
             report()
             continue
         # every live column is shared: normalize with the first column in
-        # front; first form when its hypothesis holds, else second
-        try:
-            fc, kind = to_first_form(a, sol), "first-form"
-        except HypothesisFailure:
-            fc, kind = to_second_form(a, sol), "second-form"
+        # front, to the first form when its hypothesis holds, else the second
+        fc, b = normalize(a, sol)
         eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
         names = tuple(strong.col_names[j] for j in fc.col_perm)
-        eqs, step, sol = _form_step(eqs, kind, OrderMatrix(fc.apply(a), "strong", names), jw, sol.value)
+        eqs, step, sol = _form_step(eqs, fc.form + "-form", OrderMatrix(b, "strong", names), jw, sol.value)
         strong, jw = step.matrix_after_strong, step.j_after
         steps.append(step)
         report()

@@ -7,7 +7,7 @@ permutations.  It is computed one way only: Kuhn's Hungarian method on
 integers (tdet_assignment), with -inf cells forbidden.  Its dual potentials
 u, v (Jacobi's canon offsets) make u_i + v_j >= a_ij everywhere, with
 equality on the tight graph, whose perfect matchings are exactly the
-maximizing transversals.  Witness lists and the normalizers' questions
+maximizing transversals.  Witness lists and the normalizer's questions
 (does some maximizing transversal avoid the column-1 maximum? which one is
 lexicographically least?) are answered by matchings of that graph, never by
 enumerating the n! permutations; tdet_brute does that for the tests only.
@@ -42,10 +42,12 @@ def _as_entries(rows):
     return out
 
 
-class OrderMatrix:
-    __slots__ = ("entries", "convention", "col_names")
+class OrderMatrix(namedtuple("OrderMatrix", "entries convention col_names")):
+    """Orders as a tuple of row tuples, the "weak" or "strong" convention, and column names."""
 
-    def __init__(self, entries, convention="strong", col_names=()):
+    __slots__ = ()
+
+    def __new__(cls, entries, convention="strong", col_names=()):
         entries = _as_entries(entries)
         if convention not in ("weak", "strong"):
             raise ValueError("unknown convention %r" % convention)
@@ -53,22 +55,7 @@ class OrderMatrix:
             for row in entries:
                 if NEG_INF in row:
                     raise ValueError("weak matrices have no -inf entries")
-        self.entries = entries
-        self.convention = convention
-        self.col_names = col_names
-
-    def __eq__(self, other):
-        if type(other) is not OrderMatrix:
-            return NotImplemented
-        return (self.entries, self.convention, self.col_names) == (
-            other.entries, other.convention, other.col_names)
-
-    def __hash__(self):
-        return hash((self.entries, self.convention, self.col_names))
-
-    def __repr__(self):
-        return "OrderMatrix(entries=%r, convention=%r, col_names=%r)" % (
-            self.entries, self.convention, self.col_names)
+        return super().__new__(cls, entries, convention, col_names)
 
     def to_json(self):
         return {
@@ -378,67 +365,52 @@ class FormCertificate(namedtuple("FormCertificate", "row_perm col_perm form inde
         }
 
 
-def _normalizer_input(entries, sol):
-    """Shared set-up of the normalizers: the matrix's Assignment, its tight
-    graph, and the tight graph without the column-1 edges at the column
-    maximum (whose perfect matchings are the maximizing transversals meeting
-    column 1 strictly below its maximum)."""
+def normalize(entries, sol=None):
+    """Ritt's first form if its hypothesis holds, else the second: returns the
+    FormCertificate and the permuted matrix, checked by that form's detector.
+    `sol`, when given, is tdet_assignment(entries).  Column 1 is never moved.
+
+    First-form hypothesis: some maximizing transversal meets column 1
+    strictly below its (finite) maximum.  The certificate diagonalizes the
+    lex-least such transversal, then keeps row 2 if its column-1 entry is at
+    least row 1's, else moves there the one of rows 2..n with the largest
+    (the first on ties).  Otherwise every maximizing transversal meets column 1 at
+    its maximum; with rho the lex-least one and r = rho^-1(0), the
+    second-form search takes the first row i != r whose inner transversal
+    (rho with row i moved to column 1) is finite and maximal in the minor
+    without row r and column rho(i); index is i's place among the rows other
+    than r, plus 1.  HypothesisFailure: no finite transversal, or fewer than
+    two finite entries in column 1, where neither form applies."""
     n = len(entries)
     if n < 2 or len(entries[0]) != n:
         raise ValueError("need a square matrix, n >= 2")
     if sol is None:
         sol = tdet_assignment(entries)
-    if sol.value == NEG_INF:
+    value = sol.value
+    if value == NEG_INF:
         raise HypothesisFailure("no finite transversal")
     col0 = [row[0] for row in entries]
     if sum(1 for e in col0 if e != NEG_INF) < 2:
         raise HypothesisFailure("column 1 has fewer than two finite entries")
     colmax = max(col0)
     tight = _tight_graph(entries, sol)
+    # the perfect matchings of below meet column 1 strictly below its maximum
     below = [[j for j in adj if j or col0[i] < colmax] for i, adj in enumerate(tight)]
-    return sol, tight, below
-
-
-def to_first_form(entries, sol=None) -> FormCertificate:
-    """Hypothesis: some maximizing transversal meets column 1 strictly below
-    its (finite) maximum.  Column 1 is never moved.  `sol`, when given, is
-    tdet_assignment(entries)."""
-    sol, _, below = _normalizer_input(entries, sol)
-    n = len(entries)
     rho = lex_least_perfect_matching(below)
-    if rho is None:
-        raise HypothesisFailure(
-            "every maximizing transversal meets column 1 at its maximum"
-        )
-    # rows sigma diagonalize the transversal; column 1 then reads a[sigma(k)][0]
-    sigma = inverse(rho)
-    col = [entries[s][0] for s in sigma]
-    if col[1] >= col[0]:
-        i = 1
-    else:
-        i = max(range(1, n), key=lambda r: (col[r], -r))
-    sw = transposition(n, 1, i)
-    cert = FormCertificate(compose(sigma, sw), sw, "first")
-    if not detect_first_form(cert.apply(entries), sol.value):
-        raise InternalInvariantViolation("first-form construction failed: %r" % (entries,))
-    return cert
-
-
-def to_second_form(entries, sol=None) -> FormCertificate:
-    """Hypothesis: every maximizing transversal meets column 1 at its finite
-    maximum and column 1 has another finite entry.  Column 1 is never moved.
-    `sol`, when given, is tdet_assignment(entries).
-
-    With rho the lex-least maximizing transversal and r = rho^-1(0), the
-    search takes the first row i != r whose inner transversal (rho with row
-    i moved to column 1) is finite and maximal in the minor without row r and
-    column rho(i); index is i's place among the rows other than r, plus 1."""
-    sol, tight, below = _normalizer_input(entries, sol)
-    n, value = len(entries), sol.value
-    if lex_least_perfect_matching(below) is not None:
-        raise HypothesisFailure(
-            "some maximizing transversal avoids the column-1 maximum"
-        )
+    if rho is not None:
+        # rows sigma diagonalize the transversal; column 1 then reads a[sigma(k)][0]
+        sigma = inverse(rho)
+        col = [col0[s] for s in sigma]
+        if col[1] >= col[0]:
+            i = 1
+        else:
+            i = max(range(1, n), key=lambda r: (col[r], -r))
+        sw = transposition(n, 1, i)
+        cert = FormCertificate(compose(sigma, sw), sw, "first")
+        out = cert.apply(entries)
+        if not detect_first_form(out, value):
+            raise InternalInvariantViolation("first-form construction failed: %r" % (entries,))
+        return cert, out
     rho = lex_least_perfect_matching(tight)
     if rho is None:
         raise InternalInvariantViolation("tight graph of %r has no perfect matching" % (entries,))
@@ -453,13 +425,30 @@ def to_second_form(entries, sol=None) -> FormCertificate:
         cert = FormCertificate(
             tuple(rows) + (r,), (0,) + tuple(rho[k] for k in rows[1:]) + (rho[i],), "second", idx + 1
         )
+        out = cert.apply(entries)
         # the rows end in r and the columns in rho(i), so the output's minor
         # permutes the one just solved and inner may stand for its tdet
-        if not detect_second_form(cert.apply(entries), value, inner):
+        if not detect_second_form(out, value, inner):
             raise InternalInvariantViolation(
                 "second-form certificate %r fails on %r" % (cert, entries)
             )
-        return cert
+        return cert, out
     raise InternalInvariantViolation(
         "second-form search exhausted without a valid index: %r" % (entries,)
     )
+
+
+def to_first_form(entries, sol=None) -> FormCertificate:
+    """normalize's certificate if it is the first form, else HypothesisFailure."""
+    cert, _ = normalize(entries, sol)
+    if cert.form != "first":
+        raise HypothesisFailure("every maximizing transversal meets column 1 at its maximum")
+    return cert
+
+
+def to_second_form(entries, sol=None) -> FormCertificate:
+    """normalize's certificate if it is the second form, else HypothesisFailure."""
+    cert, _ = normalize(entries, sol)
+    if cert.form != "second":
+        raise HypothesisFailure("some maximizing transversal avoids the column-1 maximum")
+    return cert

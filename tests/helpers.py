@@ -229,11 +229,13 @@ def _ddiv_exact(a, b):
     a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
     for k in range(len(a) - len(b), -1, -1):
         c, rem = divmod(a[k + len(b) - 1], b[-1])
-        assert rem == 0, "inexact division in Z[D]"
+        if rem:
+            raise AssertionError("inexact division in Z[D]")
         q[k] = c
         for j, y in enumerate(b):
             a[k + j] -= c * y
-    assert not any(a), "inexact division in Z[D]"
+    if any(a):
+        raise AssertionError("inexact division in Z[D]")
     return _trim(q)
 
 

@@ -328,6 +328,40 @@ def test_linear_reduce_solve_count(monkeypatch):
     assert len(calls) <= 2 + 3 * forms + 2 * kinds.count("peel")
 
 
+def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
+    # one normalize call per form step, which permutes the matrix once
+    import diffalg.tropical as tropical_mod
+
+    calls = {"normalize": 0, "apply": 0}
+    normalize, apply = engine_mod.normalize, tropical_mod.FormCertificate.apply
+
+    def counted_normalize(*args, **kw):
+        calls["normalize"] += 1
+        return normalize(*args, **kw)
+
+    def counted_apply(*args, **kw):
+        calls["apply"] += 1
+        return apply(*args, **kw)
+
+    monkeypatch.setattr(engine_mod, "normalize", counted_normalize)
+    monkeypatch.setattr(tropical_mod.FormCertificate, "apply", counted_apply)
+    _, sys_ = parse_system("vars: x, y, z\nx^(100) + y' + z'\nx^(50) + y + z\nx' + y' + 1\n")
+    systems = [sys_]
+    rng = random.Random(15)
+    systems += [rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4) for _ in range(30)]
+    kinds = []
+    for sys_ in systems:
+        calls.update(normalize=0, apply=0)
+        try:
+            steps = linear_reduce(sys_).trace.steps
+        except InconsistentSystem:
+            continue
+        forms = sum(s.kind != "peel" for s in steps)
+        assert calls == {"normalize": forms, "apply": forms}
+        kinds += [s.kind for s in steps]
+    assert "first-form" in kinds and "second-form" in kinds
+
+
 def test_linear_reduce_step_budget_is_a_resource_limit(monkeypatch):
     monkeypatch.setattr(engine_mod, "STEP_BUDGET_FACTOR", 0)
     sys_ = [P("x' - y"), P("x'' - y'")]

@@ -13,6 +13,7 @@ from diffalg import (
     detect_first_form,
     detect_second_form,
     detect_third_form,
+    normalize,
     order_matrix,
     parse_system,
     permute,
@@ -345,3 +346,33 @@ def test_normalizers_match_brute_reference():
             if expected.form == "second" and expected.index >= 2:
                 seen["second index >= 2"] += 1  # a candidate was skipped
     assert min(seen.values()) >= 50, seen
+
+
+def test_normalize_matches_brute_reference():
+    # the first form when its brute oracle succeeds, else the second form's
+    rng = random.Random(1105)
+    seen = {"first": 0, "second": 0, "failure": 0, "n >= 7": 0}
+    detectors = {"first": detect_first_form, "second": detect_second_form}
+    for trial in range(300):
+        n = rng.randint(7, 8) if trial % 30 == 0 else rng.randint(2, 6)
+        a = rand_matrix(rng, n, hi=rng.choice([2, 5, 9]), p_inf=rng.choice([0.0, 0.15, 0.3, 0.5]))
+        if trial % 3 == 0:
+            c = rng.randint(0, 5)
+            a = tuple((c,) + row[1:] for row in a)
+        try:
+            try:
+                expected = first_form_brute(a)
+            except HypothesisFailure:
+                expected = second_form_brute(a)
+        except HypothesisFailure as e:
+            with pytest.raises(HypothesisFailure) as got:
+                normalize(a)
+            assert str(got.value) == str(e)
+            seen["failure"] += 1
+            continue
+        cert, out = normalize(a)
+        assert cert == expected, a
+        assert out == cert.apply(a) and detectors[cert.form](out)
+        seen[cert.form] += 1
+        seen["n >= 7"] += n >= 7
+    assert min(seen.values()) >= 5, seen
