@@ -5,6 +5,7 @@ per-step matrices of the trace.  Run:  python3 scripts/jacobi_trace_demo.py
 """
 
 import argparse
+from pathlib import Path
 
 from diffalg import (
     order_matrix,
@@ -24,7 +25,7 @@ def main():
     ap.add_argument("--script", default="0/2@x;1/2@x", help="divisions, e.g. 0/2@x;1/2@x")
     args = ap.parse_args()
 
-    text = open(args.system).read() if args.system else J_INCREASING
+    text = Path(args.system).read_text() if args.system else J_INCREASING
     ring, system = parse_system(text)
     for conv in ("weak", "strong"):
         m = order_matrix(system, None, conv)

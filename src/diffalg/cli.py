@@ -146,8 +146,6 @@ def cmd_autoreduce(args):
         "multipliers": [render(m) for m in res.multipliers],
     }
     text = "\n".join(render(p) for p in res.charset.elements)
-    if not res.converged:
-        text += "\n(not converged after %d rounds)" % res.rounds
     _emit(args, data, text)
 
 

@@ -512,7 +512,7 @@ def _poly(ring, packed):
 # -- rankings -------------------------------------------------------------
 
 
-class Ranking:
+class Ranking(namedtuple("Ranking", "kind blocks")):
     """Orderly or block-elimination ranking on derivatives.
 
     kind 'orderly': compare (order, var index).
@@ -520,35 +520,22 @@ class Ranking:
     within a block compare (order, var index).
     """
 
-    __slots__ = ("kind", "blocks", "_block")
+    __slots__ = ()
 
-    def __init__(self, kind, blocks=()):
+    def __new__(cls, kind, blocks=()):
         if kind not in ("orderly", "elim"):
             raise ValueError("unknown ranking kind %r" % kind)
-        self._block = {v: i for i, b in enumerate(blocks) for v in b}  # var -> its block
-        if len(self._block) != sum(map(len, blocks)):
+        if len({v for b in blocks for v in b}) != sum(map(len, blocks)):
             raise ValueError("variable repeated across blocks")
-        self.kind = kind
-        self.blocks = blocks
-
-    def __eq__(self, other):
-        if type(other) is not Ranking:
-            return NotImplemented
-        return self.kind == other.kind and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.kind, self.blocks))
-
-    def __repr__(self):
-        return "Ranking(kind=%r, blocks=%r)" % (self.kind, self.blocks)
+        return super().__new__(cls, kind, blocks)
 
     def key(self, d: Derivative):
         if self.kind == "orderly":
             return (d.order, d.var)
-        block = self._block.get(d.var)
-        if block is None:
-            raise ValueError("variable %d not covered by blocks" % d.var)
-        return (block, d.order, d.var)
+        for block, vs in enumerate(self.blocks):
+            if d.var in vs:
+                return (block, d.order, d.var)
+        raise ValueError("variable %d not covered by blocks" % d.var)
 
     def leader(self, p: DiffPoly) -> Derivative:
         return self.leader_degree(p)[0]
@@ -620,18 +607,14 @@ def is_lower_than(f: DiffPoly, g: DiffPoly, var) -> bool:
 # -- linear differential operators ----------------------------------------
 
 
-class LinOp:
+class LinOp(namedtuple("LinOp", "ring coeffs")):
     """Element of the Weyl-type operator ring: sum c_k * D^k, c_k in the
     polynomial ring, D the derivation.  Relation: D r = r D + r'."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    def __eq__(self, other):
-        return isinstance(other, LinOp) and self.ring == other.ring and self.coeffs == other.coeffs
+    def __new__(cls, ring, coeffs):
+        return super().__new__(cls, ring, {k: c for k, c in coeffs.items() if c})
 
     def apply(self, g: DiffPoly) -> DiffPoly:
         acc = {}

@@ -14,8 +14,8 @@ class InternalInvariantViolation(AssertionError):
 
 class ResourceLimit(RuntimeError):
     """A computation exceeded an explicit limit (witness count, step budget,
-    the order and exponent caps of packed monomials, the interpreter's limit
-    on integer-string conversion)."""
+    the characteristic-set round cap, the order and exponent caps of packed
+    monomials, the interpreter's limit on integer-string conversion)."""
 
 
 def digit_limit(what, where=""):

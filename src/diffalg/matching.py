@@ -10,21 +10,17 @@ from collections import Counter, namedtuple
 from .errors import InternalInvariantViolation
 
 
-class BipartiteMultigraph:
-    """Left vertices 0..left-1, right vertices 0..right-1, edges a multiset."""
+class BipartiteMultigraph(namedtuple("BipartiteMultigraph", "left right edges")):
+    """Left vertices 0..left-1, right vertices 0..right-1, edges a multiset
+    ((l, r), ...) with repetitions allowed."""
 
-    __slots__ = ("left", "right", "edges")
+    __slots__ = ()
 
-    def __init__(self, left, right, edges):
+    def __new__(cls, left, right, edges):
         for l, r in edges:
             if not (0 <= l < left and 0 <= r < right):
                 raise ValueError("edge (%d, %d) out of range" % (l, r))
-        self.left = left
-        self.right = right
-        self.edges = edges  # ((l, r), ...) with repetitions allowed
-
-    def __repr__(self):
-        return "BipartiteMultigraph(left=%r, right=%r, edges=%r)" % (self.left, self.right, self.edges)
+        return super().__new__(cls, left, right, edges)
 
     def adjacency(self):
         adj = [set() for _ in range(self.left)]

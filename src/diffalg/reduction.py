@@ -275,13 +275,13 @@ def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = Non
     return _violates(f, ld.var, ld.order, dg, mode) is None
 
 
-class AutoreducedSet:
+class AutoreducedSet(namedtuple("AutoreducedSet", "elements ranking")):
     """Nonempty tuple of pairwise fully-reduced polynomials, strictly
     increasing in rank (leader key, leader degree) under the ranking."""
 
-    __slots__ = ("elements", "ranking")
+    __slots__ = ()
 
-    def __init__(self, elements, ranking):
+    def __new__(cls, elements, ranking):
         if not elements:
             raise ValueError("autoreduced set must be nonempty")
         for p in elements:
@@ -300,8 +300,7 @@ class AutoreducedSet:
             raise InternalInvariantViolation(
                 "reduced elements share a leading variable: %s" % [describe(p) for p in elements]
             )
-        self.elements = elements
-        self.ranking = ranking
+        return super().__new__(cls, elements, ranking)
 
     def leaders(self):
         return tuple(self.ranking.leader(p) for p in self.elements)
@@ -354,7 +353,8 @@ def _minimal_autoreduced(basis, ranking):
 
 
 class CharSetResult(namedtuple("CharSetResult", "charset converged rounds multipliers", defaults=((),))):
-    """charset is an AutoreducedSet."""
+    """charset is an AutoreducedSet; converged is always true, since
+    autoreduce_loop raises ResourceLimit at its round cap."""
 
     __slots__ = ()
 
@@ -369,8 +369,9 @@ def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
     the rest against it, adjoin nonzero remainders.  A nonzero constant
     remainder (or generator) raises InconsistentSystem.  The chosen
     autoreduced set must strictly decrease in the induced ordering whenever
-    the basis changes.  Without convergence within MAX_ROUNDS the last
-    chosen set is returned with converged=False.
+    the basis changes.  A run still adjoining remainders after MAX_ROUNDS
+    rounds raises ResourceLimit naming the last chosen set, so converged is
+    always true in a returned result.
     """
     if ranking is None:
         ranking = orderly()
@@ -408,7 +409,10 @@ def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
             return CharSetResult(aset, True, rounds, tuple(mults))
         basis = chosen + new
         prev = aset
-    return CharSetResult(aset, False, MAX_ROUNDS, tuple(mults))
+    raise ResourceLimit(
+        "characteristic set iteration did not converge in %d rounds; last chosen set %s"
+        % (MAX_ROUNDS, [describe(p) for p in aset.elements])
+    )
 
 
 def membership(f: DiffPoly, charset: AutoreducedSet) -> bool:

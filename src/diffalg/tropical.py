@@ -438,17 +438,17 @@ def normalize(entries, sol=None):
     )
 
 
-def to_first_form(entries, sol=None) -> FormCertificate:
+def to_first_form(entries) -> FormCertificate:
     """normalize's certificate if it is the first form, else HypothesisFailure."""
-    cert, _ = normalize(entries, sol)
+    cert, _ = normalize(entries)
     if cert.form != "first":
         raise HypothesisFailure("every maximizing transversal meets column 1 at its maximum")
     return cert
 
 
-def to_second_form(entries, sol=None) -> FormCertificate:
+def to_second_form(entries) -> FormCertificate:
     """normalize's certificate if it is the second form, else HypothesisFailure."""
-    cert, _ = normalize(entries, sol)
+    cert, _ = normalize(entries)
     if cert.form != "second":
         raise HypothesisFailure("some maximizing transversal avoids the column-1 maximum")
     return cert

@@ -273,6 +273,18 @@ def test_step_budget_is_exit_3(sysfile, capsys, monkeypatch):
     assert err["kind"] == "resource-limit" and "step budget" in err["error"]
 
 
+def test_charset_round_cap_is_exit_3(sysfile, capsys, monkeypatch):
+    import diffalg.reduction as reduction
+
+    monkeypatch.setattr(reduction, "MAX_ROUNDS", 1)
+    f = sysfile("vars: x, y\nx' + y\nx' - y'\n")
+    assert main(["autoreduce", f, "--json"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "resource-limit" and "did not converge in 1 rounds" in err["error"]
+    assert main(["dims", f]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
 def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
     for text in ("vars: x, y\nx^1000000000 + y\ny\n", "vars: x, y\nx^(1000000000) + y\ny\n"):
         f = sysfile(text)

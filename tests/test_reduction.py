@@ -171,6 +171,24 @@ def test_autoreduce_adjoins_remainders():
         assert membership(p, res.charset)
 
 
+def test_charset_is_a_value():
+    res = autoreduce_loop([P("x' - x"), P("y' - x")], orderly())
+    same = AutoreducedSet((P("x' - x"), P("y' - x")), orderly())
+    assert res.charset == same and hash(res.charset) == hash(same)
+    assert res.charset != AutoreducedSet((P("x' - x"), P("y' - x")), elimination([[0, 1]]))
+
+
+def test_autoreduce_round_cap_is_a_resource_limit(monkeypatch):
+    import diffalg.reduction as reduction
+
+    gens = [P("x' + y"), P("x' - y'")]
+    assert autoreduce_loop(gens, orderly()).rounds == 2
+    monkeypatch.setattr(reduction, "MAX_ROUNDS", 1)
+    with pytest.raises(diffalg.ResourceLimit) as e:
+        autoreduce_loop(gens, orderly())
+    assert str(e.value).endswith("did not converge in 1 rounds; last chosen set [\"x' + y\"]")
+
+
 def test_autoreduce_inconsistent():
     with pytest.raises(InconsistentSystem):
         autoreduce_loop([P("x' - x"), P("x' - x - 1")], orderly())

@@ -98,6 +98,59 @@ def test_result_records_are_immutable_values():
         assert {f: getattr(cls(**required), f) for f in defaults} == defaults, name
 
 
+def test_validated_records_are_immutable_values(monkeypatch):
+    import diffalg
+    import diffalg.reduction as reduction
+    from diffalg import AutoreducedSet, BipartiteMultigraph, Derivative, LinOp, Ranking, elimination, orderly
+
+    ring = diffalg.DiffRing(["x", "y"])
+
+    def P(text):
+        return diffalg.parse_poly(text, ring)
+
+    # per record: positional fields, and a value differing in the last field
+    records = {
+        Ranking: (("elim", ((1,), (0,))), ((0,), (1,))),
+        BipartiteMultigraph: ((2, 3, ((1, 2), (1, 2))), ((1, 2),)),
+        AutoreducedSet: (((P("x' - x"), P("y' - x")), orderly()), elimination([[0, 1]])),
+        LinOp: ((ring, {0: P("x"), 1: ring.one()}), {0: P("x")}),
+    }
+    for cls, (args, other) in records.items():
+        assert issubclass(cls, tuple) and cls.__slots__ == (), cls
+        assert not {"__init__", "__eq__", "__hash__"} & set(vars(cls)), cls
+        assert ("__repr__" in vars(cls)) == (cls is LinOp), cls
+        a, b = cls(*args), cls(**dict(zip(cls._fields, args)))
+        assert a == b and a is not b and a != cls(*args[:-1], other), cls
+        if cls is LinOp:  # coeffs is a dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b), cls
+        for f in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, None)
+
+    assert repr(Ranking("orderly")) == "Ranking(kind='orderly', blocks=())"
+    assert repr(BipartiteMultigraph(2, 3, ((1, 2),))) == "BipartiteMultigraph(left=2, right=3, edges=((1, 2),))"
+    assert repr(LinOp(ring, {1: ring.one(), 0: P("x"), 2: ring.zero()})) == "LinOp((1)*D + (x)*1)"
+    assert LinOp(ring, {3: ring.zero()}).coeffs == {} and repr(LinOp(ring, {})) == "LinOp(0)"
+    with pytest.raises(ValueError, match="unknown ranking kind 'lex'"):
+        Ranking("lex")
+    with pytest.raises(ValueError, match="variable repeated across blocks"):
+        Ranking("elim", ((0,), (1, 0)))
+    with pytest.raises(ValueError, match="variable 1 not covered by blocks"):
+        Ranking("elim", ((0,),)).key(Derivative(1, 2))
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
+        BipartiteMultigraph(2, 3, ((0, 0), (0, 3)))
+    with pytest.raises(ValueError, match="element 1 is not reduced w.r.t. element 0"):
+        AutoreducedSet((P("x' - x"), P("x'' - x")), orderly())
+    # no ranking lets two reduced elements share a leading variable, so the
+    # check is reached only with the reduction test switched off
+    monkeypatch.setattr(reduction, "is_reduced_wrt", lambda *args: True)
+    with pytest.raises(diffalg.InternalInvariantViolation, match="share a leading variable"):
+        AutoreducedSet((P("x' - x"), P("x'' - x")), orderly())
+
+
 def test_column_order_follows_var_order():
     ring, sys_ = parse_system("vars: x, y\nx' + y^(18)\n(y')^2 + y\n")
     assert order_matrix(sys_, ["y", "x"], "weak").entries == ((18, 1), (1, 0))
