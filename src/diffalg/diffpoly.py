@@ -182,9 +182,9 @@ class DiffRing:
         return self.const(1)
 
     def var_index(self, which) -> int:
-        """The index of a variable given by name or by index."""
+        """The index of a variable given by name or by index (an int, not a bool)."""
         idx = self.index.get(which) if isinstance(which, str) else which
-        if idx is None or not 0 <= idx < self.nvars:
+        if type(idx) is not int or not 0 <= idx < self.nvars:
             raise ValueError("no variable %r" % (which,))
         return idx
 

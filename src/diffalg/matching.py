@@ -1,7 +1,8 @@
-"""Bipartite matching with Hall certificates, regular decompositions, the
-lexicographically least perfect matching and the enumeration of all perfect
-matchings of a square graph (the tropical layer's witness questions), and
-the paper's directed-cycle construction, which no other module calls."""
+"""Bipartite matching with Hall certificates, regular decompositions, one
+search for the perfect matchings of a square graph (lexicographic
+enumeration with polynomial delay; its first element answers the tropical
+layer's lex-least questions, the whole list its witness questions), and the
+paper's directed-cycle construction, which no other module calls."""
 
 from __future__ import annotations
 
@@ -108,74 +109,60 @@ def decompose_regular(graph: BipartiteMultigraph, k: int):
     return out
 
 
-def lex_least_perfect_matching(adj):
-    """The lexicographically least perfect matching of a square bipartite
-    graph, as rho with rho[i] the right vertex of left vertex i; None when
-    there is none.  adj[i] lists the right neighbours of i in increasing
-    order.
+def perfect_matchings(adj):
+    """Every perfect matching of a square bipartite graph, as rho tuples with
+    rho[i] the right vertex of left vertex i, in lexicographic order; the
+    first is the lexicographically least.  adj[i] lists the right neighbours
+    of i in increasing order.
 
-    Rows are fixed greedily: row i takes its least neighbour j such that the
-    remaining rows can still be matched.  With a perfect matching at hand,
-    that check is one augmenting-path search from the row that held j, with
-    the columns already fixed blocked."""
+    From one Kuhn perfect matching, rows are fixed in turn, each trying its
+    neighbours in increasing order.  Fixing row i to j takes j from the row
+    k that held it; one augmenting-path search from k, with the fixed
+    columns blocked, decides whether the fix can be completed.  A fix that
+    passes always leads to a matching, so the delay between two matchings
+    is polynomial (Uno's enumeration)."""
     n = len(adj)
     match_r = [None] * n
     for u in range(n):
         if not _augment(adj, match_r, u, set()):
-            return None
-    col = [0] * n
-    for v, u in enumerate(match_r):
-        col[u] = v
+            return
+    if not n:
+        yield ()
+        return
+    rho = [0] * n
     fixed = set()
-    for i in range(n):
-        for j in adj[i]:
+    # stack[i]: row i's untried neighbours and a perfect matching that gives
+    # rows < i their columns rho[:i], the set fixed while row i is on top
+    stack = [(iter(adj[0]), match_r)]
+    fresh = True  # the top row was just pushed, so its own column must pass
+    while stack:
+        i = len(stack) - 1
+        cands, match_r = stack[-1]
+        for j in cands:
             if j in fixed:
                 continue
             k = match_r[j]
-            if k == i:
-                break
-            c0 = col[i]
-            match_r[j], match_r[c0] = i, None
-            if _augment(adj, match_r, k, fixed | {j}):
-                break
-            match_r[j], match_r[c0] = k, i
+            m = match_r
+            if k != i:
+                m = match_r[:]
+                m[j], m[match_r.index(i)] = i, None
+                if not _augment(adj, m, k, fixed | {j}):
+                    continue
+            break
         else:
-            raise InternalInvariantViolation("row %d lost its column in %r" % (i, adj))
-        fixed.add(j)
-        for v, u in enumerate(match_r):
-            col[u] = v
-    return tuple(col)
-
-
-def perfect_matchings(adj):
-    """Every perfect matching of a square bipartite graph (adjacency lists in
-    increasing order), as rho tuples in lexicographic order.
-
-    Depth-first over rows; a set of used right vertices from which the
-    remaining rows cannot be completed is remembered, so dead ends are
-    explored once."""
-    n = len(adj)
-    rho = [0] * n
-    dead = set()
-
-    def walk(i, used):
-        if i == n:
+            if fresh:
+                raise InternalInvariantViolation("row %d lost its column in %r" % (i, adj))
+            stack.pop()
+            if i:
+                fixed.remove(rho[i - 1])
+            continue
+        rho[i] = j
+        fresh = i + 1 < n
+        if fresh:
+            fixed.add(j)
+            stack.append((iter(adj[i + 1]), m))
+        else:
             yield tuple(rho)
-            return
-        if used in dead:
-            return
-        found = False
-        for j in adj[i]:
-            bit = 1 << j
-            if not used & bit:
-                rho[i] = j
-                for m in walk(i + 1, used | bit):
-                    found = True
-                    yield m
-        if not found:
-            dead.add(used)
-
-    return walk(0, 0)
 
 
 def find_directed_cycle(successor):

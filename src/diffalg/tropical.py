@@ -7,13 +7,15 @@ permutations.  It is computed one way only: Kuhn's Hungarian method on
 integers (tdet_assignment), with -inf cells forbidden.  Its dual potentials
 u, v (Jacobi's canon offsets) make u_i + v_j >= a_ij everywhere, with
 equality on the tight graph, whose perfect matchings are exactly the
-maximizing transversals.  Witness lists and the normalizer's questions
-(does some maximizing transversal avoid the column-1 maximum? which one is
-lexicographically least?) are answered by matchings of that graph, never by
-enumerating the n! permutations; tdet_brute does that for the tests only.
+maximizing transversals.  matching.perfect_matchings lists those in
+lexicographic order with polynomial delay: witness lists take all, the
+normalizer's questions (does one avoid the column-1 maximum? which is
+lexicographically least?) the first.  Only tdet_brute, for the tests,
+enumerates the n! permutations.
 
-The functions here take a matrix as a tuple of row tuples (OrderMatrix.entries),
-never an OrderMatrix itself.
+Matrices are tuples of row tuples (OrderMatrix.entries), never an
+OrderMatrix; the solvers, detectors, normalize and ritt_compare raise
+ValueError on a ragged or empty one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import namedtuple
 
 from .diffpoly import NEG_INF, jsonable
 from .errors import InternalInvariantViolation, ResourceLimit
-from .matching import lex_least_perfect_matching, perfect_matchings
+from .matching import perfect_matchings
 
 
 class HypothesisFailure(Exception):
@@ -33,12 +35,21 @@ class HypothesisFailure(Exception):
 # -- matrices ---------------------------------------------------------------
 
 
+def _shape(entries):
+    """(rows, columns) of a matrix; ValueError when it is ragged or empty."""
+    n = len(entries)
+    m = len(entries[0]) if n else 0
+    for row in entries:
+        if len(row) != m:
+            raise ValueError("ragged matrix")
+    if not m:
+        raise ValueError("empty matrix")
+    return n, m
+
+
 def _as_entries(rows):
     out = tuple(tuple(row) for row in rows)
-    if any(len(row) != len(out[0]) for row in out):
-        raise ValueError("ragged matrix")
-    if not out or not out[0]:
-        raise ValueError("empty matrix")
+    _shape(out)
     return out
 
 
@@ -148,8 +159,8 @@ def tdet_brute(entries):
     """(value, all maximizing permutations); factorial, for n <= 8.  The
     independent oracle of the tests; the program itself never calls it, and
     the benchmark's tracer (bench/tracer.py) wraps it by name."""
-    n = len(entries)
-    if len(entries[0]) != n:
+    n, m = _shape(entries)
+    if m != n:
         raise ValueError("tdet needs a square matrix")
     if n > 8:
         raise ValueError("brute force capped at n = 8")
@@ -181,8 +192,8 @@ def tdet_assignment(entries):
     -inf entries are forbidden cells, never padded.  Returns the Assignment:
     the value and the potentials, which are Jacobi's canon offsets (Pryce's
     Sigma-method offsets)."""
-    n = len(entries)
-    if len(entries[0]) != n:
+    n, m = _shape(entries)
+    if m != n:
         raise ValueError("tdet needs a square matrix")
     # Rows enter one at a time; each entry grows a shortest-augmenting-path
     # tree from the virtual column n.  slack(i, j) = u[i] + v[j] - a[i][j]
@@ -283,7 +294,7 @@ def ritt_key(entries):
 
 
 def ritt_compare(a, b) -> str:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
+    if _shape(a) != _shape(b):
         raise ValueError("shape mismatch")
     ka, kb = ritt_key(a), ritt_key(b)
     if ka < kb:
@@ -299,8 +310,8 @@ def ritt_compare(a, b) -> str:
 def detect_first_form(entries, value=None) -> bool:
     """Diagonal is a maximizing transversal, a21 >= a11 != -inf.  `value`,
     when given, is the known tdet of the matrix."""
-    n = len(entries)
-    if n < 2 or len(entries[0]) != n:
+    n, m = _shape(entries)
+    if n < 2 or m != n:
         return False
     if entries[0][0] == NEG_INF or entries[1][0] < entries[0][0]:
         return False
@@ -328,8 +339,8 @@ def detect_second_form(entries, value=None, minor_value=None) -> bool:
     a_{n,1} a column maximum and the inner diagonal maximal in the minor.
     `value` and `minor_value`, when given, are the known tdet of the matrix
     and of the minor without its last row and column."""
-    n = len(entries)
-    if n < 2 or len(entries[0]) != n:
+    n, m = _shape(entries)
+    if n < 2 or m != n:
         return False
     pattern = entries[0][n - 1] + sum(entries[i][i] for i in range(1, n - 1)) + entries[n - 1][0]
     inner = sum(entries[i][i] for i in range(n - 1))
@@ -338,8 +349,8 @@ def detect_second_form(entries, value=None, minor_value=None) -> bool:
 
 def detect_third_form(entries) -> bool:
     """Column-cycled image of the second form."""
-    n = len(entries)
-    if n < 2 or len(entries[0]) != n:
+    n, m = _shape(entries)
+    if n < 2 or m != n:
         return False
     pattern = entries[n - 1][0] + sum(entries[i][i + 1] for i in range(n - 1))
     inner = entries[0][0] + sum(entries[i][i + 1] for i in range(1, n - 1))
@@ -381,8 +392,8 @@ def normalize(entries, sol=None):
     without row r and column rho(i); index is i's place among the rows other
     than r, plus 1.  HypothesisFailure: no finite transversal, or fewer than
     two finite entries in column 1, where neither form applies."""
-    n = len(entries)
-    if n < 2 or len(entries[0]) != n:
+    n, m = _shape(entries)
+    if n < 2 or m != n:
         raise ValueError("need a square matrix, n >= 2")
     if sol is None:
         sol = tdet_assignment(entries)
@@ -396,7 +407,7 @@ def normalize(entries, sol=None):
     tight = _tight_graph(entries, sol)
     # the perfect matchings of below meet column 1 strictly below its maximum
     below = [[j for j in adj if j or col0[i] < colmax] for i, adj in enumerate(tight)]
-    rho = lex_least_perfect_matching(below)
+    rho = next(perfect_matchings(below), None)
     if rho is not None:
         # rows sigma diagonalize the transversal; column 1 then reads a[sigma(k)][0]
         sigma = inverse(rho)
@@ -411,7 +422,7 @@ def normalize(entries, sol=None):
         if not detect_first_form(out, value):
             raise InternalInvariantViolation("first-form construction failed: %r" % (entries,))
         return cert, out
-    rho = lex_least_perfect_matching(tight)
+    rho = next(perfect_matchings(tight), None)
     if rho is None:
         raise InternalInvariantViolation("tight graph of %r has no perfect matching" % (entries,))
     r = rho.index(0)

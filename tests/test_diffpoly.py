@@ -245,7 +245,7 @@ def test_bad_variable_is_one_value_error():
     u = system[0]
     charset = AutoreducedSet((parse_poly("y' - y", ring), parse_poly("x' - y", ring)), elimination([[1], [0]]))
     assert (ring.var_index("y"), ring.var_index(1)) == (1, 1)
-    for bad in (5, -1, "q"):
+    for bad in (5, -1, "q", 1.0, True):
         calls = [
             lambda: ring.var_index(bad),
             lambda: ring.var(bad),

@@ -11,7 +11,7 @@ from diffalg import (
     find_directed_cycle,
     hall_matching,
 )
-from diffalg.matching import lex_least_perfect_matching, perfect_matchings
+from diffalg.matching import perfect_matchings
 
 
 def test_perfect_matching_found():
@@ -106,14 +106,39 @@ def _brute_perfect_matchings(adj):
     return [rho for rho in itertools.permutations(range(n)) if all(rho[i] in adj[i] for i in range(n))]
 
 
+def _dead_end(n):
+    # rows 0..n-2 see every column, the last row sees only column 0
+    return [list(range(n))] * (n - 1) + [[0]]
+
+
 def test_lex_least_and_all_perfect_matchings():
     rng = random.Random(77)
-    empty = 0
+    graphs = []
     for _ in range(300):
         n = rng.randint(1, 6)
-        adj = [sorted(j for j in range(n) if rng.random() < 0.45) for _ in range(n)]
+        graphs.append([sorted(j for j in range(n) if rng.random() < 0.45) for _ in range(n)])
+    empty = 0
+    for adj in graphs + [_dead_end(n) for n in range(1, 8)]:
         brute = _brute_perfect_matchings(adj)
         assert list(perfect_matchings(adj)) == brute
-        assert lex_least_perfect_matching(adj) == (brute[0] if brute else None)
+        assert next(perfect_matchings(adj), None) == (brute[0] if brute else None)
         empty += not brute
     assert 0 < empty < 300
+
+
+class _CountingAdjacency(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_first_matching_of_dead_end_family_is_polynomial():
+    # a depth-first walk over rows reads exponentially many adjacency lists
+    # before the last row's dead end lets it past column 0
+    n = 20
+    adj = _CountingAdjacency(_dead_end(n))
+    first = next(perfect_matchings(adj))
+    assert first == tuple(range(1, n)) + (0,)
+    assert adj.reads <= n**3

@@ -188,6 +188,31 @@ def test_tdet_routes_agree_sampled():
     assert tdet_assignment(((INF, 3), (INF, 1))).value == INF  # no finite transversal
 
 
+def test_ragged_or_empty_matrices_raise():
+    ragged = ((1, 2), (3, 4, 5))
+    calls = [
+        tdet,
+        lambda m: tdet(m, witnesses=True),
+        tdet_assignment,
+        tdet_brute,
+        normalize,
+        detect_first_form,
+        detect_second_form,
+        detect_third_form,
+        lambda m: ritt_compare(m, ((1, 2), (3, 4))),
+        lambda m: ritt_compare(((1, 2), (3, 4)), m),
+    ]
+    for bad, text in ((ragged, "ragged matrix"), ((), "empty matrix"), (((), ()), "empty matrix")):
+        for call in calls:
+            with pytest.raises(ValueError, match=text):
+                call(bad)
+    # a well-formed rectangular matrix keeps its answers
+    assert not detect_first_form(((1, 2, 3), (4, 5, 6)))
+    assert ritt_compare(((1, 2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6))) == "equal"
+    with pytest.raises(ValueError, match="square"):
+        tdet(((1, 2, 3), (4, 5, 6)))
+
+
 # -- transversals, cycles, permutations -----------------------------------------
 
 
