@@ -30,9 +30,11 @@ from .tropical import (
     OrderMatrix,
     detect_first_form,
     detect_second_form,
+    duals_cover_weak,
     minor,
     normalize,
     order_matrix,
+    peel_assignment,
     render_grid,
     ritt_compare,
     tdet,
@@ -122,10 +124,17 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
-def _solve(strong):
-    """The one solve of a new strong order matrix: its Assignment and the
-    weak Jacobi number, read off the strong matrix."""
-    return tdet_assignment(strong.entries), tdet(weak_entries(strong.entries))
+def _solve(strong, sol=None):
+    """A strong order matrix's Assignment and weak Jacobi number, each matrix
+    solved at most once.  sol, when given, is the Assignment already known
+    (a peel's, from peel_assignment), else the matrix is solved.  The weak J
+    is the strong one whenever the strong duals cover the weak matrix
+    (duals_cover_weak); only otherwise is the weak matrix solved."""
+    if sol is None:
+        sol = tdet_assignment(strong.entries)
+    if duals_cover_weak(strong.entries, sol):
+        return sol, sol.value
+    return sol, tdet(weak_entries(strong.entries))
 
 
 def _start(system, var_order):
@@ -284,9 +293,11 @@ def linear_reduce(system) -> LinearReduceResult:
             raise ValueError("equation %d is not linear" % i)
 
     # The active system's strong order matrix and Jacobi numbers are carried
-    # from one iteration to the next: a peel takes a minor, a form step
-    # recomputes one row, and each new matrix is solved once, its Assignment
-    # serving both the J-sequence and the next normalization.
+    # from one iteration to the next.  A form step recomputes one row and
+    # solves the new matrix once; a peel takes a minor whose Assignment is
+    # read off the current one, with no solve.  The Assignment serves both
+    # the J-sequence and the next normalization, and its duals settle the
+    # weak J unless they leave a -inf cell uncovered (see _solve).
     strong, sol, jw = _start(system, None)
     j_init = sol.value
     max_ord = max((e for row in strong.entries for e in row if e != NEG_INF), default=0)
@@ -330,7 +341,7 @@ def linear_reduce(system) -> LinearReduceResult:
             if eqs:
                 names = strong.col_names[:c] + strong.col_names[c + 1 :]
                 strong = OrderMatrix(minor(a, r, c), "strong", names)
-                sol, jw = _solve(strong)
+                sol, jw = _solve(strong, peel_assignment(a, sol, r, c))
             report()
             continue
         # every live column is shared: normalize with the first column in

@@ -10,12 +10,16 @@ equality on the tight graph, whose perfect matchings are exactly the
 maximizing transversals.  matching.perfect_matchings lists those in
 lexicographic order with polynomial delay: witness lists take all, the
 normalizer's questions (does one avoid the column-1 maximum? which is
-lexicographically least?) the first.  Only tdet_brute, for the tests,
+lexicographically least?) the first.  Optimal duals also answer two
+questions without a solve: the weak tdet when they cover every -inf cell
+(duals_cover_weak), and a minor's Assignment when the dropped column has a
+single finite entry (peel_assignment).  Only tdet_brute, for the tests,
 enumerates the n! permutations.
 
 Matrices are tuples of row tuples (OrderMatrix.entries), never an
-OrderMatrix; the solvers, detectors, normalize and ritt_compare raise
-ValueError on a ragged or empty one.
+OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute,
+minor, transversal_value and cyclic_sum raise ValueError on a ragged or
+empty one.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ def render_grid(entries) -> str:
 
 
 def minor(entries, drop_row, drop_col):
+    _shape(entries)
     return tuple(
         tuple(e for j, e in enumerate(row) if j != drop_col)
         for i, row in enumerate(entries)
@@ -140,6 +145,7 @@ def transposition(n, i, j):
 
 
 def transversal_value(entries, rho):
+    _shape(entries)
     if sorted(rho) != list(range(len(entries))):
         raise ValueError("not a permutation: %r" % (rho,))
     return sum(entries[i][rho[i]] for i in range(len(entries)))
@@ -147,7 +153,9 @@ def transversal_value(entries, rho):
 
 def cyclic_sum(entries, cycle):
     """a_{i1,i2} + a_{i2,i3} + ... + a_{is,i1} for a genuine cycle (length >= 2)."""
-    n = len(entries)
+    n, m = _shape(entries)
+    if m != n:
+        raise ValueError("cyclic sums need a square matrix")
     if len(cycle) < 2 or len(set(cycle)) != len(cycle):
         raise ValueError("not a cycle: %r" % (cycle,))
     if any(not 0 <= i < n for i in cycle):
@@ -246,6 +254,30 @@ def tdet_assignment(entries):
     return Assignment(value, tuple(u), tuple(v[:n]))
 
 
+def duals_cover_weak(entries, sol):
+    """Whether the strong matrix's optimal duals also solve its weak matrix:
+    sol.value is finite and u_i + v_j >= 0 on every -inf cell, which the weak
+    convention reads as 0.  The duals are then feasible for the weak matrix,
+    whose entries are at least the strong ones, so weak J = strong J."""
+    if sol.value == NEG_INF:
+        return False
+    u, v = sol.u, sol.v
+    return all(u[i] + v[j] >= 0 for i, row in enumerate(entries) for j, e in enumerate(row) if e == NEG_INF)
+
+
+def peel_assignment(entries, sol, r, c):
+    """The Assignment of minor(entries, r, c), read off sol = the matrix's
+    Assignment when (r, c) is column c's only finite entry.  Every finite
+    transversal then uses (r, c), so it is tight; without u_r and v_c the
+    duals stay feasible on the minor and tight on the rest of the optimal
+    matching, and the minor's value is sol.value - a[r][c]."""
+    if sol.value == NEG_INF:
+        raise ValueError("no finite transversal to peel")
+    if entries[r][c] == NEG_INF or any(row[c] != NEG_INF for i, row in enumerate(entries) if i != r):
+        raise ValueError("(%d, %d) is not the only finite entry of its column" % (r, c))
+    return Assignment(sol.value - entries[r][c], sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :])
+
+
 WITNESS_LIMIT = 40320  # 8!: every witness list the factorial route produced
 
 
@@ -276,10 +308,10 @@ def tdet(entries, witnesses=False):
 
 def permute(entries, sigma, tau):
     """b_{i,j} = a_{sigma(i), tau(j)}."""
-    n = len(entries)
-    if sorted(sigma) != list(range(n)) or sorted(tau) != list(range(len(entries[0]))):
+    n, m = _shape(entries)
+    if sorted(sigma) != list(range(n)) or sorted(tau) != list(range(m)):
         raise ValueError("bad permutation")
-    return tuple(tuple(entries[sigma[i]][tau[j]] for j in range(len(entries[0]))) for i in range(n))
+    return tuple(tuple(entries[sigma[i]][tau[j]] for j in range(m)) for i in range(n))
 
 
 # -- Ritt's ordering on order matrices --------------------------------------
@@ -289,8 +321,8 @@ LESS, GREATER, EQUAL = "less", "greater", "equal"
 
 def ritt_key(entries):
     """Per column the sorted entry vector; columns compared left to right."""
-    n = len(entries)
-    return tuple(tuple(sorted(entries[i][j] for i in range(n))) for j in range(len(entries[0])))
+    n, m = _shape(entries)
+    return tuple(tuple(sorted(entries[i][j] for i in range(n))) for j in range(m))
 
 
 def ritt_compare(a, b) -> str:

@@ -328,6 +328,69 @@ def test_linear_reduce_solve_count(monkeypatch):
     assert len(calls) <= 2 + 3 * forms + 2 * kinds.count("peel")
 
 
+def _banded_system(rng, n, max_order=2):
+    # equation i holds x_i and x_(i+1 mod n), sometimes x_(i+2 mod n), each
+    # once with coefficient +-1: every column starts shared by two equations
+    ring = ring_of(n)
+    out = []
+    for i in range(n):
+        vs = {i, (i + 1) % n} | ({(i + 2) % n} if rng.random() < 0.3 else set())
+        p = ring.const(rng.randint(-3, 3)) if rng.random() < 0.3 else ring.zero()
+        for v in sorted(vs):
+            p = p + ring.var(v, rng.randint(0, max_order)) * rng.choice([-1, 1])
+        out.append(p)
+    return out
+
+
+def test_linear_reduce_solves_each_matrix_once(monkeypatch):
+    # Every Hungarian solve inside engine._solve, with its matrix: a peel's
+    # strong minor is never solved (its Assignment is read off the matrix it
+    # came from), and the weak matrix is solved only when the strong duals
+    # leave a -inf cell uncovered (u_i + v_j < 0 there).
+    import diffalg.tropical as tropical_mod
+
+    solves, pending = [], []
+    hungarian, take_minor, solve = tropical_mod.tdet_assignment, engine_mod.minor, engine_mod._solve
+    seen = {"peel": 0, "covered": 0, "weak solved": 0}
+
+    def counted(entries):
+        solves.append(entries)
+        return hungarian(entries)
+
+    def peel_minor(*args):
+        # linear_reduce takes a minor only to peel, then passes it to _solve
+        pending[:] = [take_minor(*args)]
+        return pending[0]
+
+    def checked_solve(strong, *rest):
+        a = strong.entries
+        peel = pending == [a]
+        del solves[:], pending[:]
+        sol, jw = solve(strong, *rest)
+        covered = sol.value != NEG_INF and all(
+            sol.u[i] + sol.v[j] >= 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
+        )
+        weak = tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a)
+        expected = ([] if peel else [a]) + ([] if covered else [weak])
+        assert sorted(solves) == sorted(expected), (a, peel, covered)
+        assert jw == tdet(weak)
+        seen["peel"] += peel
+        seen["covered" if covered else "weak solved"] += 1
+        return sol, jw
+
+    monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
+    monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
+    monkeypatch.setattr(engine_mod, "minor", peel_minor)
+    monkeypatch.setattr(engine_mod, "_solve", checked_solve)
+    rng = random.Random(18)
+    for _ in range(30):
+        try:
+            linear_reduce(_banded_system(rng, rng.randint(5, 6)))
+        except InconsistentSystem:
+            continue
+    assert min(seen.values()) >= 10, seen
+
+
 def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
     # one normalize call per form step, which permutes the matrix once
     import diffalg.tropical as tropical_mod

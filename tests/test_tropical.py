@@ -25,7 +25,18 @@ from diffalg import (
     to_second_form,
     transversal_value,
 )
-from diffalg.tropical import Assignment, compose, identity_perm, inverse, render_grid
+from diffalg.tropical import (
+    Assignment,
+    compose,
+    duals_cover_weak,
+    identity_perm,
+    inverse,
+    minor,
+    peel_assignment,
+    render_grid,
+    ritt_key,
+    weak_entries,
+)
 from diffalg.generators import rand_matrix
 from helpers import all_cycles, first_form_brute, second_form_brute
 
@@ -201,6 +212,11 @@ def test_ragged_or_empty_matrices_raise():
         detect_third_form,
         lambda m: ritt_compare(m, ((1, 2), (3, 4))),
         lambda m: ritt_compare(((1, 2), (3, 4)), m),
+        lambda m: permute(m, (0, 1), (0, 1)),
+        lambda m: minor(m, 0, 0),
+        ritt_key,
+        lambda m: transversal_value(m, (1, 0)),
+        lambda m: cyclic_sum(m, (0, 1)),
     ]
     for bad, text in ((ragged, "ragged matrix"), ((), "empty matrix"), (((), ()), "empty matrix")):
         for call in calls:
@@ -211,6 +227,11 @@ def test_ragged_or_empty_matrices_raise():
     assert ritt_compare(((1, 2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6))) == "equal"
     with pytest.raises(ValueError, match="square"):
         tdet(((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(ValueError, match="square"):
+        cyclic_sum(((1, 2, 3), (4, 5, 6)), (0, 1))
+    assert permute(((1, 2, 3), (4, 5, 6)), (1, 0), (2, 0, 1)) == ((6, 4, 5), (3, 1, 2))
+    assert minor(((1, 2, 3), (4, 5, 6)), 0, 1) == ((4, 6),)
+    assert ritt_key(((1, 2, 3), (4, 0, 6))) == ((1, 4), (0, 2), (3, 6))
 
 
 # -- transversals, cycles, permutations -----------------------------------------
@@ -381,6 +402,46 @@ def test_assignment_potentials_are_optimal_duals():
                 if a[i][j] != INF:
                     assert sol.u[i] + sol.v[j] >= a[i][j]
         assert sum(sol.u) + sum(sol.v) == sol.value
+
+
+def test_dual_certificates_match_brute():
+    # The strong duals settle the weak J whenever they cover every -inf
+    # cell, and a column with one finite entry hands its minor an Assignment
+    # with no solve; both against the factorial oracle.
+    rng = random.Random(1106)
+    seen = {"covered": 0, "solved": 0, "peels": 0}
+    for p_inf in (0.0, 0.3, 0.6):
+        for n in range(1, 9):
+            for _ in range(2 if n >= 7 else 25):
+                a = rand_matrix(rng, n, hi=rng.choice([1, 2, 9]), p_inf=p_inf)
+                sol = tdet_assignment(a)
+                weak = tdet_brute(weak_entries(a))[0]
+                if duals_cover_weak(a, sol):
+                    assert sol.value == weak, a
+                    seen["covered"] += 1
+                else:
+                    assert tdet(weak_entries(a)) == weak, a
+                    seen["solved"] += 1
+                if sol.value == INF or n == 1:
+                    continue
+                for c in range(n):
+                    rows = [i for i in range(n) if a[i][c] != INF]
+                    if len(rows) != 1:
+                        with pytest.raises(ValueError, match="only finite entry"):
+                            peel_assignment(a, sol, rows[0] if rows else 0, c)
+                        continue
+                    b = minor(a, rows[0], c)
+                    peeled = peel_assignment(a, sol, rows[0], c)
+                    assert peeled.value == tdet_brute(b)[0], (a, c)
+                    assert all(
+                        peeled.u[i] + peeled.v[j] >= e
+                        for i, row in enumerate(b)
+                        for j, e in enumerate(row)
+                        if e != INF
+                    ), (a, c)
+                    assert sum(peeled.u) + sum(peeled.v) == peeled.value
+                    seen["peels"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_tdet_witnesses_match_brute_in_order():
