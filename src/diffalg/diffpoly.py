@@ -27,6 +27,7 @@ tuple monomials; `terms` decodes the same dict back.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -63,6 +64,13 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _count(n, what):
+    """n if it is an int >= 0 (a bool is not); ValueError naming `what` otherwise."""
+    if type(n) is not int or n < 0:
+        raise ValueError("%s must be a non-negative int, not %r" % (what, n))
+    return n
+
+
 _INT = frozenset((int,))
 
 
@@ -92,11 +100,6 @@ def _at(s, nvars):
     return Derivative(var, order)
 
 
-def _mono_degree(m):
-    """Total degree of a packed monomial: the sum of its fields."""
-    return sum((m >> s) & _FIELD for s in _shifts(m))
-
-
 def _encode(ring, mono):
     """Packed int of a monomial given as (Derivative, exponent) pairs."""
     exps = {}
@@ -104,9 +107,8 @@ def _encode(ring, mono):
         var, order = d
         if not 0 <= var < ring.nvars:
             raise ValueError("no variable %r" % (var,))
-        if order < 0 or e < 0:
-            raise ValueError("negative order or exponent in %r" % (mono,))
-        if order > MAX_ORDER:
+        _count(e, "exponent")
+        if _count(order, "order") > MAX_ORDER:
             raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
         idx = order * ring.nvars + var
         exps[idx] = exps.get(idx, 0) + e
@@ -191,9 +193,7 @@ class DiffRing:
     def var(self, which, order=0) -> "DiffPoly":
         """The derivative x_which^(order) as a polynomial."""
         idx = self.var_index(which)
-        if order < 0:
-            raise ValueError("negative order")
-        if order > MAX_ORDER:
+        if _count(order, "order") > MAX_ORDER:
             raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
         return _poly(self, {1 << ((order * self.nvars + idx) * FIELD_BITS): 1})
 
@@ -264,10 +264,13 @@ class DiffPoly:
             return other
         return self.ring.const(other)
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other when negate: the one merge loop."""
         other = self._coerce(other)
         acc = dict(self._packed)
         for m, c in other._packed.items():
+            if negate:
+                c = -c
             if m in acc:
                 acc[m] += c
             else:
@@ -280,14 +283,7 @@ class DiffPoly:
         return _poly(self.ring, {m: -c for m, c in self._packed.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        acc = dict(self._packed)
-        for m, c in other._packed.items():
-            if m in acc:
-                acc[m] -= c
-            else:
-                acc[m] = -c
-        return _poly(self.ring, _canon(acc))
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -316,8 +312,7 @@ class DiffPoly:
         return _poly(self.ring, _canon({m: c * k for m, c in self._packed.items()}))
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
+        _count(k, "exponent")
         t = self._packed
         w = self._support()
         # the power's largest exponent is k times the base's: refuse it
@@ -365,7 +360,7 @@ class DiffPoly:
         p = self
         ring = self.ring
         up = ring.nvars * FIELD_BITS  # from the field of x_v^(k) to that of x_v^(k+1)
-        for _ in range(times):
+        for _ in range(_count(times, "times")):
             w = p._support()
             if w and (w.bit_length() - 1) // up >= MAX_ORDER:
                 raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
@@ -470,10 +465,10 @@ _new = object.__new__
 def _addmul(acc, a, b, negate=False):
     """acc + a*b, or acc - a*b when negate, into the packed term dict acc
     (returned; it may hold zero coefficients, see _canon).  The one product
-    loop of the kernel: __mul__, a Ritt division step and the certificate
-    check all sum their products here.  Unless a or b is a constant, it
-    refuses, as __mul__ does, a factor with an exponent over MAX_EXPONENT,
-    whose sum with another could carry out of its field."""
+    loop of the kernel: __mul__, a Ritt division step, its backward pass and
+    the certificate check all sum their products here.  Unless a or b is a
+    constant, it refuses, as __mul__ does, a factor with an exponent over
+    MAX_EXPONENT, whose sum with another could carry out of its field."""
     if a.ring is not b.ring:
         a._coerce(b)  # equal rings pass, mixed rings raise
     wa, wb = a._support(), b._support()
@@ -497,6 +492,45 @@ def _addmul(acc, a, b, negate=False):
             else:
                 acc[m] = c1 * c2
     return acc
+
+
+def _nth(chain, k):
+    """chain[k] of [g, g', g'', ...], extended in place one derivation at a time."""
+    while len(chain) <= k:
+        chain.append(chain[-1].derive())
+    return chain[k]
+
+
+def _apply(acc, coeffs, chain, negate=False):
+    """acc + sum_k coeffs[k] * g^(k), or acc minus it when negate: the one
+    application of an operator sum c_k D^k, reading g^(k) off chain = [g, ...]."""
+    for k in sorted(coeffs):
+        _addmul(acc, coeffs[k], _nth(chain, k), negate)
+    return acc
+
+
+def _primitive(p: DiffPoly):
+    """(content, p / content).  The content is positive and rational: the gcd
+    of the numerators over the lcm of the denominators, so p / content has
+    coprime integer coefficients.  The zero polynomial has content 1."""
+    t = p._packed
+    vals = t.values()
+    if _INT.issuperset(map(type, vals)):
+        num, den = math.gcd(*vals), 1
+    else:
+        num = math.gcd(*(c.numerator for c in vals))
+        den = math.lcm(*(c.denominator for c in vals))
+    if num in (0, 1) and den == 1:
+        return 1, p
+    if den == 1:
+        return num, _poly(p.ring, {m: c // num for m, c in t.items()})
+    content = Fraction(num, den)
+    return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
+
+
+def _is_linear(p: DiffPoly) -> bool:
+    """Whether every term of p has total degree (the sum of its fields) at most 1."""
+    return all(sum((m >> s) & _FIELD for s in _shifts(m)) <= 1 for m in p._packed)
 
 
 def _poly(ring, packed):
@@ -617,12 +651,7 @@ class LinOp(namedtuple("LinOp", "ring coeffs")):
         return super().__new__(cls, ring, {k: c for k, c in coeffs.items() if c})
 
     def apply(self, g: DiffPoly) -> DiffPoly:
-        acc = {}
-        gk, k = g, 0
-        for j in sorted(self.coeffs):
-            gk, k = gk.derive(j - k), j  # g^(j) from g^(k), k < j
-            _addmul(acc, self.coeffs[j], gk)
-        return _poly(self.ring, _canon(acc))
+        return _poly(self.ring, _canon(_apply({}, self.coeffs, [g])))
 
     def __repr__(self):
         if not self.coeffs:

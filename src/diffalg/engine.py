@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diffpoly import NEG_INF, POS_INF, DiffPoly, _mono_degree, elimination, jsonable, orderly, render, separant
+from .diffpoly import NEG_INF, POS_INF, _is_linear, elimination, jsonable, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
@@ -245,10 +245,6 @@ def parse_script(text):
         except ValueError:
             raise ValueError("bad script entry %r (want d/g@var)" % chunk)
     return out
-
-
-def _is_linear(p: DiffPoly) -> bool:
-    return all(_mono_degree(m) <= 1 for m in p._packed)
 
 
 class LinearReduceResult(namedtuple("LinearReduceResult", "trace charset diff_dim abs_dim_bound j_initial "

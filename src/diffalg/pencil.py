@@ -87,6 +87,8 @@ def fiber_at(pencil: RittPencil, mu):
         mu = Fraction(mu)
     except ZeroDivisionError:
         raise ValueError("fiber value %s has a zero denominator" % (mu,))
+    except OverflowError:  # an infinite float
+        raise ValueError("fiber value %s is not finite" % (mu,)) from None
     except ValueError:
         # a well-formed value fails only on the interpreter's digit limit
         if not isinstance(mu, str) or not _well_formed(mu):

@@ -11,23 +11,27 @@ After every step the remainder is divided by its positive rational content
 sequences), so its coefficients stay coprime integers instead of growing
 step by step.
 
-A step replaces r by the primitive part of mult*r - co*G, summed in one
-accumulator: G is the divisor or one of its derivatives, mult its separant
-or initial, and co the degree-e slice of r in the eliminated derivative,
-lowered by one power (separant) or by the divisor's leader degree (initial).
-Each step logs its divisor, its order k, den*co and mult, where den is the
-product of the contents divided out so far; after the last step one pass
-back over the log forms S and the Q_i of S*f = sum Q_i(g_i) + den*r, which
+Every step has one form.  It eliminates the degree-e terms of r in the
+highest unreduced derivative x_v^(o) against the divisor g of order og in v:
+with k = o - og, it replaces r by the primitive part of mult*r - co*g^(k),
+summed in one accumulator, where g^(k) is read off g's derivative chain
+g, g', g'', ... (grown as far as a step needs), mult is g's separant for
+k > 0 and its initial for k = 0, and co is r's degree-e slice lowered by one
+power (k > 0) or by g's leader degree (k = 0).  Each step logs its divisor,
+k, den*co and mult, where den is the product of the contents divided out so
+far.  After the last step one pass back over the log forms the certificate
+S*f = sum Q_i(g_i) + den*r: S is the product of the multipliers, and Q_i at
+D^k sums, over the steps at (i, k), den*co times the multipliers of the later
+steps, each product added into one accumulator per (i, k).  S and the Q_i
 are integral for integral f and g_i.  s = S/den and the quotients Q_i/den
 are formed only when read.  Every division checks its certificate exactly:
 S*f - sum_ik Q_ik * g_i^(k) - den*r is summed in one accumulator over exact
-rationals and must be zero.
+rationals, applying each Q_i to the same chain, and must be zero.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -39,11 +43,12 @@ from .diffpoly import (
     DiffPoly,
     LinOp,
     Ranking,
-    _INT,
     _addmul,
+    _apply,
     _canon,
-    _integral,
+    _nth,
     _poly,
+    _primitive,
     describe,
     orderly,
     render,
@@ -68,15 +73,10 @@ class DivisionCertificate:
     remainder r is primitive (coprime integer coefficients).
 
     The certificate holds S*f = sum Q_i(g_i) + den*r, formed by ritt_divide
-    from its step log: S is the product of the multipliers, and Q_i at D^k
-    sums den*co of each step at (i, k) times the multipliers of the steps
-    after it, den being the product of the contents divided out before the
-    step.  S and the Q_i are integral for integral f and g_i.  s = S/den and
-    the quotients Q_i/den are formed once, when first read; they equal
-    dividing s and the quotients by every content as it arises.  verify
-    checks the identity of S, the Q_i and den itself, with no denominators
-    to clear: it sums S*f - sum Q_i(g_i) - den*r in one accumulator over
-    exact rationals and tests it for zero.
+    from its step log (see the module docstring).  s = S/den and the
+    quotients Q_i/den are formed once, when first read; they equal dividing
+    s and the quotients by every content as it arises.  verify checks the
+    identity of S, the Q_i and den itself, with no denominators to clear.
     """
 
     def __init__(self, S, Q, remainder, den, mode, multipliers=()):
@@ -99,8 +99,7 @@ class DivisionCertificate:
         return tuple(LinOp(q.ring, {k: c * inv for k, c in q.coeffs.items()}) for q in self.Q)
 
     def verify(self, f: DiffPoly, divisors) -> bool:
-        """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is zero, summed exactly
-        in one accumulator."""
+        """Whether S*f = sum Q_i(g_i) + den*r holds exactly (see _identity_holds)."""
         return _identity_holds(self.S, self.Q, self.den, self.remainder, f, [[g] for g in divisors])
 
     def to_json(self):
@@ -121,31 +120,9 @@ def _identity_holds(S, Q, den, r, f, chains):
     place as far as the Q_i need."""
     acc = _addmul({}, S, f)
     for q, chain in zip(Q, chains):
-        for k, c in q.coeffs.items():
-            while len(chain) <= k:
-                chain.append(chain[-1].derive())
-            _addmul(acc, c, chain[k], negate=True)
+        _apply(acc, q.coeffs, chain, negate=True)
     _addmul(acc, r, f.ring.const(den), negate=True)
     return not any(acc.values())
-
-
-def _primitive(p: DiffPoly):
-    """(content, p / content).  The content is positive and rational: the gcd
-    of the numerators over the lcm of the denominators, so p / content has
-    coprime integer coefficients.  The zero polynomial has content 1."""
-    t = p._packed
-    vals = t.values()
-    if _INT.issuperset(map(type, vals)):
-        num, den = math.gcd(*vals), 1
-    else:
-        num = math.gcd(*(c.numerator for c in vals))
-        den = math.lcm(*(c.denominator for c in vals))
-    if num in (0, 1) and den == 1:
-        return 1, p
-    if den == 1:
-        return num, _poly(p.ring, {m: c // num for m, c in t.items()})
-    content = Fraction(num, den)
-    return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
 
 
 def _violates(r, v, vg, dg, mode):
@@ -194,9 +171,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         if len({lg.var for lg, _ in leads}) != len(leads):
             raise ValueError("divisors must have distinct leading variables")
 
-    info = []  # per divisor: g, its variable, order, leader degree, separant, initial
-    for g, (lg, dg) in zip(divisors, leads):
-        info.append((g, lg.var, lg.order, dg, g.partial(lg), g._lowered(lg, dg, dg)))
+    # per divisor: its variable, order, leader degree, separant, initial
+    info = [(lg.var, lg.order, dg, g.partial(lg), g._lowered(lg, dg, dg)) for g, (lg, dg) in zip(divisors, leads)]
 
     chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
     log = []  # per step: divisor index, order k, den*co, multiplier
@@ -205,7 +181,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     last_measure = None
     while True:
         best = None
-        for i, (g, v, vg, dg, _, _) in enumerate(info):
+        for i, (v, vg, dg, _, _) in enumerate(info):
             rv = _violates(r, v, vg, dg, mode)
             if rv is None:
                 continue
@@ -216,7 +192,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         if best is None:
             break
         key, i, occ = best
-        g, v, vg, dg, separant, initial = info[i]
+        _, vg, dg, separant, initial = info[i]
         e = r.deg_in(occ)
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
@@ -228,34 +204,24 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         # mult*r - co*G cancels the terms a*occ^e of r: G = g^(k) has the part
         # mult*occ in occ (separant, k > 0) or mult*occ^dg (initial, k = 0),
         # and co = a*occ^(e-1) or a*occ^(e-dg) is read off r's degree-e slice
-        if occ.order > vg:
-            k = occ.order - vg
-            mult = separant
-            co = r._lowered(occ, e, 1)
-            chain = chains[i]
-            while len(chain) <= k:
-                chain.append(chain[-1].derive())
-            G = chain[k]
-        else:
-            k = 0
-            mult = initial
-            co = r._lowered(occ, e, dg)
-            G = g
+        k = occ.order - vg
+        mult = separant if k else initial
+        co = r._lowered(occ, e, 1 if k else dg)
+        G = _nth(chains[i], k)
         log.append((i, k, co if den == 1 else co * den, mult))
         # making r primitive moves its content c into den
         c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
         den = den * c
 
-    # S*f = sum Q_i(g_i) + den*r for S the product of the multipliers and Q_i
-    # at D^k the sum, over the steps at (i, k), of den*co times the multipliers
-    # of the later steps: one pass from the last step back forms both
+    # one pass from the last step back forms S and the Q_i (module docstring),
+    # adding S*den*co into the accumulator of the step's (i, k)
     S = ring.one()
-    quots = [{} for _ in divisors]
+    accs = [{} for _ in divisors]
     for i, k, t, mult in reversed(log):
-        q = quots[i]
-        q[k] = q[k] + S * t if k in q else S * t
+        _addmul(accs[i].setdefault(k, {}), S, t)
         S = mult * S
-    cert = DivisionCertificate(S, tuple(LinOp(ring, q) for q in quots), r, den, mode, tuple(m for *_, m in log))
+    Q = tuple(LinOp(ring, {k: _poly(ring, _canon(a)) for k, a in q.items()}) for q in accs)
+    cert = DivisionCertificate(S, Q, r, den, mode, tuple(m for *_, m in log))
     # the check reads the derivatives the division already formed
     if not _identity_holds(S, cert.Q, den, r, f, chains):
         raise InternalInvariantViolation(

@@ -100,6 +100,13 @@ def ref_mono_mul(m1, m2):
     return _ref_mono(acc)
 
 
+def ref_add(t1, t2):
+    acc = dict(t1)
+    for m, c in t2.items():
+        acc[m] = acc.get(m, 0) + c
+    return _ref_clean(acc)
+
+
 def ref_mul(t1, t2):
     acc = {}
     for m1, c1 in t1.items():

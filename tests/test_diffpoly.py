@@ -2,10 +2,12 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diffalg
 from diffalg import (
     NEG_INF,
     AutoreducedSet,
@@ -19,6 +21,7 @@ from diffalg import (
     coseparant,
     elimination,
     elimination_project,
+    fiber_at,
     initial,
     is_lower_than,
     order_matrix,
@@ -36,6 +39,7 @@ from helpers import (
     is_canonical_monomial,
     rand_nonconstant,
     rand_poly,
+    ref_add,
     ref_coeffs_in,
     ref_deg_in,
     ref_derive,
@@ -108,6 +112,33 @@ def test_mixed_ring_rejected():
     other = DiffRing(("a", "b"))
     with pytest.raises(ValueError):
         P("x") + other.var("a")
+
+
+def test_sums_and_differences_match_reference():
+    # sums checked against plain dict code, not only against other sums
+    rng = random.Random(19)
+    for _ in range(300):
+        f, g = (rand_poly(rng, R3, max_monos=6, coeffs=SMALL_RATIONALS) for _ in range(2))
+        neg_g = {m: -c for m, c in g.terms.items()}
+        for got, want in [
+            (f + g, ref_add(f.terms, g.terms)),
+            (f - g, ref_add(f.terms, neg_g)),
+            (-g, neg_g),
+            (f + Fraction(-1, 2), ref_add(f.terms, {MONO_ONE: Fraction(-1, 2)})),
+            (3 - g, ref_add({MONO_ONE: 3}, neg_g)),
+            (Fraction(2, 3) + g, ref_add({MONO_ONE: Fraction(2, 3)}, g.terms)),
+            # sums that cancel, wholly or in part
+            (f - f, {}),
+            (f + -f, {}),
+            (f + (g - f), g.terms),
+            (f - (f + g), neg_g),
+        ]:
+            assert got.terms == want and stored_canonically(got)
+    other = DiffRing(("a", "b"))
+    text = "mixed rings: DiffRing(x, y, z) vs DiffRing(a, b)"
+    for op in (lambda p, q: p + q, lambda p, q: p - q):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            op(P("x"), other.var("a"))
 
 
 # -- derivation -------------------------------------------------------------
@@ -264,6 +295,37 @@ def test_bad_variable_is_one_value_error():
                 call()
     # an int outside the ring still reads as an absent variable's order
     assert u.order_in(5) == NEG_INF
+
+
+def test_counts_are_non_negative_ints():
+    # derivative orders, exponents and derivation counts are checked the way
+    # var_index checks variables: a bool or a float is not an int
+    x = R3.var("x")
+    for bad in (True, False, 1.5, 2.0, -1, "1", None):
+        calls = [
+            ("order", lambda: R3.var("x", bad)),
+            ("order", lambda: DiffPoly(R3, {((Derivative(0, bad), 1),): 1})),
+            ("exponent", lambda: DiffPoly(R3, {((Derivative(0, 1), bad),): 1})),
+            ("exponent", lambda: x**bad),
+            ("times", lambda: x.derive(bad)),
+        ]
+        for what, call in calls:
+            with pytest.raises(ValueError, match=re.escape("%s must be a non-negative int, not %r" % (what, bad))):
+                call()
+    assert R3.var("x", 0) == x.derive(0) == x**1 == DiffPoly(R3, {((Derivative(0, 0), 1),): 1})
+    assert x**0 == R3.one() and DiffPoly(R3, {((Derivative(0, 2), 0),): 5}) == R3.const(5)
+    # a fiber value must be a finite rational
+    pen = build_pencil([P("x'^2 - x"), P("y' - x")], 0, "x")
+    for mu in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            fiber_at(pen, mu)
+
+
+def test_only_diffpoly_reads_the_packed_terms():
+    # the packed representation belongs to diffpoly: every other module goes
+    # through DiffPoly's methods and diffpoly's kernel functions
+    src = Path(diffalg.__file__).resolve().parent
+    assert sorted(p.name for p in src.glob("*.py") if "._packed" in p.read_text()) == ["diffpoly.py"]
 
 
 # -- linear differential operators -------------------------------------------
