@@ -57,7 +57,7 @@ def _load(args):
             text = fh.read()
     except OSError as e:
         raise UserError(str(e))
-    names = [s.strip() for s in args.vars.split(",")] if args.vars else None
+    names = [s.strip() for s in args.vars.split(",") if s.strip()] if args.vars else None  # as a vars: line
     ring, polys = parse_system(text, names)
     if not polys:
         raise UserError("empty system: %s" % args.file)

@@ -71,6 +71,13 @@ def _count(n, what):
     return n
 
 
+def _var(v):
+    """v if it is an int (a bool is not); ValueError as var_index raises otherwise."""
+    if type(v) is not int:
+        raise ValueError("no variable %r" % (v,))
+    return v
+
+
 _INT = frozenset((int,))
 
 
@@ -105,7 +112,7 @@ def _encode(ring, mono):
     exps = {}
     for d, e in mono:
         var, order = d
-        if not 0 <= var < ring.nvars:
+        if not 0 <= _var(var) < ring.nvars:
             raise ValueError("no variable %r" % (var,))
         _count(e, "exponent")
         if _count(order, "order") > MAX_ORDER:
@@ -251,7 +258,7 @@ class DiffPoly:
         """Bit offset of the field of derivative d, None if d cannot occur."""
         var, order = d
         n = self.ring.nvars
-        if 0 <= var < n and 0 <= order <= MAX_ORDER:
+        if 0 <= _var(var) < n and 0 <= order <= MAX_ORDER:
             return (order * n + var) * FIELD_BITS
         return None
 
@@ -399,8 +406,7 @@ class DiffPoly:
         """Max derivative order of var, -inf when var does not occur (the
         strong convention; tropical.weak_entries reads -inf as 0 for the
         weak one)."""
-        if isinstance(var, str):
-            var = self.ring.var_index(var)
+        var = self.ring.var_index(var) if isinstance(var, str) else _var(var)
         w = self._support()
         n = self.ring.nvars
         if w and 0 <= var < n:

@@ -6,14 +6,21 @@ Grammar (whitespace-insensitive within a line):
     factor := primary ['^' INT]
     primary:= INT ['/' INT] | deriv | '(' expr ')'
     deriv  := NAME primes | NAME '^(' INT ')'
+    NAME   := [a-zA-Z][a-zA-Z0-9_]*
 Primes mark orders 1..3 in output but any count parses; x^(k) parses for
 k >= 0.  A bare '^' followed by an integer is a power, so x'^2 is (x')^2.
-Orders over diffpoly.MAX_ORDER and powers over diffpoly.MAX_EXPONENT raise
+So a sign stands only at the start of an expression or after '(', '/' only
+inside a rational literal, and x'^(3) and (...)^(k) are errors.  Orders over
+diffpoly.MAX_ORDER and powers over diffpoly.MAX_EXPONENT raise
 ResourceLimit, an implementation cap, before anything is built; so does an
 integer literal longer than the interpreter converts from text.
 
 System files: one polynomial per line, '#' comments, optional leading
-"vars: x, y, z" line fixing the variable order.
+"vars: x, y, z" line fixing the variable order.  A declared name, from that
+line or given explicitly, must be one NAME.
+
+A line is tokenized once, into (kind, value, column) tokens ending in an
+"end" token, an operator's kind being its character; _Parser reads them.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ from fractions import Fraction
 from .diffpoly import MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
 from .errors import ResourceLimit, digit_limit, digits_size
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^/()'])|(?P<bad>\S))"
-)
+_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+_TOKEN = re.compile(r"\s*(?:(?P<name>%s)|(?P<int>\d+)|(?P<op>[-+*^/()'])|(?P<bad>\S))" % _NAME.pattern)
 
 
 class ParseError(ValueError):
@@ -43,176 +49,129 @@ def _capped(value, cap, what, text, pos):
 
 def _tokenize(text):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ParseError("unexpected character %r" % m.group("bad"), text, m.start("bad"))
-        if m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int"):
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % val, text, pos)
+        if kind == "int":
             try:
-                out.append(("int", int(m.group("int")), m.start("int")))
+                val = int(val)
             except ValueError:  # more digits than the interpreter converts
-                where = " at column %d: %r" % (m.start("int") + 1, text)
-                raise digit_limit("integer of %s" % digits_size(len(m.group("int"))), where) from None
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+                where = " at column %d: %r" % (pos + 1, text)
+                raise digit_limit("integer of %s" % digits_size(len(val)), where) from None
+        out.append((val if kind == "op" else kind, val, pos))
     out.append(("end", None, len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, text, ring):
-        self.text = text
-        self.ring = ring
-        self.toks = _tokenize(text)
-        self.i = 0
+    """Recursive descent over the tokens of one line, with one cursor `i`."""
 
-    def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def __init__(self, text, toks, ring):
+        self.text, self.toks, self.ring, self.i = text, toks, ring, 0
 
-    def take(self):
-        t = self.toks[self.i]
-        if t[0] != "end":
-            self.i += 1
-        return t
+    def _op(self, ops, ahead=0):
+        """The operator `ahead` tokens past the cursor if it is one of `ops`, else ""."""
+        kind = self.toks[self.i + ahead][0]
+        return kind if kind in ops else ""
 
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op, self.text, pos)
+    def _take(self, kind, message):
+        """(value, column) of the token at the cursor, which moves past it;
+        ParseError(message) at its column unless the token is of `kind`."""
+        k, val, pos = self.toks[self.i]
+        if k != kind:
+            raise ParseError(message, self.text, pos)
+        self.i += 1
+        return val, pos
 
     def parse(self):
         p = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", self.text, pos)
+        self._take("end", "trailing input")
         return p
 
     def expr(self):
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        p = self.term() * sign
+        sign = self._op("+-")
+        self.i += bool(sign)
+        p = -self.term() if sign == "-" else self.term()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                p = p + t if val == "+" else p - t
-            else:
+            sign = self._op("+-")
+            if not sign:
                 return p
+            self.i += 1
+            t = self.term()
+            p = p + t if sign == "+" else p - t
 
     def term(self):
         p = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                p = p * self.factor()
-            else:
-                return p
+        while self._op("*"):
+            self.i += 1
+            p = p * self.factor()
+        return p
 
     def factor(self):
         p = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            k2, v2, pos2 = self.peek(1)
-            if k2 == "int":
-                self.take()
-                self.take()
-                p = p ** _capped(v2, MAX_EXPONENT, "power", self.text, pos2)
-            elif not (k2 == "op" and v2 == "("):
-                raise ParseError("expected exponent", self.text, pos2)
+        if self._op("^") and not self._op("(", 1):  # '^(' after primes or ')' is trailing input
+            self.i += 1
+            k, pos = self._take("int", "expected exponent")
+            p = p ** _capped(k, MAX_EXPONENT, "power", self.text, pos)
         return p
 
     def primary(self):
-        kind, val, pos = self.take()
+        kind, val, pos = self.toks[self.i]
+        self.i += 1
         if kind == "int":
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3, pos3 = self.take()
-                if k3 != "int":
-                    raise ParseError("expected denominator", self.text, pos3)
-                if v3 == 0:
-                    raise ParseError("zero denominator", self.text, pos3)
-                return self.ring.const(Fraction(val, v3))
-            return self.ring.const(val)
+            if not self._op("/"):
+                return self.ring.const(val)
+            self.i += 1
+            den, at = self._take("int", "expected denominator")
+            if den == 0:
+                raise ParseError("zero denominator", self.text, at)
+            return self.ring.const(Fraction(val, den))
         if kind == "name":
             if val not in self.ring.index:
                 raise ParseError("unknown variable %r" % val, self.text, pos)
             order = 0
-            while True:
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "'":
-                    self.take()
-                    order += 1
-                else:
-                    break
-            if order == 0:
-                k2, v2, _ = self.peek()
-                k3, v3, _ = self.peek(1)
-                if k2 == "op" and v2 == "^" and k3 == "op" and v3 == "(":
-                    self.take()
-                    self.take()
-                    k4, v4, pos4 = self.take()
-                    if k4 != "int":
-                        raise ParseError("expected derivative order", self.text, pos4)
-                    self.expect_op(")")
-                    order = v4
+            while self._op("'"):
+                self.i += 1
+                order += 1
+            if not order and self._op("^") and self._op("(", 1):
+                self.i += 2
+                order, _ = self._take("int", "expected derivative order")
+                self._take(")", "expected ')'")
             return self.ring.var(val, _capped(order, MAX_ORDER, "derivative order", self.text, pos))
-        if kind == "op" and val == "(":
+        if kind == "(":
             p = self.expr()
-            self.expect_op(")")
+            self._take(")", "expected ')'")
             return p
         raise ParseError("unexpected token", self.text, pos)
 
 
 def parse_poly(text, ring: DiffRing) -> DiffPoly:
-    return _Parser(text, ring).parse()
-
-
-def _scan_names(lines):
-    seen = []
-    for ln in lines:
-        for kind, val, _ in _tokenize(ln):
-            if kind == "name" and val not in seen:
-                seen.append(val)
-    return seen
-
-
-def _content_lines(text):
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    return _Parser(text, _tokenize(text), ring).parse()
 
 
 def parse_system(text, names=None):
     """Parse a system file; returns (ring, [polynomials]).
 
     Variable order: explicit `names`, else a leading "vars:" line, else
-    order of first appearance.
+    order of first appearance.  Each line is tokenized once: all before any
+    is parsed when the names are scanned from them, else each as it is parsed.
     """
-    lines = _content_lines(text)
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if lines and lines[0].lower().startswith("vars:"):
-        declared = [s.strip() for s in lines[0][5:].split(",") if s.strip()]
+        declared = [s.strip() for s in lines.pop(0)[5:].split(",") if s.strip()]
         if names is None:
             names = declared
-        lines = lines[1:]
     if names is None:
-        names = _scan_names(lines)
+        toks = [_tokenize(ln) for ln in lines]
+        names = list(dict.fromkeys(val for t in toks for kind, val, _ in t if kind == "name"))
+    else:
+        toks = map(_tokenize, lines)
+        for nm in names:
+            if not (isinstance(nm, str) and _NAME.fullmatch(nm)):
+                raise ParseError("variable %r is not a name" % (nm,), "vars: " + ", ".join(map(str, names)), 0)
     if not names:
         raise ParseError("no variables found", text, 0)
     ring = DiffRing(names)
-    return ring, [parse_poly(ln, ring) for ln in lines]
+    return ring, [_Parser(ln, t, ring).parse() for ln, t in zip(lines, toks)]

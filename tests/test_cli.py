@@ -51,6 +51,19 @@ def test_vars_override(sysfile, capsys):
     assert json.loads(capsys.readouterr().out)["entries"] == [[18, 1], [1, 0]]
 
 
+def test_vars_items_are_split_like_the_vars_line(capsys):
+    # empty items are dropped, as on a vars: line, and a declared name that
+    # is not one NAME token is a data error, not a phantom variable
+    ws = str(SYSTEMS_DIR / "weak_strong.sys")
+    assert main(["matrix", ws, "--vars", "x,y"]) == 0
+    grid = capsys.readouterr().out
+    assert main(["matrix", ws, "--vars", " x,, y ,"]) == 0
+    assert capsys.readouterr().out == grid
+    assert main(["jacobi", ws, "--vars", "x,,y"]) == 0
+    assert main(["jacobi", ws, "--vars", "x, y z"]) == 1
+    assert "variable 'y z' is not a name" in capsys.readouterr().err
+
+
 def test_trace(sysfile, capsys):
     f = sysfile("vars: x, y, z\nx^(100) + y' + z'\nx^(50) + y + z\nx' + y' + 1\n")
     assert main(["trace", f, "--script", "0/2@x;1/2@x"]) == 0

@@ -289,7 +289,19 @@ def test_bad_variable_is_one_value_error():
             lambda: scripted_divide(system, [(1, 0, bad)]),
             lambda: ritt_divide(system[1], [u], var=bad),
             lambda: elimination_project(charset, [bad]),
+            lambda: DiffPoly(ring, {((Derivative(bad, 0), 1),): 1}),
         ]
+        # a Derivative's variable: an int outside the ring reads as absent
+        reads = [
+            (NEG_INF, lambda: u.order_in(bad)),
+            (0, lambda: u.deg_in(Derivative(bad, 2))),
+            (0, lambda: u.partial(Derivative(bad, 2))),
+        ]
+        if type(bad) is int:
+            for value, read in reads:
+                assert read() == value, bad
+        else:
+            calls += [read for _, read in reads]
         for call in calls:
             with pytest.raises(ValueError, match=re.escape("no variable %r" % (bad,))):
                 call()
