@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 user or data error (a rejected command line
 included), 2 internal invariant violation, 3 resource limit (more maximizing
 transversals than `jacobi` lists, the step budget of `reduce-linear`
 exhausted, a characteristic-set iteration of `autoreduce`, `dims` or
-`reduce-linear` past 64 rounds, an order or exponent over the caps of the
-packed monomials, or an integer longer than the interpreter's limit on
-integer-to-string conversion).
+`reduce-linear` past 64 rounds, an order, exponent or power size over the
+caps of the packed monomials, or an integer longer than the interpreter's
+limit on integer-to-string conversion).
 With --json every report (including errors) is a single JSON document."""
 
 from __future__ import annotations

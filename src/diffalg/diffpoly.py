@@ -16,6 +16,9 @@ factor of a product, a derivation or a power carries exponents of at most
 MAX_EXPONENT, the lower half of a field, so that a sum of two never carries
 into the next field; orders are capped at MAX_ORDER, so a monomial stays a
 bounded int.  Both caps raise ResourceLimit before a field could overflow.
+A power of a base of n terms is bounded before it is built, by C(k+n-1, k)
+terms and coefficients within (sum of |numerators|)^k over lcm(denominators)^k:
+past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too.
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant and order_in
 are a test and a mask, and the orderly leader is the word's top field.  An
@@ -48,6 +51,8 @@ FIELD_BITS = 16
 _FIELD = (1 << FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767
 MAX_ORDER = 1000
+MAX_TERMS = 1 << 15  # a power's term bound; the largest a test builds is 6,188
+MAX_COEFF_BITS = 1 << 20  # a power's coefficient-bit bound; a test's largest is 42,855
 
 
 class Derivative(namedtuple("Derivative", "var order")):
@@ -107,23 +112,30 @@ def _at(s, nvars):
     return Derivative(var, order)
 
 
+def _offset(ring, var, order, strict):
+    """Bit offset of the field of x_var^(order); ValueError unless var is an int
+    and order an int >= 0 (a bool is neither).  A variable outside the ring or
+    an order over MAX_ORDER raises when strict, and otherwise reads as None."""
+    var, order = _var(var), _count(order, "order")
+    if 0 <= var < ring.nvars and order <= MAX_ORDER:
+        return (order * ring.nvars + var) * FIELD_BITS
+    if strict:
+        ring.var_index(var)  # raises for a variable outside the ring
+        raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
+    return None
+
+
 def _encode(ring, mono):
     """Packed int of a monomial given as (Derivative, exponent) pairs."""
     exps = {}
-    for d, e in mono:
-        var, order = d
-        if not 0 <= _var(var) < ring.nvars:
-            raise ValueError("no variable %r" % (var,))
-        _count(e, "exponent")
-        if _count(order, "order") > MAX_ORDER:
-            raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
-        idx = order * ring.nvars + var
-        exps[idx] = exps.get(idx, 0) + e
+    for (var, order), e in mono:
+        s = _offset(ring, var, order, True)
+        exps[s] = exps.get(s, 0) + _count(e, "exponent")
     m = 0
-    for idx, e in exps.items():
+    for s, e in exps.items():
         if e > _FIELD:
             raise ResourceLimit("exponent %d does not fit a %d-bit field" % (e, FIELD_BITS))
-        m += e << (idx * FIELD_BITS)
+        m += e << s
     return m
 
 
@@ -199,10 +211,7 @@ class DiffRing:
 
     def var(self, which, order=0) -> "DiffPoly":
         """The derivative x_which^(order) as a polynomial."""
-        idx = self.var_index(which)
-        if _count(order, "order") > MAX_ORDER:
-            raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
-        return _poly(self, {1 << ((order * self.nvars + idx) * FIELD_BITS): 1})
+        return _poly(self, {1 << _offset(self, self.var_index(which), order, True): 1})
 
     def extend(self, name) -> "DiffRing":
         """New ring with one fresh variable appended."""
@@ -255,12 +264,10 @@ class DiffPoly:
         return w
 
     def _shift(self, d):
-        """Bit offset of the field of derivative d, None if d cannot occur."""
+        """Bit offset of the field of derivative d when d occurs, else None."""
         var, order = d
-        n = self.ring.nvars
-        if 0 <= _var(var) < n and 0 <= order <= MAX_ORDER:
-            return (order * n + var) * FIELD_BITS
-        return None
+        s = _offset(self.ring, var, order, False)
+        return None if s is None or not (self._support() >> s) & _FIELD else s
 
     # -- basic ring operations ------------------------------------------
 
@@ -330,6 +337,15 @@ class DiffPoly:
                 "power %d of a polynomial with exponents up to %d exceeds the cap MAX_EXPONENT = %d"
                 % (k, top, MAX_EXPONENT)
             )
+        if k > 1 and t:
+            # and its size, by the bounds of the module docstring
+            vals = t.values()
+            terms = math.comb(k + len(t) - 1, k)
+            bits = k * max(sum(abs(c.numerator) for c in vals), math.lcm(*(c.denominator for c in vals))).bit_length()
+            if terms > MAX_TERMS or bits > MAX_COEFF_BITS:
+                cap = "MAX_TERMS = %d" % MAX_TERMS if terms > MAX_TERMS else "MAX_COEFF_BITS = %d" % MAX_COEFF_BITS
+                raise ResourceLimit(
+                    "power %d exceeds the cap %s (term bound %d, coefficient bound %d bits)" % (k, cap, terms, bits))
         if len(t) == 1:
             ((m, c),) = t.items()
             return _poly(self.ring, {m * k: c**k})
@@ -391,7 +407,7 @@ class DiffPoly:
     def partial(self, d: Derivative):
         """Formal partial derivative with respect to one derivative symbol."""
         s = self._shift(d)
-        if s is None or not (self._support() >> s) & _FIELD:
+        if s is None:
             return _poly(self.ring, {})
         # lowering the exponent of d is injective on the monomials holding d
         one = 1 << s
@@ -426,31 +442,19 @@ class DiffPoly:
         return ld, self.deg_in(ld)
 
     def coeffs_in(self, d: Derivative):
-        """View as univariate in d: dict degree -> coefficient polynomial."""
-        t = self._packed
+        """View as univariate in d: dict degree -> coefficient polynomial,
+        degrees in the order of their first term."""
         s = self._shift(d)
-        if s is None or not (self._support() >> s) & _FIELD:
-            return {0: self} if t else {}
-        # dropping the factor d^e is injective on the monomials of one degree
-        # e, so no bucket collects two terms and none can cancel
-        out = {}
-        for m, c in t.items():
-            e = (m >> s) & _FIELD
-            bucket = out.get(e)
-            if bucket is None:
-                bucket = out[e] = {}
-            bucket[m - (e << s)] = c
-        return {e: _poly(self.ring, b) for e, b in out.items()}
+        if s is None:
+            return {0: self} if self else {}
+        return {e: self._lowered(d, e, e) for e in dict.fromkeys((m >> s) & _FIELD for m in self._packed)}
 
     def deg_in(self, d: Derivative):
-        t = self._packed
-        if not t:
-            return NEG_INF
         s = self._shift(d)
-        if s is None or not (self._support() >> s) & _FIELD:
-            return 0
+        if s is None:
+            return 0 if self else NEG_INF
         mask = _FIELD << s
-        return max(m & mask for m in t) >> s
+        return max(m & mask for m in self._packed) >> s
 
     def _lowered(self, d: Derivative, e, k):
         """The terms of degree e in d with k of their factors d removed, for

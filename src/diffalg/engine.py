@@ -9,7 +9,13 @@ guarantees: the entrywise division bound
 and non-increase of the strong Jacobi number, plus strict decrease of the
 matrix in Ritt's ordering whenever the matrix changed.  Scripted steps use
 partial (∂-)division and make no monotonicity claims; they exist to watch J
-move."""
+move.
+
+Every entry point carries the active system from step to step as one
+_Solved record: its strong order matrix `matrix`, the matrix's Assignment
+`sol` (sol.value is the strong Jacobi number; the duals u, v index this
+matrix's rows and columns) and the weak Jacobi number `weak`.  Each matrix
+is solved at most once, and each J is held in one place."""
 
 from __future__ import annotations
 
@@ -124,74 +130,66 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
+_Solved = namedtuple("_Solved", "matrix sol weak")  # see the module docstring
+
+
 def _solve(strong, sol=None):
-    """A strong order matrix's Assignment and weak Jacobi number, each matrix
-    solved at most once.  sol, when given, is the Assignment already known
-    (a peel's, from peel_assignment), else the matrix is solved.  The weak J
-    is the strong one whenever the strong duals cover the weak matrix
+    """The _Solved record of a strong order matrix, each matrix solved at
+    most once.  sol, when given, is the Assignment already known (a peel's,
+    from peel_assignment), else the matrix is solved.  The weak J is the
+    strong one whenever the strong duals cover the weak matrix
     (duals_cover_weak); only otherwise is the weak matrix solved."""
     if sol is None:
         sol = tdet_assignment(strong.entries)
     if duals_cover_weak(strong.entries, sol):
-        return sol, sol.value
-    return sol, tdet(weak_entries(strong.entries))
+        return _Solved(strong, sol, sol.value)
+    return _Solved(strong, sol, tdet(weak_entries(strong.entries)))
 
 
-def _start(system, var_order):
-    """What every entry point carries from step to step: the system's strong
-    order matrix, its Assignment, and the weak Jacobi number."""
-    strong = order_matrix(system, var_order)
-    return (strong,) + _solve(strong)
-
-
-def _divide_step(system, di, gi, var, kind, strong, jw, js):
+def _divide_step(system, di, gi, var, kind, st):
     """Divide equation di by equation gi in the variable named var: partial
-    division for a scripted step, full division for a form step.  strong is
-    the system's strong order matrix and jw, js its weak and strong Jacobi
-    numbers; only row di changes, so only it is recomputed, and the new
-    matrix is solved once.  Returns the new system, the step, and the
-    Assignment of the strong matrix after the step."""
+    division for a scripted step, full division for a form step.  st is the
+    system's _Solved record; only row di changes, so only it is recomputed,
+    and the new matrix is solved once.  Returns the new system, the step,
+    and the record after the step."""
     cert = ritt_divide(system[di], [system[gi]], "partial" if kind == "scripted" else "full", var=var)
     out = list(system)
     out[di] = cert.remainder
+    strong = st.matrix
     row = tuple(cert.remainder.order_in(name) for name in strong.col_names)
     strong_a = OrderMatrix(strong.entries[:di] + (row,) + strong.entries[di + 1 :], "strong", strong.col_names)
     _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
-    sol, jw_a = _solve(strong_a)
-    step = ReductionStep(kind, di, gi, var, jw, jw_a, js, sol.value, cert, strong_a)
-    return out, step, sol
+    after = _solve(strong_a)
+    step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, after.matrix)
+    return out, step, after
 
 
-def _form_step(system, kind, strong, jw, js):
+def _form_step(system, kind, st):
     """The division of a form step, on a system whose order matrix is known
     to be in `kind` form: equation 2 (first form) or n (second form)
     by equation 1 in the first column's variable.  The Jacobi number must not
     rise, and a changed matrix must drop in Ritt's ordering."""
     dividend = 1 if kind == "first-form" else len(system) - 1
-    out, step, sol = _divide_step(system, dividend, 0, strong.col_names[0], kind, strong, jw, js)
-    strong_a = step.matrix_after_strong
-    if sol.value > js:
+    out, step, after = _divide_step(system, dividend, 0, st.matrix.col_names[0], kind, st)
+    a, b = st.matrix.entries, after.matrix.entries
+    if after.sol.value > st.sol.value:
+        raise InternalInvariantViolation("J increased: %s -> %s\n%s" % (st.sol.value, after.sol.value, render_grid(b)))
+    if b != a and ritt_compare(b, a) != LESS:
         raise InternalInvariantViolation(
-            "J increased: %s -> %s\n%s" % (js, sol.value, render_grid(strong_a.entries))
+            "matrix did not drop in Ritt's ordering:\n%s\n->\n%s" % (render_grid(a), render_grid(b))
         )
-    if strong_a.entries != strong.entries and ritt_compare(strong_a.entries, strong.entries) != LESS:
-        raise InternalInvariantViolation(
-            "matrix did not drop in Ritt's ordering:\n%s\n->\n%s"
-            % (render_grid(strong.entries), render_grid(strong_a.entries))
-        )
-    return out, step, sol
+    return out, step, after
 
 
 def _detected_form_step(system, var_order, kind, charset):
     system = list(system)
-    strong, sol, jw = _start(system, var_order)
+    st = _solve(order_matrix(system, var_order))
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(strong.entries, sol.value):
+    if not detect(st.matrix.entries, st.sol.value):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
     # only here: on linear_reduce's linear systems every pivot separant is constant
-    _check_pivot_separant(system, 0, system[0].ring.var_index(strong.col_names[0]), charset)
-    out, step, _ = _form_step(system, kind, strong, jw, sol.value)
-    return out, step
+    _check_pivot_separant(system, 0, system[0].ring.var_index(st.matrix.col_names[0]), charset)
+    return _form_step(system, kind, st)[:2]
 
 
 def step_first_form(system, var_order=None, charset=None):
@@ -210,24 +208,22 @@ def scripted_divide(system, script, var_order=None):
     claimed, only the division bound and the certificate identity."""
     system = list(system)
     ring = system[0].ring
-    strong, sol, jw = _start(system, var_order)
-    jw_seq, js_seq = [jw], [sol.value]
+    st = _solve(order_matrix(system, var_order))
+    jw_seq, js_seq = [st.weak], [st.sol.value]
     steps = []
     for pos, (di, gi, var) in enumerate(script):
         v = ring.var_index(var)
         if not (0 <= di < len(system) and 0 <= gi < len(system)) or di == gi:
             raise ValueError("script entry %d: bad equation indices" % pos)
-        g = system[gi]
         og = system[gi].order_in(v)
         if og == NEG_INF:
             raise ValueError("script entry %d: divisor does not involve %s" % (pos, ring.names[v]))
         if system[di].order_in(v) < og:
             raise ValueError("script entry %d: dividend has lower order in %s" % (pos, ring.names[v]))
-        system, step, _ = _divide_step(system, di, gi, ring.names[v], "scripted", strong, jw_seq[-1], js_seq[-1])
+        system, step, st = _divide_step(system, di, gi, ring.names[v], "scripted", st)
         steps.append(step)
-        strong = step.matrix_after_strong
-        jw_seq.append(step.j_after)
-        js_seq.append(step.j_after_strong)
+        jw_seq.append(st.weak)
+        js_seq.append(st.sol.value)
     return system, Trace(tuple(steps), tuple(jw_seq), tuple(js_seq))
 
 
@@ -294,32 +290,32 @@ def linear_reduce(system) -> LinearReduceResult:
     # read off the current one, with no solve.  The Assignment serves both
     # the J-sequence and the next normalization, and its duals settle the
     # weak J unless they leave a -inf cell uncovered (see _solve).
-    strong, sol, jw = _start(system, None)
-    j_init = sol.value
-    max_ord = max((e for row in strong.entries for e in row if e != NEG_INF), default=0)
+    st = _solve(order_matrix(system, None))
+    j_init = st.sol.value
+    max_ord = max((e for row in st.matrix.entries for e in row if e != NEG_INF), default=0)
     budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
     solved = []  # (equation, var, order) in peel order
     steps = []
     # reported J: sum of peeled orders plus J of the active submatrix
-    jw_seq, js_seq = [jw], [j_init]
+    jw_seq, js_seq = [st.weak], [j_init]
     degenerate = False
     used = 0
 
     def report():
         off = sum(o for _, _, o in solved)
-        js_seq.append(off + (sol.value if eqs else 0))
-        jw_seq.append(off + (jw if eqs else 0))
+        js_seq.append(off + (st.sol.value if eqs else 0))
+        jw_seq.append(off + (st.weak if eqs else 0))
 
     while eqs:
         for p in eqs:
             if p and p.is_constant():
                 raise InconsistentSystem(p)
         # a zero equation leaves a row of -inf, so it is caught here too
-        if sol.value == NEG_INF:
+        if st.sol.value == NEG_INF:
             degenerate = True
             break
-        a = strong.entries
+        a, names = st.matrix.entries, st.matrix.col_names
         singleton = None
         for c in range(len(a[0])):
             rows = [i for i in range(len(eqs)) if a[i][c] != NEG_INF]
@@ -329,24 +325,22 @@ def linear_reduce(system) -> LinearReduceResult:
         if singleton is not None:
             r, c = singleton
             o = int(a[r][c])
-            name = strong.col_names[c]
-            solved.append((eqs[r], ring.var_index(name), o))
+            solved.append((eqs[r], ring.var_index(names[c]), o))
             jw0, js0 = jw_seq[-1], js_seq[-1]  # a peel leaves J as it is
-            steps.append(ReductionStep("peel", r, -1, name, jw0, jw0, js0, js0))
+            steps.append(ReductionStep("peel", r, -1, names[c], jw0, jw0, js0, js0))
             del eqs[r]
             if eqs:
-                names = strong.col_names[:c] + strong.col_names[c + 1 :]
-                strong = OrderMatrix(minor(a, r, c), "strong", names)
-                sol, jw = _solve(strong, peel_assignment(a, sol, r, c))
+                strong = OrderMatrix(minor(a, r, c), "strong", names[:c] + names[c + 1 :])
+                st = _solve(strong, peel_assignment(a, st.sol, r, c))
             report()
             continue
         # every live column is shared: normalize with the first column in
-        # front, to the first form when its hypothesis holds, else the second
-        fc, b = normalize(a, sol)
-        eqs = [eqs[fc.row_perm[i]] for i in range(len(eqs))]
-        names = tuple(strong.col_names[j] for j in fc.col_perm)
-        eqs, step, sol = _form_step(eqs, fc.form + "-form", OrderMatrix(b, "strong", names), jw, sol.value)
-        strong, jw = step.matrix_after_strong, step.j_after
+        # front, to the first form when its hypothesis holds, else the second;
+        # the record's duals are permuted with its rows and columns
+        fc, b = normalize(a, st.sol)
+        sol = st.sol._replace(u=tuple(st.sol.u[i] for i in fc.row_perm), v=tuple(st.sol.v[j] for j in fc.col_perm))
+        st = _Solved(OrderMatrix(b, "strong", tuple(names[j] for j in fc.col_perm)), sol, st.weak)
+        eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
         steps.append(step)
         report()
         used += 1

@@ -11,9 +11,10 @@ Primes mark orders 1..3 in output but any count parses; x^(k) parses for
 k >= 0.  A bare '^' followed by an integer is a power, so x'^2 is (x')^2.
 So a sign stands only at the start of an expression or after '(', '/' only
 inside a rational literal, and x'^(3) and (...)^(k) are errors.  Orders over
-diffpoly.MAX_ORDER and powers over diffpoly.MAX_EXPONENT raise
-ResourceLimit, an implementation cap, before anything is built; so does an
-integer literal longer than the interpreter converts from text.
+diffpoly.MAX_ORDER, powers over diffpoly.MAX_EXPONENT and powers past
+MAX_TERMS or MAX_COEFF_BITS raise ResourceLimit, an implementation cap,
+before anything is built; so does an integer literal longer than the
+interpreter converts from text.
 
 System files: one polynomial per line, '#' comments, optional leading
 "vars: x, y, z" line fixing the variable order.  A declared name, from that

@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -306,6 +308,41 @@ def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
         assert err["kind"] == "resource-limit" and "over the cap" in err["error"]
         assert main(["dims", f]) == 3
         assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+# each passes MAX_EXPONENT, but built out it would run for minutes: C(3002, 2)
+# terms, or one coefficient of about 120,000,000 digits
+HUGE_POWERS = (("(x + y + z)^3000", "MAX_TERMS"), ("%s^30000" % ("7" * 4000), "MAX_COEFF_BITS"))
+
+
+def test_powers_past_the_size_caps_are_exit_3(tmp_path):
+    # in subprocesses with a timeout, so that a power that is built fails the
+    # test instead of hanging it
+    src = str(Path(diffalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = textwrap.dedent(
+        """
+        import sys, time
+        from diffalg import DiffRing, parse_poly
+        from diffalg.errors import ResourceLimit
+
+        t = time.perf_counter()
+        try:
+            parse_poly(sys.argv[1], DiffRing(("x", "y", "z")))
+        except ResourceLimit as e:
+            print(time.perf_counter() - t, e)
+        """
+    )
+    for text, cap in HUGE_POWERS:
+        out = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True, env=env, timeout=30)
+        assert out.returncode == 0, out.stderr
+        took, msg = out.stdout.split(" ", 1)
+        assert float(took) < 1.0 and "exceeds the cap %s = " % cap in msg
+        f = tmp_path / "power.sys"
+        f.write_text("vars: x, y, z\n%s\ny\nz\n" % text)
+        argv = [sys.executable, "-m", "diffalg.cli", "jacobi", str(f)]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+        assert out.returncode == 3 and out.stderr.startswith("resource limit: power ") and cap in out.stderr
 
 
 def test_integer_string_limit_is_exit_3(sysfile, capsys):

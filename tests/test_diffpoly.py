@@ -312,11 +312,14 @@ def test_bad_variable_is_one_value_error():
 def test_counts_are_non_negative_ints():
     # derivative orders, exponents and derivation counts are checked the way
     # var_index checks variables: a bool or a float is not an int
-    x = R3.var("x")
-    for bad in (True, False, 1.5, 2.0, -1, "1", None):
+    x, u = R3.var("x"), P("x'^2 - y''")
+    for bad in (True, False, 1.0, 1.5, 2.0, -1, "1", None):
         calls = [
             ("order", lambda: R3.var("x", bad)),
             ("order", lambda: DiffPoly(R3, {((Derivative(0, bad), 1),): 1})),
+            ("order", lambda: u.deg_in(Derivative(0, bad))),
+            ("order", lambda: u.partial(Derivative(0, bad))),
+            ("order", lambda: u.coeffs_in(Derivative(0, bad))),
             ("exponent", lambda: DiffPoly(R3, {((Derivative(0, 1), bad),): 1})),
             ("exponent", lambda: x**bad),
             ("times", lambda: x.derive(bad)),
@@ -326,6 +329,10 @@ def test_counts_are_non_negative_ints():
                 call()
     assert R3.var("x", 0) == x.derive(0) == x**1 == DiffPoly(R3, {((Derivative(0, 0), 1),): 1})
     assert x**0 == R3.one() and DiffPoly(R3, {((Derivative(0, 2), 0),): 5}) == R3.const(5)
+    # a well-formed derivative outside the ring or over MAX_ORDER reads as absent
+    for d in (Derivative(3, 1), Derivative(0, MAX_ORDER + 1)):
+        assert u.deg_in(d) == 0 and u.partial(d) == R3.zero() and u.coeffs_in(d) == {0: u}
+    assert u.deg_in(Derivative(0, 1)) == 2 and R3.zero().deg_in(Derivative(0, 1)) == NEG_INF
     # a fiber value must be a finite rational
     pen = build_pencil([P("x'^2 - x"), P("y' - x")], 0, "x")
     for mu in (float("inf"), float("-inf"), float("nan")):
@@ -586,6 +593,26 @@ def test_multi_term_power_refused_unbuilt(monkeypatch):
     _refused_fast(lambda: P("(x^2 + y')^%d" % k))
     assert not any(isinstance(b, DiffPoly) and not b.is_constant() for b in factors)
     assert base**2 == P("x^4 + 2*x^2*y' + y'^2") and base in factors
+
+
+def test_power_size_caps(monkeypatch):
+    # a power is refused unbuilt when its bound passes MAX_TERMS terms, C(k+n-1, k)
+    # for a base of n terms, or MAX_COEFF_BITS bits, k times the bits of the
+    # larger of the sum of |numerators| and the lcm of the denominators
+    import diffalg.diffpoly as diffpoly_mod
+
+    monkeypatch.setattr(diffpoly_mod, "MAX_TERMS", 10)
+    monkeypatch.setattr(diffpoly_mod, "MAX_COEFF_BITS", 20)
+    base = P("x + y")
+    assert len((base**9).terms) == 10
+    with pytest.raises(ResourceLimit, match="exceeds the cap MAX_TERMS = 10 .term bound 11,"):
+        base**10
+    monkeypatch.setattr(diffpoly_mod, "MAX_TERMS", 100)
+    for base in (P("2*x + 1"), P("x + 1") * Fraction(1, 3), R3.const(3)):  # 3 has 2 bits
+        assert base**10 == base**5 * base**5
+        with pytest.raises(ResourceLimit, match="exceeds the cap MAX_COEFF_BITS = 20 .* 22 bits"):
+            base**11
+    assert R3.zero() ** 30000 == R3.zero() and P("x*y")**11 == P("x^11*y^11")
 
 
 def test_products_refused_before_a_field_carries():

@@ -366,7 +366,8 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         a = strong.entries
         peel = pending == [a]
         del solves[:], pending[:]
-        sol, jw = solve(strong, *rest)
+        st = solve(strong, *rest)
+        sol, jw = st.sol, st.weak
         covered = sol.value != NEG_INF and all(
             sol.u[i] + sol.v[j] >= 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
         )
@@ -376,7 +377,7 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         assert jw == tdet(weak)
         seen["peel"] += peel
         seen["covered" if covered else "weak solved"] += 1
-        return sol, jw
+        return st
 
     monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
     monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
@@ -389,6 +390,39 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         except InconsistentSystem:
             continue
     assert min(seen.values()) >= 10, seen
+
+
+def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
+    # after normalize the record holds the permuted matrix with its duals
+    # permuted alike, so before and after each form step the duals are
+    # feasible for the record's matrix and sum to its tropical determinant
+    form_step = engine_mod._form_step
+    kinds = []
+
+    def check(st):
+        a, sol = st.matrix.entries, st.sol
+        assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != NEG_INF)
+        assert sum(sol.u) + sum(sol.v) == sol.value == tdet(a)
+        assert st.weak == tdet(tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a))
+
+    def checked_form_step(system, kind, st):
+        check(st)
+        out, step, after = form_step(system, kind, st)
+        if after.sol.value != NEG_INF:
+            check(after)
+        kinds.append(kind)
+        return out, step, after
+
+    monkeypatch.setattr(engine_mod, "_form_step", checked_form_step)
+    rng = random.Random(21)
+    systems = [_banded_system(rng, rng.randint(5, 6)) for _ in range(20)]
+    systems += [rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4) for _ in range(20)]
+    for sys_ in systems:
+        try:
+            linear_reduce(sys_)
+        except InconsistentSystem:
+            continue
+    assert kinds.count("first-form") >= 10 and kinds.count("second-form") >= 10, kinds
 
 
 def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
