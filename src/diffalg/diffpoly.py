@@ -115,12 +115,14 @@ def _at(s, nvars):
 def _offset(ring, var, order, strict):
     """Bit offset of the field of x_var^(order); ValueError unless var is an int
     and order an int >= 0 (a bool is neither).  A variable outside the ring or
-    an order over MAX_ORDER raises when strict, and otherwise reads as None."""
-    var, order = _var(var), _count(order, "order")
-    if 0 <= var < ring.nvars and order <= MAX_ORDER:
-        return (order * ring.nvars + var) * FIELD_BITS
-    if strict:
-        ring.var_index(var)  # raises for a variable outside the ring
+    an order over MAX_ORDER raises when strict, the variable first, and
+    otherwise reads as None."""
+    n = ring.nvars
+    if type(var) is int and type(order) is int and 0 <= var < n and 0 <= order <= MAX_ORDER:
+        return (order * n + var) * FIELD_BITS
+    if not 0 <= _var(var) < n and strict:
+        raise ValueError("no variable %r" % (var,))
+    if _count(order, "order") > MAX_ORDER and strict:
         raise ResourceLimit("derivative order %d exceeds the cap MAX_ORDER = %d" % (order, MAX_ORDER))
     return None
 
@@ -129,8 +131,9 @@ def _encode(ring, mono):
     """Packed int of a monomial given as (Derivative, exponent) pairs."""
     exps = {}
     for (var, order), e in mono:
+        _count(e, "exponent")
         s = _offset(ring, var, order, True)
-        exps[s] = exps.get(s, 0) + _count(e, "exponent")
+        exps[s] = exps.get(s, 0) + e
     m = 0
     for s, e in exps.items():
         if e > _FIELD:
@@ -447,7 +450,11 @@ class DiffPoly:
         s = self._shift(d)
         if s is None:
             return {0: self} if self else {}
-        return {e: self._lowered(d, e, e) for e in dict.fromkeys((m >> s) & _FIELD for m in self._packed)}
+        out = {}  # one pass; dropping d^e is injective on the monomials of degree e
+        for m, c in self._packed.items():
+            e = (m >> s) & _FIELD
+            out.setdefault(e, {})[m - (e << s)] = c
+        return {e: _poly(self.ring, b) for e, b in out.items()}
 
     def deg_in(self, d: Derivative):
         s = self._shift(d)

@@ -336,7 +336,8 @@ def linear_reduce(system) -> LinearReduceResult:
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;
-        # the record's duals are permuted with its rows and columns
+        # the form step reads no duals, but the record's are permuted with its
+        # rows and columns so that none pairs a matrix with another's duals
         fc, b = normalize(a, st.sol)
         sol = st.sol._replace(u=tuple(st.sol.u[i] for i in fc.row_perm), v=tuple(st.sol.v[j] for j in fc.col_perm))
         st = _Solved(OrderMatrix(b, "strong", tuple(names[j] for j in fc.col_perm)), sol, st.weak)

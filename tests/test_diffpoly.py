@@ -333,6 +333,14 @@ def test_counts_are_non_negative_ints():
     for d in (Derivative(3, 1), Derivative(0, MAX_ORDER + 1)):
         assert u.deg_in(d) == 0 and u.partial(d) == R3.zero() and u.coeffs_in(d) == {0: u}
     assert u.deg_in(Derivative(0, 1)) == 2 and R3.zero().deg_in(Derivative(0, 1)) == NEG_INF
+    # a monomial is checked exponent first, then variable, then order
+    for mono, err in (
+        (((Derivative(0, MAX_ORDER + 1), True),), "exponent must be a non-negative int, not True"),
+        (((Derivative(5, -1), 1),), "no variable 5"),
+        (((Derivative(5, 0), -1),), "exponent must be a non-negative int, not -1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(err)):
+            DiffPoly(R3, {mono: 1})
     # a fiber value must be a finite rational
     pen = build_pencil([P("x'^2 - x"), P("y' - x")], 0, "x")
     for mu in (float("inf"), float("-inf"), float("nan")):
@@ -419,6 +427,26 @@ def test_derivations_and_reads_match_reference(f, d):
     for conv in ("weak", "strong"):
         row = tuple(ref_order_in(f.terms, v, conv) for v in range(3))
         assert order_matrix([f], None, conv).entries == (row,)
+
+
+def test_coeffs_in_is_one_pass():
+    # coeffs_in reads every term once, however many degrees it finds: on a
+    # polynomial of 2,000 degrees in x it costs a few partials, where a
+    # pass per degree would cost hundreds
+    f = DiffPoly(R3, {((Derivative(0, 0), e), (Derivative(1, 0), 1)): 1 for e in range(2000)})
+    x = Derivative(0, 0)
+
+    def took(call):
+        best = float("inf")
+        for _ in range(3):
+            t = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - t)
+        return best
+
+    cs = f.coeffs_in(x)
+    assert len(cs) == 2000 and cs[7] == R3.var("y")
+    assert took(lambda: f.coeffs_in(x)) < 50 * took(lambda: f.partial(x))
 
 
 @settings(max_examples=40)
