@@ -18,7 +18,8 @@ into the next field; orders are capped at MAX_ORDER, so a monomial stays a
 bounded int.  Both caps raise ResourceLimit before a field could overflow.
 A power of a base of n terms is bounded before it is built, by C(k+n-1, k)
 terms and coefficients within (sum of |numerators|)^k over lcm(denominators)^k:
-past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too.
+past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too, as
+does a product a*b of more than MAX_PAIRS term pairs len(a)*len(b).
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant and order_in
 are a test and a mask, and the orderly leader is the word's top field.  An
@@ -34,7 +35,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 
 from .errors import ResourceLimit, digit_limit
 
@@ -53,6 +54,7 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767
 MAX_ORDER = 1000
 MAX_TERMS = 1 << 15  # a power's term bound; the largest a test builds is 6,188
 MAX_COEFF_BITS = 1 << 20  # a power's coefficient-bit bound; a test's largest is 42,855
+MAX_PAIRS = 1 << 22  # term pairs a product may form; a test's largest is 5,616
 
 
 class Derivative(namedtuple("Derivative", "var order")):
@@ -316,6 +318,9 @@ class DiffPoly:
             return self._scaled(t2.get(0, 0))
         if len(t1) == 1 and 0 in t1:
             return other._scaled(t1[0])
+        if len(t1) * len(t2) > MAX_PAIRS:
+            raise ResourceLimit(
+                "product of %d by %d terms exceeds the cap MAX_PAIRS = %d term pairs" % (len(t1), len(t2), MAX_PAIRS))
         return _poly(self.ring, _canon(_addmul({}, self, other)))
 
     __rmul__ = __mul__
@@ -543,6 +548,56 @@ def _primitive(p: DiffPoly):
         return num, _poly(p.ring, {m: c // num for m, c in t.items()})
     content = Fraction(num, den)
     return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
+
+
+# -- values at one fixed point modulo a prime ----------------------------------
+
+PRIME = (1 << 61) - 1  # a Mersenne prime
+_M64 = (1 << 64) - 1
+_MONO_RESIDUES = {}  # packed monomial -> its value at the point, for every ring
+
+
+def _field_value(s):
+    """The point's value of the derivative whose field starts at bit offset s:
+    SplitMix64 (Steele, Lea and Flood 2014) of s, mod PRIME.  A ring maps
+    distinct derivatives to distinct offsets, so the value needs no ring."""
+    z = (s + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return (z ^ (z >> 31)) % PRIME
+
+
+def _residue(p):
+    """The value of the polynomial p mod PRIME at the point of _field_value,
+    its coefficients read by _ratmod.  Each monomial's value is kept in one
+    process-wide memo, cleared past 2^16 entries."""
+    t = p._packed
+    vals = t.values()
+    if not _INT.issuperset(map(type, vals)):
+        vals = list(map(_ratmod, vals))
+    memo = _MONO_RESIDUES
+    try:
+        return sum(map(mul, vals, map(memo.__getitem__, t))) % PRIME
+    except KeyError:  # a monomial met for the first time
+        if len(memo) > 1 << 16:
+            memo.clear()
+        for m in t:
+            if m not in memo:
+                v = 1
+                for s in _shifts(m):
+                    v = v * pow(_field_value(s), (m >> s) & _FIELD, PRIME) % PRIME
+                memo[m] = v
+    return sum(map(mul, vals, map(memo.__getitem__, t))) % PRIME
+
+
+def _ratmod(c):
+    """The rational c mod PRIME; ZeroDivisionError when its denominator is 0 mod PRIME."""
+    if type(c) is int:
+        return c % PRIME
+    d = c.denominator % PRIME
+    if not d:
+        raise ZeroDivisionError("a denominator is 0 mod PRIME")
+    return c.numerator * pow(d, -1, PRIME) % PRIME
 
 
 def _is_linear(p: DiffPoly) -> bool:

@@ -1,4 +1,4 @@
-"""Ritt division with exact certificates, autoreduced sets, characteristic
+"""Ritt division with certificates, autoreduced sets, characteristic
 set iteration, and the dimension bookkeeping on top of them.
 
 Two division modes:
@@ -19,14 +19,25 @@ g, g', g'', ... (grown as far as a step needs), mult is g's separant for
 k > 0 and its initial for k = 0, and co is r's degree-e slice lowered by one
 power (k > 0) or by g's leader degree (k = 0).  Each step logs its divisor,
 k, den*co and mult, where den is the product of the contents divided out so
-far.  After the last step one pass back over the log forms the certificate
-S*f = sum Q_i(g_i) + den*r: S is the product of the multipliers, and Q_i at
-D^k sums, over the steps at (i, k), den*co times the multipliers of the later
-steps, each product added into one accumulator per (i, k).  S and the Q_i
-are integral for integral f and g_i.  s = S/den and the quotients Q_i/den
-are formed only when read.  Every division checks its certificate exactly:
-S*f - sum_ik Q_ik * g_i^(k) - den*r is summed in one accumulator over exact
-rationals, applying each Q_i to the same chain, and must be zero.
+far.  The certificate is S*f = sum Q_i(g_i) + den*r: S is the product of the
+multipliers, and Q_i at D^k sums, over the steps at (i, k), den*co times the
+multipliers of the later steps.  S and the Q_i are integral for integral f
+and g_i.
+
+Every division checks its step log by a replay modulo the prime 2^61 - 1:
+f, r, each g_i^(k) and multiplier, and each step's den*co are evaluated once
+at one fixed point (diffpoly._residue), the pass from the last step back
+sums the Q_ik * g_i^(k) on those values, and S*f - sum Q_ik * g_i^(k) - den*r
+must vanish.  A false identity made without regard to the point passes with
+probability at most its degree over the prime (Schwartz 1980; Zippel 1979),
+unless the prime divides all its coefficients.  S and the Q_i are formed only
+when read, by the same backward pass on polynomials, one accumulator per
+(i, k); forming them checks the identity exactly, summing
+S*f - sum_ik Q_ik * g_i^(k) - den*r over exact rationals in one accumulator,
+applying each Q_i to the division's own chains, and it must be zero.  A
+division whose values cannot be read mod the prime (den or a denominator
+that is 0 mod 2^61 - 1) forms them at once.  s = S/den and the quotients
+Q_i/den are formed from them when read.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from functools import cached_property
 from .diffpoly import (
     NEG_INF,
     POS_INF,
+    PRIME,
     Derivative,
     DiffPoly,
     LinOp,
@@ -49,6 +61,8 @@ from .diffpoly import (
     _nth,
     _poly,
     _primitive,
+    _ratmod,
+    _residue,
     describe,
     orderly,
     render,
@@ -72,20 +86,56 @@ class DivisionCertificate:
     (separants and initials of the divisors); after at least one step the
     remainder r is primitive (coprime integer coefficients).
 
-    The certificate holds S*f = sum Q_i(g_i) + den*r, formed by ritt_divide
-    from its step log (see the module docstring).  s = S/den and the
-    quotients Q_i/den are formed once, when first read; they equal dividing
-    s and the quotients by every content as it arises.  verify checks the
-    identity of S, the Q_i and den itself, with no denominators to clear.
+    The certificate holds S*f = sum Q_i(g_i) + den*r.  ritt_divide returns it
+    holding f, the derivative chains and the step log instead of S and the
+    Q_i, its log checked by the replay of the module docstring; S and the Q_i
+    are formed from the log when first read, and checked exactly, and then f,
+    the chains and the log are dropped.  s = S/den and the quotients Q_i/den
+    are formed once, when first read; they equal dividing s and the quotients
+    by every content as it arises.  verify checks the identity of S, the Q_i
+    and den itself, with no denominators to clear.
     """
 
     def __init__(self, S, Q, remainder, den, mode, multipliers=()):
-        self.S = S
-        self.Q = Q  # one LinOp per divisor
+        self._formed = (S, Q)  # Q: one LinOp per divisor
         self.remainder = remainder
         self.den = den  # a positive int, or a Fraction for rational f or g_i
         self.mode = mode
         self.multipliers = multipliers  # the individual step multipliers, in step order
+
+    @classmethod
+    def _of_log(cls, f, chains, log, remainder, den, mode):
+        cert = cls.__new__(cls)
+        cert._f, cert._chains, cert._log = f, chains, log
+        cert.remainder, cert.den, cert.mode = remainder, den, mode
+        cert.multipliers = tuple(m for *_, m in log)
+        return cert
+
+    @cached_property
+    def _formed(self):
+        """(S, Q) by one pass from the last logged step back (module
+        docstring), adding S*den*co into the accumulator of the step's (i, k),
+        then the exact check on the chains the division formed."""
+        f, chains, den, r = self._f, self._chains, self.den, self.remainder
+        ring = f.ring
+        S = ring.one()
+        accs = [{} for _ in chains]
+        for i, k, t, mult in reversed(self._log):
+            _addmul(accs[i].setdefault(k, {}), S, t)
+            S = mult * S
+        Q = tuple(LinOp(ring, {k: _poly(ring, _canon(a)) for k, a in q.items()}) for q in accs)
+        if not _identity_holds(S, Q, den, r, f, chains):
+            raise _violation(f, chains, self.mode, "s = %s, r = %s" % (describe(S * Fraction(1, den)), describe(r)))
+        del self._f, self._chains, self._log
+        return S, Q
+
+    @property
+    def S(self):
+        return self._formed[0]
+
+    @property
+    def Q(self):
+        return self._formed[1]
 
     @cached_property
     def s(self):
@@ -114,6 +164,13 @@ class DivisionCertificate:
         }
 
 
+def _violation(f, chains, mode, detail):
+    return InternalInvariantViolation(
+        "division identity s*f = sum Q_i(g_i) + r failed dividing %s by %s (%s mode): %s"
+        % (describe(f), [describe(c[0]) for c in chains], mode, detail)
+    )
+
+
 def _identity_holds(S, Q, den, r, f, chains):
     """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is zero, summed exactly in
     one accumulator.  chains[i] starts g_i, g_i', ...; it is extended in
@@ -123,6 +180,29 @@ def _identity_holds(S, Q, den, r, f, chains):
         _apply(acc, q.coeffs, chain, negate=True)
     _addmul(acc, r, f.ring.const(den), negate=True)
     return not any(acc.values())
+
+
+def _replay_holds(f, chains, log, r, den):
+    """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is 0 mod PRIME at the point
+    of diffpoly._residue: the backward pass over the log on values, each
+    g_i^(k) and multiplier evaluated once.  Raises ZeroDivisionError when den
+    or a denominator is 0 mod PRIME."""
+    vals = {}  # id of a chain entry or multiplier -> its value
+
+    def val(p):
+        v = vals.get(id(p))
+        if v is None:
+            v = vals[id(p)] = _residue(p)
+        return v
+
+    S, total = 1, 0
+    for i, k, t, mult in reversed(log):
+        total = (total + S * _residue(t) * val(chains[i][k])) % PRIME
+        S = S * val(mult) % PRIME
+    dv = _ratmod(den)
+    if not dv:
+        raise ZeroDivisionError("den is 0 mod PRIME")
+    return (S * _residue(f) - total - dv * _residue(r)) % PRIME == 0
 
 
 def _violates(r, v, vg, dg, mode):
@@ -145,8 +225,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     in that variable.  Otherwise each divisor reduces in the variable of its
     ranking leader; leading variables must be pairwise distinct.  Always the
     highest unreduced occurrence is eliminated next; the (occurrence, degree)
-    measure must strictly drop at each step, and the certificate must verify,
-    or InternalInvariantViolation is raised.
+    measure must strictly drop at each step, and the replay of the step log
+    must hold (module docstring), or InternalInvariantViolation is raised.
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
@@ -213,21 +293,13 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
         den = den * c
 
-    # one pass from the last step back forms S and the Q_i (module docstring),
-    # adding S*den*co into the accumulator of the step's (i, k)
-    S = ring.one()
-    accs = [{} for _ in divisors]
-    for i, k, t, mult in reversed(log):
-        _addmul(accs[i].setdefault(k, {}), S, t)
-        S = mult * S
-    Q = tuple(LinOp(ring, {k: _poly(ring, _canon(a)) for k, a in q.items()}) for q in accs)
-    cert = DivisionCertificate(S, Q, r, den, mode, tuple(m for *_, m in log))
-    # the check reads the derivatives the division already formed
-    if not _identity_holds(S, cert.Q, den, r, f, chains):
-        raise InternalInvariantViolation(
-            "division identity s*f = sum Q_i(g_i) + r failed dividing %s by %s (%s mode): s = %s, r = %s"
-            % (describe(f), [describe(d) for d in divisors], mode, describe(cert.s), describe(r))
-        )
+    cert = DivisionCertificate._of_log(f, chains, log, r, den, mode)
+    if log:
+        try:
+            if not _replay_holds(f, chains, log, r, den):
+                raise _violation(f, chains, mode, "modulo 2^61 - 1, r = %s" % describe(r))
+        except ZeroDivisionError:  # no value to read mod PRIME: forming S checks exactly
+            cert.S
     return cert
 
 

@@ -32,7 +32,7 @@ from diffalg import (
     scripted_divide,
     separant,
 )
-from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MONO_ONE, _addmul, _canon, _decode, _encode, _poly
+from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MAX_PAIRS, MONO_ONE, _addmul, _canon, _decode, _encode, _poly
 from helpers import (
     SMALL_INTS,
     SMALL_RATIONALS,
@@ -641,6 +641,29 @@ def test_power_size_caps(monkeypatch):
         with pytest.raises(ResourceLimit, match="exceeds the cap MAX_COEFF_BITS = 20 .* 22 bits"):
             base**11
     assert R3.zero() ** 30000 == R3.zero() and P("x*y")**11 == P("x^11*y^11")
+
+
+def test_product_pair_cap(monkeypatch):
+    # a product of more than MAX_PAIRS term pairs len(a)*len(b) is refused
+    # before its loop; a constant factor only scales, and _addmul (a division
+    # step) is not capped
+    import diffalg.diffpoly as diffpoly_mod
+
+    x = R3.var("x")
+    powers = [x**k for k in range(2049)]
+    a, b = sum(powers[:2048], R3.zero()), sum(powers, R3.zero())
+    assert MAX_PAIRS == 2048 * 2048
+    _refused_fast(lambda: a * b)
+    with pytest.raises(ResourceLimit, match="product of 2049 by 2048 terms exceeds the cap MAX_PAIRS = 4194304"):
+        b * a
+    assert a * 3 == 3 * a and len((a * R3.const(3))._packed) == 2048
+    three, four = P("x + y + z"), P("x + y + z + 1")
+    square = four * four
+    monkeypatch.setattr(diffpoly_mod, "MAX_PAIRS", 12)
+    assert three * four == P("x^2 + 2*x*y + 2*x*z + y^2 + 2*y*z + z^2 + x + y + z")
+    with pytest.raises(ResourceLimit, match="product of 3 by 5 terms"):
+        three * (four + x.derive())
+    assert _poly(R3, _canon(_addmul({}, four, four))) == square
 
 
 def test_products_refused_before_a_field_carries():

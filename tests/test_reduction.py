@@ -19,6 +19,7 @@ from diffalg import (
     AutoreducedSet,
     DivisionCertificate,
     InconsistentSystem,
+    InternalInvariantViolation,
     LinOp,
     POS_INF,
     autoreduce_loop,
@@ -33,6 +34,9 @@ from diffalg import (
     render,
     ritt_divide,
 )
+from diffalg import reduction
+from diffalg.diffpoly import PRIME, _residue
+from diffalg.reduction import _replay_holds
 from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
 
 R2 = ring_of(2)
@@ -101,14 +105,15 @@ def test_multi_divisor_division():
 
 def test_verify_reuses_the_division_chain(monkeypatch):
     # dividing x^(5) by x' - x needs g', ..., g^(4): four derivations, which
-    # the division's own identity check reads back instead of deriving again;
-    # the certificate keeps none of them
+    # the replay and the exact check on forming S read back instead of
+    # deriving again; once S is formed the certificate keeps none of them
     derive = diffalg.DiffPoly.derive
     calls = []
     monkeypatch.setattr(diffalg.DiffPoly, "derive", lambda p, times=1: calls.append(times) or derive(p, times))
     f, g = P("x^(5)"), P("x' - x")
     cert = ritt_divide(f, [g], "full", var="x")
     assert cert.remainder == P("x") and len(calls) == 4
+    assert cert.S == R2.one() and len(calls) == 4
     assert "_chains" not in vars(cert)
     assert cert.verify(f, [g]) and len(calls) == 8  # a later verify derives for itself
 
@@ -456,9 +461,90 @@ def test_verify_rejects_tampered_certificates():
     assert rational > 5
 
 
+def test_replay_rejects_a_tampered_step_log():
+    # the replay evaluates the log at one point mod 2^61 - 1, so none of
+    # these false identities may pass: the first step's multiplier doubled,
+    # one step's den*co plus one, r + 1, and den + 1 where r is not zero
+    stepped = 0
+    for f, g, cert in _seeded_divisions(32, 80):
+        log = cert._log
+        if not log:
+            continue
+        stepped += 1
+        chains, r, den = cert._chains, cert.remainder, cert.den
+        assert _replay_holds(f, chains, log, r, den)
+        i, k, t, mult = log[0]
+        assert not _replay_holds(f, chains, [(i, k, t, mult * 2)] + log[1:], r, den)
+        for j, (i, k, t, mult) in enumerate(log):
+            assert not _replay_holds(f, chains, log[:j] + [(i, k, t + 1, mult)] + log[j + 1 :], r, den)
+        assert not _replay_holds(f, chains, log, r + 1, den)
+        if r:
+            assert not _replay_holds(f, chains, log, r, den + 1)
+        assert cert.verify(f, [g])  # the untampered log forms a certificate that verifies
+    assert stepped == 33
+
+
+def test_reading_s_checks_the_identity_exactly(monkeypatch):
+    # the replay passes, so ritt_divide returns; the exact check runs when
+    # S and the Q_i are formed, on every read until one succeeds
+    monkeypatch.setattr(reduction, "_identity_holds", lambda *args: False)
+    f, g = P("x'' + y"), P("x' - x")
+    cert = ritt_divide(f, [g], "full", var="x")
+    assert cert.remainder == P("x + y")
+    for read in (lambda: cert.s, lambda: cert.quotients, cert.to_json, lambda: cert.verify(f, [g])):
+        with pytest.raises(InternalInvariantViolation, match=r"division identity .* s = 1, r = y \+ x"):
+            read()
+    monkeypatch.undo()
+    assert cert.s == R2.one() and "_log" not in vars(cert)
+
+
+def test_a_denominator_zero_mod_the_prime_is_checked_exactly(monkeypatch):
+    # 1/(2^61 - 1) has no value mod 2^61 - 1: the division forms its
+    # certificate at once, and so runs the exact check
+    exact = []
+    holds = reduction._identity_holds
+    monkeypatch.setattr(reduction, "_identity_holds", lambda *args: exact.append(1) or holds(*args))
+    f = P("x'' + y") * Fraction(1, PRIME)
+    with pytest.raises(ZeroDivisionError):
+        _residue(f)
+    cert = ritt_divide(f, [P("x' - x")], "full", var="x")
+    assert exact == [1] and "_chains" not in vars(cert)
+    assert cert.remainder == P("x + y") and cert.den == Fraction(1, PRIME)
+    # a prime multiple of den reads as 0 mod the prime and is checked exactly too
+    cert = ritt_divide(P("x''") * PRIME, [P("x' - x")], "full", var="x")
+    assert exact == [1, 1] and cert.den == PRIME
+    ritt_divide(P("x''"), [P("x' - x")], "full", var="x")
+    assert exact == [1, 1]  # den = 1 reads mod the prime: no exact check
+
+
+def test_charset_work_forms_no_certificate(monkeypatch):
+    # autoreduce_loop, dimensions and membership read only remainders and
+    # multipliers: no division of theirs may form S and the Q_i
+    def refuse(self):
+        raise AssertionError("a certificate was formed")
+
+    monkeypatch.setattr(DivisionCertificate, "_formed", property(refuse))
+    rng = random.Random(42)
+    members = 0
+    for _ in range(60):
+        ring = ring_of(rng.randint(2, 3))
+        rk = _random_ranking(rng, ring)
+        gens = [rand_nonconstant(rng, ring, max_monos=3, max_deg=2, max_order=2) for _ in range(rng.randint(2, 3))]
+        try:
+            res = autoreduce_loop(gens, rk)
+        except InconsistentSystem:
+            continue
+        dimensions(res.charset)
+        members += sum(membership(g, res.charset) for g in gens + [gens[0] * gens[-1]])
+    assert members > 50
+    with pytest.raises(AssertionError, match="formed"):
+        ritt_divide(P("x''"), [P("x' - x")], "full", var="x").s
+
+
 def test_invariant_violation_survives_python_O():
-    # the division identity is checked without assert, so it holds under -O,
-    # and the message survives a coefficient past the int-to-str limit
+    # the replay inside ritt_divide and the exact check on first read are
+    # made without assert, so they hold under -O, and the message survives a
+    # coefficient past the int-to-str limit
     code = textwrap.dedent(
         """
         from diffalg import DiffRing, parse_poly, ritt_divide
@@ -466,11 +552,18 @@ def test_invariant_violation_survives_python_O():
         from diffalg import reduction
 
         assert False, "asserts must be stripped"
-        reduction._identity_holds = lambda *args: False
         ring = DiffRing(["x", "y"])
         f = parse_poly("x'' + y", ring) * 10**5000
+        g = parse_poly("x' - x", ring)
+        replay, reduction._replay_holds = reduction._replay_holds, lambda *args: False
         try:
-            ritt_divide(f, [parse_poly("x' - x", ring)], "full", var="x")
+            ritt_divide(f, [g], "full", var="x")
+        except InternalInvariantViolation as e:
+            print(e)
+        reduction._replay_holds, reduction._identity_holds = replay, lambda *args: False
+        cert = ritt_divide(f, [g], "full", var="x")
+        try:
+            cert.s
         except InternalInvariantViolation as e:
             print(e)
         """
@@ -479,9 +572,11 @@ def test_invariant_violation_survives_python_O():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    msg = out.stdout
-    assert "division identity" in msg and "x' - x" in msg
-    assert "<2-term polynomial, coefficients up to 16610 bits>" in msg
+    msgs = out.stdout.splitlines()
+    assert len(msgs) == 2 and "modulo 2^61 - 1" in msgs[0] and "s = " in msgs[1]
+    for msg in msgs:
+        assert "division identity" in msg and "x' - x" in msg
+        assert "<2-term polynomial, coefficients up to 16610 bits>" in msg
 
 
 def test_describe_cuts_long_polynomials():
