@@ -25,6 +25,15 @@ the word is nonzero iff that derivative occurs, so is_constant and order_in
 are a test and a mask, and the orderly leader is the word's top field.  An
 elimination leader is the occurring derivative of largest Ranking.key, the
 order a division's measure compares (Ritt 1950, ch. I; Kolchin 1973).
+A polynomial is immutable, so every other fact asked of it again is kept on
+it too, each computed on first use: the `terms` view; per variable, the
+order of its top derivative and the degree in it (read by leader_in, the
+leaders and the division steps); the leader, degree and rank under the last
+ranking asked; the separant and initial at the last leader asked; the
+derivative chain g', g'', ... as far as a division needed it, a tuple that
+is replaced whole, never grown in place; and its value at the replay point
+mod PRIME.  Two threads may compute one fact at once: each stores the same
+value, so the caches take no lock.
 DiffPoly(ring, terms) is the public way in, from (Derivative, exponent)
 tuple monomials; `terms` decodes the same dict back.
 """
@@ -238,7 +247,7 @@ class DiffPoly:
     """Immutable sparse polynomial: packed monomial -> nonzero coefficient, an
     int when integral and a Fraction otherwise."""
 
-    __slots__ = ("ring", "_packed", "_word", "_view", "_lead")
+    __slots__ = ("ring", "_packed", "_word", "_view", "_lead", "_tops", "_mults", "_chain", "_res")
 
     def __init__(self, ring, terms):
         """From a dict (Derivative, exponent)-tuple monomial -> rational;
@@ -249,7 +258,8 @@ class DiffPoly:
             acc[m] = acc.get(m, 0) + c
         self.ring = ring
         self._packed = _canon(acc)
-        self._word = self._view = self._lead = None
+        self._word = self._view = self._lead = self._tops = self._mults = self._res = None
+        self._chain = ()
 
     @property
     def terms(self):
@@ -267,6 +277,33 @@ class DiffPoly:
         if w is None:
             w = self._word = reduce(or_, self._packed, 0)
         return w
+
+    def _top(self, v):
+        """(order, degree) of the top derivative of the variable of index v,
+        or None when v does not occur; cached per variable."""
+        tops = self._tops
+        if tops is None:
+            tops = self._tops = {}
+        elif v in tops:
+            return tops[v]
+        w = self._support()
+        x = w & self.ring._layout.cover(w).var[v] if w else 0
+        got = None
+        if x:
+            s = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            mask = _FIELD << s
+            got = (s // FIELD_BITS // self.ring.nvars, max(map(mask.__and__, self._packed)) >> s)
+        tops[v] = got
+        return got
+
+    def _multipliers(self, ld):
+        """(separant, initial) at ld, a top derivative of self: the
+        multipliers of a division step by self.  Cached for the last ld."""
+        got = self._mults
+        if got is None or got[0] != ld:
+            d = self._top(ld.var)[1]
+            got = self._mults = (ld, self.partial(ld), self._lowered(ld, d, d))
+        return got[1], got[2]
 
     def _shift(self, d):
         """Bit offset of the field of derivative d when d occurs, else None."""
@@ -368,6 +405,8 @@ class DiffPoly:
         return isinstance(other, DiffPoly) and self.ring == other.ring and self._packed == other._packed
 
     def __hash__(self):
+        if not self._support():  # a constant equals its number, so hashes as it
+            return hash(self._packed.get(0, 0))
         return hash((self.ring.names, tuple(sorted(self._packed.items()))))
 
     def __bool__(self):
@@ -397,18 +436,20 @@ class DiffPoly:
                 raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
             if w & ring._layout.cover(w).guard:
                 raise ResourceLimit("derivation refused: an exponent over MAX_EXPONENT = %d" % MAX_EXPONENT)
-            # d^e -> e * d^(e-1) * d': one field down by one, the next order's up by one
-            steps = [(s, (1 << (s + up)) - (1 << s)) for s in _shifts(w)]
+            # d^e -> e * d^(e-1) * d': one field down by one, the next order's
+            # up by one, for each nonzero field of the monomial, highest first
             acc = {}
             for m, c in p._packed.items():
-                for s, bump in steps:
-                    e = (m >> s) & _FIELD
-                    if e:
-                        mono = m + bump
-                        if mono in acc:
-                            acc[mono] += c * e
-                        else:
-                            acc[mono] = c * e
+                x = m
+                while x:
+                    s = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                    e = x >> s
+                    x -= e << s
+                    mono = m + (1 << (s + up)) - (1 << s)
+                    if mono in acc:
+                        acc[mono] += c * e
+                    else:
+                        acc[mono] = c * e
             p = _poly(ring, _canon(acc))
         return p
 
@@ -443,11 +484,8 @@ class DiffPoly:
         """(x_var^(k), degree in it) for k the order of var, or None when var
         does not occur."""
         var = self.ring.var_index(var)
-        o = self.order_in(var)
-        if o == NEG_INF:
-            return None
-        ld = Derivative(var, o)
-        return ld, self.deg_in(ld)
+        top = self._top(var)
+        return None if top is None else (Derivative(var, top[0]), top[1])
 
     def coeffs_in(self, d: Derivative):
         """View as univariate in d: dict degree -> coefficient polynomial,
@@ -569,25 +607,33 @@ def _field_value(s):
 
 def _residue(p):
     """The value of the polynomial p mod PRIME at the point of _field_value,
-    its coefficients read by _ratmod.  Each monomial's value is kept in one
-    process-wide memo, cleared past 2^16 entries."""
+    its coefficients read by _ratmod; cached on p.  Each monomial's value is
+    kept in one process-wide memo, cleared past 2^16 entries."""
+    v = p._res
+    if v is not None:
+        return v
     t = p._packed
     vals = t.values()
     if not _INT.issuperset(map(type, vals)):
         vals = list(map(_ratmod, vals))
     memo = _MONO_RESIDUES
     try:
-        return sum(map(mul, vals, map(memo.__getitem__, t))) % PRIME
+        v = sum(map(mul, vals, map(memo.__getitem__, t))) % PRIME
     except KeyError:  # a monomial met for the first time
         if len(memo) > 1 << 16:
             memo.clear()
+        mvals = []  # kept here, not read back from the memo another thread may clear
         for m in t:
-            if m not in memo:
-                v = 1
+            mv = memo.get(m)
+            if mv is None:
+                mv = 1
                 for s in _shifts(m):
-                    v = v * pow(_field_value(s), (m >> s) & _FIELD, PRIME) % PRIME
-                memo[m] = v
-    return sum(map(mul, vals, map(memo.__getitem__, t))) % PRIME
+                    mv = mv * pow(_field_value(s), (m >> s) & _FIELD, PRIME) % PRIME
+                memo[m] = mv
+            mvals.append(mv)
+        v = sum(map(mul, vals, mvals)) % PRIME
+    p._res = v
+    return v
 
 
 def _ratmod(c):
@@ -611,7 +657,8 @@ def _poly(ring, packed):
     p = _new(DiffPoly)
     p.ring = ring
     p._packed = packed
-    p._word = p._view = p._lead = None
+    p._word = p._view = p._lead = p._tops = p._mults = p._res = None
+    p._chain = ()
     return p
 
 
@@ -646,13 +693,14 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
     def leader(self, p: DiffPoly) -> Derivative:
         return self.leader_degree(p)[0]
 
-    def leader_degree(self, p: DiffPoly):
-        """(leader, degree of p in it), cached on p for this ranking.  The
-        leader is the occurring derivative of largest key; under the orderly
-        ranking that is the top field of the support word."""
+    def _facts(self, p: DiffPoly):
+        """(self, (leader, degree of p in it), rank), cached on p for this
+        ranking.  The leader is the occurring derivative of largest key; under
+        the orderly ranking that is the top field of the support word.  Either
+        way it is the top derivative of its variable."""
         got = p._lead
         if got is not None and got[0] is self:
-            return got[1]
+            return got
         w = p._support()
         if not w:
             raise ValueError("leader of a constant")
@@ -663,14 +711,17 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
             # keys are taken highest field first, so an uncovered variable is
             # reported at its highest occurring derivative
             ld = max((_at(s, n) for s in _shifts(w)), key=self.key)
-        got = (ld, p.deg_in(ld))
-        p._lead = (self, got)
+        deg = p._top(ld.var)[1]
+        got = p._lead = (self, (ld, deg), (self.key(ld), deg))
         return got
+
+    def leader_degree(self, p: DiffPoly):
+        """(leader, degree of p in it), cached on p for this ranking."""
+        return self._facts(p)[1]
 
     def rank(self, p: DiffPoly):
         """(leader key, leader degree): the rank used by autoreduced sets."""
-        ld, deg = self.leader_degree(p)
-        return (self.key(ld), deg)
+        return self._facts(p)[2]
 
 
 def orderly() -> Ranking:
@@ -693,13 +744,12 @@ def _leader_degree(p: DiffPoly, var, ranking):
 
 def separant(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """d p / d(leader); leader taken in var if given, else under ranking."""
-    return p.partial(_leader_degree(p, var, ranking)[0])
+    return p._multipliers(_leader_degree(p, var, ranking)[0])[0]
 
 
 def initial(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """Coefficient of the highest power of the leader."""
-    ld, d = _leader_degree(p, var, ranking)
-    return p._lowered(ld, d, d)
+    return p._multipliers(_leader_degree(p, var, ranking)[0])[1]
 
 
 def is_lower_than(f: DiffPoly, g: DiffPoly, var) -> bool:

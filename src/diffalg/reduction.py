@@ -15,24 +15,27 @@ Every step has one form.  It eliminates the degree-e terms of r in the
 highest unreduced derivative x_v^(o) against the divisor g of order og in v:
 with k = o - og, it replaces r by the primitive part of mult*r - co*g^(k),
 summed in one accumulator, where g^(k) is read off g's derivative chain
-g, g', g'', ... (grown as far as a step needs), mult is g's separant for
-k > 0 and its initial for k = 0, and co is r's degree-e slice lowered by one
-power (k > 0) or by g's leader degree (k = 0).  Each step logs its divisor,
-k, den*co and mult, where den is the product of the contents divided out so
-far.  The certificate is S*f = sum Q_i(g_i) + den*r: S is the product of the
-multipliers, and Q_i at D^k sums, over the steps at (i, k), den*co times the
-multipliers of the later steps.  S and the Q_i are integral for integral f
-and g_i.
+g, g', g'', ... (grown as far as a step needs, and kept on g for the next
+division by it), mult is g's separant for k > 0 and its initial for k = 0,
+and co is r's degree-e slice lowered by one power (k > 0) or by g's leader
+degree (k = 0).  Each step logs its divisor, k, den*co and mult, where den
+is the product of the contents divided out so far.  The certificate is
+S*f = sum Q_i(g_i) + den*r: S is the product of the multipliers, and Q_i at
+D^k sums, over the steps at (i, k), den*co times the multipliers of the
+later steps.  S and the Q_i are integral for integral f and g_i.
 
 Every division checks its step log by a replay modulo the prime 2^61 - 1:
-f, r, each g_i^(k) and multiplier, and each step's den*co are evaluated once
-at one fixed point (diffpoly._residue), the pass from the last step back
-sums the Q_ik * g_i^(k) on those values, and S*f - sum Q_ik * g_i^(k) - den*r
-must vanish.  A false identity made without regard to the point passes with
-probability at most its degree over the prime (Schwartz 1980; Zippel 1979),
-unless the prime divides all its coefficients.  S and the Q_i are formed only
-when read, by the same backward pass on polynomials, one accumulator per
-(i, k); forming them checks the identity exactly, summing
+f, r, each g_i^(k) and multiplier, and each step's den*co are evaluated at
+one fixed point (diffpoly._residue), each value read from the polynomial's
+own cache once computed, so a divisor's chain entries and multipliers, kept
+on the divisor, are evaluated once across all divisions by it; the pass from
+the last step back sums the Q_ik * g_i^(k) on those values, and
+S*f - sum Q_ik * g_i^(k) - den*r must vanish.  A false identity made
+without regard to the point passes with probability at most its degree over
+the prime (Schwartz 1980; Zippel 1979), unless the prime divides all its
+coefficients.  S and the Q_i are formed only when read, by the same
+backward pass on polynomials, one accumulator per (i, k); forming them
+checks the identity exactly, summing
 S*f - sum_ik Q_ik * g_i^(k) - den*r over exact rationals in one accumulator,
 applying each Q_i to the division's own chains, and it must be zero.  A
 division whose values cannot be read mod the prime (den or a denominator
@@ -48,7 +51,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diffpoly import (
-    NEG_INF,
     POS_INF,
     PRIME,
     Derivative,
@@ -185,20 +187,12 @@ def _identity_holds(S, Q, den, r, f, chains):
 def _replay_holds(f, chains, log, r, den):
     """Whether S*f - sum_ik Q_ik * g_i^(k) - den*r is 0 mod PRIME at the point
     of diffpoly._residue: the backward pass over the log on values, each
-    g_i^(k) and multiplier evaluated once.  Raises ZeroDivisionError when den
-    or a denominator is 0 mod PRIME."""
-    vals = {}  # id of a chain entry or multiplier -> its value
-
-    def val(p):
-        v = vals.get(id(p))
-        if v is None:
-            v = vals[id(p)] = _residue(p)
-        return v
-
+    polynomial's value read from its cache after the first.  Raises
+    ZeroDivisionError when den or a denominator is 0 mod PRIME."""
     S, total = 1, 0
     for i, k, t, mult in reversed(log):
-        total = (total + S * _residue(t) * val(chains[i][k])) % PRIME
-        S = S * val(mult) % PRIME
+        total = (total + S * _residue(t) * _residue(chains[i][k])) % PRIME
+        S = S * _residue(mult) % PRIME
     dv = _ratmod(den)
     if not dv:
         raise ZeroDivisionError("den is 0 mod PRIME")
@@ -206,15 +200,13 @@ def _replay_holds(f, chains, log, r, den):
 
 
 def _violates(r, v, vg, dg, mode):
-    rv = r.order_in(v)
-    if rv == NEG_INF or rv < vg:
+    """(order, degree) of r's top derivative in v when it is not reduced
+    against a divisor of order vg and leader degree dg in v, else None."""
+    top = r._top(v)
+    if top is None or top[0] < vg:
         return None
-    if rv > vg:
-        return int(rv)
-    if mode == "partial":
-        return None
-    if r.deg_in(Derivative(v, vg)) >= dg:
-        return vg
+    if top[0] > vg or mode != "partial" and top[1] >= dg:
+        return top
     return None
 
 
@@ -252,9 +244,11 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
             raise ValueError("divisors must have distinct leading variables")
 
     # per divisor: its variable, order, leader degree, separant, initial
-    info = [(lg.var, lg.order, dg, g.partial(lg), g._lowered(lg, dg, dg)) for g, (lg, dg) in zip(divisors, leads)]
+    info = [(lg.var, lg.order, dg, *g._multipliers(lg)) for g, (lg, dg) in zip(divisors, leads)]
 
-    chains = [[g] for g in divisors]  # g, g', g'', ... as far as a step needed
+    # g, g', g'', ... as far as a step needed: the division's own lists,
+    # started from each divisor's cached chain
+    chains = [[g, *g._chain] for g in divisors]
     log = []  # per step: divisor index, order k, den*co, multiplier
     den = 1
     r = f
@@ -262,18 +256,17 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     while True:
         best = None
         for i, (v, vg, dg, _, _) in enumerate(info):
-            rv = _violates(r, v, vg, dg, mode)
-            if rv is None:
+            top = _violates(r, v, vg, dg, mode)
+            if top is None:
                 continue
-            occ = Derivative(v, rv)
-            key = ranking.key(occ) if ranking is not None else (rv,)
+            occ = Derivative(v, top[0])
+            key = ranking.key(occ) if ranking is not None else (top[0],)
             if best is None or key > best[0]:
-                best = (key, i, occ)
+                best = (key, i, occ, top[1])
         if best is None:
             break
-        key, i, occ = best
+        key, i, occ, e = best
         _, vg, dg, separant, initial = info[i]
-        e = r.deg_in(occ)
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
             raise InternalInvariantViolation(
@@ -293,6 +286,9 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
         den = den * c
 
+    for g, chain in zip(divisors, chains):
+        if len(chain) > len(g._chain) + 1:
+            g._chain = tuple(chain[1:])  # replaced whole: a concurrent division reads the old one or this
     cert = DivisionCertificate._of_log(f, chains, log, r, den, mode)
     if log:
         try:

@@ -378,13 +378,14 @@ def _bench_tracer():
 
 def test_cli_import_loads_no_stdlib_extras_and_every_traced_module():
     # Under -S no .pth file is read, so an editable install is not on the
-    # path: the directory that holds the package goes there by hand.
+    # path: the directory that holds the package goes there by hand.  No
+    # threading either: the caches on polynomials take no lock.
     src = str(Path(diffalg.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys",
         "sys.path.insert(0, %r)" % src,
         "import diffalg.cli",
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules))",
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'json', 'threading') if m in sys.modules))",
         "print(' '.join(sorted(m[len('diffalg.'):] for m in sys.modules if m.startswith('diffalg.'))))",
     ])
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)

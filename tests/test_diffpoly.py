@@ -32,7 +32,21 @@ from diffalg import (
     scripted_divide,
     separant,
 )
-from diffalg.diffpoly import MAX_EXPONENT, MAX_ORDER, MAX_PAIRS, MONO_ONE, _addmul, _canon, _decode, _encode, _poly
+from diffalg.diffpoly import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    MAX_ORDER,
+    MAX_PAIRS,
+    MONO_ONE,
+    PRIME,
+    _addmul,
+    _canon,
+    _decode,
+    _encode,
+    _field_value,
+    _poly,
+    _residue,
+)
 from helpers import (
     SMALL_INTS,
     SMALL_RATIONALS,
@@ -172,6 +186,29 @@ def test_derive_raises_order_by_one(f):
         o = f.order_in(v)
         if o != NEG_INF:
             assert f.derive().order_in(v) == o + 1
+
+
+def test_derive_walks_each_monomials_own_fields():
+    # monomials of several fields with exponents above 1, against the
+    # Leibniz reference on the terms view; the order and exponent guards
+    # still refuse a derivation that would overflow a field
+    rng = random.Random(71)
+    R4 = ring_of(4)
+    several = powers = 0
+    for _ in range(300):
+        p = rand_poly(rng, R4, max_monos=6, max_deg=6, max_order=5, nonzero=False, coeffs=SMALL_RATIONALS)
+        assert p.derive().terms == ref_derive(p.terms) and canonical(p.derive())
+        assert p.derive(2).terms == ref_derive(ref_derive(p.terms))
+        several += any(len(m) > 2 for m in p.terms)
+        powers += any(e > 1 for m in p.terms for _, e in m)
+    assert several > 200 and powers > 100
+    x, y2, x1 = Derivative(0, 0), Derivative(1, 2), Derivative(0, 1)
+    edge = DiffPoly(R3, {((x, MAX_EXPONENT), (y2, 3)): 2, ((Derivative(2, MAX_ORDER - 1), 2), (x1, 1)): 1})
+    assert edge.derive().terms == ref_derive(edge.terms)
+    with pytest.raises(ResourceLimit, match="MAX_EXPONENT"):
+        DiffPoly(R3, {((x, MAX_EXPONENT + 1), (y2, 3)): 1}).derive()
+    with pytest.raises(ResourceLimit, match="MAX_ORDER"):
+        DiffPoly(R3, {((x1, 2), (Derivative(2, MAX_ORDER), 1)): 1}).derive()
 
 
 def test_partial():
@@ -572,6 +609,55 @@ def test_equality_and_hash_across_equal_rings():
         assert pa == pb and hash(pa) == hash(pb)
         assert pa * pb == parse_poly(render(p * p), A) and (pa - pb) == A.zero()
     assert parse_poly("x", DiffRing(("y", "x"))) != parse_poly("x", A)
+
+
+def test_constants_hash_as_their_numbers():
+    # a constant polynomial equals its number, so it hashes as that number
+    for ring in (R3, DiffRing(("x", "y"))):
+        for c in (3, -7, Fraction(1, 2), 0):
+            assert ring.const(c) == c and hash(ring.const(c)) == hash(c)
+            assert len({ring.const(c), c}) == 1
+    assert len({R3.const(3), 3, Fraction(3), R3.const(Fraction(6, 2))}) == 1
+    assert len({R3.zero(), 0, DiffPoly(R3, {})}) == 1
+    # a non-constant polynomial hashes by its ring and terms, as before
+    p = P("x'*y + 2")
+    assert hash(p) == hash((R3.names, tuple(sorted(p._packed.items()))))
+
+
+def _value_at_the_replay_point(p):
+    # each derivative's value from its field offset, summed over the terms view
+    n = p.ring.nvars
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for (var, order), e in m:
+            c *= _field_value((order * n + var) * FIELD_BITS) ** e
+        total += c
+    return total.numerator * pow(total.denominator, -1, PRIME) % PRIME
+
+
+def test_cached_facts_match_their_computations():
+    # every fact kept on a polynomial equals its uncached computation, asked
+    # cold and then warm, with the rankings (and so the leaders) asked in turn
+    rng = random.Random(23)
+    R4 = ring_of(4)
+    rankings = [orderly(), elimination([[0], [1, 2, 3]]), elimination([[3, 1], [0], [2]]), elimination([[0, 1, 2, 3]])]
+    for _ in range(200):
+        p = rand_nonconstant(rng, R4, max_monos=6, max_deg=4, max_order=6, coeffs=SMALL_RATIONALS)
+        for _ in range(2):
+            for v in range(4):
+                o = p.order_in(v)
+                top = None if o == NEG_INF else (o, p.deg_in(Derivative(v, o)))
+                assert p._top(v) == top
+                assert p.leader_in(v) == (None if top is None else (Derivative(v, o), top[1]))
+            for rk in rankings:
+                ld = max(p.support(), key=rk.key)
+                deg = p.deg_in(ld)
+                assert rk.leader_degree(p) == (ld, deg) and rk.rank(p) == (rk.key(ld), deg)
+                sep, ini = p.partial(ld), p.coeffs_in(ld)[deg]
+                assert p._multipliers(ld) == (sep, ini)
+                assert separant(p, None, rk) == sep and initial(p, None, rk) == ini
+                assert separant(p, ld.var) == sep and initial(p, ld.var) == ini
+            assert _residue(p) == p._res == _value_at_the_replay_point(p)
 
 
 def _refused_fast(make):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,6 +117,93 @@ def test_verify_reuses_the_division_chain(monkeypatch):
     assert cert.S == R2.one() and len(calls) == 4
     assert "_chains" not in vars(cert)
     assert cert.verify(f, [g]) and len(calls) == 8  # a later verify derives for itself
+
+
+def test_division_chains_are_kept_on_the_divisor():
+    # a division starts from its divisor's cached chain g', g'', ... and
+    # stores a longer one back, replaced whole: each entry k is derive(k), a
+    # division by a warm divisor certifies as one by a fresh copy does, and
+    # two divisions of one dividend give identical certificates
+    rng = random.Random(61)
+    stored = 0
+    for _ in range(60):
+        ring = ring_of(rng.randint(1, 3))
+        g = rand_nonconstant(rng, ring, max_monos=3, coeffs=rng.choice([SMALL_INTS, SMALL_RATIONALS]))
+        var, mode = rng.choice(g.variables()), rng.choice(["partial", "full"])
+        for _ in range(3):
+            f = rand_poly(rng, ring, nonzero=False, coeffs=SMALL_RATIONALS, max_order=6)
+            before = g._chain
+            warm = ritt_divide(f, [g], mode, var=var)
+            assert type(g._chain) is tuple and all(a is b for a, b in zip(before, g._chain))
+            stored += len(g._chain) > len(before)
+            cold = ritt_divide(parse_poly(render(f), ring), [parse_poly(render(g), ring)], mode, var=var)
+            again = ritt_divide(f, [g], mode, var=var)
+            assert warm.to_json() == cold.to_json() == again.to_json() and warm.den == cold.den == again.den
+            assert warm.multipliers == cold.multipliers == again.multipliers
+        assert all(gk == g.derive(k) for k, gk in enumerate(g._chain, 1))
+    assert stored > 30
+
+
+def test_forming_one_certificate_leaves_a_sibling_unchanged():
+    # short is divided while g's chain is cold; long lengthens the shared
+    # chain and is formed first; short's S and exact check are unchanged
+    g = P("x' - x*y")
+    short = ritt_divide(P("x'' + y"), [g], "full", var="x")
+    assert len(g._chain) == 1
+    long = ritt_divide(P("x^(5) + y'"), [g], "full", var="x")
+    assert len(g._chain) == 4 and all(gk == g.derive(k) for k, gk in enumerate(g._chain, 1))
+
+    def fresh(text):
+        return ritt_divide(P(text), [P("x' - x*y")], "full", var="x")
+
+    assert long.S == fresh("x^(5) + y'").S and long.verify(P("x^(5) + y'"), [g])
+    assert short.S == fresh("x'' + y").S and short.Q == fresh("x'' + y").Q
+    assert short.to_json() == fresh("x'' + y").to_json() and short.verify(P("x'' + y"), [g])
+    assert len(g._chain) == 4
+
+
+def test_threads_share_one_divisor_without_a_lock():
+    # eight threads, started together, divide distinct dividends by one
+    # divisor whose chain starts cold, the interpreter switching threads every
+    # microsecond; the caches take no lock, so each thread stores only whole
+    # values: every certificate must form and pass the exact check, and every
+    # cached chain entry must equal its derivation.  Four rounds, each with a
+    # fresh divisor.
+    text = "x'^2*y - x*y' + 1"
+    dividends = [[P("x^(%d)*y + %d*x'*y^%d - x" % (2 + (t + j) % 4, t + 1, j + 1)) for j in range(3)] for t in range(8)]
+    for _ in range(4):
+        g = P(text)
+        start = threading.Barrier(len(dividends))
+        done = [[] for _ in dividends]
+        errors = []
+
+        def work(t):
+            try:
+                start.wait(timeout=60)
+                for f in dividends[t]:
+                    cert = ritt_divide(f, [g], "full", var="x")
+                    if t % 2:
+                        cert.S  # forming reads the shared chain entries too
+                    done[t].append((f, cert))
+            except Exception as e:  # reported below, with the thread's index
+                errors.append((t, e))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(dividends))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads) and errors == []
+        assert [len(d) for d in done] == [len(fs) for fs in dividends]
+        for f, cert in (fc for d in done for fc in d):
+            assert cert.S and cert.verify(f, [g])
+            assert cert.to_json() == ritt_divide(parse_poly(render(f), R2), [P(text)], "full", var="x").to_json()
+        assert len(g._chain) == 4 and all(gk == g.derive(k) for k, gk in enumerate(g._chain, 1))
 
 
 # -- reducedness ----------------------------------------------------------------
