@@ -21,19 +21,19 @@ terms and coefficients within (sum of |numerators|)^k over lcm(denominators)^k:
 past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too, as
 does a product a*b of more than MAX_PAIRS term pairs len(a)*len(b).
 Each polynomial caches its support word, the OR of its monomials: a field of
-the word is nonzero iff that derivative occurs, so is_constant and order_in
-are a test and a mask, and the orderly leader is the word's top field.  An
-elimination leader is the occurring derivative of largest Ranking.key, the
-order a division's measure compares (Ritt 1950, ch. I; Kolchin 1973).
+the word is nonzero iff that derivative occurs, so is_constant is a test and
+the orderly leader is the word's top field.  An elimination leader is the
+occurring derivative of largest Ranking.key, the order a division's measure
+compares (Ritt 1950, ch. I; Kolchin 1973).
 A polynomial is immutable, so every other fact asked of it again is kept on
 it too, each computed on first use: the `terms` view; per variable, the
-order of its top derivative and the degree in it (read by leader_in, the
-leaders and the division steps); the leader, degree and rank under the last
-ranking asked; the separant and initial at the last leader asked; the
-derivative chain g', g'', ... as far as a division needed it, a tuple that
-is replaced whole, never grown in place; and its value at the replay point
-mod PRIME.  Two threads may compute one fact at once: each stores the same
-value, so the caches take no lock.
+order of its top derivative and the degree in it (read by order_in,
+leader_in, the leaders and the division steps); the leader, degree and rank
+under the last ranking asked; the separant and initial at the last leader
+asked; the derivative chain g', g'', ... as far as a division needed it, a
+tuple that is replaced whole, never grown in place; and its value at the
+replay point mod PRIME.  Two threads may compute one fact at once: each
+stores the same value, so the caches take no lock.
 DiffPoly(ring, terms) is the public way in, from (Derivative, exponent)
 tuple monomials; `terms` decodes the same dict back.
 """
@@ -472,13 +472,8 @@ class DiffPoly:
         strong convention; tropical.weak_entries reads -inf as 0 for the
         weak one)."""
         var = self.ring.var_index(var) if isinstance(var, str) else _var(var)
-        w = self._support()
-        n = self.ring.nvars
-        if w and 0 <= var < n:
-            x = w & self.ring._layout.cover(w).var[var]
-            if x:
-                return (x.bit_length() - 1) // (n * FIELD_BITS)
-        return NEG_INF
+        top = self._top(var) if 0 <= var < self.ring.nvars else None
+        return NEG_INF if top is None else top[0]
 
     def leader_in(self, var):
         """(x_var^(k), degree in it) for k the order of var, or None when var

@@ -209,7 +209,7 @@ def scripted_divide(system, script, var_order=None):
     system = list(system)
     ring = system[0].ring
     st = _solve(order_matrix(system, var_order))
-    jw_seq, js_seq = [st.weak], [st.sol.value]
+    jw0, js0 = st.weak, st.sol.value
     steps = []
     for pos, (di, gi, var) in enumerate(script):
         v = ring.var_index(var)
@@ -222,9 +222,9 @@ def scripted_divide(system, script, var_order=None):
             raise ValueError("script entry %d: dividend has lower order in %s" % (pos, ring.names[v]))
         system, step, st = _divide_step(system, di, gi, ring.names[v], "scripted", st)
         steps.append(step)
-        jw_seq.append(st.weak)
-        js_seq.append(st.sol.value)
-    return system, Trace(tuple(steps), tuple(jw_seq), tuple(js_seq))
+    jw_seq = (jw0, *(s.j_after for s in steps))
+    js_seq = (js0, *(s.j_after_strong for s in steps))
+    return system, Trace(tuple(steps), jw_seq, js_seq)
 
 
 def parse_script(text):
@@ -271,8 +271,9 @@ def linear_reduce(system) -> LinearReduceResult:
     The trace's J-sequences are totals: after step k they hold the orders
     peeled so far plus the active system's Jacobi number.  A form step's own
     J_before/J_after and matrix_after* describe only the active system, so
-    j_sequence_strong[k + 1] is the peeled orders plus steps[k].j_after_strong;
-    a peel step's J values are the unchanged total."""
+    j_sequence_strong[k + 1] is the peeled orders plus steps[k].j_after_strong.
+    A peel step's J values are the totals before and after it: the strong
+    total never moves on a peel, but the weak one can drop."""
     system = list(system)
     if not system:
         raise ValueError("empty system")
@@ -326,13 +327,12 @@ def linear_reduce(system) -> LinearReduceResult:
             r, c = singleton
             o = int(a[r][c])
             solved.append((eqs[r], ring.var_index(names[c]), o))
-            jw0, js0 = jw_seq[-1], js_seq[-1]  # a peel leaves J as it is
-            steps.append(ReductionStep("peel", r, -1, names[c], jw0, jw0, js0, js0))
             del eqs[r]
             if eqs:
                 strong = OrderMatrix(minor(a, r, c), "strong", names[:c] + names[c + 1 :])
                 st = _solve(strong, peel_assignment(a, st.sol, r, c))
             report()
+            steps.append(ReductionStep("peel", r, -1, names[c], jw_seq[-2], jw_seq[-1], js_seq[-2], js_seq[-1]))
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;

@@ -11,7 +11,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, describe, render
+from .diffpoly import DiffPoly, describe, render, separant
 from .errors import InternalInvariantViolation, digit_limit, digits_size
 
 
@@ -23,7 +23,7 @@ def coseparant(u: DiffPoly, var):
     if got is None:
         raise ValueError("pivot does not involve %s" % ring.names[var])
     ld, d = got
-    s1 = u.partial(ld)
+    s1 = separant(u, var)
     lv = ring.var(var, ld.order)
     t1 = u * d - lv * s1
     if u * d != t1 + lv * s1:

@@ -88,30 +88,24 @@ class DivisionCertificate:
     (separants and initials of the divisors); after at least one step the
     remainder r is primitive (coprime integer coefficients).
 
-    The certificate holds S*f = sum Q_i(g_i) + den*r.  ritt_divide returns it
-    holding f, the derivative chains and the step log instead of S and the
-    Q_i, its log checked by the replay of the module docstring; S and the Q_i
-    are formed from the log when first read, and checked exactly, and then f,
-    the chains and the log are dropped.  s = S/den and the quotients Q_i/den
-    are formed once, when first read; they equal dividing s and the quotients
-    by every content as it arises.  verify checks the identity of S, the Q_i
-    and den itself, with no denominators to clear.
+    The certificate holds S*f = sum Q_i(g_i) + den*r.  Its one constructor,
+    DivisionCertificate(f, chains, log, remainder, den, mode), called by
+    ritt_divide, keeps f, the derivative chains and the step log instead of S
+    and the Q_i; ritt_divide checks the log by the replay of the module
+    docstring.  S and the Q_i are formed from the log when first read, and
+    checked exactly, and then f, the chains and the log are dropped.
+    s = S/den and the quotients Q_i/den are formed once, when first read;
+    they equal dividing s and the quotients by every content as it arises.
+    verify checks the identity of S, the Q_i and den itself, with no
+    denominators to clear.
     """
 
-    def __init__(self, S, Q, remainder, den, mode, multipliers=()):
-        self._formed = (S, Q)  # Q: one LinOp per divisor
+    def __init__(self, f, chains, log, remainder, den, mode):
+        self._f, self._chains, self._log = f, chains, log
         self.remainder = remainder
         self.den = den  # a positive int, or a Fraction for rational f or g_i
         self.mode = mode
-        self.multipliers = multipliers  # the individual step multipliers, in step order
-
-    @classmethod
-    def _of_log(cls, f, chains, log, remainder, den, mode):
-        cert = cls.__new__(cls)
-        cert._f, cert._chains, cert._log = f, chains, log
-        cert.remainder, cert.den, cert.mode = remainder, den, mode
-        cert.multipliers = tuple(m for *_, m in log)
-        return cert
+        self.multipliers = tuple(m for *_, m in log)  # the step multipliers, in step order
 
     @cached_property
     def _formed(self):
@@ -289,7 +283,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     for g, chain in zip(divisors, chains):
         if len(chain) > len(g._chain) + 1:
             g._chain = tuple(chain[1:])  # replaced whole: a concurrent division reads the old one or this
-    cert = DivisionCertificate._of_log(f, chains, log, r, den, mode)
+    cert = DivisionCertificate(f, chains, log, r, den, mode)
     if log:
         try:
             if not _replay_holds(f, chains, log, r, den):

@@ -257,6 +257,88 @@ def test_pencil_bad_fiber_is_a_user_error(sysfile, capsys):
         assert out.out == "" and json.loads(out.err)["kind"] == "ValueError"
 
 
+def _user_error(argv, capsys):
+    """The CLI's UserError text for argv, checked to exit 1 in text and in JSON."""
+    assert main(argv) == 1
+    text = capsys.readouterr().err
+    assert main(argv + ["--json"]) == 1
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["kind"] == "UserError" and text == "error: %s\n" % err["error"]
+    return err["error"]
+
+
+def test_user_errors(sysfile, capsys):
+    f = sysfile("vars: x, y\nx' + y\ny' - x\n")
+    empty = sysfile("vars: x, y\n", "empty.txt")
+    assert _user_error(["jacobi", empty], capsys) == "empty system: %s" % empty
+    assert _user_error(["autoreduce", f, "--ranking", "elim:x;q"], capsys) == "unknown variable in ranking: 'q'"
+    assert _user_error(["dims", f, "--ranking", "elim:x"], capsys) == "ranking blocks must cover all variables"
+    bad = "bad --ranking 'lex' (want orderly or elim:b1;b2)"
+    assert _user_error(["autoreduce", f, "--ranking", "lex"], capsys) == bad
+    division = ["divide", f, "--dividend", "0", "--divisor", "2", "--var", "x"]
+    assert _user_error(division, capsys) == "equation index out of range"
+
+
+_R = diffalg.DiffRing(("x", "y"))
+_X, _Y, _DY = _R.var("x"), _R.var("y"), _R.var("y", 1)
+_SQUARE = ((1, 2), (3, 4))
+_NO_TRANSVERSAL = ((diffalg.NEG_INF,),)
+_XY = diffalg.elimination([[0], [1]])
+
+
+def _err(message, call, name):
+    return pytest.param(call, message, id=name)
+
+
+@pytest.mark.parametrize("call, message", [
+    _err("unknown mode 'half'", lambda d: d.ritt_divide(_X, [_DY], "half"), "ritt_divide-mode"),
+    _err("no divisors", lambda d: d.ritt_divide(_X, []), "ritt_divide-none"),
+    _err("explicit variable needs exactly one divisor", lambda d: d.ritt_divide(_X, [_X, _Y], var="x"),
+         "ritt_divide-var"),
+    _err("reference polynomial must be non-constant", lambda d: d.is_reduced_wrt(_X, _R.const(3)),
+         "is_reduced_wrt"),
+    _err("no nonzero generators", lambda d: d.autoreduce_loop([_R.zero()]), "autoreduce_loop"),
+    _err("more elements than variables", lambda d: d.dimensions(d.AutoreducedSet((_X, _DY), d.orderly()), 1),
+         "dimensions"),
+    # a validated set has its kept elements first, so this one is built
+    # around the constructor's checks
+    _err("kept polynomials do not form a prefix",
+         lambda d: d.elimination_project(d.AutoreducedSet._make(((_Y, _X), _XY)), ["x"]), "project-prefix"),
+    _err("no polynomial lies in the kept block",
+         lambda d: d.elimination_project(d.AutoreducedSet((_Y,), _XY), ["x"]), "project-empty"),
+    _err("empty system", lambda d: d.order_matrix([]), "order_matrix"),
+    _err("not a permutation: (0, 0)", lambda d: d.transversal_value(_SQUARE, (0, 0)), "transversal_value"),
+    _err("cycle index out of range", lambda d: d.cyclic_sum(_SQUARE, (0, 2)), "cyclic_sum"),
+    _err("tdet needs a square matrix", lambda d: d.tdet_brute(((1, 2),)), "tdet_brute-shape"),
+    _err("brute force capped at n = 8", lambda d: d.tdet_brute(((0,) * 9,) * 9), "tdet_brute-n"),
+    _err("no finite transversal to peel",
+         lambda d: d.tropical.peel_assignment(_NO_TRANSVERSAL, d.tdet_assignment(_NO_TRANSVERSAL), 0, 0),
+         "peel_assignment"),
+    _err("bad permutation", lambda d: d.permute(_SQUARE, (0, 0), (0, 1)), "permute"),
+    _err("need a square matrix, n >= 2", lambda d: d.normalize(((1,),)), "normalize"),
+    _err("name 'x' already in ring", lambda d: _R.extend("x"), "extend"),
+    _err("leader of a constant", lambda d: d.orderly().leader(_R.const(2)), "leader"),
+    _err("polynomial does not involve variable y", lambda d: d.separant(_X, "y"), "separant"),
+    _err("empty system", lambda d: d.linear_reduce([]), "linear_reduce"),
+    _err("regularity forces equal sides", lambda d: d.decompose_regular(d.BipartiteMultigraph(1, 2, ()), 0),
+         "decompose_regular"),
+])
+def test_library_value_errors(call, message):
+    # the messages the CLI prints as "error: ..." for the library's ValueErrors
+    with pytest.raises(ValueError) as e:
+        call(diffalg)
+    assert str(e.value) == message
+
+
+def test_reduce_linear_all_zero_system(sysfile, capsys):
+    f = sysfile("vars: x, y\n0\n0\n")
+    assert main(["reduce-linear", f, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trace"] == {"steps": [], "J_sequence": [0], "J_sequence_strong": ["-inf"]}
+    assert data["charset"] is None and data["degenerate"] is True
+
+
 NINE ="xyzuvwpqs"
 
 

@@ -39,6 +39,7 @@ from diffalg.diffpoly import (
     MAX_PAIRS,
     MONO_ONE,
     PRIME,
+    _MONO_RESIDUES,
     _addmul,
     _canon,
     _decode,
@@ -645,9 +646,10 @@ def test_cached_facts_match_their_computations():
         p = rand_nonconstant(rng, R4, max_monos=6, max_deg=4, max_order=6, coeffs=SMALL_RATIONALS)
         for _ in range(2):
             for v in range(4):
-                o = p.order_in(v)
-                top = None if o == NEG_INF else (o, p.deg_in(Derivative(v, o)))
-                assert p._top(v) == top
+                # the oracle reads p's terms; order_in itself reads _top
+                o = ref_order_in(p.terms, v, "strong")
+                top = None if o == NEG_INF else (o, ref_deg_in(p.terms, Derivative(v, o)))
+                assert p.order_in(v) == o and p._top(v) == top
                 assert p.leader_in(v) == (None if top is None else (Derivative(v, o), top[1]))
             for rk in rankings:
                 ld = max(p.support(), key=rk.key)
@@ -658,6 +660,19 @@ def test_cached_facts_match_their_computations():
                 assert separant(p, None, rk) == sep and initial(p, None, rk) == ini
                 assert separant(p, ld.var) == sep and initial(p, ld.var) == ini
             assert _residue(p) == p._res == _value_at_the_replay_point(p)
+
+
+def test_residue_memo_is_cleared_past_its_cap():
+    # one polynomial of 45^3 = 91,125 distinct monomials x^a*y^b*z^c fills
+    # the process-wide monomial memo past 2^16 entries; the next monomial
+    # met for the first time clears it, and values read after are still right
+    memo = _MONO_RESIDUES
+    big = _poly(R3, {a | b << FIELD_BITS | c << 2 * FIELD_BITS: 1 for a in range(45) for b in range(45) for c in range(45)})
+    _residue(big)
+    assert len(memo) > 1 << 16
+    fresh = P("x^50*y' + 3*z''^2 - 1/2")
+    assert _residue(fresh) == _value_at_the_replay_point(fresh)
+    assert set(memo) == set(fresh._packed)
 
 
 def _refused_fast(make):

@@ -524,9 +524,9 @@ def test_seeded_nonlinear_charsets_pinned():
 
 
 def test_verify_rejects_tampered_certificates():
-    # verify sums S*f - sum Q_ik * g^(k) - den*r exactly, so none of these
-    # false identities may pass: s doubled, the top quotient coefficient
-    # bumped by one, r + 1, and den changed
+    # verify's check, _identity_holds, sums S*f - sum Q_ik * g^(k) - den*r
+    # exactly, so none of these false identities may pass: s doubled, the top
+    # quotient coefficient bumped by one, r + 1, and den changed
     rational = 0
     for f, g, cert in _seeded_divisions(32, 80):
         if not f:
@@ -537,12 +537,12 @@ def test_verify_rejects_tampered_certificates():
         bumped = dict(q.coeffs)
         bumped[k] = bumped.get(k, ring.zero()) + 1
         assert cert.verify(f, [g])
-        S, Q, r, den, mode = cert.S, cert.Q, cert.remainder, cert.den, cert.mode
-        assert not DivisionCertificate(S * 2, Q, r, den, mode).verify(f, [g])
-        assert not DivisionCertificate(S, (LinOp(ring, bumped),), r, den, mode).verify(f, [g])
-        assert not DivisionCertificate(S, Q, r + 1, den, mode).verify(f, [g])
+        S, Q, r, den = cert.S, cert.Q, cert.remainder, cert.den
+        assert not reduction._identity_holds(S * 2, Q, den, r, f, [[g]])
+        assert not reduction._identity_holds(S, (LinOp(ring, bumped),), den, r, f, [[g]])
+        assert not reduction._identity_holds(S, Q, den, r + 1, f, [[g]])
         if cert.remainder:  # with r = 0 every den gives a true identity
-            assert not DivisionCertificate(S, Q, r, den + 1, mode).verify(f, [g])
+            assert not reduction._identity_holds(S, Q, den + 1, r, f, [[g]])
         if q.coeffs:
             assert not cert.verify(f, [g + ring.var(0, 5)])
         rational += any(type(c) is Fraction for c in cert.s.terms.values())
