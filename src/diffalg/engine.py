@@ -13,9 +13,14 @@ move.
 
 Every entry point carries the active system from step to step as one
 _Solved record: its strong order matrix `matrix`, the matrix's Assignment
-`sol` (sol.value is the strong Jacobi number; the duals u, v index this
-matrix's rows and columns) and the weak Jacobi number `weak`.  Each matrix
-is solved at most once, and each J is held in one place."""
+`sol` (sol.value is the strong Jacobi number; the duals u, v and the
+transversal rho index this matrix's rows and columns) and the weak Jacobi
+number `weak`.  Each matrix is solved at most once, and each J is held in
+one place.  Only an entry point's first matrix is solved cold: a form step
+changes one row, which enters again into the carried Assignment in O(n^2)
+(tdet_assignment's start), a peel reads its minor's Assignment off its
+parent's, and a weak matrix re-enters only the rows its strong duals leave
+uncovered."""
 
 from __future__ import annotations
 
@@ -36,15 +41,14 @@ from .tropical import (
     OrderMatrix,
     detect_first_form,
     detect_second_form,
-    duals_cover_weak,
     minor,
     normalize,
     order_matrix,
     peel_assignment,
     render_grid,
     ritt_compare,
-    tdet,
     tdet_assignment,
+    uncovered_rows,
     weak_entries,
 )
 
@@ -136,22 +140,27 @@ _Solved = namedtuple("_Solved", "matrix sol weak")  # see the module docstring
 def _solve(strong, sol=None):
     """The _Solved record of a strong order matrix, each matrix solved at
     most once.  sol, when given, is the Assignment already known (a peel's,
-    from peel_assignment), else the matrix is solved.  The weak J is the
-    strong one whenever the strong duals cover the weak matrix
-    (duals_cover_weak); only otherwise is the weak matrix solved."""
+    from peel_assignment, or a form step's, re-entered from its parent's),
+    else the matrix is solved cold.  The weak J is the strong one whenever
+    the strong duals cover the weak matrix; otherwise the weak matrix is
+    solved from sol by entering again only the rows that hold an uncovered
+    -inf cell (uncovered_rows)."""
+    a = strong.entries
     if sol is None:
-        sol = tdet_assignment(strong.entries)
-    if duals_cover_weak(strong.entries, sol):
+        sol = tdet_assignment(a)
+    rows = uncovered_rows(a, sol)
+    if not rows:
         return _Solved(strong, sol, sol.value)
-    return _Solved(strong, sol, tdet(weak_entries(strong.entries)))
+    return _Solved(strong, sol, tdet_assignment(weak_entries(a), sol, rows).value)
 
 
 def _divide_step(system, di, gi, var, kind, st):
     """Divide equation di by equation gi in the variable named var: partial
     division for a scripted step, full division for a form step.  st is the
     system's _Solved record; only row di changes, so only it is recomputed,
-    and the new matrix is solved once.  Returns the new system, the step,
-    and the record after the step."""
+    and the new matrix is solved by entering row di again into st.sol,
+    O(n^2).  Returns the new system, the step, and the record after the
+    step."""
     cert = ritt_divide(system[di], [system[gi]], "partial" if kind == "scripted" else "full", var=var)
     out = list(system)
     out[di] = cert.remainder
@@ -159,7 +168,7 @@ def _divide_step(system, di, gi, var, kind, st):
     row = tuple(cert.remainder.order_in(name) for name in strong.col_names)
     strong_a = OrderMatrix(strong.entries[:di] + (row,) + strong.entries[di + 1 :], "strong", strong.col_names)
     _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
-    after = _solve(strong_a)
+    after = _solve(strong_a, tdet_assignment(strong_a.entries, st.sol, (di,)))
     step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, after.matrix)
     return out, step, after
 
@@ -287,10 +296,11 @@ def linear_reduce(system) -> LinearReduceResult:
 
     # The active system's strong order matrix and Jacobi numbers are carried
     # from one iteration to the next.  A form step recomputes one row and
-    # solves the new matrix once; a peel takes a minor whose Assignment is
-    # read off the current one, with no solve.  The Assignment serves both
-    # the J-sequence and the next normalization, and its duals settle the
-    # weak J unless they leave a -inf cell uncovered (see _solve).
+    # enters that row again into the carried Assignment; a peel takes a minor
+    # whose Assignment is read off the current one, with no solve.  The
+    # Assignment serves both the J-sequence and the next normalization, and
+    # its duals settle the weak J unless they leave a -inf cell uncovered
+    # (see _solve).
     st = _solve(order_matrix(system, None))
     j_init = st.sol.value
     max_ord = max((e for row in st.matrix.entries for e in row if e != NEG_INF), default=0)
@@ -336,10 +346,10 @@ def linear_reduce(system) -> LinearReduceResult:
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;
-        # the form step reads no duals, but the record's are permuted with its
-        # rows and columns so that none pairs a matrix with another's duals
+        # the record's Assignment is permuted with its rows and columns, and
+        # the form step enters its divided row again into it
         fc, b = normalize(a, st.sol)
-        sol = st.sol._replace(u=tuple(st.sol.u[i] for i in fc.row_perm), v=tuple(st.sol.v[j] for j in fc.col_perm))
+        sol = st.sol.permute(fc.row_perm, fc.col_perm)
         st = _Solved(OrderMatrix(b, "strong", tuple(names[j] for j in fc.col_perm)), sol, st.weak)
         eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
         steps.append(step)

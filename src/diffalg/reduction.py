@@ -472,7 +472,9 @@ def elimination_project(charset: AutoreducedSet, keep) -> AutoreducedSet:
     """Restrict to the polynomials supported entirely on the kept block.
 
     The ranking must be a block elimination ranking whose lowest block is
-    exactly the kept variables; the kept polynomials must form a prefix.
+    exactly the kept variables.  The kept polynomials then form a prefix,
+    since every leader in the kept block ranks below every other leader;
+    InternalInvariantViolation when they do not.
     """
     ring = charset.elements[0].ring
     keep_idx = tuple(ring.var_index(v) for v in keep)
@@ -482,7 +484,9 @@ def elimination_project(charset: AutoreducedSet, keep) -> AutoreducedSet:
     inside = [all(v in keep_idx for v in p.variables()) for p in charset.elements]
     cut = sum(inside)
     if not all(inside[:cut]) or any(inside[cut:]):
-        raise ValueError("kept polynomials do not form a prefix")
+        raise InternalInvariantViolation(
+            "kept polynomials do not form a prefix: %s" % ", ".join(render(p) for p in charset.elements)
+        )
     if cut == 0:
         raise ValueError("no polynomial lies in the kept block")
     return AutoreducedSet(charset.elements[:cut], rk)

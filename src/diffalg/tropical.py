@@ -4,17 +4,20 @@ Entries live in Z>=0 together with -inf (float("-inf")); addition saturates
 and max ignores -inf, so plain Python arithmetic does the right thing.  The
 tropical determinant tdet(A) is the maximum transversal sum over all
 permutations.  It is computed one way only: Kuhn's Hungarian method on
-integers (tdet_assignment), with -inf cells forbidden.  Its dual potentials
-u, v (Jacobi's canon offsets) make u_i + v_j >= a_ij everywhere, with
-equality on the tight graph, whose perfect matchings are exactly the
-maximizing transversals.  matching.perfect_matchings lists those in
-lexicographic order with polynomial delay: witness lists take all, the
-normalizer's questions (does one avoid the column-1 maximum? which is
-lexicographically least?) the first.  Optimal duals also answer two
-questions without a solve: the weak tdet when they cover every -inf cell
-(duals_cover_weak), and a minor's Assignment when the dropped column has a
-single finite entry (peel_assignment).  Only tdet_brute, for the tests,
-enumerates the n! permutations.
+integers (tdet_assignment), with -inf cells forbidden, where rows enter the
+matching one at a time; after a change to some rows of a solved matrix only
+those rows enter again, O(n^2) each.  Its dual potentials u, v (Jacobi's
+canon offsets) make u_i + v_j >= a_ij everywhere, with equality on the
+tight graph, whose perfect matchings are exactly the maximizing
+transversals.  matching.perfect_matchings lists those in lexicographic order
+with polynomial delay: witness lists take all, the normalizer's questions
+(does one avoid the column-1 maximum? which is lexicographically least?) the
+first.  Optimal duals also answer three questions without a solve: the weak
+tdet when they cover every -inf cell (uncovered_rows), a minor's
+Assignment when the dropped column has a single finite entry
+(peel_assignment), and, by one shortest-path pass over the reduced costs
+u_i + v_j - a_ij, the tdet of every minor the second-form search asks about.
+Only tdet_brute, for the tests, enumerates the n! permutations.
 
 Matrices are tuples of row tuples (OrderMatrix.entries), never an
 OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute,
@@ -184,33 +187,64 @@ def tdet_brute(entries):
     return best, tuple(wits)
 
 
-class Assignment(namedtuple("Assignment", "value u v", defaults=(None, None))):
-    """An optimal solution of the assignment problem behind tdet.
+class Assignment(namedtuple("Assignment", "value u v rho", defaults=(None, None, None))):
+    """An optimal solution of the assignment problem behind tdet: the dual
+    potentials u, v and the primal transversal rho (rho[i] = row i's column).
 
     u[i] + v[j] >= a_{i,j} for every finite entry, with equality on every
-    maximizing transversal, so value = sum(u) + sum(v).  Without a finite
-    transversal, value is -inf and u, v are None."""
+    maximizing transversal, rho among them, so value = sum(u) + sum(v).
+    Without a finite transversal, value is -inf and u, v, rho are None."""
 
     __slots__ = ()
 
+    def permute(self, sigma, tau):
+        """The Assignment of permute(entries, sigma, tau)."""
+        col = inverse(tau)
+        return self._replace(
+            u=tuple(self.u[i] for i in sigma),
+            v=tuple(self.v[j] for j in tau),
+            rho=tuple(col[self.rho[i]] for i in sigma),
+        )
 
-def tdet_assignment(entries):
-    """Tropical determinant by Kuhn's Hungarian method, O(n^3) on integers.
+
+def tdet_assignment(entries, start=None, rows=()):
+    """Tropical determinant by Kuhn's Hungarian method on integers.
 
     -inf entries are forbidden cells, never padded.  Returns the Assignment:
-    the value and the potentials, which are Jacobi's canon offsets (Pryce's
-    Sigma-method offsets)."""
+    the value, the potentials, which are Jacobi's canon offsets (Pryce's
+    Sigma-method offsets), and the transversal matched.
+
+    Rows enter the matching one at a time, each by one shortest augmenting
+    path, O(n^2).  Without `start` every row enters: O(n^3).  `start` is an
+    optimal Assignment of a matrix that agrees with `entries` outside `rows`:
+    the other rows keep its duals and its rho columns, which stay feasible
+    and tight because their entries did not change, and only `rows` enter
+    (the first step of a row's entry sets its potential, whatever it was).
+    A start without a finite transversal holds nothing to keep, and every
+    row enters."""
     n, m = _shape(entries)
     if m != n:
         raise ValueError("tdet needs a square matrix")
-    # Rows enter one at a time; each entry grows a shortest-augmenting-path
-    # tree from the virtual column n.  slack(i, j) = u[i] + v[j] - a[i][j]
-    # stays >= 0 for the rows entered so far.
-    inf = float("inf")
-    u = [0] * n
-    v = [0] * (n + 1)
+    u, v = [0] * n, [0] * n
     owner = [-1] * (n + 1)  # owner[j]: the row matched to column j
-    for i in range(n):
+    if start is None or start.rho is None:
+        rows = range(n)
+    else:
+        if len(start.rho) != n:
+            raise ValueError("start is the Assignment of another shape")
+        if len(set(rows)) != len(rows) or any(not 0 <= i < n for i in rows):
+            raise ValueError("rows to enter must be distinct row indices")
+        u, v = list(start.u), list(start.v)
+        for i, j in enumerate(start.rho):
+            if i not in rows:
+                if u[i] + v[j] != entries[i][j]:
+                    raise ValueError("start is not tight on kept row %d" % i)
+                owner[j] = i
+    # Each entry grows a shortest-augmenting-path tree from the virtual
+    # column n.  slack(i, j) = u[i] + v[j] - a[i][j] stays >= 0 for the rows
+    # matched so far.
+    inf = float("inf")
+    for i in rows:
         owner[n] = i
         j0 = n
         minv = [inf] * n
@@ -251,31 +285,41 @@ def tdet_assignment(entries):
     for j in range(n):
         rho[owner[j]] = j
     value = sum(entries[i][rho[i]] for i in range(n))
-    return Assignment(value, tuple(u), tuple(v[:n]))
+    return Assignment(value, tuple(u), tuple(v), tuple(rho))
 
 
-def duals_cover_weak(entries, sol):
-    """Whether the strong matrix's optimal duals also solve its weak matrix:
-    sol.value is finite and u_i + v_j >= 0 on every -inf cell, which the weak
-    convention reads as 0.  The duals are then feasible for the weak matrix,
-    whose entries are at least the strong ones, so weak J = strong J."""
+def uncovered_rows(entries, sol):
+    """The rows to enter again to turn the strong matrix's Assignment sol
+    into its weak matrix's, whose -inf cells read 0: those holding a -inf
+    cell with u_i + v_j < 0, or every row when sol.value is -inf.  The weak
+    entries are at least the strong ones, so the other rows stay feasible,
+    and sol.rho, finite, stays tight; with no such row the duals solve the
+    weak matrix as they are, and weak J = strong J."""
     if sol.value == NEG_INF:
-        return False
+        return tuple(range(len(entries)))
     u, v = sol.u, sol.v
-    return all(u[i] + v[j] >= 0 for i, row in enumerate(entries) for j, e in enumerate(row) if e == NEG_INF)
+    out = []
+    for i, row in enumerate(entries):
+        t = -u[i]
+        for vj, e in zip(v, row):
+            if vj < t and e == NEG_INF:
+                out.append(i)
+                break
+    return tuple(out)
 
 
 def peel_assignment(entries, sol, r, c):
     """The Assignment of minor(entries, r, c), read off sol = the matrix's
     Assignment when (r, c) is column c's only finite entry.  Every finite
-    transversal then uses (r, c), so it is tight; without u_r and v_c the
-    duals stay feasible on the minor and tight on the rest of the optimal
-    matching, and the minor's value is sol.value - a[r][c]."""
+    transversal then uses (r, c), so it is tight and sol.rho[r] = c; without
+    u_r and v_c the duals stay feasible on the minor and tight on the rest of
+    sol.rho, and the minor's value is sol.value - a[r][c]."""
     if sol.value == NEG_INF:
         raise ValueError("no finite transversal to peel")
     if entries[r][c] == NEG_INF or any(row[c] != NEG_INF for i, row in enumerate(entries) if i != r):
         raise ValueError("(%d, %d) is not the only finite entry of its column" % (r, c))
-    return Assignment(sol.value - entries[r][c], sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :])
+    rho = tuple(j - (j > c) for i, j in enumerate(sol.rho) if i != r)
+    return Assignment(sol.value - entries[r][c], sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :], rho)
 
 
 WITNESS_LIMIT = 40320  # 8!: every witness list the factorial route produced
@@ -326,13 +370,15 @@ def ritt_key(entries):
 
 
 def ritt_compare(a, b) -> str:
-    if _shape(a) != _shape(b):
+    """Compares ritt_key(a) with ritt_key(b), sorting one column of each at
+    a time and stopping at the first that differs."""
+    n, m = _shape(a)
+    if _shape(b) != (n, m):
         raise ValueError("shape mismatch")
-    ka, kb = ritt_key(a), ritt_key(b)
-    if ka < kb:
-        return LESS
-    if ka > kb:
-        return GREATER
+    for j in range(m):
+        ca, cb = sorted(row[j] for row in a), sorted(row[j] for row in b)
+        if ca != cb:
+            return LESS if ca < cb else GREATER
     return EQUAL
 
 
@@ -408,6 +454,43 @@ class FormCertificate(namedtuple("FormCertificate", "row_perm col_perm form inde
         }
 
 
+def _alternating_distances(entries, sol, rho, r):
+    """dist[k] for every row k != r: the least sum of reduced costs
+    s(k', j) = u_k' + v_j - a_k'j over an alternating path from row k to
+    column 0 = rho(r), where a finite cell leads from a row to a column and
+    rho leads from a column back to its row (+inf without such a path).  One
+    dense Dijkstra from column 0 over the reversed edges, O(n^2): s >= 0,
+    and s = 0 on rho.
+
+    rho is a maximizing transversal and sol optimal duals, so every
+    transversal of minor(entries, r, rho(i)) sums to value - u_r - v_rho(i)
+    minus its reduced costs; a least one is rho without (r, 0) and
+    (i, rho(i)), switched along a shortest path from row i to column 0,
+    which never meets column rho(i) since that would lead back to row i."""
+    n = len(entries)
+    u, v = sol.u, sol.v
+    inf = float("inf")
+    dist = [inf] * n
+    done = [False] * n
+    done[r] = True
+    j, d = 0, 0  # the column last settled, and its distance
+    while True:
+        best, k1 = inf, -1
+        for k in range(n):
+            if not done[k]:
+                e = entries[k][j]
+                if e != NEG_INF:
+                    c = d + u[k] + v[j] - e
+                    if c < dist[k]:
+                        dist[k] = c
+                if dist[k] < best:
+                    best, k1 = dist[k], k
+        if k1 < 0:
+            return dist
+        done[k1] = True
+        j, d = rho[k1], best
+
+
 def normalize(entries, sol=None):
     """Ritt's first form if its hypothesis holds, else the second: returns the
     FormCertificate and the permuted matrix, checked by that form's detector.
@@ -422,8 +505,11 @@ def normalize(entries, sol=None):
     second-form search takes the first row i != r whose inner transversal
     (rho with row i moved to column 1) is finite and maximal in the minor
     without row r and column rho(i); index is i's place among the rows other
-    than r, plus 1.  HypothesisFailure: no finite transversal, or fewer than
-    two finite entries in column 1, where neither form applies."""
+    than r, plus 1.  Every candidate's minor is read off one shortest-path
+    pass over the reduced costs (_alternating_distances), so given `sol`
+    normalize runs no solver, and O(n^2) work besides the matching search.
+    HypothesisFailure: no finite transversal, or fewer than two finite
+    entries in column 1, where neither form applies."""
     n, m = _shape(entries)
     if n < 2 or m != n:
         raise ValueError("need a square matrix, n >= 2")
@@ -459,10 +545,14 @@ def normalize(entries, sol=None):
         raise InternalInvariantViolation("tight graph of %r has no perfect matching" % (entries,))
     r = rho.index(0)
     others = [k for k in range(n) if k != r]
+    dist = _alternating_distances(entries, sol, rho, r)
+    u, v = sol.u, sol.v
     for idx, i in enumerate(others):
-        inner = value - entries[r][0] - entries[i][rho[i]] + entries[i][0]
-        if inner == NEG_INF or tdet(minor(entries, r, rho[i])) != inner:
+        # tdet(minor(entries, r, rho[i])) = value - u_r - v_rho(i) - dist[i],
+        # which equals inner exactly when dist[i] is the reduced cost of (i, 0)
+        if entries[i][0] == NEG_INF or dist[i] != u[i] + v[0] - entries[i][0]:
             continue
+        inner = value - entries[r][0] - entries[i][rho[i]] + entries[i][0]
         rows = list(others)
         rows[0], rows[idx] = i, rows[0]
         cert = FormCertificate(
@@ -470,7 +560,7 @@ def normalize(entries, sol=None):
         )
         out = cert.apply(entries)
         # the rows end in r and the columns in rho(i), so the output's minor
-        # permutes the one just solved and inner may stand for its tdet
+        # permutes minor(entries, r, rho[i]), whose tdet is inner
         if not detect_second_form(out, value, inner):
             raise InternalInvariantViolation(
                 "second-form certificate %r fails on %r" % (cert, entries)

@@ -378,3 +378,28 @@ def second_form_brute(a):
                 idx + 1,
             )
     raise AssertionError("no second-form index for %r" % (a,))
+
+
+def second_form_per_candidate(a):
+    """normalize's second-form certificate as the search ran before the
+    one-pass distances: one Hungarian solve of the minor per candidate row.
+    Call it on a matrix that normalize puts in the second form."""
+    from diffalg import FormCertificate, tdet
+    from diffalg.matching import perfect_matchings
+    from diffalg.tropical import _tight_graph, minor, tdet_assignment
+
+    n = len(a)
+    sol = tdet_assignment(a)
+    rho = next(perfect_matchings(_tight_graph(a, sol)))
+    r = rho.index(0)
+    others = [k for k in range(n) if k != r]
+    for idx, i in enumerate(others):
+        inner = sol.value - a[r][0] - a[i][rho[i]] + a[i][0]
+        if inner == NEG_INF or tdet(minor(a, r, rho[i])) != inner:
+            continue
+        rows = list(others)
+        rows[0], rows[idx] = i, rows[0]
+        return FormCertificate(
+            tuple(rows) + (r,), (0,) + tuple(rho[k] for k in rows[1:]) + (rho[i],), "second", idx + 1
+        )
+    raise AssertionError("no second-form index for %r" % (a,))

@@ -403,19 +403,22 @@ def _banded_system(rng, n, max_order=2):
 
 
 def test_linear_reduce_solves_each_matrix_once(monkeypatch):
-    # Every Hungarian solve inside engine._solve, with its matrix: a peel's
-    # strong minor is never solved (its Assignment is read off the matrix it
-    # came from), and the weak matrix is solved only when the strong duals
-    # leave a -inf cell uncovered (u_i + v_j < 0 there).
+    # Every Hungarian call, with its arguments, checked at each engine._solve:
+    # only the first matrix is solved cold; a form step's matrix is solved
+    # before _solve by entering its divided row again into the carried
+    # Assignment, whose duals fit every other row; a peel's strong minor is
+    # never solved (its Assignment is read off the matrix it came from); and
+    # the weak matrix is solved only when the strong duals leave a -inf cell
+    # uncovered (u_i + v_j < 0 there), by entering only the rows holding one.
     import diffalg.tropical as tropical_mod
 
     solves, pending = [], []
     hungarian, take_minor, solve = tropical_mod.tdet_assignment, engine_mod.minor, engine_mod._solve
-    seen = {"peel": 0, "covered": 0, "weak solved": 0}
+    seen = {"cold": 0, "form": 0, "peel": 0, "covered": 0, "weak solved": 0}
 
-    def counted(entries):
-        solves.append(entries)
-        return hungarian(entries)
+    def counted(*args):
+        solves.append(args)
+        return hungarian(*args)
 
     def peel_minor(*args):
         # linear_reduce takes a minor only to peel, then passes it to _solve
@@ -425,18 +428,39 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
     def checked_solve(strong, *rest):
         a = strong.entries
         peel = pending == [a]
+        before = solves[:]
         del solves[:], pending[:]
         st = solve(strong, *rest)
-        sol, jw = st.sol, st.weak
-        covered = sol.value != NEG_INF and all(
-            sol.u[i] + sol.v[j] >= 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
+        inside = solves[:]
+        del solves[:]
+        sol = st.sol
+        assert sol.value == hungarian(a).value, a
+        if not rest:
+            assert before == [] and inside[0] == (a,), (a, before, inside)
+            inside = inside[1:]
+            seen["cold"] += 1
+        elif peel:
+            assert before == [], (a, before)
+            seen["peel"] += 1
+        else:
+            ((b, start, rows),) = before  # one re-entry, no cold solve
+            (d,) = rows
+            assert b == a and start.rho is not None and d in (1, len(a) - 1), (a, before)
+            assert all(
+                start.u[i] + start.v[j] >= e if j != start.rho[i] else start.u[i] + start.v[j] == e
+                for i, row in enumerate(a)
+                if i != d
+                for j, e in enumerate(row)
+                if e != NEG_INF
+            ), (a, start)
+            seen["form"] += 1
+        uncovered = tuple(
+            i for i, row in enumerate(a) if any(sol.u[i] + sol.v[j] < 0 for j, e in enumerate(row) if e == NEG_INF)
         )
         weak = tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a)
-        expected = ([] if peel else [a]) + ([] if covered else [weak])
-        assert sorted(solves) == sorted(expected), (a, peel, covered)
-        assert jw == tdet(weak)
-        seen["peel"] += peel
-        seen["covered" if covered else "weak solved"] += 1
+        assert inside == ([(weak, sol, uncovered)] if uncovered else []), (a, peel, inside)
+        assert st.weak == hungarian(weak).value
+        seen["weak solved" if uncovered else "covered"] += 1
         return st
 
     monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)

@@ -27,18 +27,19 @@ from diffalg import (
 )
 from diffalg.tropical import (
     Assignment,
+    _alternating_distances,
     compose,
-    duals_cover_weak,
     identity_perm,
     inverse,
     minor,
     peel_assignment,
     render_grid,
     ritt_key,
+    uncovered_rows,
     weak_entries,
 )
 from diffalg.generators import rand_matrix
-from helpers import all_cycles, first_form_brute, second_form_brute
+from helpers import all_cycles, first_form_brute, second_form_brute, second_form_per_candidate
 
 INF = NEG_INF
 
@@ -75,8 +76,8 @@ def test_form_certificate_and_assignment_values():
     assert hash(c) == hash(FormCertificate((1, 0), (0, 1), "first"))
     assert c != FormCertificate((1, 0), (0, 1), "first", 1) and c != FormCertificate((1, 0), (0, 1), "second")
     assert repr(c) == "FormCertificate(row_perm=(1, 0), col_perm=(0, 1), form='first', index=0)"
-    assert Assignment(INF) == (INF, None, None) and Assignment(value=3, v=(1,)).u is None
-    assert repr(Assignment(3, (1,), (2,))) == "Assignment(value=3, u=(1,), v=(2,))"
+    assert Assignment(INF) == (INF, None, None, None) and Assignment(value=3, v=(1,)).u is None
+    assert repr(Assignment(3, (1,), (2,), (0,))) == "Assignment(value=3, u=(1,), v=(2,), rho=(0,))"
 
 
 def test_result_records_are_immutable_values():
@@ -416,11 +417,12 @@ def test_dual_certificates_match_brute():
                 a = rand_matrix(rng, n, hi=rng.choice([1, 2, 9]), p_inf=p_inf)
                 sol = tdet_assignment(a)
                 weak = tdet_brute(weak_entries(a))[0]
-                if duals_cover_weak(a, sol):
+                rows = uncovered_rows(a, sol)
+                if not rows:
                     assert sol.value == weak, a
                     seen["covered"] += 1
                 else:
-                    assert tdet(weak_entries(a)) == weak, a
+                    assert tdet_assignment(weak_entries(a), sol, rows).value == weak, a
                     seen["solved"] += 1
                 if sol.value == INF or n == 1:
                     continue
@@ -440,8 +442,105 @@ def test_dual_certificates_match_brute():
                         if e != INF
                     ), (a, c)
                     assert sum(peeled.u) + sum(peeled.v) == peeled.value
+                    assert all(peeled.u[i] + peeled.v[j] == b[i][j] for i, j in enumerate(peeled.rho)), (a, c)
                     seen["peels"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _assert_optimal(a, sol):
+    # value against the factorial oracle; duals feasible on every finite
+    # cell and tight on rho; sum(u) + sum(v) = value
+    assert sol.value == tdet_brute(a)[0], (a, sol)
+    if sol.value == INF:
+        assert sol == Assignment(INF), (a, sol)
+        return
+    n = len(a)
+    assert sorted(sol.rho) == list(range(n)), (a, sol)
+    assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != INF), (a, sol)
+    assert all(sol.u[i] + sol.v[sol.rho[i]] == a[i][sol.rho[i]] for i in range(n)), (a, sol)
+    assert sum(sol.u) + sum(sol.v) == sol.value, (a, sol)
+
+
+def test_reentered_rows_match_brute():
+    # change some rows of a solved matrix and enter only those again into
+    # its Assignment; a changed row of -inf leaves no finite transversal
+    rng = random.Random(1107)
+    seen = {"finite": 0, "-inf": 0, "row of -inf": 0, "start -inf": 0, "several rows": 0}
+    for p_inf in (0.0, 0.3, 0.6):
+        for n in range(1, 8):
+            for _ in range(3 if n == 7 else 30):
+                a = rand_matrix(rng, n, hi=rng.choice([1, 2, 9]), p_inf=p_inf)
+                start = tdet_assignment(a)
+                rows = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+                b = [list(row) for row in a]
+                for i in rows:
+                    if rng.random() < 0.1:
+                        b[i] = [INF] * n
+                        seen["row of -inf"] += 1
+                    else:
+                        b[i] = [INF if rng.random() < p_inf else rng.randint(0, 9) for _ in range(n)]
+                b = tuple(tuple(row) for row in b)
+                sol = tdet_assignment(b, start, rows)
+                _assert_optimal(b, sol)
+                seen["finite" if sol.value != INF else "-inf"] += 1
+                seen["start -inf"] += start.value == INF
+                seen["several rows"] += len(rows) > 1
+    assert min(seen.values()) >= 20, seen
+    sol = tdet_assignment(((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match="distinct row indices"):
+        tdet_assignment(((1, 2), (3, 4)), sol, (0, 0))
+    with pytest.raises(ValueError, match="distinct row indices"):
+        tdet_assignment(((1, 2), (3, 4)), sol, (2,))
+    with pytest.raises(ValueError, match="another shape"):
+        tdet_assignment(((1,),), sol, (0,))
+    with pytest.raises(ValueError, match="not tight on kept row 0"):
+        tdet_assignment(((0, 0), (3, 4)), sol, (1,))
+
+
+def test_second_form_minors_from_one_pass(monkeypatch):
+    # every candidate minor's tdet read off the alternating distances, and
+    # normalize's second-form certificate equal to the per-candidate search's
+    import diffalg.tropical as tropical_mod
+
+    rng = random.Random(1108)
+    seen = {"candidates": 0, "finite minors": 0, "second": 0, "index >= 2": 0}
+    solved = []
+    hungarian = tropical_mod.tdet_assignment
+
+    def counted(*args):
+        solved.append(args)
+        return hungarian(*args)
+
+    for p_inf in (0.0, 0.3, 0.6):
+        for n in range(2, 9):
+            for _ in range(2 if n >= 7 else 25):
+                a = rand_matrix(rng, n, hi=rng.choice([2, 5, 9]), p_inf=p_inf)
+                sol = hungarian(a)
+                if sol.value == INF:
+                    continue
+                r = sol.rho.index(0)
+                dist = _alternating_distances(a, sol, sol.rho, r)
+                for i in range(n):
+                    if i == r:
+                        continue
+                    j = sol.rho[i]
+                    got = sol.value - sol.u[r] - sol.v[j] - dist[i] if dist[i] != float("inf") else INF
+                    assert got == tdet_brute(minor(a, r, j))[0], (a, i)
+                    seen["candidates"] += 1
+                    seen["finite minors"] += got != INF
+                monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
+                try:
+                    cert, _ = normalize(a, sol)
+                except HypothesisFailure:
+                    continue
+                finally:
+                    monkeypatch.setattr(tropical_mod, "tdet_assignment", hungarian)
+                assert solved == [], (a, solved)
+                if cert.form == "second":
+                    assert cert == second_form_per_candidate(a), a
+                    seen["second"] += 1
+                    seen["index >= 2"] += cert.index >= 2
+    assert min(seen.values()) >= 10, seen
 
 
 def test_tdet_witnesses_match_brute_in_order():
