@@ -12,15 +12,15 @@ partial (∂-)division and make no monotonicity claims; they exist to watch J
 move.
 
 Every entry point carries the active system from step to step as one
-_Solved record: its strong order matrix `matrix`, the matrix's Assignment
-`sol` (sol.value is the strong Jacobi number; the duals u, v and the
-transversal rho index this matrix's rows and columns) and the weak Jacobi
-number `weak`.  Each matrix is solved at most once, and each J is held in
-one place.  Only an entry point's first matrix is solved cold: a form step
-changes one row, which enters again into the carried Assignment in O(n^2)
-(tdet_assignment's start), a peel reads its minor's Assignment off its
-parent's, and a weak matrix re-enters only the rows its strong duals leave
-uncovered."""
+_Solved record: its strong order matrix's `entries` and column `names`, its
+Assignment `sol` (sol.value is the strong Jacobi number; the duals u, v and
+the transversal rho index this matrix's rows and columns) and the weak
+Jacobi number `weak`.  Each matrix is solved at most once, each J is held in
+one place, and an OrderMatrix is built only for a step's report.  Only an
+entry point's first matrix is solved cold: a form step changes one row,
+which enters again into the carried Assignment in O(n^2), a normalization's
+permutation and a peel's minor take theirs from the carried one
+(Assignment.take), and weak_tdet re-enters only the uncovered rows."""
 
 from __future__ import annotations
 
@@ -44,12 +44,11 @@ from .tropical import (
     minor,
     normalize,
     order_matrix,
-    peel_assignment,
     render_grid,
     ritt_compare,
     tdet_assignment,
-    uncovered_rows,
     weak_entries,
+    weak_tdet,
 )
 
 
@@ -134,24 +133,15 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
-_Solved = namedtuple("_Solved", "matrix sol weak")  # see the module docstring
+_Solved = namedtuple("_Solved", "entries names sol weak")  # see the module docstring
 
 
-def _solve(strong, sol=None):
-    """The _Solved record of a strong order matrix, each matrix solved at
-    most once.  sol, when given, is the Assignment already known (a peel's,
-    from peel_assignment, or a form step's, re-entered from its parent's),
-    else the matrix is solved cold.  The weak J is the strong one whenever
-    the strong duals cover the weak matrix; otherwise the weak matrix is
-    solved from sol by entering again only the rows that hold an uncovered
-    -inf cell (uncovered_rows)."""
-    a = strong.entries
+def _solve(entries, names, sol=None):
+    """The _Solved record of a strong order matrix; sol, when given, is its
+    Assignment already known, else the matrix is solved cold."""
     if sol is None:
-        sol = tdet_assignment(a)
-    rows = uncovered_rows(a, sol)
-    if not rows:
-        return _Solved(strong, sol, sol.value)
-    return _Solved(strong, sol, tdet_assignment(weak_entries(a), sol, rows).value)
+        sol = tdet_assignment(entries)
+    return _Solved(entries, names, sol, weak_tdet(entries, sol))
 
 
 def _divide_step(system, di, gi, var, kind, st):
@@ -164,12 +154,13 @@ def _divide_step(system, di, gi, var, kind, st):
     cert = ritt_divide(system[di], [system[gi]], "partial" if kind == "scripted" else "full", var=var)
     out = list(system)
     out[di] = cert.remainder
-    strong = st.matrix
-    row = tuple(cert.remainder.order_in(name) for name in strong.col_names)
-    strong_a = OrderMatrix(strong.entries[:di] + (row,) + strong.entries[di + 1 :], "strong", strong.col_names)
-    _assert_division_bound(strong.entries, strong_a.entries, di, gi, strong.col_names.index(var))
-    after = _solve(strong_a, tdet_assignment(strong_a.entries, st.sol, (di,)))
-    step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, after.matrix)
+    a, names = st.entries, st.names
+    b = a[:di] + (tuple(cert.remainder.order_in(name) for name in names),) + a[di + 1 :]
+    _assert_division_bound(a, b, di, gi, names.index(var))
+    after = _solve(b, names, tdet_assignment(b, st.sol, (di,)))
+    step = ReductionStep(
+        kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, OrderMatrix(b, "strong", names)
+    )
     return out, step, after
 
 
@@ -179,8 +170,8 @@ def _form_step(system, kind, st):
     by equation 1 in the first column's variable.  The Jacobi number must not
     rise, and a changed matrix must drop in Ritt's ordering."""
     dividend = 1 if kind == "first-form" else len(system) - 1
-    out, step, after = _divide_step(system, dividend, 0, st.matrix.col_names[0], kind, st)
-    a, b = st.matrix.entries, after.matrix.entries
+    out, step, after = _divide_step(system, dividend, 0, st.names[0], kind, st)
+    a, b = st.entries, after.entries
     if after.sol.value > st.sol.value:
         raise InternalInvariantViolation("J increased: %s -> %s\n%s" % (st.sol.value, after.sol.value, render_grid(b)))
     if b != a and ritt_compare(b, a) != LESS:
@@ -192,12 +183,13 @@ def _form_step(system, kind, st):
 
 def _detected_form_step(system, var_order, kind, charset):
     system = list(system)
-    st = _solve(order_matrix(system, var_order))
+    m = order_matrix(system, var_order)
+    st = _solve(m.entries, m.col_names)
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(st.matrix.entries, st.sol.value):
+    if not detect(st.entries, st.sol.value):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
     # only here: on linear_reduce's linear systems every pivot separant is constant
-    _check_pivot_separant(system, 0, system[0].ring.var_index(st.matrix.col_names[0]), charset)
+    _check_pivot_separant(system, 0, system[0].ring.var_index(st.names[0]), charset)
     return _form_step(system, kind, st)[:2]
 
 
@@ -217,7 +209,8 @@ def scripted_divide(system, script, var_order=None):
     claimed, only the division bound and the certificate identity."""
     system = list(system)
     ring = system[0].ring
-    st = _solve(order_matrix(system, var_order))
+    m = order_matrix(system, var_order)
+    st = _solve(m.entries, m.col_names)
     jw0, js0 = st.weak, st.sol.value
     steps = []
     for pos, (di, gi, var) in enumerate(script):
@@ -294,16 +287,13 @@ def linear_reduce(system) -> LinearReduceResult:
         if not _is_linear(p):
             raise ValueError("equation %d is not linear" % i)
 
-    # The active system's strong order matrix and Jacobi numbers are carried
-    # from one iteration to the next.  A form step recomputes one row and
-    # enters that row again into the carried Assignment; a peel takes a minor
-    # whose Assignment is read off the current one, with no solve.  The
-    # Assignment serves both the J-sequence and the next normalization, and
-    # its duals settle the weak J unless they leave a -inf cell uncovered
-    # (see _solve).
-    st = _solve(order_matrix(system, None))
+    # The active system's _Solved record is carried from one iteration to
+    # the next (see the module docstring); its Assignment serves both the
+    # J-sequence and the next normalization.
+    m = order_matrix(system, None)
+    st = _solve(m.entries, m.col_names)
     j_init = st.sol.value
-    max_ord = max((e for row in st.matrix.entries for e in row if e != NEG_INF), default=0)
+    max_ord = max((e for row in st.entries for e in row if e != NEG_INF), default=0)
     budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
     solved = []  # (equation, var, order) in peel order
@@ -326,7 +316,7 @@ def linear_reduce(system) -> LinearReduceResult:
         if st.sol.value == NEG_INF:
             degenerate = True
             break
-        a, names = st.matrix.entries, st.matrix.col_names
+        a, names = st.entries, st.names
         singleton = None
         for c in range(len(a[0])):
             rows = [i for i in range(len(eqs)) if a[i][c] != NEG_INF]
@@ -339,18 +329,17 @@ def linear_reduce(system) -> LinearReduceResult:
             solved.append((eqs[r], ring.var_index(names[c]), o))
             del eqs[r]
             if eqs:
-                strong = OrderMatrix(minor(a, r, c), "strong", names[:c] + names[c + 1 :])
-                st = _solve(strong, peel_assignment(a, st.sol, r, c))
+                sol = st.sol.take([k for k in range(len(a)) if k != r], [k for k in range(len(a)) if k != c])
+                st = _solve(minor(a, r, c), names[:c] + names[c + 1 :], sol)
             report()
             steps.append(ReductionStep("peel", r, -1, names[c], jw_seq[-2], jw_seq[-1], js_seq[-2], js_seq[-1]))
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;
-        # the record's Assignment is permuted with its rows and columns, and
-        # the form step enters its divided row again into it
+        # the record's Assignment is taken with its rows and columns, and the
+        # form step enters its divided row again into it
         fc, b = normalize(a, st.sol)
-        sol = st.sol.permute(fc.row_perm, fc.col_perm)
-        st = _Solved(OrderMatrix(b, "strong", tuple(names[j] for j in fc.col_perm)), sol, st.weak)
+        st = _Solved(b, tuple(names[j] for j in fc.col_perm), st.sol.take(fc.row_perm, fc.col_perm), st.weak)
         eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
         steps.append(step)
         report()

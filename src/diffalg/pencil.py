@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .diffpoly import DiffPoly, describe, render, separant
 from .errors import InternalInvariantViolation, digit_limit, digits_size
+from .textio import _NAME
 
 
 def coseparant(u: DiffPoly, var):
@@ -59,6 +60,8 @@ class RittPencil(namedtuple("RittPencil", "ring ext_ring pivot_index var leader 
 
 
 def build_pencil(system, pivot_index, var, fresh="w") -> RittPencil:
+    if not (isinstance(fresh, str) and _NAME.fullmatch(fresh)):
+        raise ValueError("parameter %r is not a name" % (fresh,))
     system = list(system)
     if not 0 <= pivot_index < len(system):
         raise ValueError("pivot index out of range")

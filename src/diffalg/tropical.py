@@ -13,11 +13,12 @@ transversals.  matching.perfect_matchings lists those in lexicographic order
 with polynomial delay: witness lists take all, the normalizer's questions
 (does one avoid the column-1 maximum? which is lexicographically least?) the
 first.  Optimal duals also answer three questions without a solve: the weak
-tdet when they cover every -inf cell (uncovered_rows), a minor's
-Assignment when the dropped column has a single finite entry
-(peel_assignment), and, by one shortest-path pass over the reduced costs
-u_i + v_j - a_ij, the tdet of every minor the second-form search asks about.
-Only tdet_brute, for the tests, enumerates the n! permutations.
+tdet when they cover every -inf cell (weak_tdet; else only the rows holding
+an uncovered one enter), the Assignment of a permuted matrix or a minor that
+keeps rho's column for every kept row (Assignment.take), and, by one
+shortest-path pass over the reduced costs u_i + v_j - a_ij, the tdet of
+every minor the second-form search asks about.  Only tdet_brute, for the
+tests, enumerates the n! permutations.
 
 Matrices are tuples of row tuples (OrderMatrix.entries), never an
 OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute,
@@ -111,7 +112,9 @@ def render_grid(entries) -> str:
 
 
 def minor(entries, drop_row, drop_col):
-    _shape(entries)
+    n, m = _shape(entries)
+    if not (0 <= drop_row < n and 0 <= drop_col < m):
+        raise ValueError("row or column to drop out of range")
     return tuple(
         tuple(e for j, e in enumerate(row) if j != drop_col)
         for i, row in enumerate(entries)
@@ -197,14 +200,26 @@ class Assignment(namedtuple("Assignment", "value u v rho", defaults=(None, None,
 
     __slots__ = ()
 
-    def permute(self, sigma, tau):
-        """The Assignment of permute(entries, sigma, tau)."""
-        col = inverse(tau)
-        return self._replace(
-            u=tuple(self.u[i] for i in sigma),
-            v=tuple(self.v[j] for j in tau),
-            rho=tuple(col[self.rho[i]] for i in sigma),
-        )
+    def take(self, rows, cols):
+        """The Assignment of the matrix of rows `rows` and columns `cols` of
+        this one's, in that order: a permutation or a minor.  Valid exactly
+        when rho sends every kept row to a kept column: the kept duals stay
+        feasible on the kept cells and tight on the kept part of rho, a
+        perfect matching of the kept matrix, so they are optimal (LP
+        duality), and the value is their sum."""
+        if self.rho is None:
+            raise ValueError("no finite transversal to take from")
+        kept, col = {*rows}, {j: k for k, j in enumerate(cols)}
+        if not len(rows) == len(kept) == len(col) == len(cols):
+            raise ValueError("take needs as many distinct rows as distinct columns")
+        if not kept.union(col) <= {*range(len(self.rho))}:
+            raise ValueError("row or column to take out of range")
+        rho = tuple([col.get(self.rho[i], -1) for i in rows])
+        if -1 in rho:
+            i = rows[rho.index(-1)]
+            raise ValueError("row %d's column %d is dropped" % (i, self.rho[i]))
+        u, v = tuple([self.u[i] for i in rows]), tuple([self.v[j] for j in cols])
+        return Assignment(sum(u) + sum(v), u, v, rho)
 
 
 def tdet_assignment(entries, start=None, rows=()):
@@ -288,38 +303,28 @@ def tdet_assignment(entries, start=None, rows=()):
     return Assignment(value, tuple(u), tuple(v), tuple(rho))
 
 
-def uncovered_rows(entries, sol):
-    """The rows to enter again to turn the strong matrix's Assignment sol
-    into its weak matrix's, whose -inf cells read 0: those holding a -inf
-    cell with u_i + v_j < 0, or every row when sol.value is -inf.  The weak
-    entries are at least the strong ones, so the other rows stay feasible,
-    and sol.rho, finite, stays tight; with no such row the duals solve the
-    weak matrix as they are, and weak J = strong J."""
+def weak_tdet(entries, sol):
+    """tdet(weak_entries(entries)) from sol, the strong matrix's Assignment.
+    The weak entries are at least the strong ones, so the duals stay feasible
+    on every row but those holding a -inf cell with u_i + v_j < 0, and
+    sol.rho, finite, stays tight: only those rows enter again (every row when
+    sol.value is -inf).  With no such row the duals solve the weak matrix as
+    they are, no weak matrix is built, and weak J = strong J."""
     if sol.value == NEG_INF:
-        return tuple(range(len(entries)))
+        return tdet_assignment(weak_entries(entries)).value
     u, v = sol.u, sol.v
-    out = []
+    if len(entries) != len(u):
+        raise ValueError("sol is the Assignment of another shape")
+    rows = []
     for i, row in enumerate(entries):
+        if len(row) != len(v):
+            raise ValueError("sol is the Assignment of another shape")
         t = -u[i]
         for vj, e in zip(v, row):
             if vj < t and e == NEG_INF:
-                out.append(i)
+                rows.append(i)
                 break
-    return tuple(out)
-
-
-def peel_assignment(entries, sol, r, c):
-    """The Assignment of minor(entries, r, c), read off sol = the matrix's
-    Assignment when (r, c) is column c's only finite entry.  Every finite
-    transversal then uses (r, c), so it is tight and sol.rho[r] = c; without
-    u_r and v_c the duals stay feasible on the minor and tight on the rest of
-    sol.rho, and the minor's value is sol.value - a[r][c]."""
-    if sol.value == NEG_INF:
-        raise ValueError("no finite transversal to peel")
-    if entries[r][c] == NEG_INF or any(row[c] != NEG_INF for i, row in enumerate(entries) if i != r):
-        raise ValueError("(%d, %d) is not the only finite entry of its column" % (r, c))
-    rho = tuple(j - (j > c) for i, j in enumerate(sol.rho) if i != r)
-    return Assignment(sol.value - entries[r][c], sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :], rho)
+    return tdet_assignment(weak_entries(entries), sol, rows).value if rows else sol.value
 
 
 WITNESS_LIMIT = 40320  # 8!: every witness list the factorial route produced

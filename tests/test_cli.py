@@ -194,6 +194,22 @@ def test_pencil_bad_pivot_and_variable(sysfile, capsys):
     assert _value_error(["pencil", f, "--pivot", "0", "--var", "q"], capsys) == "no variable 'q'"
 
 
+def test_pencil_parameter_is_a_name(capsys):
+    # the parameter joins the ring as a variable, so it is one NAME, as a
+    # declared variable is: with "y'" the generator would print as
+    # 2*y'*y' + 2*y, which reads as another polynomial
+    ws = str(SYSTEMS_DIR / "weak_strong.sys")
+    for fresh in ("y'", "1 + q", ""):
+        argv = ["pencil", ws, "--pivot", "1", "--var", "y", "--fresh", fresh]
+        assert _value_error(argv, capsys) == "parameter %r is not a name" % fresh
+    _, polys = diffalg.parse_system(Path(ws).read_text())
+    for fresh in ("y'", "1 + q", "", None):
+        with pytest.raises(ValueError, match="is not a name"):
+            diffalg.build_pencil(polys, 1, "y", fresh)
+    assert main(["pencil", ws, "--pivot", "1", "--var", "y", "--fresh", "q_1"]) == 0
+    assert "generator: 2*y'*q_1 + 2*y" in capsys.readouterr().out
+
+
 def test_error_json(sysfile, capsys):
     f = sysfile("vars: x\n(x'\n")
     assert main(["jacobi", f, "--json"]) == 1
@@ -308,9 +324,19 @@ def _err(message, call, name):
     _err("cycle index out of range", lambda d: d.cyclic_sum(_SQUARE, (0, 2)), "cyclic_sum"),
     _err("tdet needs a square matrix", lambda d: d.tdet_brute(((1, 2),)), "tdet_brute-shape"),
     _err("brute force capped at n = 8", lambda d: d.tdet_brute(((0,) * 9,) * 9), "tdet_brute-n"),
-    _err("no finite transversal to peel",
-         lambda d: d.tropical.peel_assignment(_NO_TRANSVERSAL, d.tdet_assignment(_NO_TRANSVERSAL), 0, 0),
-         "peel_assignment"),
+    _err("no finite transversal to take from", lambda d: d.tdet_assignment(_NO_TRANSVERSAL).take((), ()),
+         "take-transversal"),
+    _err("take needs as many distinct rows as distinct columns",
+         lambda d: d.tdet_assignment(_SQUARE).take((0, 0), (0, 1)), "take-repeat"),
+    _err("row or column to take out of range", lambda d: d.tdet_assignment(_SQUARE).take((0, 1), (1, 2)),
+         "take-range"),
+    _err("row 0's column 1 is dropped", lambda d: d.tdet_assignment(_SQUARE).take((0,), (0,)), "take-dropped"),
+    _err("sol is the Assignment of another shape",
+         lambda d: d.tropical.weak_tdet(((1, 2, 3),) * 3, d.tdet_assignment(_SQUARE)), "weak_tdet"),
+    _err("sol is the Assignment of another shape",
+         lambda d: d.tropical.weak_tdet(((1, 2), (3,)), d.tdet_assignment(_SQUARE)), "weak_tdet-ragged"),
+    _err("row or column to drop out of range", lambda d: d.tropical.minor(_SQUARE, 5, 7), "minor-past"),
+    _err("row or column to drop out of range", lambda d: d.tropical.minor(_SQUARE, -1, 0), "minor-negative"),
     _err("bad permutation", lambda d: d.permute(_SQUARE, (0, 0), (0, 1)), "permute"),
     _err("need a square matrix, n >= 2", lambda d: d.normalize(((1,),)), "normalize"),
     _err("name 'x' already in ring", lambda d: _R.extend("x"), "extend"),

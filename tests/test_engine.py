@@ -403,49 +403,51 @@ def _banded_system(rng, n, max_order=2):
 
 
 def test_linear_reduce_solves_each_matrix_once(monkeypatch):
-    # Every Hungarian call, with its arguments, checked at each engine._solve:
-    # only the first matrix is solved cold; a form step's matrix is solved
-    # before _solve by entering its divided row again into the carried
-    # Assignment, whose duals fit every other row; a peel's strong minor is
-    # never solved (its Assignment is read off the matrix it came from); and
-    # the weak matrix is solved only when the strong duals leave a -inf cell
-    # uncovered (u_i + v_j < 0 there), by entering only the rows holding one.
+    # Every Hungarian call and every Assignment.take, checked at each
+    # engine._solve: only an entry point's first matrix is solved cold; a
+    # form step's matrix is solved by entering its one divided row again into
+    # the carried Assignment (permuted by take in linear_reduce), whose duals
+    # fit every other row; a peel or a permutation calls no solver (the
+    # Assignment comes from take); and the weak solve enters exactly the rows
+    # holding a -inf cell the strong duals leave uncovered (u_i + v_j < 0).
     import diffalg.tropical as tropical_mod
 
-    solves, pending = [], []
-    hungarian, take_minor, solve = tropical_mod.tdet_assignment, engine_mod.minor, engine_mod._solve
-    seen = {"cold": 0, "form": 0, "peel": 0, "covered": 0, "weak solved": 0}
+    events, cold = [], []
+    hungarian, take = tropical_mod.tdet_assignment, tropical_mod.Assignment.take
+    solve = engine_mod._solve
+    seen = {"cold": 0, "form": 0, "permuted": 0, "peel": 0, "covered": 0, "weak solved": 0}
 
     def counted(*args):
-        solves.append(args)
+        events.append(("solve", args))
         return hungarian(*args)
 
-    def peel_minor(*args):
-        # linear_reduce takes a minor only to peel, then passes it to _solve
-        pending[:] = [take_minor(*args)]
-        return pending[0]
+    def taken(sol, rows, cols):
+        out = take(sol, rows, cols)
+        events.append(("take", out))
+        return out
 
-    def checked_solve(strong, *rest):
-        a = strong.entries
-        peel = pending == [a]
-        before = solves[:]
-        del solves[:], pending[:]
-        st = solve(strong, *rest)
-        inside = solves[:]
-        del solves[:]
+    def checked_solve(a, names, *rest):
+        before = events[:]
+        del events[:]
+        st = solve(a, names, *rest)
+        inside = events[:]
+        del events[:]
         sol = st.sol
         assert sol.value == hungarian(a).value, a
         if not rest:
-            assert before == [] and inside[0] == (a,), (a, before, inside)
+            assert before == [] and cold == [False] and inside[0] == ("solve", (a,)), (a, before, inside)
+            cold[:] = [True]
             inside = inside[1:]
             seen["cold"] += 1
-        elif peel:
-            assert before == [], (a, before)
+        elif before == [("take", sol)]:
             seen["peel"] += 1
         else:
-            ((b, start, rows),) = before  # one re-entry, no cold solve
+            *taken_first, (kind, (b, start, rows)) = before  # one re-entry, no cold solve
             (d,) = rows
-            assert b == a and start.rho is not None and d in (1, len(a) - 1), (a, before)
+            assert kind == "solve" and b == a and sol is rest[0] and start.rho is not None, (a, before)
+            # linear_reduce's form steps take the permuted Assignment and
+            # divide row 1 or n - 1; scripted steps divide any row
+            assert taken_first in ([], [("take", start)]) and (not taken_first or d in (1, len(a) - 1)), (a, before)
             assert all(
                 start.u[i] + start.v[j] >= e if j != start.rho[i] else start.u[i] + start.v[j] == e
                 for i, row in enumerate(a)
@@ -454,25 +456,33 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
                 if e != NEG_INF
             ), (a, start)
             seen["form"] += 1
-        uncovered = tuple(
-            i for i, row in enumerate(a) if any(sol.u[i] + sol.v[j] < 0 for j, e in enumerate(row) if e == NEG_INF)
-        )
+            seen["permuted"] += bool(taken_first)
         weak = tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a)
-        assert inside == ([(weak, sol, uncovered)] if uncovered else []), (a, peel, inside)
+        if sol.value == NEG_INF:
+            assert inside == [("solve", (weak,))], (a, inside)
+        else:
+            uncovered = [
+                i for i, row in enumerate(a) if any(sol.u[i] + sol.v[j] < 0 for j, e in enumerate(row) if e == NEG_INF)
+            ]
+            assert inside == ([("solve", (weak, sol, uncovered))] if uncovered else []), (a, inside)
+            seen["weak solved" if uncovered else "covered"] += 1
         assert st.weak == hungarian(weak).value
-        seen["weak solved" if uncovered else "covered"] += 1
         return st
 
     monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
     monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
-    monkeypatch.setattr(engine_mod, "minor", peel_minor)
+    monkeypatch.setattr(tropical_mod.Assignment, "take", taken)
     monkeypatch.setattr(engine_mod, "_solve", checked_solve)
     rng = random.Random(18)
     for _ in range(30):
+        sys_ = _banded_system(rng, rng.randint(5, 6))
+        cold[:] = [False]
         try:
-            linear_reduce(_banded_system(rng, rng.randint(5, 6)))
+            linear_reduce(sys_)
         except InconsistentSystem:
-            continue
+            pass
+        cold[:] = [False]
+        scripted_divide(sys_, [rng.choice(_valid_moves(sys_, sys_[0].ring))])
     assert min(seen.values()) >= 10, seen
 
 
@@ -484,7 +494,7 @@ def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
     kinds = []
 
     def check(st):
-        a, sol = st.matrix.entries, st.sol
+        a, sol = st.entries, st.sol
         assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != NEG_INF)
         assert sum(sol.u) + sum(sol.v) == sol.value == tdet(a)
         assert st.weak == tdet(tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a))

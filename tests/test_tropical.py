@@ -32,11 +32,10 @@ from diffalg.tropical import (
     identity_perm,
     inverse,
     minor,
-    peel_assignment,
     render_grid,
     ritt_key,
-    uncovered_rows,
     weak_entries,
+    weak_tdet,
 )
 from diffalg.generators import rand_matrix
 from helpers import all_cycles, first_form_brute, second_form_brute, second_form_per_candidate
@@ -406,44 +405,39 @@ def test_assignment_potentials_are_optimal_duals():
 
 
 def test_dual_certificates_match_brute():
-    # The strong duals settle the weak J whenever they cover every -inf
-    # cell, and a column with one finite entry hands its minor an Assignment
-    # with no solve; both against the factorial oracle.
+    # The strong duals give the weak J (weak_tdet), and Assignment.take
+    # hands a permuted matrix its optimal Assignment, and a minor too exactly
+    # when rho keeps every other row in a kept column: the minor without
+    # (r, rho[r]), even when column rho[r] has other finite entries; every
+    # other (r, c) raises.  All against the factorial oracle.
     rng = random.Random(1106)
-    seen = {"covered": 0, "solved": 0, "peels": 0}
+    seen = {"weak = strong": 0, "weak > strong": 0, "peels": 0, "shared column": 0, "refused": 0}
     for p_inf in (0.0, 0.3, 0.6):
         for n in range(1, 9):
             for _ in range(2 if n >= 7 else 25):
                 a = rand_matrix(rng, n, hi=rng.choice([1, 2, 9]), p_inf=p_inf)
                 sol = tdet_assignment(a)
                 weak = tdet_brute(weak_entries(a))[0]
-                rows = uncovered_rows(a, sol)
-                if not rows:
-                    assert sol.value == weak, a
-                    seen["covered"] += 1
-                else:
-                    assert tdet_assignment(weak_entries(a), sol, rows).value == weak, a
-                    seen["solved"] += 1
-                if sol.value == INF or n == 1:
+                assert weak_tdet(a, sol) == weak, a
+                seen["weak = strong" if weak == sol.value else "weak > strong"] += 1
+                if sol.value == INF:
+                    with pytest.raises(ValueError, match="no finite transversal"):
+                        sol.take(range(n), range(n))
                     continue
-                for c in range(n):
-                    rows = [i for i in range(n) if a[i][c] != INF]
-                    if len(rows) != 1:
-                        with pytest.raises(ValueError, match="only finite entry"):
-                            peel_assignment(a, sol, rows[0] if rows else 0, c)
+                sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+                _assert_optimal(permute(a, sigma, tau), sol.take(sigma, tau))
+                if n == 1:
+                    continue
+                for r, c in itertools.product(range(n), repeat=2):
+                    rows, cols = [i for i in range(n) if i != r], [j for j in range(n) if j != c]
+                    if sol.rho[r] != c:
+                        with pytest.raises(ValueError, match="is dropped"):
+                            sol.take(rows, cols)
+                        seen["refused"] += 1
                         continue
-                    b = minor(a, rows[0], c)
-                    peeled = peel_assignment(a, sol, rows[0], c)
-                    assert peeled.value == tdet_brute(b)[0], (a, c)
-                    assert all(
-                        peeled.u[i] + peeled.v[j] >= e
-                        for i, row in enumerate(b)
-                        for j, e in enumerate(row)
-                        if e != INF
-                    ), (a, c)
-                    assert sum(peeled.u) + sum(peeled.v) == peeled.value
-                    assert all(peeled.u[i] + peeled.v[j] == b[i][j] for i, j in enumerate(peeled.rho)), (a, c)
+                    _assert_optimal(minor(a, r, c), sol.take(rows, cols))
                     seen["peels"] += 1
+                    seen["shared column"] += any(a[i][c] != INF for i in rows)
     assert min(seen.values()) >= 50, seen
 
 
