@@ -31,9 +31,9 @@ order of its top derivative and the degree in it (read by order_in,
 leader_in, the leaders and the division steps); the leader, degree and rank
 under the last ranking asked; the separant and initial at the last leader
 asked; the derivative chain g', g'', ... as far as a division needed it, a
-tuple that is replaced whole, never grown in place; and its value at the
-replay point mod PRIME.  Two threads may compute one fact at once: each
-stores the same value, so the caches take no lock.
+tuple that is replaced whole, never grown in place; its value at the
+replay point mod PRIME; and whether it is linear.  Two threads may compute
+one fact at once: each stores the same value, so the caches take no lock.
 DiffPoly(ring, terms) is the public way in, from (Derivative, exponent)
 tuple monomials; `terms` decodes the same dict back.
 """
@@ -41,6 +41,7 @@ tuple monomials; `terms` decodes the same dict back.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -73,6 +74,8 @@ class Derivative(namedtuple("Derivative", "var order")):
 
 
 MONO_ONE = ()  # the unit monomial of the `terms` view
+
+_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")  # a variable name, as the text format reads it
 
 
 def _integral(c):
@@ -160,8 +163,9 @@ def _decode(nvars, m):
 
 class _Layout:
     """Masks over the packed fields of a ring of `nvars` variables: one per
-    variable (its field at every order), and `guard`, the top bit of every
-    field (an exponent over MAX_EXPONENT).  They cover the first `orders`
+    variable (its field at every order), `guard`, the top bit of every
+    field (an exponent over MAX_EXPONENT), and `unit`, the lowest bit of
+    every field (an exponent of 1).  They cover the first `orders`
     orders and grow with the longest support word they are asked about."""
 
     def __init__(self, nvars):
@@ -173,6 +177,7 @@ class _Layout:
         rep = sum(1 << (period * k) for k in range(orders))  # 1 in the first field of each order
         self.var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
         self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
+        self.unit = self.guard >> (FIELD_BITS - 1)
         self.orders = orders
         self.limit = (1 << (period * orders)) - 1
 
@@ -189,6 +194,10 @@ class DiffRing:
 
     def __init__(self, names):
         names = tuple(names)
+        for nm in names:
+            # render writes a name as it is, so text must read back as one name
+            if not (isinstance(nm, str) and _NAME.fullmatch(nm)):
+                raise ValueError("variable %r is not a name" % (nm,))
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names: %r" % (names,))
         self.names = names
@@ -247,7 +256,7 @@ class DiffPoly:
     """Immutable sparse polynomial: packed monomial -> nonzero coefficient, an
     int when integral and a Fraction otherwise."""
 
-    __slots__ = ("ring", "_packed", "_word", "_view", "_lead", "_tops", "_mults", "_chain", "_res")
+    __slots__ = ("ring", "_packed", "_word", "_view", "_lead", "_tops", "_mults", "_chain", "_res", "_lin")
 
     def __init__(self, ring, terms):
         """From a dict (Derivative, exponent)-tuple monomial -> rational;
@@ -258,7 +267,7 @@ class DiffPoly:
             acc[m] = acc.get(m, 0) + c
         self.ring = ring
         self._packed = _canon(acc)
-        self._word = self._view = self._lead = self._tops = self._mults = self._res = None
+        self._word = self._view = self._lead = self._tops = self._mults = self._res = self._lin = None
         self._chain = ()
 
     @property
@@ -564,23 +573,19 @@ def _apply(acc, coeffs, chain, negate=False):
     return acc
 
 
-def _primitive(p: DiffPoly):
-    """(content, p / content).  The content is positive and rational: the gcd
-    of the numerators over the lcm of the denominators, so p / content has
-    coprime integer coefficients.  The zero polynomial has content 1."""
-    t = p._packed
+def _primitive(t):
+    """(content, t / content) for a canonical packed term dict t.  The content
+    is positive and rational: the gcd of the numerators over the lcm of the
+    denominators, so t / content has coprime integer coefficients.  With
+    content 1, t itself is returned; an empty t has content 1."""
     vals = t.values()
     if _INT.issuperset(map(type, vals)):
-        num, den = math.gcd(*vals), 1
-    else:
-        num = math.gcd(*(c.numerator for c in vals))
-        den = math.lcm(*(c.denominator for c in vals))
-    if num in (0, 1) and den == 1:
-        return 1, p
-    if den == 1:
-        return num, _poly(p.ring, {m: c // num for m, c in t.items()})
-    content = Fraction(num, den)
-    return content, _poly(p.ring, {m: _integral(c / content) for m, c in t.items()})
+        c = math.gcd(*vals)
+        if c < 2:
+            return 1, t
+        return c, {m: v // c for m, v in t.items()}
+    c = Fraction(math.gcd(*(v.numerator for v in vals)), math.lcm(*(v.denominator for v in vals)))
+    return c, {m: _integral(v / c) for m, v in t.items()}
 
 
 # -- values at one fixed point modulo a prime ----------------------------------
@@ -641,19 +646,93 @@ def _ratmod(c):
     return c.numerator * pow(d, -1, PRIME) % PRIME
 
 
-def _is_linear(p: DiffPoly) -> bool:
-    """Whether every term of p has total degree (the sum of its fields) at most 1."""
-    return all(sum((m >> s) & _FIELD for s in _shifts(m)) <= 1 for m in p._packed)
-
-
 def _poly(ring, packed):
     """Trusted constructor: `packed` is a packed term dict that is canonical
     already (nonzero coefficients, integral ones as ints)."""
     p = _new(DiffPoly)
     p.ring = ring
     p._packed = packed
-    p._word = p._view = p._lead = p._tops = p._mults = p._res = None
+    p._word = p._view = p._lead = p._tops = p._mults = p._res = p._lin = None
     p._chain = ()
+    return p
+
+
+# -- linear polynomials as rows over Q[D] ------------------------------------
+# A linear polynomial's packed dict is its row over Q[D]: the monomial 1 << s
+# of the field at bit s of x_v^(k) holds the coefficient of x_v^(k), and the
+# monomial 0 the constant.  D^k moves every field k orders, k*n fields, up.
+
+
+def _is_linear(p: DiffPoly) -> bool:
+    """Whether every term of p has total degree at most 1: each monomial is
+    0 or a single bit, and every bit of the support word starts a field.
+    Cached on p."""
+    lin = p._lin
+    if lin is None:
+        t = p._packed
+        w = p._support()
+        lin = p._lin = sum(map(int.bit_count, t)) == len(t) - (0 in t) and w & p.ring._layout.cover(w).unit == w
+    return lin
+
+
+def _linear_terms(p: DiffPoly):
+    """The packed term dict of p, a linear polynomial; ValueError otherwise."""
+    if not _is_linear(p):
+        raise ValueError("%s is not linear" % describe(p))
+    return p._packed
+
+
+def _linear_tops(ring, t):
+    """(support word, [order of the top derivative of each variable]) of the
+    linear term dict t, by one pass over t; the order is -1 for a variable
+    that does not occur.  An order over MAX_ORDER, which only a derivative
+    D^k g can reach, raises ResourceLimit as DiffPoly.derive does."""
+    w = reduce(or_, t, 0)
+    up = ring.nvars * FIELD_BITS
+    if w.bit_length() > (MAX_ORDER + 1) * up:
+        raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
+    return w, [((w & x).bit_length() - 1) // up for x in ring._layout.cover(w).var]
+
+
+def _linear_at(ring, t, var, order):
+    """The coefficient of x_var^(order) in the linear term dict t, where it occurs."""
+    return t[1 << (order * ring.nvars + var) * FIELD_BITS]
+
+
+def _submul(acc, a, row, k, ring):
+    """acc - a * D^k(row) into the packed term dict acc (returned; it may
+    hold zero coefficients), for the term dict row of a linear polynomial:
+    D^k moves each derivative k orders, k*n fields, up, and for k > 0 the
+    constant drops."""
+    sh = k * ring.nvars * FIELD_BITS
+    for m, c in row.items():
+        if m:
+            m <<= sh
+        elif sh:
+            continue
+        acc[m] = acc.get(m, 0) - a * c
+    return acc
+
+
+def _linear_step(ring, r, lc, var, order, g, k):
+    """(a, lc*r - a*D^k(g)) for the term dicts r and g of linear polynomials,
+    a the coefficient of x_var^(order) in r and lc that of x_var^(order-k)
+    in g: the two terms in x_var^(order) cancel and are left out, and the
+    result is canonical."""
+    top = 1 << (order * ring.nvars + var) * FIELD_BITS
+    a = r[top]
+    acc = _submul({m: lc * c for m, c in r.items()}, a, g, k, ring)
+    del acc[top]
+    return a, _canon(acc)
+
+
+def _linear_poly(ring, t, w, tops):
+    """_poly(ring, t) for a canonical linear term dict t, with its support
+    word w and the top derivative of each variable cached: (w, tops) is
+    _linear_tops(ring, t)."""
+    p = _poly(ring, t)
+    p._word, p._lin = w, True
+    p._tops = {v: (o, 1) if o >= 0 else None for v, o in enumerate(tops)}
     return p
 
 

@@ -11,9 +11,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, describe, render, separant
+from .diffpoly import _NAME, DiffPoly, describe, render, separant
 from .errors import InternalInvariantViolation, digit_limit, digits_size
-from .textio import _NAME
 
 
 def coseparant(u: DiffPoly, var):

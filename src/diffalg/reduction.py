@@ -41,6 +41,21 @@ applying each Q_i to the division's own chains, and it must be zero.  A
 division whose values cannot be read mod the prime (den or a denominator
 that is 0 mod 2^61 - 1) forms them at once.  s = S/den and the quotients
 Q_i/den are formed from them when read.
+
+Linear divisions, as linear_reduce makes them, go through a kernel of their
+own, _linear_divide, which takes exactly ritt_divide's full-mode steps and
+returns the same certificate.  A polynomial of total degree at most 1 has
+constant coefficients, and its packed term dict is its row over Q[D]: the
+monomial of x_v^(k) holds that coefficient, the monomial 0 the constant, and
+D^k g is g with every derivative moved k orders up and its constant dropped
+(k > 0).  A divisor's separant and initial are both its leading coefficient
+lc, a number, so a step is r <- prim(lc*r - a*D^k g) on term dicts, with a
+the coefficient of the eliminated derivative, and no derivative chain is
+formed.  S and the Q_ik are then numbers, so the kernel checks
+S*f - sum_ik Q_ik * D^k g_i - den*r = 0 exactly on the term dicts, at the
+cost of numbers times shifted rows, in place of the probabilistic replay;
+the certificate still forms S and the Q_i as polynomials, and checks them
+on the divisors' derivative chains, when read.
 """
 
 from __future__ import annotations
@@ -60,11 +75,18 @@ from .diffpoly import (
     _addmul,
     _apply,
     _canon,
+    _integral,
+    _linear_at,
+    _linear_poly,
+    _linear_step,
+    _linear_terms,
+    _linear_tops,
     _nth,
     _poly,
     _primitive,
     _ratmod,
     _residue,
+    _submul,
     describe,
     orderly,
     render,
@@ -204,6 +226,40 @@ def _violates(r, v, vg, dg, mode):
     return None
 
 
+def _leads(divisors, ranking, var):
+    """(divisors as a list, ranking, [(leader, degree) per divisor]) of a
+    division: with var given, the one divisor's top derivative in var and no
+    ranking; otherwise each divisor's leader under the ranking (orderly when
+    None), which is the top derivative of its own variable.  ValueError for
+    what ritt_divide refuses."""
+    divisors = list(divisors)
+    if not divisors:
+        raise ValueError("no divisors")
+    for g in divisors:
+        if not g or g.is_constant():
+            raise ValueError("divisor must be non-constant")
+    if var is not None:
+        if len(divisors) != 1:
+            raise ValueError("explicit variable needs exactly one divisor")
+        leads = [divisors[0].leader_in(var)]
+        if leads[0] is None:
+            raise ValueError("divisor does not involve the division variable")
+        return divisors, None, leads
+    if ranking is None:
+        ranking = orderly()
+    leads = [ranking.leader_degree(g) for g in divisors]
+    if len({lg.var for lg, _ in leads}) != len(leads):
+        raise ValueError("divisors must have distinct leading variables")
+    return divisors, ranking, leads
+
+
+def _no_drop(measure, last, f, divisors, r):
+    return InternalInvariantViolation(
+        "division measure did not drop (%r after %r) dividing %s by %s at remainder %s"
+        % (measure, last, describe(f), [describe(d) for d in divisors], describe(r))
+    )
+
+
 def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var=None):
     """Divide f by one or several differential polynomials.
 
@@ -216,26 +272,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
-    divisors = list(divisors)
-    if not divisors:
-        raise ValueError("no divisors")
-    for g in divisors:
-        if not g or g.is_constant():
-            raise ValueError("divisor must be non-constant")
+    divisors, ranking, leads = _leads(divisors, ranking, var)
     ring = f.ring
-    if var is not None:
-        if len(divisors) != 1:
-            raise ValueError("explicit variable needs exactly one divisor")
-        leads = [divisors[0].leader_in(var)]
-        if leads[0] is None:
-            raise ValueError("divisor does not involve the division variable")
-    else:
-        if ranking is None:
-            ranking = orderly()
-        # the ranking's leader is the top derivative of its own variable
-        leads = [ranking.leader_degree(g) for g in divisors]
-        if len({lg.var for lg, _ in leads}) != len(leads):
-            raise ValueError("divisors must have distinct leading variables")
 
     # per divisor: its variable, order, leader degree, separant, initial
     info = [(lg.var, lg.order, dg, *g._multipliers(lg)) for g, (lg, dg) in zip(divisors, leads)]
@@ -263,10 +301,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         _, vg, dg, separant, initial = info[i]
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
-            raise InternalInvariantViolation(
-                "division measure did not drop (%r after %r) dividing %s by %s at remainder %s"
-                % (measure, last_measure, describe(f), [describe(d) for d in divisors], describe(r))
-            )
+            raise _no_drop(measure, last_measure, f, divisors, r)
         last_measure = measure
         # mult*r - co*G cancels the terms a*occ^e of r: G = g^(k) has the part
         # mult*occ in occ (separant, k > 0) or mult*occ^dg (initial, k = 0),
@@ -277,7 +312,8 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         G = _nth(chains[i], k)
         log.append((i, k, co if den == 1 else co * den, mult))
         # making r primitive moves its content c into den
-        c, r = _primitive(_poly(ring, _canon(_addmul(_addmul({}, mult, r), co, G, negate=True))))
+        c, t = _primitive(_canon(_addmul(_addmul({}, mult, r), co, G, negate=True)))
+        r = _poly(ring, t)
         den = den * c
 
     for g, chain in zip(divisors, chains):
@@ -291,6 +327,62 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         except ZeroDivisionError:  # no value to read mod PRIME: forming S checks exactly
             cert.S
     return cert
+
+
+def _linear_divide(f: DiffPoly, divisors, ranking: Ranking = None, var=None):
+    """ritt_divide(f, divisors, "full", ranking, var) for linear f and
+    divisors, whose coefficients are then constants, on their packed term
+    dicts (module docstring): the same steps, log, remainder, den and
+    certificate.  The measure must drop at every step and the certificate
+    identity must hold exactly, or InternalInvariantViolation is raised; a
+    nonlinear operand raises ValueError."""
+    divisors, ranking, leads = _leads(divisors, ranking, var)
+    ring = f.ring
+    ft = _linear_terms(f)
+    rows = []  # per divisor: the variable and order of its leader, its terms and its leading coefficient
+    for g, (ld, _) in zip(divisors, leads):
+        gt = _linear_terms(f._coerce(g))
+        rows.append((ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
+    r, den, steps, last = ft, 1, [], None  # steps: divisor index, k, den*a
+    while True:
+        # the highest unreduced derivative, as _violates finds it in full mode
+        w, tops = _linear_tops(ring, r)
+        best = None
+        for i, (v, og, _, _) in enumerate(rows):
+            o = tops[v]
+            if o >= og:
+                key = ranking.key(Derivative(v, o)) if ranking is not None else (o,)
+                if best is None or key > best[0]:
+                    best = (key, i, o)
+        if best is None:
+            break
+        key, i, o = best
+        if last is not None and not key < last:
+            raise _no_drop(key, last, f, divisors, _poly(ring, r))
+        last = key
+        # lc*r - a*D^k g cancels the term a*x_v^(o) of r
+        v, og, gt, lc = rows[i]
+        a, t = _linear_step(ring, r, lc, v, o, gt, o - og)
+        steps.append((i, o - og, a * den))
+        c, r = _primitive(t)
+        den = den * c
+    chains = [[g, *g._chain] for g in divisors]
+    if not steps:
+        return DivisionCertificate(f, chains, [], f, den, "full")
+    rem = _linear_poly(ring, r, w, tops)
+    # S*f - sum_ik Q_ik * D^k g_i - den*r, exactly: S and the Q_ik are numbers
+    S, Q = 1, {}
+    for i, k, t in reversed(steps):
+        Q[i, k] = Q.get((i, k), 0) + S * t
+        S = S * rows[i][3]
+    acc = _submul({m: S * b for m, b in ft.items()}, den, r, 0, ring)
+    for (i, k), q in Q.items():
+        _submul(acc, q, rows[i][2], k, ring)
+    if any(acc.values()):
+        raise _violation(f, chains, "full", "exactly, r = %s" % describe(rem))
+    mults = [_poly(ring, {0: lc}) for *_, lc in rows]
+    log = [(i, k, _poly(ring, {0: _integral(t)}), mults[i]) for i, k, t in steps]
+    return DivisionCertificate(f, chains, log, rem, den, "full")
 
 
 def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = None) -> bool:

@@ -29,10 +29,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .diffpoly import MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
+from .diffpoly import _NAME, MAX_EXPONENT, MAX_ORDER, DiffPoly, DiffRing
 from .errors import ResourceLimit, digit_limit, digits_size
 
-_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 _TOKEN = re.compile(r"\s*(?:(?P<name>%s)|(?P<int>\d+)|(?P<op>[-+*^/()'])|(?P<bad>\S))" % _NAME.pattern)
 
 

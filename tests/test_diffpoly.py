@@ -129,6 +129,37 @@ def test_mixed_ring_rejected():
         P("x") + other.var("a")
 
 
+def test_ring_names_are_names():
+    # render writes a name as it is, so a name that is not one NAME of the
+    # text format would print as another polynomial: x' plus the variable
+    # "x'" would print x' + x', and twice "1 + q" as 2*1 + q
+    for names in (("x", "x'"), ("",), ("x", "1 + q"), ("x", None), ("x", "y z")):
+        with pytest.raises(ValueError, match="variable .* is not a name"):
+            DiffRing(names)
+    with pytest.raises(ValueError, match="variable '1 \\+ q' is not a name"):
+        DiffRing(("x",)).extend("1 + q")
+    with pytest.raises(ValueError, match="variable \"x'\" is not a name"):
+        DiffRing(("x",)).extend("x'")
+    ring = DiffRing(("x_1", "Y2")).extend("q")
+    assert ring.names == ("x_1", "Y2", "q")
+    assert render(ring.var("x_1", 1) + ring.var("q")) == "x_1' + q"
+
+
+def test_is_linear_reads_the_monomials():
+    # every term of total degree at most 1, whatever the fields and orders
+    from diffalg.diffpoly import _is_linear
+
+    for text, linear in (
+        ("0", True), ("3", True), ("x", True), ("x^(7) - 2/3*y'' + z + 1", True),
+        ("x^2", False), ("x'*y", False), ("x'^3 + y", False), ("x*y*z", False), ("x^(30)^2 + 1", False),
+    ):
+        assert _is_linear(P(text)) is linear, text
+    rng = random.Random(29)
+    for _ in range(200):
+        p = rand_poly(rng, R3, nonzero=False, max_order=20)
+        assert _is_linear(p) == all(sum(e for _, e in mono) <= 1 for mono in p.terms)
+
+
 def test_sums_and_differences_match_reference():
     # sums checked against plain dict code, not only against other sums
     rng = random.Random(19)

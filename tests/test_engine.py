@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import diffalg.engine as engine_mod
 from diffalg import (
     AutoreducedSet,
+    DiffPoly,
     DegenerateSituation,
     InconsistentSystem,
     NEG_INF,
@@ -246,6 +248,28 @@ def test_linear_reduce_evaluates_no_separant(monkeypatch):
             continue
         kinds += [s.kind for s in res.trace.steps]
     assert "first-form" in kinds and "second-form" in kinds
+
+
+def test_linear_reduce_divides_with_the_linear_kernel(monkeypatch):
+    # linear_reduce's form steps and back-substitution divide with the linear
+    # kernel; the public form steps and scripted traces keep ritt_divide
+    calls = {"kernel": 0, "ritt_divide": 0}
+
+    def counted(name, divide):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return divide(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(engine_mod, "_linear_divide", counted("kernel", engine_mod._linear_divide))
+    monkeypatch.setattr(engine_mod, "ritt_divide", counted("ritt_divide", engine_mod.ritt_divide))
+    res = linear_reduce([P("-x' - 1", R3), P("-z'' - 3*y' - 2*x", R3), P("-2*y' - z + 2*x", R3)])
+    forms = sum(s.kind.endswith("-form") for s in res.trace.steps)
+    assert forms and calls == {"kernel": forms + len(res.charset.elements) - 1, "ritt_divide": 0}
+    step_first_form([P("x' - x"), P("x'' - y")])
+    scripted_divide([P("x' - x"), P("x'' - y")], [(1, 0, "x")])
+    assert calls["ritt_divide"] == 2 and calls["kernel"] == forms + len(res.charset.elements) - 1
 
 
 def test_linear_reduce_j_sequence_adds_the_peeled_orders():
@@ -499,9 +523,9 @@ def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
         assert sum(sol.u) + sum(sol.v) == sol.value == tdet(a)
         assert st.weak == tdet(tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a))
 
-    def checked_form_step(system, kind, st):
+    def checked_form_step(system, kind, st, divide):
         check(st)
-        out, step, after = form_step(system, kind, st)
+        out, step, after = form_step(system, kind, st, divide)
         if after.sol.value != NEG_INF:
             check(after)
         kinds.append(kind)
@@ -563,24 +587,28 @@ def test_linear_reduce_step_budget_is_a_resource_limit(monkeypatch):
 # -- pinned outputs ------------------------------------------------------------------
 
 
+def _reduce_record(sys_):
+    """linear_reduce's result on sys_ as a JSON-ready list: its trace with
+    certificates, charset, bound, diffDim and degenerate flag."""
+    try:
+        res = linear_reduce(sys_)
+    except InconsistentSystem as e:
+        return ["inconsistent", e.text]
+    return [
+        res.trace.to_json(),
+        [render(p) for p in res.charset.elements] if res.charset else None,
+        str(res.abs_dim_bound),
+        res.diff_dim,
+        res.degenerate,
+    ]
+
+
 def _linear_reduce_digest(seed, count):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         ring = ring_of(rng.randint(2, 3))
-        sys_ = rand_linear_system(rng, ring, max_order=4)
-        try:
-            res = linear_reduce(sys_)
-        except InconsistentSystem as e:
-            out.append(["inconsistent", e.text])
-            continue
-        out.append([
-            res.trace.to_json(),
-            [render(p) for p in res.charset.elements] if res.charset else None,
-            str(res.abs_dim_bound),
-            res.diff_dim,
-            res.degenerate,
-        ])
+        out.append(_reduce_record(rand_linear_system(rng, ring, max_order=4)))
     return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
 
 
@@ -588,6 +616,30 @@ def test_linear_reduce_traces_pinned():
     # traces with certificates, charsets and bounds of a seeded corpus; a
     # change to the arithmetic must reproduce them exactly
     assert _linear_reduce_digest(2027, 120) == "14ace7bce6d341b92956d4161aded5f7cd66860030e3ceefbcbe190010967477"
+
+
+def _rational_digest(seed, count):
+    # linear_reduce with rational coefficients: each term of a seeded linear
+    # system scaled by its own seeded fraction, and most equations given a
+    # rational constant, so divisors and dividends carry denominators
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ring = ring_of(rng.randint(2, 3))
+        sys_ = []
+        for p in rand_linear_system(rng, ring, max_order=4):
+            terms = {m: c * Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6)) for m, c in p.terms.items()}
+            p = DiffPoly(ring, terms)
+            if rng.random() < 0.6:
+                p = p + ring.const(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+            sys_.append(p)
+        out.append(_reduce_record(sys_))
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_rational_linear_reduce_traces_pinned():
+    # the same record on rational coefficients and constants
+    assert _rational_digest(2029, 120) == "cb4e23566f72c5b47d22f33d9d3a7fcfc57f67d479ab82f2cc4273e23ba11da4"
 
 
 def _wide_digest(seed, count):
@@ -605,18 +657,7 @@ def _wide_digest(seed, count):
             script.append(rng.choice(moves))
         final, trace = scripted_divide(sys_, script)
         out.append([script, trace.to_json(), [render(p) for p in final]])
-        try:
-            res = linear_reduce(sys_)
-        except InconsistentSystem as e:
-            out.append(["inconsistent", e.text])
-            continue
-        out.append([
-            res.trace.to_json(),
-            [render(p) for p in res.charset.elements] if res.charset else None,
-            str(res.abs_dim_bound),
-            res.diff_dim,
-            res.degenerate,
-        ])
+        out.append(_reduce_record(sys_))
     return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
 
 

@@ -38,6 +38,7 @@ from diffalg import (
 from diffalg import reduction
 from diffalg.diffpoly import PRIME, _residue
 from diffalg.reduction import _replay_holds
+from diffalg.generators import rand_linear_system
 from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
 
 R2 = ring_of(2)
@@ -665,6 +666,132 @@ def test_invariant_violation_survives_python_O():
     for msg in msgs:
         assert "division identity" in msg and "x' - x" in msg
         assert "<2-term polynomial, coefficients up to 16610 bits>" in msg
+
+
+# -- the linear division kernel --------------------------------------------------
+
+
+def _division_facts(cert):
+    """Everything a division reports, each coefficient with its type (an int
+    or a Fraction): the step log first, since forming s drops it."""
+    def terms(p):
+        return repr(sorted(p._packed.items()))
+
+    log = [(i, k, terms(t), terms(m)) for i, k, t, m in cert._log]
+    return [log, terms(cert.remainder), repr(cert.den), [terms(m) for m in cert.multipliers], cert.to_json()]
+
+
+def _rational(rng, p):
+    # each term scaled by its own seeded fraction
+    scale = [Fraction(rng.choice([-5, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 7])) for _ in p.terms]
+    return diffalg.DiffPoly(p.ring, {m: c * k for (m, c), k in zip(p.terms.items(), scale)})
+
+
+def _linear_divisions(seed, count):
+    """Seeded (f, divisors, keywords) of linear divisions: one divisor in a
+    variable it holds, or several with distinct leaders under an elimination
+    ranking of one variable per block, as the back-substitution divides;
+    integer or rational coefficients, some with constants."""
+    rng = random.Random(seed)
+    while count:
+        ring = ring_of(rng.randint(1, 4))
+        polys = rand_linear_system(rng, ring, max_order=rng.randint(0, 4))
+        if rng.random() < 0.5:
+            polys = [_rational(rng, p) + ring.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for p in polys]
+        f, gs = polys[0], [g for g in polys[1:] + [ring.var(0, rng.randint(0, 3)) - 1] if not g.is_constant()]
+        if rng.random() < 0.5:
+            g = rng.choice(gs)
+            yield f, [g], {"var": rng.choice(g.variables())}
+        else:
+            order = list(range(ring.nvars))
+            rng.shuffle(order)
+            rk = elimination([[v] for v in order])
+            by_leader = {rk.leader(g).var: g for g in gs}
+            yield f, list(by_leader.values()), {"ranking": rk}
+        count -= 1
+
+
+def test_linear_kernel_equals_ritt_divide():
+    # the kernel takes ritt_divide's full-mode steps on linear input: the same
+    # log, remainder, den, multipliers and certificate, every coefficient of
+    # the same type; its remainder carries the top derivatives a fresh
+    # polynomial would compute
+    from diffalg.reduction import _linear_divide
+
+    kinds = {"var": 0, "ranking": 0, "zero steps": 0, "several divisors": 0, "rational": 0}
+    for f, gs, kw in _linear_divisions(61, 400):
+        cert = _linear_divide(f, gs, **kw)
+        assert _division_facts(cert) == _division_facts(ritt_divide(f, gs, "full", **kw))
+        r = cert.remainder
+        fresh = diffalg.DiffPoly(r.ring, r.terms)
+        assert [r._top(v) for v in range(r.ring.nvars)] == [fresh._top(v) for v in range(r.ring.nvars)]
+        kinds[next(iter(kw))] += 1
+        kinds["zero steps"] += not cert.multipliers
+        kinds["several divisors"] += len(gs) > 1
+        kinds["rational"] += any(type(c) is Fraction for p in [f, *gs] for c in p.terms.values())
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_linear_kernel_refuses_what_it_cannot_divide():
+    from diffalg.reduction import _linear_divide
+
+    for f, g in (("x'^2 + y", "x' - x"), ("x'' + y", "x'*y - x"), ("x*y", "y' + 1")):
+        with pytest.raises(ValueError, match="is not linear"):
+            _linear_divide(P(f), [P(g)], var="y" if "y'" in g else "x")
+    with pytest.raises(ValueError, match="mixed rings"):
+        _linear_divide(P("x''"), [P("x' - x", R3)], var="x")
+    with pytest.raises(ValueError, match="distinct leading variables"):
+        _linear_divide(P("x''"), [P("x' - x"), P("x'' + y")], orderly())
+    # a derivative past MAX_ORDER is refused as ritt_divide refuses it
+    from diffalg.diffpoly import MAX_ORDER
+
+    f, g = R2.var("x", MAX_ORDER), P("x + y^(5)")
+    for divide in (lambda: ritt_divide(f, [g], "full", var="x"), lambda: _linear_divide(f, [g], var="x")):
+        with pytest.raises(diffalg.ResourceLimit, match="MAX_ORDER"):
+            divide()
+
+
+def test_linear_kernel_checks_every_step(monkeypatch):
+    # a step that leaves its top in place fails the measure, and a step that
+    # adds a term fails the exact check of the certificate identity
+    from diffalg.reduction import _linear_divide
+
+    step = reduction._linear_step
+    f, g = P("x'' + y"), P("x' - x")
+    monkeypatch.setattr(reduction, "_linear_step", lambda ring, r, *rest: (step(ring, r, *rest)[0], dict(r)))
+    with pytest.raises(InternalInvariantViolation, match=r"measure did not drop \(\(2,\) after \(2,\)\)"):
+        _linear_divide(f, [g], var="x")
+    monkeypatch.setattr(reduction, "_linear_step", lambda *args: (lambda a, t: (a, {**t, 0: 1}))(*step(*args)))
+    with pytest.raises(InternalInvariantViolation, match=r"division identity .*x' - x.*exactly, r = "):
+        _linear_divide(f, [g], var="x")
+
+
+def test_linear_kernel_checks_survive_python_O():
+    code = textwrap.dedent(
+        """
+        from diffalg import DiffRing, parse_poly
+        from diffalg import reduction
+        from diffalg.errors import InternalInvariantViolation
+
+        assert False, "asserts must be stripped"
+        ring = DiffRing(["x", "y"])
+        f, g = parse_poly("x'' + y", ring), parse_poly("x' - x", ring)
+        step = reduction._linear_step
+        for corrupt in (lambda ring, r, *rest: (step(ring, r, *rest)[0], dict(r)),
+                        lambda *args: (lambda a, t: (a, {**t, 0: 1}))(*step(*args))):
+            reduction._linear_step = corrupt
+            try:
+                reduction._linear_divide(f, [g], var="x")
+            except InternalInvariantViolation as e:
+                print(e)
+        """
+    )
+    src = str(Path(diffalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    msgs = out.stdout.splitlines()
+    assert len(msgs) == 2 and "measure did not drop" in msgs[0] and "exactly, r = " in msgs[1]
 
 
 def test_describe_cuts_long_polynomials():
