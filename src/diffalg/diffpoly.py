@@ -30,18 +30,22 @@ it too, each computed on first use: the `terms` view; per variable, the
 order of its top derivative and the degree in it (read by order_in,
 leader_in, the leaders and the division steps); the leader, degree and rank
 under the last ranking asked; the separant and initial at the last leader
-asked; the derivative chain g', g'', ... as far as a division needed it, a
-tuple that is replaced whole, never grown in place; its value at the
-replay point mod PRIME; and whether it is linear.  Two threads may compute
-one fact at once: each stores the same value, so the caches take no lock.
+asked, with the derivative chain's entries less their leading parts at it
+as far as a division needed them; the derivative chain g', g'', ... as far
+as a division needed it, a tuple that is replaced whole, never grown in
+place; its value at the replay point mod PRIME; and whether it is linear.
+Two threads may compute one fact at once: each stores the same value, so
+the caches take no lock.
 DiffPoly(ring, terms) is the public way in, from (Derivative, exponent)
 tuple monomials; `terms` decodes the same dict back.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -305,14 +309,20 @@ class DiffPoly:
         tops[v] = got
         return got
 
-    def _multipliers(self, ld):
-        """(separant, initial) at ld, a top derivative of self: the
-        multipliers of a division step by self.  Cached for the last ld."""
+    def _leading(self, ld):
+        """(separant, initial, tails) at ld, a top derivative of self,
+        cached for the last ld: the multipliers of a division step by self,
+        and the dict tails, k -> self^(k) less its leading part, which holds
+        the derivative of ld k orders up (initial*ld^degree for k = 0,
+        separant times it for k > 0) and would only form products that
+        cancel (ritt_divide).  tails starts with k = 0, and divisions by
+        self add the further k they read, each the same value."""
         got = self._mults
         if got is None or got[0] != ld:
             d = self._top(ld.var)[1]
-            got = self._mults = (ld, self.partial(ld), self._lowered(ld, d, d))
-        return got[1], got[2]
+            init, tail = self._split(ld, d, d)
+            got = self._mults = (ld, self.partial(ld), init, {0: tail})
+        return got[1:]
 
     def _shift(self, d):
         """Bit offset of the field of derivative d when d occurs, else None."""
@@ -510,12 +520,19 @@ class DiffPoly:
         mask = _FIELD << s
         return max(m & mask for m in self._packed) >> s
 
-    def _lowered(self, d: Derivative, e, k):
-        """The terms of degree e in d with k of their factors d removed, for
-        an occurring d and k <= e: the coefficient of d^e times d^(e-k)."""
+    def _split(self, d: Derivative, e, k):
+        """(the terms of degree e in d with k of their factors d removed,
+        the other terms), by one pass, for an occurring d and k <= e: the
+        first is the coefficient of d^e times d^(e-k)."""
         s = self._shift(d)
         mask, top, down = _FIELD << s, e << s, k << s
-        return _poly(self.ring, {m - down: c for m, c in self._packed.items() if m & mask == top})
+        low, rest = {}, {}
+        for m, c in self._packed.items():
+            if m & mask == top:
+                low[m - down] = c
+            else:
+                rest[m] = c
+        return _poly(self.ring, low), _poly(self.ring, rest)
 
     def __repr__(self):
         return "DiffPoly(%s)" % render(self)
@@ -818,12 +835,12 @@ def _leader_degree(p: DiffPoly, var, ranking):
 
 def separant(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """d p / d(leader); leader taken in var if given, else under ranking."""
-    return p._multipliers(_leader_degree(p, var, ranking)[0])[0]
+    return p._leading(_leader_degree(p, var, ranking)[0])[0]
 
 
 def initial(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     """Coefficient of the highest power of the leader."""
-    return p._multipliers(_leader_degree(p, var, ranking)[0])[1]
+    return p._leading(_leader_degree(p, var, ranking)[0])[1]
 
 
 def is_lower_than(f: DiffPoly, g: DiffPoly, var) -> bool:
@@ -882,32 +899,62 @@ def _render_mono(ring, m) -> str:
     return "*".join(bits)
 
 
-def render(p: DiffPoly) -> str:
-    """Canonical text form: terms descending under the orderly ranking."""
+def _pieces(p: DiffPoly):
+    """render(p) one term at a time, in render's order: the first term with a
+    leading "-" when negative, then " + term" or " - term" for each further
+    one ("0" for the zero polynomial).  A piece holds a space only in that
+    leading " + " or " - "."""
     t = p._packed
     if not t:
-        return "0"
-    out = []
+        yield "0"
+        return
+    ring = p.ring
+    signs = ("-", "")
+    for m in sorted(t, reverse=True):
+        c = t[m]
+        a = abs(c)
+        if not m:
+            body = str(a)
+        elif a == 1:
+            body = _render_mono(ring, m)
+        else:
+            body = "%s*%s" % (a, _render_mono(ring, m))
+        yield (signs[0] if c < 0 else signs[1]) + body
+        signs = (" - ", " + ")
+
+
+def render(p: DiffPoly) -> str:
+    """Canonical text form: terms descending under the orderly ranking."""
     try:
-        for m in sorted(t, reverse=True):
-            c = t[m]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if not m:
-                body = str(a)
-            elif a == 1:
-                body = _render_mono(p.ring, m)
-            else:
-                body = "%s*%s" % (a, _render_mono(p.ring, m))
-            out.append((sign, body))
+        return "".join(_pieces(p))
     except ValueError:  # str() of a coefficient past the interpreter's digit limit
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p._packed.values())
         raise digit_limit("a coefficient of %d bits" % bits) from None
-    first_sign, first_body = out[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in out[1:]:
-        s += " %s %s" % (sign, body)
-    return s
+
+
+def _render_cmp(p: DiffPoly, q: DiffPoly) -> int:
+    """-1, 0 or 1 as render(p) is below, equal to or above render(q),
+    rendering both only as far as their first differing piece (_pieces).
+    That piece decides: where one piece is a proper prefix of the other, the
+    shorter string goes on with " " or ends, and both sort below every
+    character of a term, so the shorter piece sorts first, as its string
+    does.  Both must be renderable (_renderable)."""
+    for a, b in itertools.zip_longest(_pieces(p), _pieces(q), fillvalue=""):
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+def _renderable(p: DiffPoly) -> bool:
+    """Whether render(p) keeps within the interpreter's limit of L digits
+    for int-to-str conversion: every numerator and denominator below 10^L,
+    decided from their sizes without converting any (2^(3L) < 10^L)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    quick = 3 * limit
+    big = [abs(n) for c in p._packed.values() for n in (c.numerator, c.denominator) if n.bit_length() > quick]
+    return not big or max(big) < 10**limit
 
 
 _DESCRIBE_LIMIT = 1000  # characters of a polynomial shown in an error message

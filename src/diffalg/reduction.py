@@ -14,15 +14,19 @@ step by step.
 Every step has one form.  It eliminates the degree-e terms of r in the
 highest unreduced derivative x_v^(o) against the divisor g of order og in v:
 with k = o - og, it replaces r by the primitive part of mult*r - co*g^(k),
-summed in one accumulator, where g^(k) is read off g's derivative chain
-g, g', g'', ... (grown as far as a step needs, and kept on g for the next
-division by it), mult is g's separant for k > 0 and its initial for k = 0,
-and co is r's degree-e slice lowered by one power (k > 0) or by g's leader
-degree (k = 0).  Each step logs its divisor, k, den*co and mult, where den
-is the product of the contents divided out so far.  The certificate is
-S*f = sum Q_i(g_i) + den*r: S is the product of the multipliers, and Q_i at
-D^k sums, over the steps at (i, k), den*co times the multipliers of the
-later steps.  S and the Q_i are integral for integral f and g_i.
+where g^(k) is read off g's derivative chain g, g', g'', ... (grown as far
+as a step needs, and kept on g for the next division by it), mult is g's
+separant for k > 0 and its initial for k = 0, and co is r's degree-e slice
+lowered by one power (k > 0) or by g's leader degree d (k = 0).  Two of
+its products cancel term for term: mult times that slice, and co times the
+leading part lead of g^(k), mult*x_v^(o) for k > 0 and mult*x_v^(o)^d for
+k = 0.  So the step sums mult*(r - slice) - co*(g^(k) - lead) in one
+accumulator: one pass over r gives co and the rest of r, and g^(k) - lead
+is kept on g beside its multipliers.  Each step logs its divisor, k,
+den*co and mult, where den is the product of the contents divided out so
+far.  The certificate is S*f = sum Q_i(g_i) + den*r: S is the product of
+the multipliers, and Q_i at D^k sums, over the steps at (i, k), den*co
+times the multipliers of the later steps.  S and the Q_i are integral for integral f and g_i.
 
 Every division checks its step log by a replay modulo the prime 2^61 - 1:
 f, r, each g_i^(k) and multiplier, and each step's den*co are evaluated at
@@ -63,7 +67,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .diffpoly import (
     POS_INF,
@@ -85,6 +89,8 @@ from .diffpoly import (
     _poly,
     _primitive,
     _ratmod,
+    _render_cmp,
+    _renderable,
     _residue,
     _submul,
     describe,
@@ -226,16 +232,18 @@ def _violates(r, v, vg, dg, mode):
     return None
 
 
-def _leads(divisors, ranking, var):
+def _leads(f, divisors, ranking, var):
     """(divisors as a list, ranking, [(leader, degree) per divisor]) of a
-    division: with var given, the one divisor's top derivative in var and no
-    ranking; otherwise each divisor's leader under the ranking (orderly when
-    None), which is the top derivative of its own variable.  ValueError for
-    what ritt_divide refuses."""
+    division of f: with var given, the one divisor's top derivative in var
+    and no ranking; otherwise each divisor's leader under the ranking
+    (orderly when None), which is the top derivative of its own variable.
+    ValueError for what ritt_divide refuses, a divisor of another ring than
+    f's among it."""
     divisors = list(divisors)
     if not divisors:
         raise ValueError("no divisors")
     for g in divisors:
+        f._coerce(g)  # equal rings pass, mixed rings raise
         if not g or g.is_constant():
             raise ValueError("divisor must be non-constant")
     if var is not None:
@@ -272,11 +280,12 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
-    divisors, ranking, leads = _leads(divisors, ranking, var)
+    divisors, ranking, leads = _leads(f, divisors, ranking, var)
     ring = f.ring
 
-    # per divisor: its variable, order, leader degree, separant, initial
-    info = [(lg.var, lg.order, dg, *g._multipliers(lg)) for g, (lg, dg) in zip(divisors, leads)]
+    # per divisor: its variable, order, leader degree, separant, initial, and
+    # its chain entries without their leading parts (DiffPoly._leading)
+    info = [(lg.var, lg.order, dg, *g._leading(lg)) for g, (lg, dg) in zip(divisors, leads)]
 
     # g, g', g'', ... as far as a step needed: the division's own lists,
     # started from each divisor's cached chain
@@ -287,7 +296,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     last_measure = None
     while True:
         best = None
-        for i, (v, vg, dg, _, _) in enumerate(info):
+        for i, (v, vg, dg, _, _, _) in enumerate(info):
             top = _violates(r, v, vg, dg, mode)
             if top is None:
                 continue
@@ -298,21 +307,26 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         if best is None:
             break
         key, i, occ, e = best
-        _, vg, dg, separant, initial = info[i]
+        _, vg, dg, separant, initial, tails = info[i]
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
             raise _no_drop(measure, last_measure, f, divisors, r)
         last_measure = measure
-        # mult*r - co*G cancels the terms a*occ^e of r: G = g^(k) has the part
-        # mult*occ in occ (separant, k > 0) or mult*occ^dg (initial, k = 0),
-        # and co = a*occ^(e-1) or a*occ^(e-dg) is read off r's degree-e slice
+        # mult*r - co*G cancels the terms a*occ^e of r: G = g^(k) has the
+        # leading part lead = mult*occ^low, low = 1 for the separant (k > 0)
+        # and dg for the initial (k = 0), and co = a*occ^(e-low) comes off
+        # r's degree-e slice in the pass that leaves the rest of r; as
+        # mult*slice = co*lead, the step forms mult*rest - co*(G - lead)
         k = occ.order - vg
-        mult = separant if k else initial
-        co = r._lowered(occ, e, 1 if k else dg)
-        G = _nth(chains[i], k)
+        mult, low = (separant, 1) if k else (initial, dg)
+        co, rest = r._split(occ, e, low)
+        G = _nth(chains[i], k)  # the replay reads it too
+        tail = tails.get(k)
+        if tail is None:
+            tail = tails[k] = G._split(occ, low, low)[1]
         log.append((i, k, co if den == 1 else co * den, mult))
         # making r primitive moves its content c into den
-        c, t = _primitive(_canon(_addmul(_addmul({}, mult, r), co, G, negate=True)))
+        c, t = _primitive(_canon(_addmul(_addmul({}, mult, rest), co, tail, negate=True)))
         r = _poly(ring, t)
         den = den * c
 
@@ -336,12 +350,12 @@ def _linear_divide(f: DiffPoly, divisors, ranking: Ranking = None, var=None):
     certificate.  The measure must drop at every step and the certificate
     identity must hold exactly, or InternalInvariantViolation is raised; a
     nonlinear operand raises ValueError."""
-    divisors, ranking, leads = _leads(divisors, ranking, var)
+    divisors, ranking, leads = _leads(f, divisors, ranking, var)
     ring = f.ring
     ft = _linear_terms(f)
     rows = []  # per divisor: the variable and order of its leader, its terms and its leading coefficient
     for g, (ld, _) in zip(divisors, leads):
-        gt = _linear_terms(f._coerce(g))
+        gt = _linear_terms(g)
         rows.append((ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
     r, den, steps, last = ft, 1, [], None  # steps: divisor index, k, den*a
     while True:
@@ -387,6 +401,9 @@ def _linear_divide(f: DiffPoly, divisors, ranking: Ranking = None, var=None):
 
 def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = None) -> bool:
     """Whether f is already a valid remainder against g in g's leading variable."""
+    if mode not in ("partial", "full"):
+        raise ValueError("unknown mode %r" % mode)
+    f._coerce(g)  # equal rings pass, mixed rings raise
     if ranking is None:
         ranking = orderly()
     if not g or g.is_constant():
@@ -449,17 +466,16 @@ def compare_autoreduced(a: AutoreducedSet, b: AutoreducedSet) -> int:
 
 
 def _minimal_autoreduced(basis, ranking):
-    # order by (rank, render(p)), rendering only to break ties of rank; a tie
-    # with a polynomial too long to render keeps basis order (sorts are stable)
+    # order by (rank, render(p)); a tie of rank compares rendered terms one at
+    # a time and stops at the first that differs (_render_cmp), and a tie
+    # with a coefficient too long to render, told from the coefficients'
+    # sizes, keeps basis order (sorts are stable)
     ranked = sorted(((ranking.rank(p), p) for p in basis), key=lambda rp: rp[0])
     ordered = []
     for _, group in itertools.groupby(ranked, key=lambda rp: rp[0]):
         group = [p for _, p in group]
-        if len(group) > 1:
-            try:
-                group = sorted(group, key=render)
-            except ResourceLimit:
-                pass
+        if len(group) > 1 and all(map(_renderable, group)):
+            group.sort(key=cmp_to_key(_render_cmp))
         ordered.extend(group)
     # Each chosen q ranks no higher than p, so only p needs testing: a lower
     # leader puts every derivative of q below p's leader and its proper

@@ -1,5 +1,6 @@
 """Seeded random generators shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 from diffalg import DiffRing, NEG_INF
@@ -202,6 +203,77 @@ def ref_render(p):
         out.append(("-" if c < 0 else "+", body))
     text = ("-" if out[0][0] == "-" else "") + out[0][1]
     return text + "".join(" %s %s" % sb for sb in out[1:])
+
+
+# -- reference Ritt division ----------------------------------------------------------
+# Each step forms the full products mult*r - co*g^(k), the terms that cancel
+# included, by DiffPoly's public arithmetic, then divides r by its content.
+
+
+def _ref_content(p):
+    """(content, p / content): the gcd of the numerators over the lcm of the
+    denominators, an int when every coefficient is one (1 below 2)."""
+    vals = list(p.terms.values())
+    if all(type(c) is int for c in vals):
+        c = math.gcd(*vals)
+        return (1, p) if c < 2 else (c, p * Fraction(1, c))
+    c = Fraction(math.gcd(*(v.numerator for v in vals)), math.lcm(*(v.denominator for v in vals)))
+    return c, p * (1 / c)
+
+
+def ref_ritt_divide(f, divisors, mode="full", ranking=None, var=None):
+    """(to_json() dict, multipliers, remainder, den) of
+    ritt_divide(f, divisors, mode, ranking, var): each step eliminates the
+    top degree of r's highest unreduced derivative occ, of order k over the
+    leader of divisor g, as mult*r - co*g^(k), mult the separant (k > 0) or
+    the initial (k = 0) and co the coefficient of occ^e times occ^(e - 1) or
+    occ^(e - deg), and the content of each step moves into den; S and the
+    Q_i come from one pass back over the steps."""
+    from diffalg import orderly, render
+    from diffalg.diffpoly import Derivative
+
+    ring = f.ring
+    if var is not None:
+        leads = [divisors[0].leader_in(var)]
+    else:
+        ranking = ranking or orderly()
+        leads = [ranking.leader_degree(g) for g in divisors]
+    r, den, steps = f, 1, []
+    while True:
+        best = None
+        for i, (ld, dg) in enumerate(leads):
+            o = r.order_in(ld.var)
+            if o == NEG_INF or o < ld.order:
+                continue
+            occ = Derivative(ld.var, o)
+            e = r.deg_in(occ)
+            if o == ld.order and (mode == "partial" or e < dg):
+                continue
+            key = (o,) if var is not None else ranking.key(occ)
+            if best is None or key > best[0]:
+                best = (key, i, occ, e)
+        if best is None:
+            break
+        _, i, occ, e = best
+        (ld, dg), g = leads[i], divisors[i]
+        k = occ.order - ld.order
+        mult, low = (g.partial(ld), 1) if k else (g.coeffs_in(ld)[dg], dg)
+        co = r.coeffs_in(occ)[e] * ring.var(occ.var, occ.order) ** (e - low)
+        steps.append((i, k, co * den, mult))
+        c, r = _ref_content(mult * r - co * g.derive(k))
+        den = den * c
+    S, Q = ring.one(), [{} for _ in divisors]
+    for i, k, t, mult in reversed(steps):
+        Q[i][k] = Q[i].get(k, ring.zero()) + S * t
+        S = mult * S
+    inv = Fraction(1, den)
+    doc = {
+        "s": render(S * inv),
+        "quotients": [sorted(((k, render(c * inv)) for k, c in q.items() if c), reverse=True) for q in Q],
+        "remainder": render(r),
+        "mode": mode,
+    }
+    return doc, tuple(m for *_, m in steps), r, den
 
 
 # -- determinant oracle for constant-coefficient linear systems ----------------------

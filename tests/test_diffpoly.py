@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,8 @@ from diffalg.diffpoly import (
     _encode,
     _field_value,
     _poly,
+    _render_cmp,
+    _renderable,
     _residue,
 )
 from helpers import (
@@ -581,6 +584,59 @@ def test_render_order_matches_mono_key_1600():
         assert render(p) == ref_render(p)
 
 
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def test_render_cmp_equals_comparing_renders():
+    # a rank tie compares rendered terms one at a time up to the first that
+    # differs; it must order as the whole rendered strings do, also where one
+    # differing piece is a proper prefix of the other (x and x', x + y and
+    # x + y', x and x + 1) and for signs, fractions, powers and constants
+    R2 = ring_of(2)
+    cases = [
+        ("x", "x'"), ("x", "x + 1"), ("x^2", "x^(4)"), ("3/2*x", "3*x"), ("2*x", "21*x"),
+        ("-x", "-x'"), ("-x", "x"), ("-2*x", "-21*x"), ("-x + 1", "-x - 1"), ("x - 1", "x - 12"),
+        ("x + y", "x + y'"), ("x + y - 1", "x + y' - 1"), ("x*y", "x"), ("x' + y^2", "x' + y"),
+        ("3", "-2"), ("1", "12"), ("-1", "-12"), ("-3/2", "-3"), ("3", "3"), ("0", "x"), ("0", "-1"),
+    ]
+    pairs = [(P(a, R2), P(b, R2)) for a, b in cases]
+    rng = random.Random(88)
+    for _ in range(1500):
+        coeffs = rng.choice([SMALL_INTS, SMALL_RATIONALS])
+        p = rand_poly(rng, R2, max_monos=4, max_order=3, nonzero=False, coeffs=coeffs)
+        if rng.random() < 0.5:  # shares p's leading terms, so the comparison runs past them
+            q = p + rand_poly(rng, R2, max_monos=2, max_deg=2, max_order=1, nonzero=False, coeffs=coeffs)
+        else:
+            q = rand_poly(rng, R2, max_monos=4, max_order=3, nonzero=False, coeffs=coeffs)
+        pairs.append((p, q))
+    for p, q in pairs:
+        want = _sign(render(p), render(q))
+        assert _render_cmp(p, q) == want and _render_cmp(q, p) == -want, (render(p), render(q))
+    assert {_render_cmp(p, q) for p, q in pairs} == {-1, 0, 1}
+
+
+def test_renderable_decides_the_digit_limit_from_sizes():
+    # render refuses a numerator or denominator of 10^L or more, L the
+    # interpreter's limit; _renderable tells so without converting any
+    limit = sys.get_int_max_str_digits()
+    x = R3.var("x")
+    try:
+        sys.set_int_max_str_digits(640)
+        for c in (10**640 - 1, 10**640, -(10**640), -(10**640 - 1), Fraction(1, 10**640), Fraction(10**640 - 1, 7),
+                  2**1920, 2**1921, 2**2126, 2**2127, Fraction(-(2**2127), 3)):
+            for p in (x * c + 1, R3.const(c)):
+                try:
+                    ok = bool(render(p))
+                except ResourceLimit:
+                    ok = False
+                assert _renderable(p) is ok, c
+        sys.set_int_max_str_digits(0)  # no limit
+        assert _renderable(x * 10**5000) and render(x * 10**5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_leaders_match_brute_force():
     rng = random.Random(41)
     R4 = ring_of(4)
@@ -687,7 +743,8 @@ def test_cached_facts_match_their_computations():
                 deg = p.deg_in(ld)
                 assert rk.leader_degree(p) == (ld, deg) and rk.rank(p) == (rk.key(ld), deg)
                 sep, ini = p.partial(ld), p.coeffs_in(ld)[deg]
-                assert p._multipliers(ld) == (sep, ini)
+                assert p._leading(ld)[:2] == (sep, ini)
+                assert p._leading(ld)[2][0] == p - ini * R4.var(ld.var, ld.order) ** deg
                 assert separant(p, None, rk) == sep and initial(p, None, rk) == ini
                 assert separant(p, ld.var) == sep and initial(p, ld.var) == ini
             assert _residue(p) == p._res == _value_at_the_replay_point(p)

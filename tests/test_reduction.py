@@ -39,7 +39,7 @@ from diffalg import reduction
 from diffalg.diffpoly import PRIME, _residue
 from diffalg.reduction import _replay_holds
 from diffalg.generators import rand_linear_system
-from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ring_of
+from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ref_ritt_divide, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -124,9 +124,11 @@ def test_division_chains_are_kept_on_the_divisor():
     # a division starts from its divisor's cached chain g', g'', ... and
     # stores a longer one back, replaced whole: each entry k is derive(k), a
     # division by a warm divisor certifies as one by a fresh copy does, and
-    # two divisions of one dividend give identical certificates
+    # two divisions of one dividend give identical certificates; each entry
+    # a step read is kept less its leading part, separant times the leader
+    # k orders up (k > 0) or initial times the leader to its degree (k = 0)
     rng = random.Random(61)
-    stored = 0
+    stored = tailed = 0
     for _ in range(60):
         ring = ring_of(rng.randint(1, 3))
         g = rand_nonconstant(rng, ring, max_monos=3, coeffs=rng.choice([SMALL_INTS, SMALL_RATIONALS]))
@@ -142,7 +144,13 @@ def test_division_chains_are_kept_on_the_divisor():
             assert warm.to_json() == cold.to_json() == again.to_json() and warm.den == cold.den == again.den
             assert warm.multipliers == cold.multipliers == again.multipliers
         assert all(gk == g.derive(k) for k, gk in enumerate(g._chain, 1))
-    assert stored > 30
+        ld, dg = g.leader_in(var)
+        sep, ini, tails = g._leading(ld)
+        for k, tail in tails.items():
+            lead = sep * ring.var(ld.var, ld.order + k) if k else ini * ring.var(ld.var, ld.order) ** dg
+            assert tail == g.derive(k) - lead
+        tailed += len(tails) > 1
+    assert stored > 30 and tailed > 30
 
 
 def test_forming_one_certificate_leaves_a_sibling_unchanged():
@@ -216,6 +224,68 @@ def test_is_reduced_wrt():
     assert is_reduced_wrt(P("y^(5)"), P("x' - x"), "full")
     assert is_reduced_wrt(P("x'"), P("x' - x"), "partial")
     assert not is_reduced_wrt(P("x'"), P("x' - x"), "full")
+
+
+def test_is_reduced_wrt_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        is_reduced_wrt(P("x"), P("x'"), "bogus")
+
+
+def test_mixed_rings_are_refused():
+    # f and g in the ring of x, y and h in that of x, y, z: a division or a
+    # reducedness test across them raises as a product across them does
+    f, g, h = P("x'' - y"), P("x' - x*y"), P("x'' - z", R3)
+    for call in (
+        lambda: ritt_divide(f, [h]),
+        lambda: ritt_divide(h, [g]),
+        lambda: ritt_divide(h, [P("y' - x", R3), g]),
+        lambda: reduction._linear_divide(P("x'' - y"), [P("x' - z", R3)]),
+        lambda: is_reduced_wrt(h, g),
+        lambda: is_reduced_wrt(g, h),
+        lambda: autoreduce_loop([f, h]),
+    ):
+        with pytest.raises(ValueError, match="^mixed rings: "):
+            call()
+    # an equal ring built separately is the same ring
+    g2 = parse_poly("x' - x*y", diffalg.DiffRing(("x", "y")))
+    assert ritt_divide(f, [g2]).to_json() == ritt_divide(f, [g]).to_json()
+    assert is_reduced_wrt(f, g2) == is_reduced_wrt(f, g) is False
+    assert autoreduce_loop([f, g2]) == autoreduce_loop([f, g])
+
+
+def test_ritt_divide_equals_the_full_product_reference():
+    # each step leaves out the two products that cancel, mult*slice and
+    # co*lead; the reference forms them: the certificate, multipliers,
+    # remainder and den (with its type) must agree, in both modes, under the
+    # orderly and both elimination rankings, with one or two divisors, with
+    # integer or rational coefficients, and with or without steps
+    rng = random.Random(67)
+    rankings = (orderly(), elimination([[0], [1]]), elimination([[1], [0]]))
+    seen = {"steps": 0, "none": 0, "fraction": 0, "two": 0, "var": 0}
+    for n in range(240):
+        coeffs = rng.choice([SMALL_INTS, SMALL_RATIONALS])
+        mode, rk = rng.choice(["partial", "full"]), rankings[n % 3]
+        var = None
+        if n % 4 == 3:
+            divisors = [rand_nonconstant(rng, R2, max_monos=3, max_deg=2, max_order=2, coeffs=coeffs)]
+            var = rng.choice(divisors[0].variables())
+        else:
+            while True:
+                divisors = [rand_nonconstant(rng, R2, max_monos=3, max_deg=2, max_order=2, coeffs=coeffs)
+                            for _ in range(rng.randint(1, 2))]
+                if len({rk.leader(g).var for g in divisors}) == len(divisors):
+                    break
+        f = rand_poly(rng, R2, max_monos=3, max_deg=2, max_order=rng.randint(0, 4), nonzero=False, coeffs=coeffs)
+        cert = ritt_divide(f, divisors, mode, rk, var)
+        doc, mults, r, den = ref_ritt_divide(f, divisors, mode, rk, var)
+        assert cert.to_json() == doc
+        assert cert.multipliers == mults and cert.remainder == r
+        assert cert.den == den and type(cert.den) is type(den)
+        seen["steps" if mults else "none"] += 1
+        seen["fraction"] += type(den) is Fraction
+        seen["two"] += len(divisors) == 2 and len(mults) > 0
+        seen["var"] += var is not None and len(mults) > 0
+    assert min(seen.values()) >= 15, seen
 
 
 # -- autoreduced sets -------------------------------------------------------------
@@ -827,3 +897,17 @@ def test_minimal_autoreduced_order_unchanged():
             if all(is_reduced_wrt(p, q, "full", rk) and is_reduced_wrt(q, p, "full", rk) for q in chosen):
                 chosen.append(p)
         assert _minimal_autoreduced(basis, rk) == chosen
+
+
+def test_tie_with_an_unrenderable_coefficient_keeps_basis_order():
+    # x - 1 and 2*x + 2^20000 tie in rank and differ in their first rendered
+    # terms, x and 2*x, ahead of the coefficient too long to render; the tie
+    # keeps basis order all the same, as when the whole render was asked for
+    from diffalg.reduction import _minimal_autoreduced
+
+    rk = orderly()
+    p, q = P("x - 1"), P("2*x + 2^20000")
+    assert _minimal_autoreduced([p, q], rk) == [p]
+    assert _minimal_autoreduced([q, p], rk) == [q]
+    small = P("2*x + 3")  # renderable, it sorts first from either side
+    assert _minimal_autoreduced([p, small], rk) == _minimal_autoreduced([small, p], rk) == [small]
