@@ -414,11 +414,21 @@ def is_reduced_wrt(f: DiffPoly, g: DiffPoly, mode="full", ranking: Ranking = Non
 
 class AutoreducedSet(namedtuple("AutoreducedSet", "elements ranking")):
     """Nonempty tuple of pairwise fully-reduced polynomials, strictly
-    increasing in rank (leader key, leader degree) under the ranking."""
+    increasing in rank (leader key, leader degree) under the ranking.
+
+    When ranks strictly increase, each element is reduced with respect to
+    every later one: if its leader ranks lower, every derivative in it ranks
+    below the later leader and that leader's proper derivatives; if the
+    leaders are equal, it has the lower degree in that leader.  So only an element
+    against an earlier one needs testing, and the constructor tests those
+    pairs only.  autoreduce_loop's selection makes exactly these tests, so
+    the loop builds its set with _make and checks only that ranks increase.
+    """
 
     __slots__ = ()
 
     def __new__(cls, elements, ranking):
+        elements = tuple(elements)
         if not elements:
             raise ValueError("autoreduced set must be nonempty")
         for p in elements:
@@ -429,8 +439,8 @@ class AutoreducedSet(namedtuple("AutoreducedSet", "elements ranking")):
             if not a < b:
                 raise ValueError("elements must strictly increase in rank")
         for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                if i != j and not is_reduced_wrt(p, q, "full", ranking):
+            for j in range(i):
+                if not is_reduced_wrt(p, elements[j], "full", ranking):
                     raise ValueError("element %d is not reduced w.r.t. element %d" % (i, j))
         lvars = [ranking.leader(p).var for p in elements]
         if len(set(lvars)) != len(lvars):
@@ -450,8 +460,11 @@ def compare_autoreduced(a: AutoreducedSet, b: AutoreducedSet) -> int:
     """-1, 0, or 1 in the induced ordering.
 
     Lower rank at the first differing slot wins; with one rank vector a
-    proper prefix of the other, the longer set is the lower one.
+    proper prefix of the other, the longer set is the lower one.  Sets under
+    different rankings do not compare: ValueError.
     """
+    if a.ranking != b.ranking:
+        raise ValueError("autoreduced sets under different rankings")
     ra, rb = a.rank_vector(), b.rank_vector()
     for x, y in zip(ra, rb):
         if x < y:
@@ -477,10 +490,9 @@ def _minimal_autoreduced(basis, ranking):
         if len(group) > 1 and all(map(_renderable, group)):
             group.sort(key=cmp_to_key(_render_cmp))
         ordered.extend(group)
-    # Each chosen q ranks no higher than p, so only p needs testing: a lower
-    # leader puts every derivative of q below p's leader and its proper
-    # derivatives, so q is reduced with respect to p; with equal leaders
-    # p is not reduced with respect to q.
+    # each chosen q ranks no higher than p, so only p against q needs testing
+    # (the argument is in AutoreducedSet's docstring); a p that ties q in rank
+    # is not reduced with respect to it, so the chosen ranks strictly increase
     chosen = []
     for p in ordered:
         if all(is_reduced_wrt(p, q, "full", ranking) for q in chosen):
@@ -522,7 +534,15 @@ def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
     prev = None
     for rounds in range(1, MAX_ROUNDS + 1):
         chosen = _minimal_autoreduced(basis, ranking)
-        aset = AutoreducedSet(tuple(chosen), ranking)
+        # the selection tested each pair once; with increasing ranks that is
+        # the whole rule (see AutoreducedSet)
+        aset = AutoreducedSet._make((tuple(chosen), ranking))
+        ranks = aset.rank_vector()
+        if not all(a < b for a, b in zip(ranks, ranks[1:])):
+            raise InternalInvariantViolation(
+                "chosen set does not strictly increase in rank in round %d: %s"
+                % (rounds, [describe(p) for p in chosen])
+            )
         if prev is not None and not compare_autoreduced(aset, prev) < 0:
             raise InternalInvariantViolation(
                 "induced ordering did not drop in round %d: %s after %s"

@@ -39,7 +39,16 @@ from diffalg import reduction
 from diffalg.diffpoly import PRIME, _residue
 from diffalg.reduction import _replay_holds
 from diffalg.generators import rand_linear_system
-from helpers import SMALL_INTS, SMALL_RATIONALS, rand_nonconstant, rand_poly, ref_ritt_divide, ring_of
+from helpers import (
+    SMALL_INTS,
+    SMALL_RATIONALS,
+    rand_nonconstant,
+    rand_poly,
+    ref_deg_in,
+    ref_order_in,
+    ref_ritt_divide,
+    ring_of,
+)
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -318,6 +327,116 @@ def test_induced_ordering():
     assert compare_autoreduced(ab, a) == -1
 
 
+def test_compare_autoreduced_refuses_mixed_rankings():
+    # rank keys of different rankings do not compare: x' - y has leader x'
+    # under both, keyed (1, 0) and (1, 1, 0)
+    a = AutoreducedSet((P("x' - y"),), orderly())
+    b = AutoreducedSet((P("x' - y"),), elimination([[1], [0]]))
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="^autoreduced sets under different rankings$"):
+            compare_autoreduced(u, v)
+    assert compare_autoreduced(a, AutoreducedSet((P("x' - y"),), orderly())) == 0
+
+
+def test_autoreduced_set_holds_a_tuple():
+    rk = orderly()
+    els = (P("x' - x"), P("y' - x"))
+    cs = AutoreducedSet(els, rk)
+    for given in (list(els), iter(els), (p for p in els)):
+        other = AutoreducedSet(given, rk)
+        assert other == cs and hash(other) == hash(cs) and type(other.elements) is tuple
+    with pytest.raises(ValueError, match="nonempty"):
+        AutoreducedSet((p for p in ()), rk)
+
+
+def test_autoreduced_set_first_errors_pinned():
+    # the first failing check and its message; under increasing ranks only an
+    # element against an earlier one can fail, so the checks are the same
+    # pairs in the same order as testing every ordered pair
+    R4 = ring_of(4)
+    cases = [
+        (R3, orderly(), ("x' - x", "y' - x", "z'' + y''"), "element 2 is not reduced w.r.t. element 1"),
+        (R3, orderly(), ("x' - y", "y' - z", "z'' + x'' + y''"), "element 2 is not reduced w.r.t. element 0"),
+        (R3, orderly(), ("x' - y", "y'' + x'", "z'' + x''"), "element 1 is not reduced w.r.t. element 0"),
+        (R3, orderly(), ("x' - y", "y' - z", "z' - x"), None),
+        (R4, orderly(), ("x' - 1", "y' - x", "z' - y", "t' + z"), None),
+        (R4, orderly(), ("x' - 1", "y' - x", "z'^2 - y", "t' + z'^2"), "element 3 is not reduced w.r.t. element 2"),
+        (R4, orderly(), ("x' - 1", "y' - x", "z' + x", "t'' + y + x'"), "element 3 is not reduced w.r.t. element 0"),
+        (R4, orderly(), ("x' - 1", "y' - x", "z' + y'", "t' + x'"), "element 2 is not reduced w.r.t. element 1"),
+        (R4, elimination([[3], [2], [1], [0]]), ("t' - 1", "z' + t", "y' + z", "x' + y + t''"),
+         "element 3 is not reduced w.r.t. element 0"),
+        (R4, elimination([[0], [1], [2], [3]]), ("x'", "y + x", "z' + x'", "t + y"),
+         "element 2 is not reduced w.r.t. element 0"),
+        (R4, orderly(), ("x' - 1", "y' - 1", "t' - 1", "z' + x"), "elements must strictly increase in rank"),
+    ]
+    for ring, rk, texts, message in cases:
+        els = tuple(parse_poly(s, ring) for s in texts)
+        assert _ref_autoreduced(els, rk) == (message is None), texts
+        if message is None:
+            assert AutoreducedSet(els, rk).elements is els
+        else:
+            with pytest.raises(ValueError) as e:
+                AutoreducedSet(els, rk)
+            assert str(e.value) == message, texts
+    # seeded 3- and 4-element sets in rank order, under orderly and both
+    # elimination rankings
+    rng = random.Random(29)
+    out = []
+    for _ in range(800):
+        ring = ring_of(rng.randint(3, 4))
+        rk = _random_ranking(rng, ring)
+        gens = (rand_nonconstant(rng, ring, max_monos=2, max_deg=2, max_order=1) for _ in range(rng.choice((3, 4))))
+        els = tuple(sorted(gens, key=rk.rank))
+        try:
+            AutoreducedSet(els, rk)
+            out.append("ok")
+        except ValueError as e:
+            out.append(str(e))
+        assert _ref_autoreduced(els, rk) == (out[-1] == "ok")
+    assert len(set(out)) == 8 and out.count("ok") > 30
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "4aa14d68fef4b4c90097a1235a2e0dbe56db0c6d37c70aa0a478ccb1fe7720ff"
+    )
+
+
+def test_each_pair_of_a_round_is_tested_once(monkeypatch):
+    # a round's selection tests each candidate against the polynomials chosen
+    # before it, and the loop keeps the set it chose without testing it again
+    rounds = []
+    test, select = reduction.is_reduced_wrt, reduction._minimal_autoreduced
+
+    def recording_test(f, g, *args):
+        rounds[-1].append((id(f), id(g)))
+        return test(f, g, *args)
+
+    def recording_select(basis, ranking):
+        rounds.append([])
+        return select(basis, ranking)
+
+    monkeypatch.setattr(reduction, "is_reduced_wrt", recording_test)
+    monkeypatch.setattr(reduction, "_minimal_autoreduced", recording_select)
+    for rk, gens in _seeded_nonlinear_systems():
+        try:
+            autoreduce_loop(gens, rk)
+        except InconsistentSystem:
+            pass
+    assert len(rounds) > 150 and sum(map(len, rounds)) > 250
+    for calls in rounds:
+        assert len(set(calls)) == len(calls)
+
+
+def test_a_faulty_selection_is_an_internal_fault(monkeypatch):
+    # the loop keeps the set its selection tested, and checks only that its
+    # ranks increase: a set that breaks this is the program's fault (exit 2)
+    select = reduction._minimal_autoreduced
+    monkeypatch.setattr(reduction, "_minimal_autoreduced", lambda basis, rk: select(basis, rk)[::-1])
+    with pytest.raises(InternalInvariantViolation) as e:
+        autoreduce_loop([P("x' - x"), P("y' - x")], orderly())
+    assert str(e.value) == (
+        "chosen set does not strictly increase in rank in round 1: %s" % ["y' - x", "x' - x"]
+    )
+
+
 def test_autoreduce_already_reduced():
     res = autoreduce_loop([P("x' - x"), P("y' - x")], orderly())
     assert res.converged and res.rounds == 1
@@ -571,21 +690,46 @@ def test_certificates_replay_their_step_log():
     assert long_ones >= 10
 
 
-def test_seeded_nonlinear_charsets_pinned():
-    # autoreduce_loop and dimensions on random nonlinear systems in 2-3
-    # variables; at these sizes every system takes milliseconds, while random
-    # systems of degree and order 3 now and then run for seconds
+def _ref_autoreduced(elements, rk):
+    # from the terms alone: each leader is the occurring derivative of largest
+    # key, ranks (leader key, degree) strictly increase, and every element is
+    # reduced w.r.t. every other one: no proper derivative of its leader and a
+    # lower degree in it
+    leads = []
+    for q in elements:
+        ld = max((d for m in q.terms for d, _ in m), key=rk.key)
+        leads.append((ld, ref_deg_in(q.terms, ld)))
+    ranks = [(rk.key(ld), dg) for ld, dg in leads]
+    return all(a < b for a, b in zip(ranks, ranks[1:])) and all(
+        ref_order_in(p.terms, ld.var, "strong") <= ld.order and ref_deg_in(p.terms, ld) < dg
+        for p in elements
+        for q, (ld, dg) in zip(elements, leads)
+        if q is not p
+    )
+
+
+def _seeded_nonlinear_systems():
+    # (ranking, generators) of 100 random nonlinear systems in 2-3 variables;
+    # at these sizes every system takes milliseconds, while random systems of
+    # degree and order 3 now and then run for seconds
     rng = random.Random(42)
-    out = []
     for _ in range(100):
         ring = ring_of(rng.randint(2, 3))
         rk = _random_ranking(rng, ring)
-        gens = [rand_nonconstant(rng, ring, max_monos=3, max_deg=2, max_order=2) for _ in range(rng.randint(2, 3))]
+        yield rk, [rand_nonconstant(rng, ring, max_monos=3, max_deg=2, max_order=2) for _ in range(rng.randint(2, 3))]
+
+
+def test_seeded_nonlinear_charsets_pinned():
+    # autoreduce_loop and dimensions on the seeded nonlinear systems; every
+    # returned charset is autoreduced by the reference from the terms
+    out = []
+    for rk, gens in _seeded_nonlinear_systems():
         try:
             res = autoreduce_loop(gens, rk)
         except InconsistentSystem as e:
             out.append(e.text)
             continue
+        assert _ref_autoreduced(res.charset.elements, rk)
         dims = [str(d) for d in dimensions(res.charset)]
         out.append([[render(p) for p in res.charset.elements], [render(m) for m in res.multipliers], dims])
     assert sum(isinstance(o, list) and bool(o[1]) for o in out) > 20
