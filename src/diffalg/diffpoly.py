@@ -19,7 +19,8 @@ bounded int.  Both caps raise ResourceLimit before a field could overflow.
 A power of a base of n terms is bounded before it is built, by C(k+n-1, k)
 terms and coefficients within (sum of |numerators|)^k over lcm(denominators)^k:
 past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too, as
-does a product a*b of more than MAX_PAIRS term pairs len(a)*len(b).
+do _addmul, the one product loop, before more than MAX_PAIRS term pairs
+len(a)*len(b), and a Ritt division step whose remainder passes MAX_TERMS.
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant is a test and
 the orderly leader is the word's top field.  An elimination leader is the
@@ -66,9 +67,11 @@ FIELD_BITS = 16
 _FIELD = (1 << FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # 32767
 MAX_ORDER = 1000
-MAX_TERMS = 1 << 15  # a power's term bound; the largest a test builds is 6,188
+MAX_TERMS = 1 << 15  # terms of a power or a division remainder; a test's power has 6,188, a seed-1 round's remainder 98
 MAX_COEFF_BITS = 1 << 20  # a power's coefficient-bit bound; a test's largest is 42,855
-MAX_PAIRS = 1 << 22  # term pairs a product may form; a test's largest is 5,616
+# term pairs a product (_addmul) may form: a test's largest is 5,616; with certificates
+# formed, a seed-1 round's is 390 on charset-nonlinear, 14 on linear-deep, 8 on linear-wide
+MAX_PAIRS = 1 << 22
 
 
 class Derivative(namedtuple("Derivative", "var order")):
@@ -374,9 +377,6 @@ class DiffPoly:
             return self._scaled(t2.get(0, 0))
         if len(t1) == 1 and 0 in t1:
             return other._scaled(t1[0])
-        if len(t1) * len(t2) > MAX_PAIRS:
-            raise ResourceLimit(
-                "product of %d by %d terms exceeds the cap MAX_PAIRS = %d term pairs" % (len(t1), len(t2), MAX_PAIRS))
         return _poly(self.ring, _canon(_addmul({}, self, other)))
 
     __rmul__ = __mul__
@@ -547,11 +547,16 @@ def _addmul(acc, a, b, negate=False):
     """acc + a*b, or acc - a*b when negate, into the packed term dict acc
     (returned; it may hold zero coefficients, see _canon).  The one product
     loop of the kernel: __mul__, a Ritt division step, its backward pass and
-    the certificate check all sum their products here.  Unless a or b is a
-    constant, it refuses, as __mul__ does, a factor with an exponent over
-    MAX_EXPONENT, whose sum with another could carry out of its field."""
+    the certificate check all sum their products here.  It refuses a product
+    of more than MAX_PAIRS term pairs and, unless a or b is a constant, a
+    factor with an exponent over MAX_EXPONENT, whose sum with another could
+    carry out of its field."""
     if a.ring is not b.ring:
         a._coerce(b)  # equal rings pass, mixed rings raise
+    t1, t2 = a._packed, b._packed
+    if len(t1) * len(t2) > MAX_PAIRS:
+        raise ResourceLimit(
+            "product of %d by %d terms exceeds the cap MAX_PAIRS = %d term pairs" % (len(t1), len(t2), MAX_PAIRS))
     wa, wb = a._support(), b._support()
     if wa and wb:
         w = wa | wb
@@ -560,7 +565,6 @@ def _addmul(acc, a, b, negate=False):
                 "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
                 % (MAX_EXPONENT, FIELD_BITS)
             )
-    t1, t2 = a._packed, b._packed
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     for m1, c1 in t1.items():
@@ -591,10 +595,13 @@ def _apply(acc, coeffs, chain, negate=False):
 
 
 def _primitive(t):
-    """(content, t / content) for a canonical packed term dict t.  The content
-    is positive and rational: the gcd of the numerators over the lcm of the
-    denominators, so t / content has coprime integer coefficients.  With
-    content 1, t itself is returned; an empty t has content 1."""
+    """(content, t / content) for a canonical packed term dict t, a division
+    step's remainder.  The content is positive and rational: the gcd of the
+    numerators over the lcm of the denominators, so t / content has coprime
+    integer coefficients.  With content 1, t itself is returned; an empty t
+    has content 1.  A t of more than MAX_TERMS terms raises ResourceLimit."""
+    if len(t) > MAX_TERMS:
+        raise ResourceLimit("division remainder of %d terms exceeds the cap MAX_TERMS = %d" % (len(t), MAX_TERMS))
     vals = t.values()
     if _INT.issuperset(map(type, vals)):
         c = math.gcd(*vals)
@@ -693,9 +700,7 @@ def _is_linear(p: DiffPoly) -> bool:
 
 
 def _linear_terms(p: DiffPoly):
-    """The packed term dict of p, a linear polynomial; ValueError otherwise."""
-    if not _is_linear(p):
-        raise ValueError("%s is not linear" % describe(p))
+    """The packed term dict of p, a linear polynomial: its row over Q[D]."""
     return p._packed
 
 

@@ -3,15 +3,14 @@ traces, and the linear elimination loop.
 
 Form steps (first form: divide equation 2 by equation 1; second form: divide
 equation n by equation 1; both in the first variable) use full-mode division
-so that a step always makes progress (in linear_reduce, and in its
-back-substitution, by the linear kernel reduction._linear_divide, which
-takes ritt_divide's steps on linear input), and assert the two facts the
-theory guarantees: the entrywise division bound
+so that a step always makes progress, and assert the two facts the theory
+guarantees: the entrywise division bound
     b_{d,j} <= max(a_{d,j}, a_{g,j} + a_{d,1} - a_{g,1})
 and non-increase of the strong Jacobi number, plus strict decrease of the
 matrix in Ritt's ordering whenever the matrix changed.  Scripted steps use
 partial (∂-)division and make no monotonicity claims; they exist to watch J
-move.
+move.  Each division calls ritt_divide with its mode; ritt_divide itself
+takes its linear kernel on linear operands in full mode (linear_reduce's).
 
 Every entry point carries the active system from step to step as one
 _Solved record: its strong order matrix's `entries` and column `names`, its
@@ -33,7 +32,6 @@ from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
     InconsistentSystem,
-    _linear_divide,
     autoreduce_loop,
     dimensions,
     membership,
@@ -147,15 +145,13 @@ def _solve(entries, names, sol=None):
     return _Solved(entries, names, sol, weak_tdet(entries, sol))
 
 
-def _divide_step(system, di, gi, var, kind, st, divide):
-    """Divide equation di by equation gi in the variable named var by
-    divide(f, [g], var=var): ritt_divide's partial mode for a scripted step,
-    and for a form step its full mode or, in linear_reduce, the linear kernel
-    that gives the same division.  st is the system's _Solved record; only
-    row di changes, so only it is recomputed, and the new matrix is solved by
-    entering row di again into st.sol, O(n^2).  Returns the new system, the
-    step, and the record after the step."""
-    cert = divide(system[di], [system[gi]], var=var)
+def _divide_step(system, di, gi, var, kind, st, mode):
+    """Divide equation di by equation gi in the variable named var, in
+    ritt_divide's `mode`: partial for a scripted step, full for a form step.
+    st is the system's _Solved record; only row di changes, so only it is
+    recomputed, and solved by entering row di again into st.sol, O(n^2).
+    Returns the new system, the step, and the record after the step."""
+    cert = ritt_divide(system[di], [system[gi]], mode, var=var)
     out = list(system)
     out[di] = cert.remainder
     a, names = st.entries, st.names
@@ -168,14 +164,13 @@ def _divide_step(system, di, gi, var, kind, st, divide):
     return out, step, after
 
 
-def _form_step(system, kind, st, divide):
-    """The full division of a form step, by `divide` (see _divide_step), on
-    a system whose order matrix is known to be in `kind` form: equation 2
-    (first form) or n (second form) by equation 1 in the first column's
-    variable.  The Jacobi number must not rise, and a changed matrix must
-    drop in Ritt's ordering."""
+def _form_step(system, kind, st):
+    """The full division of a form step on a system whose order matrix is
+    known to be in `kind` form: equation 2 (first form) or n (second form) by
+    equation 1 in the first column's variable.  The Jacobi number must not
+    rise, and a changed matrix must drop in Ritt's ordering."""
     dividend = 1 if kind == "first-form" else len(system) - 1
-    out, step, after = _divide_step(system, dividend, 0, st.names[0], kind, st, divide)
+    out, step, after = _divide_step(system, dividend, 0, st.names[0], kind, st, "full")
     a, b = st.entries, after.entries
     if after.sol.value > st.sol.value:
         raise InternalInvariantViolation("J increased: %s -> %s\n%s" % (st.sol.value, after.sol.value, render_grid(b)))
@@ -195,7 +190,7 @@ def _detected_form_step(system, var_order, kind, charset):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
     # only here: on linear_reduce's linear systems every pivot separant is constant
     _check_pivot_separant(system, 0, system[0].ring.var_index(st.names[0]), charset)
-    return _form_step(system, kind, st, ritt_divide)[:2]
+    return _form_step(system, kind, st)[:2]
 
 
 def step_first_form(system, var_order=None, charset=None):
@@ -206,10 +201,6 @@ def step_first_form(system, var_order=None, charset=None):
 def step_second_form(system, var_order=None, charset=None):
     """Divide the last equation by equation 1 in the first variable."""
     return _detected_form_step(system, var_order, "second-form", charset)
-
-
-def _partial_divide(f, divisors, var):
-    return ritt_divide(f, divisors, "partial", var=var)
 
 
 def scripted_divide(system, script, var_order=None):
@@ -231,7 +222,7 @@ def scripted_divide(system, script, var_order=None):
             raise ValueError("script entry %d: divisor does not involve %s" % (pos, ring.names[v]))
         if system[di].order_in(v) < og:
             raise ValueError("script entry %d: dividend has lower order in %s" % (pos, ring.names[v]))
-        system, step, st = _divide_step(system, di, gi, ring.names[v], "scripted", st, _partial_divide)
+        system, step, st = _divide_step(system, di, gi, ring.names[v], "scripted", st, "partial")
         steps.append(step)
     jw_seq = (jw0, *(s.j_after for s in steps))
     js_seq = (js0, *(s.j_after_strong for s in steps))
@@ -349,7 +340,7 @@ def linear_reduce(system) -> LinearReduceResult:
         # form step enters its divided row again into it
         fc, b = normalize(a, st.sol)
         st = _Solved(b, tuple(names[j] for j in fc.col_perm), st.sol.take(fc.row_perm, fc.col_perm), st.weak)
-        eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st, _linear_divide)
+        eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
         steps.append(step)
         report()
         used += 1
@@ -369,7 +360,7 @@ def linear_reduce(system) -> LinearReduceResult:
         els = []
         for p, var, o in reversed(solved):
             if els:
-                p = _linear_divide(p, els, rk).remainder
+                p = ritt_divide(p, els, "full", rk).remainder
             if not p or p.is_constant():
                 raise InternalInvariantViolation(
                     "back-substitution left %s in place of the %s-equation"

@@ -14,8 +14,9 @@ class InternalInvariantViolation(AssertionError):
 
 class ResourceLimit(RuntimeError):
     """A computation exceeded an explicit limit (witness count, step budget,
-    the characteristic-set round cap, the order, exponent and power-size caps
-    of packed monomials, the interpreter's limit on integer-string conversion)."""
+    the characteristic-set round cap, the order, exponent, power, product and
+    division-remainder size caps, the interpreter's limit on integer-string
+    conversion)."""
 
 
 def digit_limit(what, where=""):

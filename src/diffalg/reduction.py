@@ -46,13 +46,14 @@ division whose values cannot be read mod the prime (den or a denominator
 that is 0 mod 2^61 - 1) forms them at once.  s = S/den and the quotients
 Q_i/den are formed from them when read.
 
-Linear divisions, as linear_reduce makes them, go through a kernel of their
-own, _linear_divide, which takes exactly ritt_divide's full-mode steps and
-returns the same certificate.  A polynomial of total degree at most 1 has
-constant coefficients, and its packed term dict is its row over Q[D]: the
-monomial of x_v^(k) holds that coefficient, the monomial 0 the constant, and
-D^k g is g with every derivative moved k orders up and its constant dropped
-(k > 0).  A divisor's separant and initial are both its leading coefficient
+A full-mode division of a linear f by linear divisors goes through a kernel
+of its own, _linear_divide, which ritt_divide picks from its operands, so no
+caller names it; it takes exactly the steps above and returns the same
+certificate.  A polynomial of total degree at most 1 has constant
+coefficients, and its packed term dict is its row over Q[D]: the monomial of
+x_v^(k) holds that coefficient, the monomial 0 the constant, and D^k g is g
+with every derivative moved k orders up and its constant dropped (k > 0).
+A divisor's separant and initial are both its leading coefficient
 lc, a number, so a step is r <- prim(lc*r - a*D^k g) on term dicts, with a
 the coefficient of the eliminated derivative, and no derivative chain is
 formed.  S and the Q_ik are then numbers, so the kernel checks
@@ -80,6 +81,7 @@ from .diffpoly import (
     _apply,
     _canon,
     _integral,
+    _is_linear,
     _linear_at,
     _linear_poly,
     _linear_step,
@@ -277,10 +279,14 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     highest unreduced occurrence is eliminated next; the (occurrence, degree)
     measure must strictly drop at each step, and the replay of the step log
     must hold (module docstring), or InternalInvariantViolation is raised.
+    A step whose remainder passes MAX_TERMS terms raises ResourceLimit.  In
+    full mode, linear f and divisors divide by the linear kernel.
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
     divisors, ranking, leads = _leads(f, divisors, ranking, var)
+    if mode == "full" and _is_linear(f) and all(map(_is_linear, divisors)):
+        return _linear_divide(f, divisors, ranking, leads)
     ring = f.ring
 
     # per divisor: its variable, order, leader degree, separant, initial, and
@@ -343,14 +349,13 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     return cert
 
 
-def _linear_divide(f: DiffPoly, divisors, ranking: Ranking = None, var=None):
-    """ritt_divide(f, divisors, "full", ranking, var) for linear f and
-    divisors, whose coefficients are then constants, on their packed term
-    dicts (module docstring): the same steps, log, remainder, den and
-    certificate.  The measure must drop at every step and the certificate
-    identity must hold exactly, or InternalInvariantViolation is raised; a
-    nonlinear operand raises ValueError."""
-    divisors, ranking, leads = _leads(f, divisors, ranking, var)
+def _linear_divide(f: DiffPoly, divisors, ranking, leads):
+    """ritt_divide's full mode for linear f and divisors, whose coefficients
+    are then constants, on their packed term dicts (module docstring): the
+    same steps, log, remainder, den and certificate.  divisors, ranking and
+    leads are as _leads returns them.  The measure must drop at every step
+    and the certificate identity must hold exactly, or
+    InternalInvariantViolation is raised."""
     ring = f.ring
     ft = _linear_terms(f)
     rows = []  # per divisor: the variable and order of its leader, its terms and its leading coefficient
@@ -573,8 +578,6 @@ def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
 
 def membership(f: DiffPoly, charset: AutoreducedSet) -> bool:
     """Zero full remainder against the characteristic set."""
-    if not f:
-        return True
     return not ritt_divide(f, charset.elements, "full", charset.ranking).remainder
 
 

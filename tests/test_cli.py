@@ -459,6 +459,20 @@ def test_powers_past_the_size_caps_are_exit_3(tmp_path):
         assert out.returncode == 3 and out.stderr.startswith("resource limit: power ") and cap in out.stderr
 
 
+def test_a_swelling_division_is_exit_3(sysfile, capsys, monkeypatch):
+    # the characteristic set of these generators under the elimination
+    # ranking x < y swells: at the default cap its eighth round divides for
+    # about 8 s before a remainder passes MAX_TERMS (CI runs that); under a
+    # lowered cap a remainder of round 7 passes it at once
+    import diffalg.diffpoly as diffpoly_mod
+
+    f = sysfile("vars: x, y\n-2*y'' + 2*x''*x' - 3\n-2*y'*y - 2*x^2 - 3\n-3*x'' - 3*x'*y - 1\n")
+    monkeypatch.setattr(diffpoly_mod, "MAX_TERMS", 1000)
+    assert main(["autoreduce", f, "--ranking", "elim:x;y"]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource limit: division remainder of 1442 terms exceeds the cap MAX_TERMS = 1000\n"
+
+
 def test_integer_string_limit_is_exit_3(sysfile, capsys):
     # valid inputs with integers longer than the interpreter converts to or
     # from text: a power under MAX_EXPONENT, met by render; a 5,000-digit

@@ -834,8 +834,8 @@ def test_power_size_caps(monkeypatch):
 
 def test_product_pair_cap(monkeypatch):
     # a product of more than MAX_PAIRS term pairs len(a)*len(b) is refused
-    # before its loop; a constant factor only scales, and _addmul (a division
-    # step) is not capped
+    # before its loop, by _addmul, so a division step is bounded as * is; a
+    # constant factor only scales
     import diffalg.diffpoly as diffpoly_mod
 
     x = R3.var("x")
@@ -852,7 +852,14 @@ def test_product_pair_cap(monkeypatch):
     assert three * four == P("x^2 + 2*x*y + 2*x*z + y^2 + 2*y*z + z^2 + x + y + z")
     with pytest.raises(ResourceLimit, match="product of 3 by 5 terms"):
         three * (four + x.derive())
-    assert _poly(R3, _canon(_addmul({}, four, four))) == square
+    with pytest.raises(ResourceLimit, match="product of 4 by 4 terms"):
+        _addmul({}, four, four)
+    # the step's multiplier, the initial y' + z' + y + z + 1, times the rest of f
+    f, g = P("x' + y^4 + z^4 + y^3 + z^3 + y^2"), P("(y + z + 1 + y' + z')*x'")
+    with pytest.raises(ResourceLimit, match="product of 5 by 5 terms exceeds the cap MAX_PAIRS = 12 "):
+        ritt_divide(f, [g], "full", var="x")
+    monkeypatch.undo()
+    assert ritt_divide(f, [g], "full", var="x").remainder and _poly(R3, _canon(_addmul({}, four, four))) == square
 
 
 def test_products_refused_before_a_field_carries():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import diffalg.engine as engine_mod
+from diffalg import reduction
 from diffalg import (
     AutoreducedSet,
     DiffPoly,
@@ -15,7 +16,9 @@ from diffalg import (
     POS_INF,
     ResourceLimit,
     Trace,
+    autoreduce_loop,
     linear_reduce,
+    membership,
     order_matrix,
     orderly,
     parse_poly,
@@ -23,6 +26,7 @@ from diffalg import (
     parse_system,
     render,
     ritt_compare,
+    ritt_divide,
     scripted_divide,
     step_first_form,
     step_second_form,
@@ -250,26 +254,40 @@ def test_linear_reduce_evaluates_no_separant(monkeypatch):
     assert "first-form" in kinds and "second-form" in kinds
 
 
-def test_linear_reduce_divides_with_the_linear_kernel(monkeypatch):
-    # linear_reduce's form steps and back-substitution divide with the linear
-    # kernel; the public form steps and scripted traces keep ritt_divide
-    calls = {"kernel": 0, "ritt_divide": 0}
+def test_ritt_divide_picks_the_linear_kernel(monkeypatch):
+    # every full-mode division of linear operands takes the linear kernel,
+    # whichever entry point makes it; partial mode and nonlinear operands
+    # take the general loop
+    calls, kernel = [], reduction._linear_divide
+    monkeypatch.setattr(reduction, "_linear_divide", lambda *args: calls.append(1) or kernel(*args))
 
-    def counted(name, divide):
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return divide(*args, **kw)
+    def kernel_calls(run):
+        del calls[:]
+        run()
+        return len(calls)
 
-        return wrapper
-
-    monkeypatch.setattr(engine_mod, "_linear_divide", counted("kernel", engine_mod._linear_divide))
-    monkeypatch.setattr(engine_mod, "ritt_divide", counted("ritt_divide", engine_mod.ritt_divide))
-    res = linear_reduce([P("-x' - 1", R3), P("-z'' - 3*y' - 2*x", R3), P("-2*y' - z + 2*x", R3)])
+    lin = [P("x' - x"), P("x'' - y")]
+    aset = AutoreducedSet((P("x' - x"), P("y' - x")), orderly())
+    second = [P(s, R3) for s in ("x'' + y + z'''", "x' + y' + z'", "x''' + y' + z'")]
+    sys3 = [P("-x' - 1", R3), P("-z'' - 3*y' - 2*x", R3), P("-2*y' - z + 2*x", R3)]
+    res = linear_reduce(sys3)
     forms = sum(s.kind.endswith("-form") for s in res.trace.steps)
-    assert forms and calls == {"kernel": forms + len(res.charset.elements) - 1, "ritt_divide": 0}
-    step_first_form([P("x' - x"), P("x'' - y")])
-    scripted_divide([P("x' - x"), P("x'' - y")], [(1, 0, "x")])
-    assert calls["ritt_divide"] == 2 and calls["kernel"] == forms + len(res.charset.elements) - 1
+    assert forms
+    for run, n in (
+        (lambda: ritt_divide(lin[1], [lin[0]], "full", var="x"), 1),
+        (lambda: ritt_divide(P("y'' + x''"), aset.elements, "full", orderly()), 1),
+        (lambda: membership(P("y'' - x'"), aset), 1),
+        (lambda: autoreduce_loop([P("x' - x"), P("y' - x"), P("y'' - x'")]), 1),
+        (lambda: step_first_form(lin), 1),
+        (lambda: step_second_form(second), 1),
+        (lambda: linear_reduce(sys3), forms + len(res.charset.elements) - 1),
+        (lambda: ritt_divide(lin[1], [lin[0]], "partial", var="x"), 0),
+        (lambda: scripted_divide(lin, [(1, 0, "x")]), 0),
+        (lambda: ritt_divide(P("x''*y"), [lin[0]], "full", var="x"), 0),
+        (lambda: ritt_divide(lin[1], [P("x'*y - x")], "full", var="x"), 0),
+        (lambda: step_first_form([P("x' - x^2"), P("x'' - y")]), 0),
+    ):
+        assert kernel_calls(run) == n
 
 
 def test_linear_reduce_j_sequence_adds_the_peeled_orders():
@@ -523,9 +541,9 @@ def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
         assert sum(sol.u) + sum(sol.v) == sol.value == tdet(a)
         assert st.weak == tdet(tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a))
 
-    def checked_form_step(system, kind, st, divide):
+    def checked_form_step(system, kind, st):
         check(st)
-        out, step, after = form_step(system, kind, st, divide)
+        out, step, after = form_step(system, kind, st)
         if after.sol.value != NEG_INF:
             check(after)
         kinds.append(kind)

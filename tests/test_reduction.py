@@ -115,15 +115,16 @@ def test_multi_divisor_division():
 
 
 def test_verify_reuses_the_division_chain(monkeypatch):
-    # dividing x^(5) by x' - x needs g', ..., g^(4): four derivations, which
-    # the replay and the exact check on forming S read back instead of
+    # dividing x^(5) + y^2 by x' - x needs g', ..., g^(4): four derivations,
+    # which the replay and the exact check on forming S read back instead of
     # deriving again; once S is formed the certificate keeps none of them
+    # (f is not linear, so the division is the general loop's)
     derive = diffalg.DiffPoly.derive
     calls = []
     monkeypatch.setattr(diffalg.DiffPoly, "derive", lambda p, times=1: calls.append(times) or derive(p, times))
-    f, g = P("x^(5)"), P("x' - x")
+    f, g = P("x^(5) + y^2"), P("x' - x")
     cert = ritt_divide(f, [g], "full", var="x")
-    assert cert.remainder == P("x") and len(calls) == 4
+    assert cert.remainder == P("x + y^2") and len(calls) == 4
     assert cert.S == R2.one() and len(calls) == 4
     assert "_chains" not in vars(cert)
     assert cert.verify(f, [g]) and len(calls) == 8  # a later verify derives for itself
@@ -248,7 +249,7 @@ def test_mixed_rings_are_refused():
         lambda: ritt_divide(f, [h]),
         lambda: ritt_divide(h, [g]),
         lambda: ritt_divide(h, [P("y' - x", R3), g]),
-        lambda: reduction._linear_divide(P("x'' - y"), [P("x' - z", R3)]),
+        lambda: ritt_divide(P("x'' - y"), [P("x' - z", R3)], var="x"),
         lambda: is_reduced_wrt(h, g),
         lambda: is_reduced_wrt(g, h),
         lambda: autoreduce_loop([f, h]),
@@ -470,6 +471,17 @@ def test_autoreduce_round_cap_is_a_resource_limit(monkeypatch):
     with pytest.raises(diffalg.ResourceLimit) as e:
         autoreduce_loop(gens, orderly())
     assert str(e.value).endswith("did not converge in 1 rounds; last chosen set [\"x' + y\"]")
+
+
+def test_a_swelling_division_stops_at_the_term_cap(monkeypatch):
+    # x'^3 by x' - t, t = y'' + y' + y + 1: the steps leave x'^2*t, x'*t^2
+    # and t^3, of 4, 10 and 20 terms; a step whose remainder passes
+    # MAX_TERMS raises ResourceLimit (exit 3 in the CLI)
+    f, g = P("x'^3"), P("x' - y'' - y' - y - 1")
+    assert len(ritt_divide(f, [g], "full", var="x").remainder.terms) == 20
+    monkeypatch.setattr(diffalg.diffpoly, "MAX_TERMS", 9)
+    with pytest.raises(diffalg.ResourceLimit, match="^division remainder of 10 terms exceeds the cap MAX_TERMS = 9$"):
+        ritt_divide(f, [g], "full", var="x")
 
 
 def test_autoreduce_inconsistent():
@@ -764,10 +776,13 @@ def test_verify_rejects_tampered_certificates():
     assert rational > 5
 
 
-def test_replay_rejects_a_tampered_step_log():
+def test_replay_rejects_a_tampered_step_log(monkeypatch):
     # the replay evaluates the log at one point mod 2^61 - 1, so none of
     # these false identities may pass: the first step's multiplier doubled,
-    # one step's den*co plus one, r + 1, and den + 1 where r is not zero
+    # one step's den*co plus one, r + 1, and den + 1 where r is not zero;
+    # every operand reads as nonlinear, so the linear divisions among these
+    # take the general loop, which replays its log, in place of the kernel
+    monkeypatch.setattr(reduction, "_is_linear", lambda p: False)
     stepped = 0
     for f, g, cert in _seeded_divisions(32, 80):
         log = cert._log
@@ -807,16 +822,17 @@ def test_a_denominator_zero_mod_the_prime_is_checked_exactly(monkeypatch):
     exact = []
     holds = reduction._identity_holds
     monkeypatch.setattr(reduction, "_identity_holds", lambda *args: exact.append(1) or holds(*args))
-    f = P("x'' + y") * Fraction(1, PRIME)
+    # (f is not linear, so the division is the general loop's, which replays)
+    f = P("x'' + y^2") * Fraction(1, PRIME)
     with pytest.raises(ZeroDivisionError):
         _residue(f)
     cert = ritt_divide(f, [P("x' - x")], "full", var="x")
     assert exact == [1] and "_chains" not in vars(cert)
-    assert cert.remainder == P("x + y") and cert.den == Fraction(1, PRIME)
+    assert cert.remainder == P("x + y^2") and cert.den == Fraction(1, PRIME)
     # a prime multiple of den reads as 0 mod the prime and is checked exactly too
-    cert = ritt_divide(P("x''") * PRIME, [P("x' - x")], "full", var="x")
+    cert = ritt_divide(P("x'' + y^2") * PRIME, [P("x' - x")], "full", var="x")
     assert exact == [1, 1] and cert.den == PRIME
-    ritt_divide(P("x''"), [P("x' - x")], "full", var="x")
+    ritt_divide(P("x'' + y^2"), [P("x' - x")], "full", var="x")
     assert exact == [1, 1]  # den = 1 reads mod the prime: no exact check
 
 
@@ -856,7 +872,7 @@ def test_invariant_violation_survives_python_O():
 
         assert False, "asserts must be stripped"
         ring = DiffRing(["x", "y"])
-        f = parse_poly("x'' + y", ring) * 10**5000
+        f = parse_poly("x'' + y^2", ring) * 10**5000
         g = parse_poly("x' - x", ring)
         replay, reduction._replay_holds = reduction._replay_holds, lambda *args: False
         try:
@@ -925,17 +941,33 @@ def _linear_divisions(seed, count):
         count -= 1
 
 
-def test_linear_kernel_equals_ritt_divide():
-    # the kernel takes ritt_divide's full-mode steps on linear input: the same
+def _counted_kernel(monkeypatch):
+    """The list that gains an entry at each call of the linear kernel."""
+    calls, kernel = [], reduction._linear_divide
+    monkeypatch.setattr(reduction, "_linear_divide", lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+def test_linear_kernel_equals_ritt_divide(monkeypatch):
+    # ritt_divide takes the kernel on linear input in full mode, and its answer
+    # is the independent ref_ritt_divide's; the kernel takes the general
+    # loop's steps (forced by reading every operand as nonlinear): the same
     # log, remainder, den, multipliers and certificate, every coefficient of
     # the same type; its remainder carries the top derivatives a fresh
     # polynomial would compute
-    from diffalg.reduction import _linear_divide
-
+    kernel = _counted_kernel(monkeypatch)
     kinds = {"var": 0, "ranking": 0, "zero steps": 0, "several divisors": 0, "rational": 0}
-    for f, gs, kw in _linear_divisions(61, 400):
-        cert = _linear_divide(f, gs, **kw)
-        assert _division_facts(cert) == _division_facts(ritt_divide(f, gs, "full", **kw))
+    for n, (f, gs, kw) in enumerate(_linear_divisions(61, 400), 1):
+        cert = ritt_divide(f, gs, "full", **kw)
+        assert len(kernel) == n
+        facts = _division_facts(cert)
+        doc, mults, r, den = ref_ritt_divide(f, gs, "full", **kw)
+        assert cert.to_json() == doc and cert.multipliers == mults and cert.remainder == r
+        assert cert.den == den and type(cert.den) is type(den)
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_is_linear", lambda p: False)
+            assert _division_facts(ritt_divide(f, gs, "full", **kw)) == facts
+        assert len(kernel) == n
         r = cert.remainder
         fresh = diffalg.DiffPoly(r.ring, r.terms)
         assert [r._top(v) for v in range(r.ring.nvars)] == [fresh._top(v) for v in range(r.ring.nvars)]
@@ -946,44 +978,43 @@ def test_linear_kernel_equals_ritt_divide():
     assert min(kinds.values()) >= 50, kinds
 
 
-def test_linear_kernel_refuses_what_it_cannot_divide():
-    from diffalg.reduction import _linear_divide
-
-    for f, g in (("x'^2 + y", "x' - x"), ("x'' + y", "x'*y - x"), ("x*y", "y' + 1")):
-        with pytest.raises(ValueError, match="is not linear"):
-            _linear_divide(P(f), [P(g)], var="y" if "y'" in g else "x")
+def test_linear_kernel_refuses_what_it_cannot_divide(monkeypatch):
+    # ritt_divide refuses what it cannot divide before it picks the kernel
+    kernel = _counted_kernel(monkeypatch)
     with pytest.raises(ValueError, match="mixed rings"):
-        _linear_divide(P("x''"), [P("x' - x", R3)], var="x")
+        ritt_divide(P("x''"), [P("x' - x", R3)], var="x")
     with pytest.raises(ValueError, match="distinct leading variables"):
-        _linear_divide(P("x''"), [P("x' - x"), P("x'' + y")], orderly())
-    # a derivative past MAX_ORDER is refused as ritt_divide refuses it
+        ritt_divide(P("x''"), [P("x' - x"), P("x'' + y")], "full", orderly())
+    assert not kernel
+    # a derivative past MAX_ORDER is refused as the general loop refuses it
     from diffalg.diffpoly import MAX_ORDER
 
     f, g = R2.var("x", MAX_ORDER), P("x + y^(5)")
-    for divide in (lambda: ritt_divide(f, [g], "full", var="x"), lambda: _linear_divide(f, [g], var="x")):
-        with pytest.raises(diffalg.ResourceLimit, match="MAX_ORDER"):
-            divide()
+    with pytest.raises(diffalg.ResourceLimit, match="MAX_ORDER"):
+        ritt_divide(f, [g], "full", var="x")
+    monkeypatch.setattr(reduction, "_is_linear", lambda p: False)
+    with pytest.raises(diffalg.ResourceLimit, match="MAX_ORDER"):
+        ritt_divide(f, [g], "full", var="x")
+    assert len(kernel) == 1
 
 
 def test_linear_kernel_checks_every_step(monkeypatch):
     # a step that leaves its top in place fails the measure, and a step that
     # adds a term fails the exact check of the certificate identity
-    from diffalg.reduction import _linear_divide
-
     step = reduction._linear_step
     f, g = P("x'' + y"), P("x' - x")
     monkeypatch.setattr(reduction, "_linear_step", lambda ring, r, *rest: (step(ring, r, *rest)[0], dict(r)))
     with pytest.raises(InternalInvariantViolation, match=r"measure did not drop \(\(2,\) after \(2,\)\)"):
-        _linear_divide(f, [g], var="x")
+        ritt_divide(f, [g], "full", var="x")
     monkeypatch.setattr(reduction, "_linear_step", lambda *args: (lambda a, t: (a, {**t, 0: 1}))(*step(*args)))
     with pytest.raises(InternalInvariantViolation, match=r"division identity .*x' - x.*exactly, r = "):
-        _linear_divide(f, [g], var="x")
+        ritt_divide(f, [g], "full", var="x")
 
 
 def test_linear_kernel_checks_survive_python_O():
     code = textwrap.dedent(
         """
-        from diffalg import DiffRing, parse_poly
+        from diffalg import DiffRing, parse_poly, ritt_divide
         from diffalg import reduction
         from diffalg.errors import InternalInvariantViolation
 
@@ -995,7 +1026,7 @@ def test_linear_kernel_checks_survive_python_O():
                         lambda *args: (lambda a, t: (a, {**t, 0: 1}))(*step(*args))):
             reduction._linear_step = corrupt
             try:
-                reduction._linear_divide(f, [g], var="x")
+                ritt_divide(f, [g], "full", var="x")
             except InternalInvariantViolation as e:
                 print(e)
         """
