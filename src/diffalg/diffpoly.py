@@ -579,6 +579,11 @@ def _addmul(acc, a, b, negate=False):
     return acc
 
 
+def _pairs(a, b):
+    """The term pairs _addmul forms multiplying a by b."""
+    return len(a._packed) * len(b._packed)
+
+
 def _nth(chain, k):
     """chain[k] of [g, g', g'', ...], extended in place one derivation at a time."""
     while len(chain) <= k:

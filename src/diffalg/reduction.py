@@ -88,6 +88,7 @@ from .diffpoly import (
     _linear_terms,
     _linear_tops,
     _nth,
+    _pairs,
     _poly,
     _primitive,
     _ratmod,
@@ -270,6 +271,15 @@ def _no_drop(measure, last, f, divisors, r):
     )
 
 
+# Term pairs the steps of one division may form in all (mult*rest and
+# co*tail; the linear kernel keeps no tally).  The largest division of a
+# charset-nonlinear round forms 825 at seed 1 (2,420 at seed 7, 3,264 at
+# seed 97); that of a prototype of ROADMAP's membership gate 1.13 M, 3.7
+# times below this.  The swelling division in CI forms 11.9 M before its
+# remainder passes MAX_TERMS.
+MAX_DIVISION_PAIRS = 1 << 22
+
+
 def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var=None):
     """Divide f by one or several differential polynomials.
 
@@ -279,8 +289,10 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     highest unreduced occurrence is eliminated next; the (occurrence, degree)
     measure must strictly drop at each step, and the replay of the step log
     must hold (module docstring), or InternalInvariantViolation is raised.
-    A step whose remainder passes MAX_TERMS terms raises ResourceLimit.  In
-    full mode, linear f and divisors divide by the linear kernel.
+    A step whose remainder passes MAX_TERMS terms, or whose products would
+    bring the term pairs formed by the division's steps past
+    MAX_DIVISION_PAIRS, raises ResourceLimit.  In full mode, linear f and
+    divisors divide by the linear kernel, whose steps cannot swell.
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
@@ -300,6 +312,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     den = 1
     r = f
     last_measure = None
+    pairs = 0  # term pairs formed by the steps' products so far
     while True:
         best = None
         for i, (v, vg, dg, _, _, _) in enumerate(info):
@@ -330,6 +343,12 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         tail = tails.get(k)
         if tail is None:
             tail = tails[k] = G._split(occ, low, low)[1]
+        pairs += _pairs(mult, rest) + _pairs(co, tail)
+        if pairs > MAX_DIVISION_PAIRS:
+            raise ResourceLimit(
+                "division passes the cap MAX_DIVISION_PAIRS = %d term pairs in step %d"
+                % (MAX_DIVISION_PAIRS, len(log) + 1)
+            )
         log.append((i, k, co if den == 1 else co * den, mult))
         # making r primitive moves its content c into den
         c, t = _primitive(_canon(_addmul(_addmul({}, mult, rest), co, tail, negate=True)))

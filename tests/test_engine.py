@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -446,12 +451,13 @@ def _banded_system(rng, n, max_order=2):
 
 def test_linear_reduce_solves_each_matrix_once(monkeypatch):
     # Every Hungarian call and every Assignment.take, checked at each
-    # engine._solve: only an entry point's first matrix is solved cold; a
-    # form step's matrix is solved by entering its one divided row again into
-    # the carried Assignment (permuted by take in linear_reduce), whose duals
-    # fit every other row; a peel or a permutation calls no solver (the
-    # Assignment comes from take); and the weak solve enters exactly the rows
-    # holding a -inf cell the strong duals leave uncovered (u_i + v_j < 0).
+    # engine._solve that misses the memo (cleared before each entry point
+    # runs): only an entry point's first matrix is solved cold; a form step's
+    # matrix is solved by entering its one divided row again into the
+    # carried Assignment (permuted by take in linear_reduce), whose duals fit
+    # every other row; a peel enters no row, only checking the Assignment it
+    # took; and the weak solve enters exactly the rows holding a -inf cell
+    # the strong duals leave uncovered (u_i + v_j < 0).  A hit calls no solver.
     import diffalg.tropical as tropical_mod
 
     events, cold = [], []
@@ -468,28 +474,32 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         events.append(("take", out))
         return out
 
-    def checked_solve(a, names, *rest):
+    def checked_solve(a, names, start=None, rows=()):
         before = events[:]
         del events[:]
-        st = solve(a, names, *rest)
+        hit = a in engine_mod._ANSWERS
+        st = solve(a, names, start, rows)
         inside = events[:]
         del events[:]
         sol = st.sol
         assert sol.value == hungarian(a).value, a
-        if not rest:
-            assert before == [] and cold == [False] and inside[0] == ("solve", (a,)), (a, before, inside)
+        if hit:
+            assert inside == [], (a, inside)
+            return st
+        first, *inside = inside
+        if start is None:
+            assert before == [] and cold == [False] and first == ("solve", (a, None, ())), (a, before, first)
             cold[:] = [True]
-            inside = inside[1:]
             seen["cold"] += 1
-        elif before == [("take", sol)]:
+        elif not rows:
+            assert before == [("take", start)] and first == ("solve", (a, start, ())), (a, before, first)
             seen["peel"] += 1
         else:
-            *taken_first, (kind, (b, start, rows)) = before  # one re-entry, no cold solve
             (d,) = rows
-            assert kind == "solve" and b == a and sol is rest[0] and start.rho is not None, (a, before)
+            assert first == ("solve", (a, start, rows)) and start.rho is not None, (a, first)
             # linear_reduce's form steps take the permuted Assignment and
             # divide row 1 or n - 1; scripted steps divide any row
-            assert taken_first in ([], [("take", start)]) and (not taken_first or d in (1, len(a) - 1)), (a, before)
+            assert before in ([], [("take", start)]) and (not before or d in (1, len(a) - 1)), (a, before)
             assert all(
                 start.u[i] + start.v[j] >= e if j != start.rho[i] else start.u[i] + start.v[j] == e
                 for i, row in enumerate(a)
@@ -498,7 +508,7 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
                 if e != NEG_INF
             ), (a, start)
             seen["form"] += 1
-            seen["permuted"] += bool(taken_first)
+            seen["permuted"] += bool(before)
         weak = tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a)
         if sol.value == NEG_INF:
             assert inside == [("solve", (weak,))], (a, inside)
@@ -518,11 +528,13 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
     rng = random.Random(18)
     for _ in range(30):
         sys_ = _banded_system(rng, rng.randint(5, 6))
+        engine_mod._ANSWERS.clear()
         cold[:] = [False]
         try:
             linear_reduce(sys_)
         except InconsistentSystem:
             pass
+        engine_mod._ANSWERS.clear()
         cold[:] = [False]
         scripted_divide(sys_, [rng.choice(_valid_moves(sys_, sys_[0].ring))])
     assert min(seen.values()) >= 10, seen
@@ -562,11 +574,18 @@ def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
 
 
 def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
-    # one normalize call per form step, which permutes the matrix once
+    # one normalize call per form step whose matrix the memo (cleared per
+    # system) has not normalized before, which permutes the matrix once
     import diffalg.tropical as tropical_mod
 
     calls = {"normalize": 0, "apply": 0}
     normalize, apply = engine_mod.normalize, tropical_mod.FormCertificate.apply
+    normal_form, hits = engine_mod._normal_form, []
+
+    def counted_normal_form(st):
+        ans = engine_mod._ANSWERS.get(st.entries)
+        hits.append(ans is not None and ans.normal is not None)
+        return normal_form(st)
 
     def counted_normalize(*args, **kw):
         calls["normalize"] += 1
@@ -577,6 +596,7 @@ def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
         return apply(*args, **kw)
 
     monkeypatch.setattr(engine_mod, "normalize", counted_normalize)
+    monkeypatch.setattr(engine_mod, "_normal_form", counted_normal_form)
     monkeypatch.setattr(tropical_mod.FormCertificate, "apply", counted_apply)
     _, sys_ = parse_system("vars: x, y, z\nx^(100) + y' + z'\nx^(50) + y + z\nx' + y' + 1\n")
     systems = [sys_]
@@ -585,14 +605,92 @@ def test_linear_reduce_normalizes_once_per_form_step(monkeypatch):
     kinds = []
     for sys_ in systems:
         calls.update(normalize=0, apply=0)
+        engine_mod._ANSWERS.clear()
+        del hits[:]
         try:
             steps = linear_reduce(sys_).trace.steps
         except InconsistentSystem:
             continue
         forms = sum(s.kind != "peel" for s in steps)
-        assert calls == {"normalize": forms, "apply": forms}
+        assert len(hits) == forms
+        assert calls == {"normalize": hits.count(False), "apply": hits.count(False)}
         kinds += [s.kind for s in steps]
     assert "first-form" in kinds and "second-form" in kinds
+
+
+def test_answers_memo_keeps_every_output_cold_warm_and_reversed(monkeypatch):
+    # the same corpus reduced with the memo empty, then again, then in
+    # reverse order: identical results, while the warm passes solve and
+    # normalize nothing and still run every per-step check
+    import diffalg.tropical as tropical_mod
+
+    def record(sys_):
+        try:
+            res = linear_reduce(sys_)
+        except InconsistentSystem as e:
+            return str(e)
+        charset = None if res.charset is None else [render(p) for p in res.charset.elements]
+        return json.dumps(
+            [res.trace.to_json(), charset, str(res.diff_dim), str(res.abs_dim_bound), str(res.j_initial),
+             res.degenerate, res.peel_orders]
+        )
+
+    calls = []
+
+    def counted(mod, name):
+        f = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, **kw: calls.append(name) or f(*a, **kw))
+
+    checks = ("_assert_division_bound", "ritt_compare", "ritt_divide")
+    for name in ("normalize", "tdet_assignment") + checks:
+        counted(engine_mod, name)
+    counted(tropical_mod, "tdet_assignment")
+    rng = random.Random(33)
+    systems = [rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4) for _ in range(60)]
+    cold = [record(s) for s in systems]
+    cold_calls = calls[:]
+    del calls[:]
+    warm = [record(s) for s in systems]
+    warm_calls = calls[:]
+    del calls[:]
+    backwards = [record(s) for s in reversed(systems)][::-1]
+    assert cold == warm == backwards
+    assert cold_calls.count("normalize") >= 30 and cold_calls.count("tdet_assignment") >= 60
+    for name in checks:
+        assert warm_calls.count(name) == calls.count(name) == cold_calls.count(name) > 0, name
+    assert set(warm_calls) == set(calls) == set(checks)
+    kinds = [step["kind"] for r in cold if r.startswith("[") for step in json.loads(r)[0]["steps"]]
+    assert {"first-form", "second-form", "peel"} <= set(kinds)
+
+
+def test_back_substituted_set_is_checked_in_rank_under_python_O():
+    # linear_reduce builds its charset without the pairwise tests, after one
+    # pass over the ranks; an elimination ranking with its blocks reversed
+    # breaks that order, and the check names the set with asserts stripped
+    code = textwrap.dedent(
+        """
+        from diffalg import engine, linear_reduce, parse_system
+        from diffalg.diffpoly import elimination
+        from diffalg.errors import InternalInvariantViolation
+
+        assert False, "asserts must be stripped"
+        _, sys_ = parse_system("vars: x, y\\nx' - 1\\ny'' - 2\\n")
+        print(linear_reduce(sys_).abs_dim_bound)
+        engine.elimination = lambda blocks: elimination(blocks[::-1])
+        try:
+            linear_reduce(sys_)
+        except InternalInvariantViolation as e:
+            print(e)
+        """
+    )
+    src = str(Path(engine_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "3",
+        "back-substituted set does not strictly increase in rank: [\"y'' - 2\", \"x' - 1\"]",
+    ]
 
 
 def test_linear_reduce_step_budget_is_a_resource_limit(monkeypatch):

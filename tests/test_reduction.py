@@ -484,6 +484,23 @@ def test_a_swelling_division_stops_at_the_term_cap(monkeypatch):
         ritt_divide(f, [g], "full", var="x")
 
 
+def test_a_swelling_division_stops_at_the_pair_budget(monkeypatch):
+    # the same division forms co*tail products of 1*4, 4*4 and 10*4 term
+    # pairs (its rests are empty): 60 in all, which a budget of 60 allows and
+    # one of 59 refuses in step 3 with ResourceLimit (exit 3 in the CLI);
+    # the linear kernel's steps cannot swell, and it keeps no tally
+    f, g = P("x'^3"), P("x' - y'' - y' - y - 1")
+    monkeypatch.setattr(reduction, "MAX_DIVISION_PAIRS", 60)
+    assert len(ritt_divide(f, [g], "full", var="x").remainder.terms) == 20
+    monkeypatch.setattr(reduction, "MAX_DIVISION_PAIRS", 59)
+    with pytest.raises(diffalg.ResourceLimit, match="^division passes the cap MAX_DIVISION_PAIRS = 59 term pairs in step 3$"):
+        ritt_divide(f, [g], "full", var="x")
+    with pytest.raises(diffalg.ResourceLimit, match="MAX_DIVISION_PAIRS = 59"):
+        autoreduce_loop([f, g], elimination([[1], [0]]))
+    monkeypatch.setattr(reduction, "MAX_DIVISION_PAIRS", 0)
+    assert ritt_divide(P("x'' + y"), [P("x' - x")], "full", var="x").remainder == P("x + y")
+
+
 def test_autoreduce_inconsistent():
     with pytest.raises(InconsistentSystem):
         autoreduce_loop([P("x' - x"), P("x' - x - 1")], orderly())

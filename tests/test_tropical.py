@@ -608,3 +608,33 @@ def test_normalize_matches_brute_reference():
         seen[cert.form] += 1
         seen["n >= 7"] += n >= 7
     assert min(seen.values()) >= 5, seen
+
+
+def test_normalize_reads_the_same_answer_off_any_optimal_assignment():
+    # the engine keeps one Assignment per matrix, whichever way it was
+    # reached, so normalize's certificate and matrix must not depend on the
+    # duals: compare a cold solve with a re-entry of one changed row
+    rng = random.Random(31)
+    forms, other_duals = [], 0
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        a = rand_matrix(rng, n, hi=4, p_inf=0.3, finite_col0=rng.random() < 0.5)
+        d = rng.randrange(n)
+        before = a[:d] + (rand_matrix(rng, n, hi=4, p_inf=0.3)[0],) + a[d + 1 :]
+        start = tdet_assignment(before)
+        cold = tdet_assignment(a)
+        if start.rho is None or cold.rho is None:
+            continue
+        entered = tdet_assignment(a, start, (d,))
+        assert entered.value == cold.value
+        other = (entered.u, entered.v) != (cold.u, cold.v)
+        other_duals += other
+        try:
+            got = normalize(a, cold)
+        except HypothesisFailure:
+            with pytest.raises(HypothesisFailure):
+                normalize(a, entered)
+            continue
+        assert normalize(a, entered) == got, a
+        forms.append((got[0].form, other))
+    assert other_duals >= 100 and forms.count(("first", True)) >= 20 and forms.count(("second", True)) >= 50, forms
