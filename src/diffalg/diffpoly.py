@@ -19,8 +19,10 @@ bounded int.  Both caps raise ResourceLimit before a field could overflow.
 A power of a base of n terms is bounded before it is built, by C(k+n-1, k)
 terms and coefficients within (sum of |numerators|)^k over lcm(denominators)^k:
 past MAX_TERMS terms or MAX_COEFF_BITS bits it raises ResourceLimit too, as
-do _addmul, the one product loop, before more than MAX_PAIRS term pairs
-len(a)*len(b), and a Ritt division step whose remainder passes MAX_TERMS.
+do _addmul_terms, the one product loop, before more than MAX_PAIRS term
+pairs len(a)*len(b), and a Ritt division step whose remainder passes MAX_TERMS.
+Sums, products and powers are rules on packed term dicts (_merge, _product,
+_power), which DiffPoly's operators and the parser (textio) share.
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant is a test and
 the orderly leader is the word's top field.  An elimination leader is the
@@ -116,6 +118,11 @@ def _canon(acc):
     return acc
 
 
+def _word(t):
+    """The support word of the packed term dict t: the OR of its monomials."""
+    return reduce(or_, t, 0)
+
+
 def _shifts(w):
     """Bit offsets of the nonzero fields of w, highest first: one step per
     nonzero field, however many zero fields lie between."""
@@ -168,32 +175,45 @@ def _decode(nvars, m):
     return tuple(sorted((_at(s, nvars), (m >> s) & _FIELD) for s in _shifts(m)))
 
 
-class _Layout:
-    """Masks over the packed fields of a ring of `nvars` variables: one per
-    variable (its field at every order), `guard`, the top bit of every
+class _Masks:
+    """Masks over the packed fields of rings of one number of variables: one
+    per variable (its field at every order), `guard`, the top bit of every
     field (an exponent over MAX_EXPONENT), and `unit`, the lowest bit of
-    every field (an exponent of 1).  They cover the first `orders`
-    orders and grow with the longest support word they are asked about."""
+    every field (an exponent of 1).  They cover the first `orders` orders,
+    the words up to `limit`."""
+
+    __slots__ = ("var", "guard", "unit", "orders", "limit")
+
+    def __init__(self, var, guard, unit, orders, limit):
+        self.var, self.guard, self.unit, self.orders, self.limit = var, guard, unit, orders, limit
+
+
+class _Layout:
+    """The _Masks of the rings of `nvars` variables.  They depend on that
+    number alone, so one layout serves all such rings (_LAYOUTS); it grows
+    them with the longest support word it is asked about, replacing them
+    whole, so no thread reads a mix."""
 
     def __init__(self, nvars):
         self.nvars = nvars
-        self._build(8)
+        self.masks = self._build(8)
 
     def _build(self, orders):
         period = self.nvars * FIELD_BITS
         rep = sum(1 << (period * k) for k in range(orders))  # 1 in the first field of each order
-        self.var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
-        self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
-        self.unit = self.guard >> (FIELD_BITS - 1)
-        self.orders = orders
-        self.limit = (1 << (period * orders)) - 1
+        var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
+        guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
+        return _Masks(var, guard, guard >> (FIELD_BITS - 1), orders, (1 << (period * orders)) - 1)
 
     def cover(self, w):
-        """self, with masks at least as long as the word w."""
-        if w > self.limit:
-            period = self.nvars * FIELD_BITS
-            self._build(max(2 * self.orders, -(-w.bit_length() // period)))
-        return self
+        """The masks, covering at least the word w."""
+        m = self.masks
+        if w > m.limit:
+            m = self.masks = self._build(max(2 * m.orders, -(-w.bit_length() // (self.nvars * FIELD_BITS))))
+        return m
+
+
+_LAYOUTS = {}  # number of variables -> its _Layout
 
 
 class DiffRing:
@@ -210,7 +230,7 @@ class DiffRing:
         self.names = names
         self.nvars = len(names)
         self.index = {nm: i for i, nm in enumerate(names)}
-        self._layout = _Layout(self.nvars)
+        self._layout = _LAYOUTS.get(self.nvars) or _LAYOUTS.setdefault(self.nvars, _Layout(self.nvars))
 
     def __eq__(self, other):
         return isinstance(other, DiffRing) and self.names == other.names
@@ -343,17 +363,9 @@ class DiffPoly:
         return self.ring.const(other)
 
     def __add__(self, other, negate=False):
-        """self + other, or self - other when negate: the one merge loop."""
+        """self + other, or self - other when negate, by _merge."""
         other = self._coerce(other)
-        acc = dict(self._packed)
-        for m, c in other._packed.items():
-            if negate:
-                c = -c
-            if m in acc:
-                acc[m] += c
-            else:
-                acc[m] = c
-        return _poly(self.ring, _canon(acc))
+        return _poly(self.ring, _canon(_merge(dict(self._packed), other._packed.items(), negate)))
 
     __radd__ = __add__
 
@@ -373,50 +385,19 @@ class DiffPoly:
         if other.ring is not self.ring:
             self._coerce(other)  # equal rings pass, mixed rings raise
         t1, t2 = self._packed, other._packed
-        if not t2 or len(t2) == 1 and 0 in t2:
-            return self._scaled(t2.get(0, 0))
-        if len(t1) == 1 and 0 in t1:
-            return other._scaled(t1[0])
-        return _poly(self.ring, _canon(_addmul({}, self, other)))
+        t = _product(self.ring, t1, self._support(), t2, other._support())
+        return self if t is t1 else other if t is t2 else _poly(self.ring, t)
 
     __rmul__ = __mul__
 
     def _scaled(self, k):
         """self * k for a rational number k."""
-        if not k:
-            return _poly(self.ring, {})
-        if k == 1:
-            return self
-        return _poly(self.ring, _canon({m: c * k for m, c in self._packed.items()}))
+        t = _scale(self._packed, k)
+        return self if t is self._packed else _poly(self.ring, t)
 
     def __pow__(self, k):
-        _count(k, "exponent")
-        t = self._packed
-        w = self._support()
-        # the power's largest exponent is k times the base's: refuse it
-        # unbuilt (a constant's power is held to k <= MAX_EXPONENT as well)
-        top = max((m >> s) & _FIELD for m in t for s in _shifts(w)) if w else 1
-        if k * top > MAX_EXPONENT:
-            raise ResourceLimit(
-                "power %d of a polynomial with exponents up to %d exceeds the cap MAX_EXPONENT = %d"
-                % (k, top, MAX_EXPONENT)
-            )
-        if k > 1 and t:
-            # and its size, by the bounds of the module docstring
-            vals = t.values()
-            terms = math.comb(k + len(t) - 1, k)
-            bits = k * max(sum(abs(c.numerator) for c in vals), math.lcm(*(c.denominator for c in vals))).bit_length()
-            if terms > MAX_TERMS or bits > MAX_COEFF_BITS:
-                cap = "MAX_TERMS = %d" % MAX_TERMS if terms > MAX_TERMS else "MAX_COEFF_BITS = %d" % MAX_COEFF_BITS
-                raise ResourceLimit(
-                    "power %d exceeds the cap %s (term bound %d, coefficient bound %d bits)" % (k, cap, terms, bits))
-        if len(t) == 1:
-            ((m, c),) = t.items()
-            return _poly(self.ring, {m * k: c**k})
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        t = _power(self.ring, self._packed, self._support(), _count(k, "exponent"))
+        return self if t is self._packed else _poly(self.ring, t)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -543,28 +524,113 @@ class DiffPoly:
 _new = object.__new__
 
 
-def _addmul(acc, a, b, negate=False):
-    """acc + a*b, or acc - a*b when negate, into the packed term dict acc
-    (returned; it may hold zero coefficients, see _canon).  The one product
-    loop of the kernel: __mul__, a Ritt division step, its backward pass and
-    the certificate check all sum their products here.  It refuses a product
-    of more than MAX_PAIRS term pairs and, unless a or b is a constant, a
-    factor with an exponent over MAX_EXPONENT, whose sum with another could
-    carry out of its field."""
-    if a.ring is not b.ring:
-        a._coerce(b)  # equal rings pass, mixed rings raise
-    t1, t2 = a._packed, b._packed
-    if len(t1) * len(t2) > MAX_PAIRS:
-        raise ResourceLimit(
-            "product of %d by %d terms exceeds the cap MAX_PAIRS = %d term pairs" % (len(t1), len(t2), MAX_PAIRS))
-    wa, wb = a._support(), b._support()
-    if wa and wb:
-        w = wa | wb
-        if w & a.ring._layout.cover(w).guard:
+# -- arithmetic on packed term dicts ----------------------------------------
+# DiffPoly's operators and the parser (textio) share these: one merge loop,
+# one product rule and one power rule, with their caps.
+
+
+def _merge(acc, items, negate=False):
+    """acc + items, or acc - items when negate, into the packed term dict acc
+    (returned), for (monomial, nonzero coefficient) pairs: the one merge loop
+    of sums.  A coefficient that sums to zero is dropped at once, so a
+    monomial that comes back later is appended, as in a sum canonicalized
+    after each term."""
+    for m, c in items:
+        if negate:
+            c = -c
+        if m in acc:
+            c += acc[m]
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+    return acc
+
+
+def _guard(ring, w1, w2):
+    """Refuse (ResourceLimit) a product of two non-constant factors, of
+    support words w1 and w2, when a factor has an exponent over MAX_EXPONENT,
+    whose sum with another could carry out of its field."""
+    if w1 and w2:
+        w = w1 | w2
+        if w & ring._layout.cover(w).guard:
             raise ResourceLimit(
                 "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
                 % (MAX_EXPONENT, FIELD_BITS)
             )
+
+
+def _scale(t, k):
+    """The canonical packed term dict t * k, for a canonical t and a rational
+    k (t itself when k is 1)."""
+    if not k:
+        return {}
+    if k == 1:
+        return t
+    return _canon({m: c * k for m, c in t.items()})
+
+
+def _product(ring, t1, w1, t2, w2):
+    """The canonical packed term dict t1 * t2, for canonical t1 and t2 of
+    support words w1 and w2: a constant factor scales the other (_scale),
+    and two non-constant ones multiply in _addmul_terms."""
+    if not t2 or len(t2) == 1 and 0 in t2:
+        return _scale(t1, t2.get(0, 0))
+    if len(t1) == 1 and 0 in t1:
+        return _scale(t2, t1[0])
+    return _canon(_addmul_terms({}, ring, t1, w1, t2, w2))
+
+
+def _power(ring, t, w, k):
+    """The canonical packed term dict t^k, for a canonical t of support word
+    w and an int k >= 0, by k products (_product) unless t is one term.  It
+    is refused unbuilt (ResourceLimit) past the caps of the module
+    docstring: an exponent over MAX_EXPONENT (a constant's power is held to
+    k <= MAX_EXPONENT as well), more than MAX_TERMS terms or more than
+    MAX_COEFF_BITS coefficient bits."""
+    top = max((m >> s) & _FIELD for m in t for s in _shifts(w)) if w else 1
+    if k * top > MAX_EXPONENT:
+        raise ResourceLimit(
+            "power %d of a polynomial with exponents up to %d exceeds the cap MAX_EXPONENT = %d"
+            % (k, top, MAX_EXPONENT)
+        )
+    if k > 1 and t:
+        vals = t.values()
+        terms = math.comb(k + len(t) - 1, k)
+        bits = k * max(sum(abs(c.numerator) for c in vals), math.lcm(*(c.denominator for c in vals))).bit_length()
+        if terms > MAX_TERMS or bits > MAX_COEFF_BITS:
+            cap = "MAX_TERMS = %d" % MAX_TERMS if terms > MAX_TERMS else "MAX_COEFF_BITS = %d" % MAX_COEFF_BITS
+            raise ResourceLimit(
+                "power %d exceeds the cap %s (term bound %d, coefficient bound %d bits)" % (k, cap, terms, bits))
+    if len(t) == 1:
+        ((m, c),) = t.items()
+        return _canon({m * k: c**k})  # a Fraction to the power 0 is Fraction(1, 1)
+    out, wo = {0: 1}, 0
+    for _ in range(k):
+        out = _product(ring, out, wo, t, w)
+        wo = _word(out)
+    return out
+
+
+def _addmul(acc, a, b, negate=False):
+    """acc + a*b, or acc - a*b when negate, into the packed term dict acc
+    (returned; it may hold zero coefficients, see _canon), by _addmul_terms.
+    A Ritt division step, its backward pass and the certificate check all
+    sum their products here."""
+    if a.ring is not b.ring:
+        a._coerce(b)  # equal rings pass, mixed rings raise
+    return _addmul_terms(acc, a.ring, a._packed, a._support(), b._packed, b._support(), negate)
+
+
+def _addmul_terms(acc, ring, t1, w1, t2, w2, negate=False):
+    """acc + t1*t2, or acc - t1*t2 when negate, for packed term dicts t1 and
+    t2 of support words w1 and w2: the one product loop of the kernel.  It
+    refuses a product of more than MAX_PAIRS term pairs, and one that _guard
+    refuses."""
+    if len(t1) * len(t2) > MAX_PAIRS:
+        raise ResourceLimit(
+            "product of %d by %d terms exceeds the cap MAX_PAIRS = %d term pairs" % (len(t1), len(t2), MAX_PAIRS))
+    _guard(ring, w1, w2)
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     for m1, c1 in t1.items():
@@ -825,8 +891,13 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
         return self._facts(p)[2]
 
 
+_ORDERLY = Ranking("orderly")
+
+
 def orderly() -> Ranking:
-    return Ranking("orderly")
+    """The orderly ranking: one shared Ranking, so that the facts _facts
+    caches on a polynomial serve every later call that uses it."""
+    return _ORDERLY
 
 
 def elimination(blocks) -> Ranking:

@@ -278,6 +278,22 @@ def test_orderly_ranking():
     assert rk.leader(P("x^(50) + y + z")) == Derivative(0, 50)
 
 
+def test_orderly_ranking_is_shared(monkeypatch):
+    # orderly() is one immutable Ranking, and _facts caches a polynomial's
+    # leader for the ranking object that asked: so the leader of g is
+    # computed once over repeated calls that default their ranking
+    from diffalg import is_reduced_wrt
+
+    assert orderly() is orderly()
+    keys = []
+    key = Ranking.key
+    monkeypatch.setattr(Ranking, "key", lambda rk, d: keys.append(d) or key(rk, d))
+    f, g = P("x*y'"), P("y'' - x")
+    for _ in range(5):
+        assert is_reduced_wrt(f, g)
+    assert keys == [Derivative(1, 2)]
+
+
 def test_elimination_ranking():
     # x over y: x in the higher block, any x derivative beats any y derivative
     rk = elimination([[1], [0]])
@@ -665,6 +681,11 @@ def test_orders_past_the_first_masks():
         assert order_matrix([p], None, "weak").entries == (weak,)
         if not p.is_constant():
             assert orderly().leader(p) == max(p.support(), key=orderly().key)
+    # they depend on the number of variables alone: rings of one size share
+    # them, and a ring of no variables has masks of no fields
+    assert DiffRing(("p", "q", "r"))._layout is R3._layout
+    empty = DiffRing(())
+    assert empty.const(3).derive() == 0 and empty.const(2) ** 3 == 8 and empty.const(3) * 2 == 6
 
 
 def test_lift_into_extended_ring():
@@ -800,16 +821,21 @@ def test_powers_of_a_multi_term_base():
 
 def test_multi_term_power_refused_unbuilt(monkeypatch):
     # k times the base's largest exponent passes MAX_EXPONENT: no power of
-    # the base is multiplied out (the parser may still scale by constants)
+    # the base is multiplied out.  Every product of a power, by ** or by the
+    # parser, is one _product call out * base on packed term dicts, so the
+    # factors it sees are the base's: (term dict, support word) pairs
+    import diffalg.diffpoly as diffpoly_mod
+
     factors = []
-    mul = DiffPoly.__mul__
-    monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: factors.append(b) or mul(a, b))
+    product = diffpoly_mod._product
+    monkeypatch.setattr(
+        diffpoly_mod, "_product", lambda ring, t1, w1, t2, w2: factors.append((t2, w2)) or product(ring, t1, w1, t2, w2))
     base = P("x^2 + y'")
     k = MAX_EXPONENT // 2 + 1
     _refused_fast(lambda: base**k)
     _refused_fast(lambda: P("(x^2 + y')^%d" % k))
-    assert not any(isinstance(b, DiffPoly) and not b.is_constant() for b in factors)
-    assert base**2 == P("x^4 + 2*x^2*y' + y'^2") and base in factors
+    assert not any(w for _, w in factors)
+    assert base**2 == P("x^4 + 2*x^2*y' + y'^2") and (base._packed, base._support()) in factors
 
 
 def test_power_size_caps(monkeypatch):

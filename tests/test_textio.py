@@ -1,16 +1,20 @@
 """The text format: one digest over the outcomes of seeded strings and
 systems, which error wins across two bad lines, one tokenization per
-polynomial line, and the check on declared variable names."""
+polynomial line, the check on declared variable names, parses against the
+same expressions built by DiffPoly's arithmetic, and one DiffPoly built per
+polynomial line."""
 
 import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
+import diffalg.diffpoly as diffpoly
 import diffalg.textio as textio
-from diffalg import DiffRing, ParseError, ResourceLimit, parse_poly, parse_system
+from diffalg import DiffPoly, DiffRing, ParseError, ResourceLimit, parse_poly, parse_system
 from diffalg.diffpoly import describe
 
 RING = DiffRing(("x", "y", "z"))
@@ -199,3 +203,116 @@ def test_declared_names_must_be_names():
             parse_system(text, names)
     ring, _ = parse_system("vars: x_1, y2 ,, Z\nx_1 + y2 + Z\n")
     assert ring.names == ("x_1", "y2", "Z")
+
+
+# -- the parse against DiffPoly's arithmetic -----------------------------------
+
+# coefficients whose sums and products often turn integral, or cancel
+LITERALS = ("0", "1", "2", "3", "1/2", "3/2", "1/3", "2/3", "5/4", "12/8", "0/5")
+
+
+def _arith_primary(rng, depth):
+    """(text, polynomial) of a primary: the polynomial built from RING.var,
+    RING.const and DiffPoly's + - * ** alone."""
+    r = rng.random()
+    if r < 0.3:
+        lit = rng.choice(LITERALS)
+        num, _, den = lit.partition("/")
+        return lit, RING.const(Fraction(int(num), int(den or 1)))
+    if r < 0.75 or depth == 0:
+        name, order = rng.choice(RING.names), rng.randint(0, 5)
+        if order and rng.random() < 0.5:
+            return "%s^(%d)" % (name, order), RING.var(name, order)
+        return name + "'" * order, RING.var(name, order)
+    text, p = _arith_expr(rng, depth - 1)
+    return "(%s)" % text, p
+
+
+def _arith_term(rng, depth):
+    text, p = None, None
+    for _ in range(rng.randint(1, 3)):
+        ftext, f = _arith_primary(rng, depth)
+        if rng.random() < 0.25:
+            k = rng.randint(0, 3)
+            ftext, f = "%s^%d" % (ftext, k), f**k
+        text, p = (ftext, f) if p is None else (text + rng.choice(("*", " * ")) + ftext, p * f)
+    return text, p
+
+
+def _arith_expr(rng, depth):
+    """(text, polynomial) of a sum of terms, some of which repeat an earlier
+    term with the other sign, so that they cancel."""
+    texts, p = [], None
+    terms = []
+    for i in range(rng.randint(1, 4)):
+        if terms and rng.random() < 0.3:
+            t, q, neg = rng.choice(terms)
+            neg = not neg
+        else:
+            (t, q), neg = _arith_term(rng, depth), rng.random() < 0.4
+            terms.append((t, q, neg))
+        if i == 0:
+            texts.append(("-" if neg else rng.choice(("", "+"))) + t)
+            p = -q if neg else q
+        else:
+            texts.append(("- " if neg else "+ ") + t)
+            p = p - q if neg else p + q
+    return " ".join(texts), p
+
+
+def _coefficient_types(p):
+    return sorted((m, type(c).__name__) for m, c in p.terms.items())
+
+
+def test_parse_equals_public_arithmetic():
+    # seeded expressions parse to the polynomial that RING.var, RING.const
+    # and + - * ** build from the same pieces: equal, rendered alike, and
+    # with the same coefficient types, an int wherever a coefficient is
+    # integral (1/2*x + 1/2*x has the int coefficient 1)
+    fixed = (
+        ("1/2*x + 1/2*x", RING.var("x")),
+        ("1/2 + 1/2", RING.one()),
+        ("x - x", RING.zero()),
+        ("3/4*x*y - 3/4*y*x + 1/4 + 3/4", RING.one()),
+        ("(1/2)^0", RING.one()),
+        ("(x + y)^2 - x^2 - 2*x*y - y^2", RING.zero()),
+        ("(x - x + y)^3 - y^3 + x - 1/3*x - 2/3*x", RING.zero()),
+    )
+    rng = random.Random(32)
+    cases = list(fixed) + [_arith_expr(rng, 2) for _ in range(3000)]
+    integral = zero = 0
+    for text, want in cases:
+        got = parse_poly(text, RING)
+        assert got == want and describe(got) == describe(want), text
+        assert _coefficient_types(got) == _coefficient_types(want), text
+        assert all((type(c) is int) == (c.denominator == 1) for c in got.terms.values()), text
+        zero += not got
+        integral += any("/" in lit for lit in LITERALS if lit in text) and all(type(c) is int for c in got.terms.values())
+    assert zero > 300 and integral > 500, (zero, integral)
+
+
+# -- one DiffPoly per polynomial line -------------------------------------------
+
+
+def test_parse_builds_one_poly_per_line(monkeypatch):
+    # the parser sums and multiplies packed term dicts and builds the one
+    # DiffPoly of each line at its end: neither a literal, a derivative, a
+    # product, a power of a sum nor a partial sum is a DiffPoly of its own
+    built = []
+    new, init = diffpoly._new, DiffPoly.__init__
+    monkeypatch.setattr(diffpoly, "_new", lambda cls: built.append(cls) or new(cls))
+    monkeypatch.setattr(DiffPoly, "__init__", lambda p, *a: built.append(type(p)) or init(p, *a))
+    lines = [
+        "x' - y + 3/4*x*y^2 - 7",
+        "(x + y)^3 - (x - 1/2*y)^2*(y' + 1)",
+        "2*(x + (y - z)^2)*(z'' - x^(4)) + x - x",
+        "1/2*x + 1/2*x - x",
+        "((x))^2 + (x + y + z)^0 + 0*(x + y)",
+        "z",
+    ]
+    ring, polys = parse_system("vars: x, y, z\n# a comment\n" + "\n".join(lines) + "\n")
+    assert len(built) == len(lines) and len(polys) == len(lines)
+    assert polys[3] == 0 and polys[4] == parse_poly("x^2 + 1", ring) and polys[5] == ring.var("z")
+    built.clear()
+    parse_poly("(x + y)^4 - 3*x*(y - z)^2", RING)
+    assert len(built) == 1
