@@ -57,7 +57,9 @@ def _load(args):
             text = fh.read()
     except OSError as e:
         raise UserError(str(e))
-    names = [s.strip() for s in args.vars.split(",") if s.strip()] if args.vars else None  # as a vars: line
+    names = None if args.vars is None else [s.strip() for s in args.vars.split(",") if s.strip()]  # as a vars: line
+    if names == []:
+        raise UserError("--vars %r names no variable" % args.vars)
     ring, polys = parse_system(text, names)
     if not polys:
         raise UserError("empty system: %s" % args.file)

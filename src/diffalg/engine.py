@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diffpoly import NEG_INF, POS_INF, _is_linear, describe, elimination, jsonable, orderly, render, separant
+from .diffpoly import NEG_INF, POS_INF, _is_linear, elimination, jsonable, orderly, render, separant
 from .errors import InternalInvariantViolation, ResourceLimit
 from .reduction import (
     AutoreducedSet,
@@ -335,14 +335,13 @@ def linear_reduce(system) -> LinearReduceResult:
     STEP_BUDGET_FACTOR * n * (1 + max initial order).  The peeled equations
     back-substitute into an autoreduced set whose leaders are the peeled
     derivatives; the absolute dimension bound is the sum of the peeled orders
-    and never exceeds the initial strong Jacobi number.  That set is built
-    without AutoreducedSet's pairwise tests: each element is ritt_divide's
-    full remainder against the elements before it, and a full division stops
-    only when its remainder is reduced with respect to every divisor, so
-    each element is reduced with respect to each earlier one.  Once ranks
-    strictly increase, which one pass checks, that is AutoreducedSet's whole
-    rule.  Rank-deficient or underdetermined situations fall back to the
-    general autoreduction loop and report an infinite bound.
+    and never exceeds the initial strong Jacobi number.  Each element is a
+    full remainder against the earlier ones, so AutoreducedSet._increasing
+    builds the set.  Each row is tested for a nonzero constant once, in the
+    pass after it enters: the input rows, then each row a form step divided
+    (peels only delete rows, normalizations only permute them).
+    Rank-deficient or underdetermined situations fall back to the general
+    autoreduction loop and report an infinite bound.
 
     The trace's J-sequences are totals: after step k they hold the orders
     peeled so far plus the active system's Jacobi number.  A form step's own
@@ -370,22 +369,23 @@ def linear_reduce(system) -> LinearReduceResult:
     max_ord = max((e for row in st.entries for e in row if e != NEG_INF), default=0)
     budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
-    solved = []  # (equation, var, order) in peel order
+    solved, peeled = [], 0  # (equation, var, order) in peel order, and the sum of the orders
     steps = []
     # reported J: sum of peeled orders plus J of the active submatrix
     jw_seq, js_seq = [st.weak], [j_init]
     degenerate = False
     used = 0
+    fresh = eqs  # the rows not yet tested for a nonzero constant
 
     def report():
-        off = sum(o for _, _, o in solved)
-        js_seq.append(off + (st.sol.value if eqs else 0))
-        jw_seq.append(off + (st.weak if eqs else 0))
+        js_seq.append(peeled + (st.sol.value if eqs else 0))
+        jw_seq.append(peeled + (st.weak if eqs else 0))
 
     while eqs:
-        for p in eqs:
+        for p in fresh:
             if p and p.is_constant():
                 raise InconsistentSystem(p)
+        fresh = ()
         # a zero equation leaves a row of -inf, so it is caught here too
         if st.sol.value == NEG_INF:
             degenerate = True
@@ -401,6 +401,7 @@ def linear_reduce(system) -> LinearReduceResult:
             r, c = singleton
             o = int(a[r][c])
             solved.append((eqs[r], ring.var_index(names[c]), o))
+            peeled += o
             del eqs[r]
             if eqs:
                 sol = st.sol.take([k for k in range(len(a)) if k != r], [k for k in range(len(a)) if k != c])
@@ -415,6 +416,7 @@ def linear_reduce(system) -> LinearReduceResult:
         fc, b, sol = _normal_form(st)
         st = _Solved(b, tuple(names[j] for j in fc.col_perm), sol, st.weak)
         eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
+        fresh = (step.certificate.remainder,)
         steps.append(step)
         report()
         used += 1
@@ -441,16 +443,8 @@ def linear_reduce(system) -> LinearReduceResult:
                     % ("zero" if not p else "a constant", ring.names[var])
                 )
             els.append(p)
-        # each element is a full remainder against the earlier ones, so with
-        # increasing ranks the set is autoreduced (see linear_reduce)
-        ranks = [rk.rank(p) for p in els]
-        if not all(a < b for a, b in zip(ranks, ranks[1:])):
-            raise InternalInvariantViolation(
-                "back-substituted set does not strictly increase in rank: %s" % [describe(p) for p in els]
-            )
-        charset = AutoreducedSet._make((tuple(els), rk))
+        charset = AutoreducedSet._increasing(els, rk, "back-substituted set")
         diff_dim, bound = dimensions(charset, n)
-        peeled = sum(o for _, _, o in solved)
         if diff_dim != 0 or bound != peeled or (j_init != NEG_INF and bound > j_init):
             raise InternalInvariantViolation(
                 "non-degenerate reduction gave diffDim %s and bound %s (peeled orders %s, initial J %s)\n%s"

@@ -297,7 +297,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
     divisors, ranking, leads = _leads(f, divisors, ranking, var)
-    if mode == "full" and _is_linear(f) and all(map(_is_linear, divisors)):
+    if mode == "full" and all(map(_is_linear, divisors)) and _is_linear(f):
         return _linear_divide(f, divisors, ranking, leads)
     ring = f.ring
 
@@ -445,8 +445,8 @@ class AutoreducedSet(namedtuple("AutoreducedSet", "elements ranking")):
     below the later leader and that leader's proper derivatives; if the
     leaders are equal, it has the lower degree in that leader.  So only an element
     against an earlier one needs testing, and the constructor tests those
-    pairs only.  autoreduce_loop's selection makes exactly these tests, so
-    the loop builds its set with _make and checks only that ranks increase.
+    pairs only.  A set whose elements were each reduced with respect to the
+    earlier ones is autoreduced by construction; _increasing builds them all.
     """
 
     __slots__ = ()
@@ -472,6 +472,16 @@ class AutoreducedSet(namedtuple("AutoreducedSet", "elements ranking")):
                 "reduced elements share a leading variable: %s" % [describe(p) for p in elements]
             )
         return super().__new__(cls, elements, ranking)
+
+    @classmethod
+    def _increasing(cls, elements, ranking, name, where=""):
+        """The set of elements, each reduced with respect to the earlier ones, once one pass
+        finds their ranks strictly increasing; else InternalInvariantViolation naming it."""
+        ranks = [ranking.rank(p) for p in elements]
+        if not all(a < b for a, b in zip(ranks, ranks[1:])):
+            msg = "%s does not strictly increase in rank%s: %s" % (name, where, [describe(p) for p in elements])
+            raise InternalInvariantViolation(msg)
+        return cls._make((tuple(elements), ranking))
 
     def leaders(self):
         return tuple(self.ranking.leader(p) for p in self.elements)
@@ -558,15 +568,8 @@ def autoreduce_loop(generators, ranking: Ranking = None) -> CharSetResult:
     prev = None
     for rounds in range(1, MAX_ROUNDS + 1):
         chosen = _minimal_autoreduced(basis, ranking)
-        # the selection tested each pair once; with increasing ranks that is
-        # the whole rule (see AutoreducedSet)
-        aset = AutoreducedSet._make((tuple(chosen), ranking))
-        ranks = aset.rank_vector()
-        if not all(a < b for a, b in zip(ranks, ranks[1:])):
-            raise InternalInvariantViolation(
-                "chosen set does not strictly increase in rank in round %d: %s"
-                % (rounds, [describe(p) for p in chosen])
-            )
+        # the selection tested each element against the earlier ones
+        aset = AutoreducedSet._increasing(chosen, ranking, "chosen set", " in round %d" % rounds)
         if prev is not None and not compare_autoreduced(aset, prev) < 0:
             raise InternalInvariantViolation(
                 "induced ordering did not drop in round %d: %s after %s"
@@ -639,4 +642,4 @@ def elimination_project(charset: AutoreducedSet, keep) -> AutoreducedSet:
         )
     if cut == 0:
         raise ValueError("no polynomial lies in the kept block")
-    return AutoreducedSet(charset.elements[:cut], rk)
+    return AutoreducedSet._make((charset.elements[:cut], rk))  # a prefix of an autoreduced set is one

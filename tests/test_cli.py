@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
+from diffalg import corpus
 from diffalg.cli import main
 
 
@@ -64,6 +66,20 @@ def test_vars_items_are_split_like_the_vars_line(capsys):
     assert main(["jacobi", ws, "--vars", "x,,y"]) == 0
     assert main(["jacobi", ws, "--vars", "x, y z"]) == 1
     assert "variable 'y z' is not a name" in capsys.readouterr().err
+
+
+def test_vars_naming_no_variable_is_a_user_error(capsys):
+    # an empty --vars is not ignored in favour of the file's order, and one
+    # of commas only is not reported as a parse error on the file: each
+    # exits 1 with one message naming the flag, in text and in --json
+    ws = str(SYSTEMS_DIR / "weak_strong.sys")
+    for value in ("", ",", " , ,"):
+        message = "--vars %r names no variable" % value
+        assert main(["jacobi", ws, "--vars", value]) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert main(["matrix", ws, "--vars", value, "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": message, "kind": "UserError"}
 
 
 def test_trace(sysfile, capsys):
@@ -153,6 +169,45 @@ def test_pencil(sysfile, capsys):
 
 def test_examples_passes():
     assert main(["examples"]) == 0
+
+
+def test_corpus_strings_are_the_shipped_system_files():
+    # examples and the demo scripts read the corpus strings, the benchmark
+    # and README's CLI block read systems/: the two must not drift apart
+    for name, text in (
+        ("j_increasing", corpus.J_INCREASING),
+        ("j_increasing_second_form", corpus.J_INCREASING_SECOND_FORM),
+        ("weak_strong", corpus.WEAK_STRONG),
+    ):
+        assert (SYSTEMS_DIR / (name + ".sys")).read_bytes() == text.encode(), name
+
+
+def _readme_cli_block():
+    """(line, expected output or None) for each diffalg line of README's CLI
+    block; the output is the comment on the line after it, if any."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = lines.index("```sh", lines.index("## CLI"))
+    block = lines[start + 1 : lines.index("```", start + 1)]
+    out = []
+    for line, after in zip(block, block[1:] + [""]):
+        if line.startswith("diffalg "):
+            out.append((line, after[2:] if after.startswith("# ") else None))
+    return out
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch):
+    # each line as the shell would run it from the repository root: split
+    # into words, its trailing comment dropped
+    monkeypatch.chdir(REPO)
+    block = _readme_cli_block()
+    assert len(block) == 12
+    assert [e for _, e in block if e] == ["J(weak)=101 J(strong)=101", "J-sequence: 101,150,101"]
+    for line, expected in block:
+        argv = shlex.split(line, comments=True)
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if expected is not None:
+            assert out == expected + "\n", line
 
 
 def test_error_paths(sysfile, capsys):
@@ -558,7 +613,8 @@ def test_bench_tracer_installs_and_restores_every_wrapped_name():
         assert all(vars(cls)[k] is v for k, v in attrs.items()), cls
 
 
-SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
+REPO = Path(__file__).resolve().parent.parent
+SYSTEMS_DIR = REPO / "systems"
 
 
 def _pinned_invocations():

@@ -218,6 +218,75 @@ def test_linear_reduce_inconsistent():
         linear_reduce(sys_)
 
 
+def _record_form_steps(monkeypatch):
+    """Each form step's (rows of its system, kind, remainder), as linear_reduce takes it."""
+    steps = []
+    form_step = engine_mod._form_step
+
+    def recording(system, kind, st):
+        out = form_step(system, kind, st)
+        steps.append((len(system), kind, out[1].certificate.remainder))
+        return out
+
+    monkeypatch.setattr(engine_mod, "_form_step", recording)
+    return steps
+
+
+def test_a_constant_input_row_is_inconsistent_before_any_step(monkeypatch):
+    # the input rows are tested first, before the degenerate test its -inf
+    # row would trip and before any peel
+    steps = _record_form_steps(monkeypatch)
+    monkeypatch.setattr(engine_mod, "minor", lambda *a: pytest.fail("a peel was taken"))
+    _, sys_ = parse_system("vars: x, y, z\nx' + y\n3\nx + z'\n")
+    with pytest.raises(InconsistentSystem) as e:
+        linear_reduce(sys_)
+    assert str(e.value) == "nonzero constant remainder 3" and steps == []
+
+
+def test_a_constant_form_step_remainder_after_a_peel_is_inconsistent(monkeypatch):
+    # z is peeled, then the second-form step on the two rows left divides
+    # x' + y + 1 by x' + y: its remainder is the constant, tested in the
+    # next pass as the one row that entered
+    steps = _record_form_steps(monkeypatch)
+    _, sys_ = parse_system("vars: x, y, z\nx' + y\nx' + y + 1\nz' + x\n")
+    with pytest.raises(InconsistentSystem) as e:
+        linear_reduce(sys_)
+    assert str(e.value) == "nonzero constant remainder -1"
+    assert [(n, kind, render(r)) for n, kind, r in steps] == [(2, "second-form", "-1")]
+
+
+def test_linear_reduce_tests_each_row_once(monkeypatch):
+    # peels delete rows and normalizations permute them, so each row is
+    # tested for a nonzero constant in the pass after it enters: the input
+    # rows, each nonzero remainder of a form step, and the back-substituted
+    # set's elements
+    calls = []
+    is_constant = DiffPoly.is_constant
+
+    def counting(p):
+        if sys._getframe(1).f_code is engine_mod.linear_reduce.__code__:
+            calls.append(p)
+        return is_constant(p)
+
+    monkeypatch.setattr(DiffPoly, "is_constant", counting)
+    rng = random.Random(33)
+    kinds = set()
+    for _ in range(60):
+        ring = ring_of(rng.randint(2, 4))
+        sys_ = rand_linear_system(rng, ring, max_order=3)
+        calls.clear()
+        try:
+            res = linear_reduce(sys_)
+        except InconsistentSystem:
+            continue
+        forms = [s for s in res.trace.steps if s.kind != "peel"]
+        kinds.update(s.kind for s in res.trace.steps)
+        expected = sum(1 for p in sys_ if p) + sum(1 for s in forms if s.certificate.remainder)
+        expected += 0 if res.degenerate else ring.nvars
+        assert len(calls) == expected
+    assert {"peel", "first-form", "second-form"} <= kinds
+
+
 def test_linear_reduce_rejects_nonlinear_and_nonsquare():
     with pytest.raises(ValueError):
         linear_reduce([P("x'^2 - y"), P("y' - x")])

@@ -549,6 +549,18 @@ def test_elimination_project():
         elimination_project(AutoreducedSet((P("y' - y"), P("x' - y")), rk), ["x", "y"])
 
 
+def test_elimination_project_returns_the_prefix_untested(monkeypatch):
+    # a prefix of an autoreduced set is autoreduced: the projection returns
+    # the set's own first elements under its ranking and tests no pair again
+    rk = elimination([[1, 2], [0]])  # y, z kept
+    gens = [parse_poly(s, R3) for s in ("y' - z", "z'' - y", "x' - y - z")]
+    cs = AutoreducedSet(sorted(gens, key=rk.rank), rk)
+    monkeypatch.setattr(reduction, "is_reduced_wrt", lambda *a: pytest.fail("a pair was tested"))
+    kept = elimination_project(cs, ["z", "y"])
+    assert type(kept) is AutoreducedSet and kept.ranking is rk
+    assert len(kept.elements) == 2 and all(a is b for a, b in zip(kept.elements, cs.elements))
+
+
 # -- randomized certificate checks --------------------------------------------------
 
 
