@@ -471,7 +471,8 @@ class DiffPoly:
         """Max derivative order of var, -inf when var does not occur (the
         strong convention; tropical.weak_entries reads -inf as 0 for the
         weak one)."""
-        var = self.ring.var_index(var) if isinstance(var, str) else _var(var)
+        if type(var) is not int:
+            var = self.ring.var_index(var) if isinstance(var, str) else _var(var)
         top = self._top(var) if 0 <= var < self.ring.nvars else None
         return NEG_INF if top is None else top[0]
 
@@ -775,16 +776,27 @@ def _linear_terms(p: DiffPoly):
     return p._packed
 
 
-def _linear_tops(ring, t):
-    """(support word, [order of the top derivative of each variable]) of the
-    linear term dict t, by one pass over t; the order is -1 for a variable
-    that does not occur.  An order over MAX_ORDER, which only a derivative
-    D^k g can reach, raises ResourceLimit as DiffPoly.derive does."""
-    w = reduce(or_, t, 0)
+def _linear_word(ring, t):
+    """(w, masks, up) for the linear term dict t: its support word w, the
+    ring's mask of each variable covering w, and the field period
+    up = n*FIELD_BITS, so that the order of the top derivative of variable v
+    is ((w & masks[v]).bit_length() - 1) // up, -1 when v does not occur.
+    t's monomials are distinct single bits and 0, so w is their sum.  An
+    order over MAX_ORDER, which only a derivative D^k g can reach, raises
+    ResourceLimit as DiffPoly.derive does."""
+    w = sum(t)
     up = ring.nvars * FIELD_BITS
     if w.bit_length() > (MAX_ORDER + 1) * up:
         raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
-    return w, [((w & x).bit_length() - 1) // up for x in ring._layout.cover(w).var]
+    return w, ring._layout.cover(w).var, up
+
+
+def _linear_tops(ring, w):
+    """The order of the top derivative of each variable of the ring, -1 for
+    an absent one, read off w, the support word of a linear term dict, as
+    _linear_word describes."""
+    up = ring.nvars * FIELD_BITS
+    return [((w & x).bit_length() - 1) // up for x in ring._layout.cover(w).var]
 
 
 def _linear_at(ring, t, var, order):
@@ -797,13 +809,15 @@ def _submul(acc, a, row, k, ring):
     hold zero coefficients), for the term dict row of a linear polynomial:
     D^k moves each derivative k orders, k*n fields, up, and for k > 0 the
     constant drops."""
+    if not k:
+        for m, c in row.items():
+            acc[m] = acc.get(m, 0) - a * c
+        return acc
     sh = k * ring.nvars * FIELD_BITS
     for m, c in row.items():
         if m:
             m <<= sh
-        elif sh:
-            continue
-        acc[m] = acc.get(m, 0) - a * c
+            acc[m] = acc.get(m, 0) - a * c
     return acc
 
 
@@ -819,13 +833,12 @@ def _linear_step(ring, r, lc, var, order, g, k):
     return a, _canon(acc)
 
 
-def _linear_poly(ring, t, w, tops):
+def _linear_poly(ring, t, w):
     """_poly(ring, t) for a canonical linear term dict t, with its support
-    word w and the top derivative of each variable cached: (w, tops) is
-    _linear_tops(ring, t)."""
+    word w and the top derivative of each variable (_linear_tops) cached."""
     p = _poly(ring, t)
     p._word, p._lin = w, True
-    p._tops = {v: (o, 1) if o >= 0 else None for v, o in enumerate(tops)}
+    p._tops = {v: (o, 1) if o >= 0 else None for v, o in enumerate(_linear_tops(ring, w))}
     return p
 
 
@@ -863,8 +876,10 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
     def _facts(self, p: DiffPoly):
         """(self, (leader, degree of p in it), rank), cached on p for this
         ranking.  The leader is the occurring derivative of largest key; under
-        the orderly ranking that is the top field of the support word.  Either
-        way it is the top derivative of its variable."""
+        the orderly ranking that is the top field of the support word, and
+        under an elimination ranking the largest (order, var) of the highest
+        block where a variable occurs (_block_leader).  Either way it is the
+        top derivative of its variable."""
         got = p._lead
         if got is not None and got[0] is self:
             return got
@@ -874,13 +889,43 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
         n = p.ring.nvars
         if self.kind == "orderly":
             ld = _at((w.bit_length() - 1) // FIELD_BITS * FIELD_BITS, n)
+            key = self.key(ld)
         else:
-            # keys are taken highest field first, so an uncovered variable is
-            # reported at its highest occurring derivative
-            ld = max((_at(s, n) for s in _shifts(w)), key=self.key)
+            key = self._block_leader(p, n)
+            if key is None:
+                # keys are taken highest field first, so an uncovered variable
+                # is reported at its highest occurring derivative
+                ld = max((_at(s, n) for s in _shifts(w)), key=self.key)
+                key = self.key(ld)
+            else:
+                ld = Derivative(key[2], key[1])
         deg = p._top(ld.var)[1]
-        got = p._lead = (self, (ld, deg), (self.key(ld), deg))
+        got = p._lead = (self, (ld, deg), (key, deg))
         return got
+
+    def _block_leader(self, p: DiffPoly, n):
+        """The key (block, order, var) of p's leader under this elimination
+        ranking, read off p's cached tops from the highest block down: the
+        largest (order, var) in the first block where a variable occurs.
+        None unless the blocks name exactly the variables of p's ring, as
+        int indices; key then decides."""
+        blocks = self.blocks
+        named = 0  # distinct, as Ranking checks: n ints in range(n) are all of them
+        for vs in blocks:
+            for v in vs:
+                if type(v) is not int or not 0 <= v < n:
+                    return None
+                named += 1
+        if named != n:
+            return None
+        for b in range(len(blocks) - 1, -1, -1):
+            best = None
+            for v in blocks[b]:
+                top = p._top(v)
+                if top is not None and (best is None or (top[0], v) > best):
+                    best = (top[0], v)
+            if best is not None:
+                return (b,) + best
 
     def leader_degree(self, p: DiffPoly):
         """(leader, degree of p in it), cached on p for this ranking."""

@@ -141,13 +141,13 @@ class Trace(namedtuple("Trace", "steps j_sequence j_sequence_strong")):
 
 
 def _assert_division_bound(a, b, drow, grow, vcol):
-    shift = a[drow][vcol] - a[grow][vcol]
-    for j in range(len(a[0])):
-        bound = max(a[drow][j], a[grow][j] + shift)
-        if b[drow][j] > bound:
+    d, g = a[drow], a[grow]
+    shift = d[vcol] - g[vcol]
+    for j, z in enumerate(b[drow]):
+        if z > d[j] and z > g[j] + shift:  # z > max(d[j], g[j] + shift)
             raise InternalInvariantViolation(
                 "division bound violated at column %d: %s > %s\nbefore:\n%s\nafter:\n%s"
-                % (j, b[drow][j], bound, render_grid(a), render_grid(b))
+                % (j, z, max(d[j], g[j] + shift), render_grid(a), render_grid(b))
             )
 
 
@@ -162,7 +162,7 @@ def _check_pivot_separant(system, pivot_index, var, charset):
 
 _Solved = namedtuple("_Solved", "entries names sol weak")  # see the module docstring
 
-# A seed-1 linear-deep round of the benchmark (1,000 systems) solves 2,656
+# A seed-1 linear-deep round of the benchmark (800 systems) solves 2,656
 # distinct matrices and normalizes 2,101; past the bound the memo is cleared whole.
 ANSWERS_BOUND = 1 << 12
 _ANSWERS = {}  # strong order matrix entries -> its _Answers, for every caller
@@ -221,15 +221,17 @@ def _divide_step(system, di, gi, var, kind, st, mode):
     into st.sol, O(n^2).
     Returns the new system, the step, and the record after the step."""
     cert = ritt_divide(system[di], [system[gi]], mode, var=var)
+    r = cert.remainder
     out = list(system)
-    out[di] = cert.remainder
+    out[di] = r
     a, names = st.entries, st.names
-    b = a[:di] + (tuple(cert.remainder.order_in(name) for name in names),) + a[di + 1 :]
+    index = r.ring.index
+    b = a[:di] + (tuple([r.order_in(index[name]) for name in names]),) + a[di + 1 :]
     _assert_division_bound(a, b, di, gi, names.index(var))
     after = _solve(b, names, st.sol, (di,))
-    step = ReductionStep(
-        kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, OrderMatrix(b, "strong", names)
-    )
+    # b is a's rows with row di replaced by one of as many entries: no check to repeat
+    matrix = OrderMatrix._make((b, "strong", names))
+    step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, matrix)
     return out, step, after
 
 
@@ -391,11 +393,10 @@ def linear_reduce(system) -> LinearReduceResult:
             degenerate = True
             break
         a, names = st.entries, st.names
-        singleton = None
-        for c in range(len(a[0])):
-            rows = [i for i in range(len(eqs)) if a[i][c] != NEG_INF]
-            if len(rows) == 1:
-                singleton = (rows[0], c)
+        singleton, live = None, len(a) - 1
+        for c, col in enumerate(zip(*a)):
+            if col.count(NEG_INF) == live:
+                singleton = ([e != NEG_INF for e in col].index(True), c)
                 break
         if singleton is not None:
             r, c = singleton

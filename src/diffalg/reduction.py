@@ -86,7 +86,7 @@ from .diffpoly import (
     _linear_poly,
     _linear_step,
     _linear_terms,
-    _linear_tops,
+    _linear_word,
     _nth,
     _pairs,
     _poly,
@@ -136,7 +136,7 @@ class DivisionCertificate:
         self.remainder = remainder
         self.den = den  # a positive int, or a Fraction for rational f or g_i
         self.mode = mode
-        self.multipliers = tuple(m for *_, m in log)  # the step multipliers, in step order
+        self.multipliers = tuple([step[3] for step in log])  # the step multipliers, in step order
 
     @cached_property
     def _formed(self):
@@ -372,24 +372,35 @@ def _linear_divide(f: DiffPoly, divisors, ranking, leads):
     """ritt_divide's full mode for linear f and divisors, whose coefficients
     are then constants, on their packed term dicts (module docstring): the
     same steps, log, remainder, den and certificate.  divisors, ranking and
-    leads are as _leads returns them.  The measure must drop at every step
-    and the certificate identity must hold exactly, or
-    InternalInvariantViolation is raised."""
+    leads are as _leads returns them.  Each iteration takes the remainder's
+    support word once (diffpoly._linear_word, with its MAX_ORDER guard) and
+    reads off it, through the ring's masks, the top orders of the divisors'
+    variables only.  A candidate x_v^(o) is compared by an integer key equal
+    to ranking.key's: prefix + (o, v), the prefix fixed per divisor (its
+    block under an elimination ranking, none under the orderly one), or
+    (o,) when a variable is given.  The remainder of a division that took a
+    step keeps the top orders of every variable, read once off the last word
+    (diffpoly._linear_poly).  The measure must drop at every step and the
+    certificate identity must hold exactly, or InternalInvariantViolation is
+    raised."""
     ring = f.ring
     ft = _linear_terms(f)
-    rows = []  # per divisor: the variable and order of its leader, its terms and its leading coefficient
+    # per divisor: the variable and order of its leader, its terms, its
+    # leading coefficient and the prefix of its variable's keys
+    rows = []
     for g, (ld, _) in zip(divisors, leads):
         gt = _linear_terms(g)
-        rows.append((ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
+        pre = ranking.key(ld)[:-2] if ranking is not None else None
+        rows.append((ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order), pre))
     r, den, steps, last = ft, 1, [], None  # steps: divisor index, k, den*a
     while True:
         # the highest unreduced derivative, as _violates finds it in full mode
-        w, tops = _linear_tops(ring, r)
+        w, masks, up = _linear_word(ring, r)
         best = None
-        for i, (v, og, _, _) in enumerate(rows):
-            o = tops[v]
+        for i, (v, og, _, _, pre) in enumerate(rows):
+            o = ((w & masks[v]).bit_length() - 1) // up
             if o >= og:
-                key = ranking.key(Derivative(v, o)) if ranking is not None else (o,)
+                key = pre + (o, v) if pre is not None else (o,)
                 if best is None or key > best[0]:
                     best = (key, i, o)
         if best is None:
@@ -399,7 +410,7 @@ def _linear_divide(f: DiffPoly, divisors, ranking, leads):
             raise _no_drop(key, last, f, divisors, _poly(ring, r))
         last = key
         # lc*r - a*D^k g cancels the term a*x_v^(o) of r
-        v, og, gt, lc = rows[i]
+        v, og, gt, lc, _ = rows[i]
         a, t = _linear_step(ring, r, lc, v, o, gt, o - og)
         steps.append((i, o - og, a * den))
         c, r = _primitive(t)
@@ -407,7 +418,7 @@ def _linear_divide(f: DiffPoly, divisors, ranking, leads):
     chains = [[g, *g._chain] for g in divisors]
     if not steps:
         return DivisionCertificate(f, chains, [], f, den, "full")
-    rem = _linear_poly(ring, r, w, tops)
+    rem = _linear_poly(ring, r, w)  # w is r's word: the last pass took no step
     # S*f - sum_ik Q_ik * D^k g_i - den*r, exactly: S and the Q_ik are numbers
     S, Q = 1, {}
     for i, k, t in reversed(steps):
@@ -418,7 +429,7 @@ def _linear_divide(f: DiffPoly, divisors, ranking, leads):
         _submul(acc, q, rows[i][2], k, ring)
     if any(acc.values()):
         raise _violation(f, chains, "full", "exactly, r = %s" % describe(rem))
-    mults = [_poly(ring, {0: lc}) for *_, lc in rows]
+    mults = [_poly(ring, {0: row[3]}) for row in rows]
     log = [(i, k, _poly(ring, {0: _integral(t)}), mults[i]) for i, k, t in steps]
     return DivisionCertificate(f, chains, log, rem, den, "full")
 

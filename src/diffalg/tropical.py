@@ -375,15 +375,17 @@ def ritt_key(entries):
 
 
 def ritt_compare(a, b) -> str:
-    """Compares ritt_key(a) with ritt_key(b), sorting one column of each at
-    a time and stopping at the first that differs."""
-    n, m = _shape(a)
-    if _shape(b) != (n, m):
+    """Compares ritt_key(a) with ritt_key(b), one column of each at a time,
+    stopping at the first whose sorted entries differ; a column whose
+    entries are equal as they stand is passed over unsorted."""
+    shape = _shape(a)
+    if _shape(b) != shape:
         raise ValueError("shape mismatch")
-    for j in range(m):
-        ca, cb = sorted(row[j] for row in a), sorted(row[j] for row in b)
+    for ca, cb in zip(zip(*a), zip(*b)):
         if ca != cb:
-            return LESS if ca < cb else GREATER
+            ca, cb = sorted(ca), sorted(cb)
+            if ca != cb:
+                return LESS if ca < cb else GREATER
     return EQUAL
 
 

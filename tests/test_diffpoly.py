@@ -657,7 +657,18 @@ def test_leaders_match_brute_force():
     rng = random.Random(41)
     R4 = ring_of(4)
     rankings = [orderly(), elimination([[0], [1, 2, 3]]), elimination([[3, 1], [0], [2]]),
-                elimination([[2], [0, 1], [3]]), elimination([[0, 1, 2, 3]])]
+                elimination([[2], [0, 1], [3]]), elimination([[0, 1, 2, 3]]),
+                elimination([[2, 7], [0], [1, 3]])]  # 7 names no variable of the ring
+    # singleton blocks over a shuffled variable order, as linear_reduce builds them
+    shuffle = random.Random(43)
+    for _ in range(4):
+        order = [0, 1, 2, 3]
+        shuffle.shuffle(order)
+        rankings.append(elimination([[v] for v in order]))
+    # blocks that leave variables uncovered: w, with 5 naming no variable of
+    # the ring, and both z and w
+    partials = [(elimination([[1], [5], [0, 2]]), (3,)), (elimination([[1], [0]]), (2, 3))]
+    raised = 0
     for _ in range(400):
         p = rand_nonconstant(rng, R4, max_monos=5, max_order=12)
         brute_support = {d for m in p.terms for d, _ in m}
@@ -666,8 +677,20 @@ def test_leaders_match_brute_force():
             ld = max(brute_support, key=rk.key)
             assert rk.leader(p) == ld
             assert rk.rank(p) == (rk.key(ld), max(dict(m).get(ld, 0) for m in p.terms))
-    with pytest.raises(ValueError, match="not covered"):
+        # an uncovered variable is reported at its highest occurring derivative
+        for rk, out in partials:
+            uncovered = [(d.order, d.var) for d in brute_support if d.var in out]
+            if uncovered:
+                raised += rk is partials[0][0]
+                with pytest.raises(ValueError) as err:
+                    rk.leader(p)
+                assert str(err.value) == "variable %d not covered by blocks" % max(uncovered)[1]
+            else:
+                assert rk.leader(p) == max(brute_support, key=rk.key)
+    assert 50 <= raised <= 350, raised
+    with pytest.raises(ValueError) as err:
         elimination([[0], [1]]).leader(R4.var("z", 2) + R4.var("x"))
+    assert str(err.value) == "variable 2 not covered by blocks"
 
 
 def test_orders_past_the_first_masks():

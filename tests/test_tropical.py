@@ -281,6 +281,34 @@ def test_ritt_compare():
         ritt_compare(a, ((1, 2, 3),))
 
 
+def test_ritt_compare_agrees_with_ritt_key():
+    # ritt_compare sorts only the columns that differ as they stand; its answer
+    # is still the comparison of the two ritt_keys, in both directions
+    rng = random.Random(61)
+    flip = {"less": "greater", "greater": "less", "equal": "equal"}
+    seen = {"one row": 0, "equal": 0, "reordered": 0, "other": 0, "-inf": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        p_inf = rng.choice([0.0, 0.2, 0.5])
+        a = rand_matrix(rng, n, hi=rng.choice([2, 9]), p_inf=p_inf)
+        kind = rng.choice(list(seen)[:4])
+        if kind == "one row":  # a form step replaces the divided row only
+            i = rng.randrange(n)
+            b = a[:i] + rand_matrix(rng, n, hi=9, p_inf=p_inf)[:1] + a[i + 1 :]
+        elif kind == "equal":
+            b = tuple(a)
+        elif kind == "reordered":  # unequal columns, equal once sorted
+            b = tuple(rng.sample(a, n))
+        else:
+            b = rand_matrix(rng, n, hi=9, p_inf=p_inf)
+        ka, kb = ritt_key(a), ritt_key(b)
+        want = "less" if ka < kb else "greater" if ka > kb else "equal"
+        assert ritt_compare(a, b) == want and ritt_compare(b, a) == flip[want], (a, b)
+        seen[kind] += 1
+        seen["-inf"] += any(INF in row for row in a + b)
+    assert min(seen.values()) >= 200, seen
+
+
 # -- form detection ----------------------------------------------------------------
 
 
