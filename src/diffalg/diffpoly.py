@@ -25,9 +25,11 @@ Sums, products and powers are rules on packed term dicts (_merge, _product,
 _power), which DiffPoly's operators and the parser (textio) share.
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant is a test and
-the orderly leader is the word's top field.  An elimination leader is the
-occurring derivative of largest Ranking.key, the order a division's measure
-compares (Ritt 1950, ch. I; Kolchin 1973).
+the orderly leader is the word's top field.  A derivative ranks by
+Ranking.key, its variable's prefix (the block under an elimination ranking,
+resolved once per ranking) followed by (order, var): the one order that
+leaders and a division's measure compare (Ritt 1950, ch. I; Kolchin 1973).
+An elimination leader is the largest key over the occurring variables' tops.
 A polynomial is immutable, so every other fact asked of it again is kept on
 it too, each computed on first use: the `terms` view; per variable, the
 order of its top derivative and the degree in it (read by order_in,
@@ -51,7 +53,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul, or_
 
 from .errors import ResourceLimit, digit_limit
@@ -845,15 +847,18 @@ def _linear_poly(ring, t, w):
 # -- rankings -------------------------------------------------------------
 
 
+_UNCOVERED = (POS_INF,)  # the key prefix _facts gives a variable in no block
+
+
 class Ranking(namedtuple("Ranking", "kind blocks")):
     """Orderly or block-elimination ranking on derivatives.
 
     kind 'orderly': compare (order, var index).
     kind 'elim': blocks of variable indices, later blocks rank higher;
     within a block compare (order, var index).
+    key(d) = _prefix(d.var) + (d.order, d.var) is the one rank of derivatives
+    that leaders and divisions compare.
     """
-
-    __slots__ = ()
 
     def __new__(cls, kind, blocks=()):
         if kind not in ("orderly", "elim"):
@@ -862,24 +867,34 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
             raise ValueError("variable repeated across blocks")
         return super().__new__(cls, kind, blocks)
 
-    def key(self, d: Derivative):
+    @cached_property
+    def _prefixes(self):
+        """Variable -> the prefix (block,) of its keys, resolved once."""
+        return {v: (b,) for b, vs in enumerate(self.blocks) for v in vs}
+
+    def _prefix(self, v):
+        """The prefix of the keys of variable v's derivatives: () under the
+        orderly ranking, (block,) under an elimination one; ValueError when
+        no block holds v."""
         if self.kind == "orderly":
-            return (d.order, d.var)
-        for block, vs in enumerate(self.blocks):
-            if d.var in vs:
-                return (block, d.order, d.var)
-        raise ValueError("variable %d not covered by blocks" % d.var)
+            return ()
+        pre = self._prefixes.get(v)
+        if pre is None:
+            raise ValueError("variable %d not covered by blocks" % v)
+        return pre
+
+    def key(self, d: Derivative):
+        return self._prefix(d.var) + (d.order, d.var)
 
     def leader(self, p: DiffPoly) -> Derivative:
         return self.leader_degree(p)[0]
 
     def _facts(self, p: DiffPoly):
         """(self, (leader, degree of p in it), rank), cached on p for this
-        ranking.  The leader is the occurring derivative of largest key; under
-        the orderly ranking that is the top field of the support word, and
-        under an elimination ranking the largest (order, var) of the highest
-        block where a variable occurs (_block_leader).  Either way it is the
-        top derivative of its variable."""
+        ranking.  The leader is the occurring derivative of largest key, the
+        top derivative of its variable: under the orderly ranking the top
+        field of the support word, and under an elimination ranking the
+        largest (block, order, var) over the occurring variables' tops."""
         got = p._lead
         if got is not None and got[0] is self:
             return got
@@ -889,43 +904,24 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
         n = p.ring.nvars
         if self.kind == "orderly":
             ld = _at((w.bit_length() - 1) // FIELD_BITS * FIELD_BITS, n)
-            key = self.key(ld)
+            key = (ld.order, ld.var)
         else:
-            key = self._block_leader(p, n)
-            if key is None:
-                # keys are taken highest field first, so an uncovered variable
-                # is reported at its highest occurring derivative
-                ld = max((_at(s, n) for s in _shifts(w)), key=self.key)
-                key = self.key(ld)
-            else:
-                ld = Derivative(key[2], key[1])
+            # a variable in no block takes a prefix above every block's, so
+            # that _prefix raises for the uncovered one of largest (order, var);
+            # a plain loop, as a generator here would put p in a closure cell
+            # and slow every cached call
+            pres, key = self._prefixes, None
+            for v in range(n):
+                top = p._top(v)
+                if top is not None:
+                    k = pres.get(v, _UNCOVERED) + (top[0], v)
+                    if key is None or k > key:
+                        key = k
+            ld = Derivative(key[-1], key[-2])
+            key = self._prefix(ld.var) + key[-2:]
         deg = p._top(ld.var)[1]
         got = p._lead = (self, (ld, deg), (key, deg))
         return got
-
-    def _block_leader(self, p: DiffPoly, n):
-        """The key (block, order, var) of p's leader under this elimination
-        ranking, read off p's cached tops from the highest block down: the
-        largest (order, var) in the first block where a variable occurs.
-        None unless the blocks name exactly the variables of p's ring, as
-        int indices; key then decides."""
-        blocks = self.blocks
-        named = 0  # distinct, as Ranking checks: n ints in range(n) are all of them
-        for vs in blocks:
-            for v in vs:
-                if type(v) is not int or not 0 <= v < n:
-                    return None
-                named += 1
-        if named != n:
-            return None
-        for b in range(len(blocks) - 1, -1, -1):
-            best = None
-            for v in blocks[b]:
-                top = p._top(v)
-                if top is not None and (best is None or (top[0], v) > best):
-                    best = (top[0], v)
-            if best is not None:
-                return (b,) + best
 
     def leader_degree(self, p: DiffPoly):
         """(leader, degree of p in it), cached on p for this ranking."""

@@ -58,9 +58,12 @@ lc, a number, so a step is r <- prim(lc*r - a*D^k g) on term dicts, with a
 the coefficient of the eliminated derivative, and no derivative chain is
 formed.  S and the Q_ik are then numbers, so the kernel checks
 S*f - sum_ik Q_ik * D^k g_i - den*r = 0 exactly on the term dicts, at the
-cost of numbers times shifted rows, in place of the probabilistic replay;
-the certificate still forms S and the Q_i as polynomials, and checks them
-on the divisors' derivative chains, when read.
+cost of numbers times shifted rows, in place of the probabilistic replay.
+Its one step log holds each den*a as a number, which that check reads, and
+the divisor's leading coefficient as one constant polynomial per divisor.
+The certificate forms the constants of the den*a, S and the Q_i as
+polynomials, and checks them on the divisors' derivative chains, only when
+S or the Q_i are read.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ from .diffpoly import (
     _addmul,
     _apply,
     _canon,
-    _integral,
     _is_linear,
     _linear_at,
     _linear_poly,
@@ -148,6 +150,8 @@ class DivisionCertificate:
         S = ring.one()
         accs = [{} for _ in chains]
         for i, k, t, mult in reversed(self._log):
+            if not isinstance(t, DiffPoly):  # a number, logged by the linear kernel
+                t = ring.const(t)
             _addmul(accs[i].setdefault(k, {}), S, t)
             S = mult * S
         Q = tuple(LinOp(ring, {k: _poly(ring, _canon(a)) for k, a in q.items()}) for q in accs)
@@ -236,12 +240,13 @@ def _violates(r, v, vg, dg, mode):
 
 
 def _leads(f, divisors, ranking, var):
-    """(divisors as a list, ranking, [(leader, degree) per divisor]) of a
-    division of f: with var given, the one divisor's top derivative in var
-    and no ranking; otherwise each divisor's leader under the ranking
-    (orderly when None), which is the top derivative of its own variable.
-    ValueError for what ritt_divide refuses, a divisor of another ring than
-    f's among it."""
+    """(divisors as a list, [(leader, degree) per divisor], [key prefix per
+    divisor]) of a division of f: with var given, the one divisor's top
+    derivative in var and prefix None, so a candidate x_v^(o) compares as
+    (o,); otherwise each divisor's leader under the ranking (orderly when
+    None) and its variable's Ranking._prefix pre, so x_v^(o) compares as
+    pre + (o, v), its Ranking.key.  ValueError for what ritt_divide refuses,
+    a divisor of another ring than f's among it."""
     divisors = list(divisors)
     if not divisors:
         raise ValueError("no divisors")
@@ -255,13 +260,13 @@ def _leads(f, divisors, ranking, var):
         leads = [divisors[0].leader_in(var)]
         if leads[0] is None:
             raise ValueError("divisor does not involve the division variable")
-        return divisors, None, leads
+        return divisors, leads, [None]
     if ranking is None:
         ranking = orderly()
     leads = [ranking.leader_degree(g) for g in divisors]
     if len({lg.var for lg, _ in leads}) != len(leads):
         raise ValueError("divisors must have distinct leading variables")
-    return divisors, ranking, leads
+    return divisors, leads, [ranking._prefix(lg.var) for lg, _ in leads]
 
 
 def _no_drop(measure, last, f, divisors, r):
@@ -296,14 +301,14 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     """
     if mode not in ("partial", "full"):
         raise ValueError("unknown mode %r" % mode)
-    divisors, ranking, leads = _leads(f, divisors, ranking, var)
+    divisors, leads, pres = _leads(f, divisors, ranking, var)
     if mode == "full" and all(map(_is_linear, divisors)) and _is_linear(f):
-        return _linear_divide(f, divisors, ranking, leads)
+        return _linear_divide(f, divisors, leads, pres)
     ring = f.ring
 
-    # per divisor: its variable, order, leader degree, separant, initial, and
-    # its chain entries without their leading parts (DiffPoly._leading)
-    info = [(lg.var, lg.order, dg, *g._leading(lg)) for g, (lg, dg) in zip(divisors, leads)]
+    # per divisor: its key prefix, variable, order, leader degree, separant,
+    # initial, and chain entries without their leading parts (DiffPoly._leading)
+    info = [(pre, lg.var, lg.order, dg, *g._leading(lg)) for g, (lg, dg), pre in zip(divisors, leads, pres)]
 
     # g, g', g'', ... as far as a step needed: the division's own lists,
     # started from each divisor's cached chain
@@ -315,18 +320,17 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     pairs = 0  # term pairs formed by the steps' products so far
     while True:
         best = None
-        for i, (v, vg, dg, _, _, _) in enumerate(info):
+        for i, (pre, v, vg, dg, _, _, _) in enumerate(info):
             top = _violates(r, v, vg, dg, mode)
-            if top is None:
-                continue
-            occ = Derivative(v, top[0])
-            key = ranking.key(occ) if ranking is not None else (top[0],)
-            if best is None or key > best[0]:
-                best = (key, i, occ, top[1])
+            if top is not None:
+                key = pre + (top[0], v) if pre is not None else (top[0],)
+                if best is None or key > best[0]:
+                    best = (key, i, top)
         if best is None:
             break
-        key, i, occ, e = best
-        _, vg, dg, separant, initial, tails = info[i]
+        key, i, (o, e) = best
+        _, v, vg, dg, separant, initial, tails = info[i]
+        occ = Derivative(v, o)
         measure = (key, e)
         if last_measure is not None and not measure < last_measure:
             raise _no_drop(measure, last_measure, f, divisors, r)
@@ -336,7 +340,7 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
         # and dg for the initial (k = 0), and co = a*occ^(e-low) comes off
         # r's degree-e slice in the pass that leaves the rest of r; as
         # mult*slice = co*lead, the step forms mult*rest - co*(G - lead)
-        k = occ.order - vg
+        k = o - vg
         mult, low = (separant, 1) if k else (initial, dg)
         co, rest = r._split(occ, e, low)
         G = _nth(chains[i], k)  # the replay reads it too
@@ -368,36 +372,36 @@ def ritt_divide(f: DiffPoly, divisors, mode="full", ranking: Ranking = None, var
     return cert
 
 
-def _linear_divide(f: DiffPoly, divisors, ranking, leads):
+def _linear_divide(f: DiffPoly, divisors, leads, pres):
     """ritt_divide's full mode for linear f and divisors, whose coefficients
     are then constants, on their packed term dicts (module docstring): the
-    same steps, log, remainder, den and certificate.  divisors, ranking and
-    leads are as _leads returns them.  Each iteration takes the remainder's
-    support word once (diffpoly._linear_word, with its MAX_ORDER guard) and
-    reads off it, through the ring's masks, the top orders of the divisors'
-    variables only.  A candidate x_v^(o) is compared by an integer key equal
-    to ranking.key's: prefix + (o, v), the prefix fixed per divisor (its
-    block under an elimination ranking, none under the orderly one), or
-    (o,) when a variable is given.  The remainder of a division that took a
-    step keeps the top orders of every variable, read once off the last word
-    (diffpoly._linear_poly).  The measure must drop at every step and the
-    certificate identity must hold exactly, or InternalInvariantViolation is
-    raised."""
+    same steps, remainder, den and certificate.  divisors, leads and pres are
+    as _leads returns them.  Each iteration takes the remainder's support
+    word once (diffpoly._linear_word, with its MAX_ORDER guard) and reads off
+    it, through the ring's masks, the top orders of the divisors' variables
+    only, each candidate compared by its divisor's key prefix as in
+    ritt_divide.  Each step logs (i, k, den*a, mult): den*a a number, which
+    the exact check reads, and mult the divisor's leading coefficient as its
+    one constant polynomial.  The remainder of a division that took
+    a step keeps the top orders of every variable, read once off the last
+    word (diffpoly._linear_poly).  The measure must drop at every step and
+    the certificate identity must hold exactly, or InternalInvariantViolation
+    is raised."""
     ring = f.ring
     ft = _linear_terms(f)
-    # per divisor: the variable and order of its leader, its terms, its
-    # leading coefficient and the prefix of its variable's keys
+    # per divisor: its key prefix, the variable and order of its leader, its
+    # terms, and its leading coefficient as a number and as a polynomial
     rows = []
-    for g, (ld, _) in zip(divisors, leads):
+    for g, (ld, _), pre in zip(divisors, leads, pres):
         gt = _linear_terms(g)
-        pre = ranking.key(ld)[:-2] if ranking is not None else None
-        rows.append((ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order), pre))
-    r, den, steps, last = ft, 1, [], None  # steps: divisor index, k, den*a
+        lc = _linear_at(ring, gt, ld.var, ld.order)
+        rows.append((pre, ld.var, ld.order, gt, lc, _poly(ring, {0: lc})))
+    r, den, log, last = ft, 1, [], None
     while True:
         # the highest unreduced derivative, as _violates finds it in full mode
         w, masks, up = _linear_word(ring, r)
         best = None
-        for i, (v, og, _, _, pre) in enumerate(rows):
+        for i, (pre, v, og, _, _, _) in enumerate(rows):
             o = ((w & masks[v]).bit_length() - 1) // up
             if o >= og:
                 key = pre + (o, v) if pre is not None else (o,)
@@ -410,27 +414,25 @@ def _linear_divide(f: DiffPoly, divisors, ranking, leads):
             raise _no_drop(key, last, f, divisors, _poly(ring, r))
         last = key
         # lc*r - a*D^k g cancels the term a*x_v^(o) of r
-        v, og, gt, lc, _ = rows[i]
+        _, v, og, gt, lc, mult = rows[i]
         a, t = _linear_step(ring, r, lc, v, o, gt, o - og)
-        steps.append((i, o - og, a * den))
+        log.append((i, o - og, a * den, mult))
         c, r = _primitive(t)
         den = den * c
     chains = [[g, *g._chain] for g in divisors]
-    if not steps:
-        return DivisionCertificate(f, chains, [], f, den, "full")
+    if not log:
+        return DivisionCertificate(f, chains, log, f, den, "full")
     rem = _linear_poly(ring, r, w)  # w is r's word: the last pass took no step
     # S*f - sum_ik Q_ik * D^k g_i - den*r, exactly: S and the Q_ik are numbers
     S, Q = 1, {}
-    for i, k, t in reversed(steps):
+    for i, k, t, _ in reversed(log):
         Q[i, k] = Q.get((i, k), 0) + S * t
-        S = S * rows[i][3]
+        S = S * rows[i][4]
     acc = _submul({m: S * b for m, b in ft.items()}, den, r, 0, ring)
     for (i, k), q in Q.items():
-        _submul(acc, q, rows[i][2], k, ring)
+        _submul(acc, q, rows[i][3], k, ring)
     if any(acc.values()):
         raise _violation(f, chains, "full", "exactly, r = %s" % describe(rem))
-    mults = [_poly(ring, {0: row[3]}) for row in rows]
-    log = [(i, k, _poly(ring, {0: _integral(t)}), mults[i]) for i, k, t in steps]
     return DivisionCertificate(f, chains, log, rem, den, "full")
 
 

@@ -469,6 +469,21 @@ def test_charset_round_cap_is_exit_3(sysfile, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("resource limit: ")
 
 
+def test_internal_invariant_violation_is_exit_2(sysfile, capsys, monkeypatch):
+    # a division whose step log fails its replay is a fault of the program,
+    # not of the input: exit 2, reported as such in text and in JSON
+    import diffalg.reduction as reduction
+
+    monkeypatch.setattr(reduction, "_replay_holds", lambda *args: False)
+    f = sysfile("vars: x\nx''*x + x'^2\nx'^2 - x\n")
+    argv = ["divide", f, "--dividend", "0", "--divisor", "1", "--var", "x"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("internal invariant violation: division identity")
+    assert main(argv + ["--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "internal-invariant-violation" and err["error"].startswith("division identity")
+
+
 def test_exponent_and_order_caps_are_exit_3(sysfile, capsys):
     for text in ("vars: x, y\nx^1000000000 + y\ny\n", "vars: x, y\nx^(1000000000) + y\ny\n"):
         f = sysfile(text)

@@ -732,6 +732,29 @@ def test_answers_memo_keeps_every_output_cold_warm_and_reversed(monkeypatch):
     assert {"first-form", "second-form", "peel"} <= set(kinds)
 
 
+def test_answers_memo_evicts_past_its_bound(monkeypatch):
+    # past ANSWERS_BOUND entries _remember clears the memo: with the bound
+    # lowered to 2 it clears again and again, never holds more than 2
+    # answers, and the outputs are those under the default bound
+    rng = random.Random(35)
+    systems = [rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4) for _ in range(40)]
+    default = [_reduce_record(s) for s in systems]
+    engine_mod._ANSWERS.clear()
+    monkeypatch.setattr(engine_mod, "ANSWERS_BOUND", 2)
+    sizes = []
+    remember = engine_mod._remember
+
+    def counted(*args):
+        ans = remember(*args)
+        sizes.append(len(engine_mod._ANSWERS))
+        return ans
+
+    monkeypatch.setattr(engine_mod, "_remember", counted)
+    assert [_reduce_record(s) for s in systems] == default
+    assert max(sizes) <= 2 and len(engine_mod._ANSWERS) <= 2
+    assert sum(a == 2 and b == 1 for a, b in zip(sizes, sizes[1:])) > 10  # the clears ran
+
+
 def test_back_substituted_set_is_checked_in_rank_under_python_O():
     # linear_reduce builds its charset without the pairwise tests, after one
     # pass over the ranks; an elimination ranking with its blocks reversed

@@ -932,8 +932,12 @@ def test_invariant_violation_survives_python_O():
 
 def _division_facts(cert):
     """Everything a division reports, each coefficient with its type (an int
-    or a Fraction): the step log first, since forming s drops it."""
+    or a Fraction): the step log first, since forming s drops it.  The
+    linear kernel logs each den*co as a number, read here as the constant
+    the certificate forms of it."""
     def terms(p):
+        if not isinstance(p, diffalg.DiffPoly):
+            p = cert.remainder.ring.const(p)
         return repr(sorted(p._packed.items()))
 
     log = [(i, k, terms(t), terms(m)) for i, k, t, m in cert._log]
