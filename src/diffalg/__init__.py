@@ -11,7 +11,6 @@ from .diffpoly import (
     Ranking,
     elimination,
     initial,
-    is_lower_than,
     orderly,
     render,
     separant,
@@ -32,8 +31,6 @@ from .matching import (
     BipartiteMultigraph,
     HallViolation,
     Matching,
-    decompose_regular,
-    find_directed_cycle,
     hall_matching,
 )
 from .pencil import RittPencil, build_pencil, coseparant, fiber_at
@@ -45,7 +42,6 @@ from .reduction import (
     autoreduce_loop,
     compare_autoreduced,
     dimensions,
-    elimination_project,
     is_reduced_wrt,
     membership,
     ritt_divide,
@@ -55,7 +51,6 @@ from .tropical import (
     FormCertificate,
     HypothesisFailure,
     OrderMatrix,
-    cyclic_sum,
     detect_first_form,
     detect_second_form,
     detect_third_form,
@@ -69,5 +64,4 @@ from .tropical import (
     tdet_brute,
     to_first_form,
     to_second_form,
-    transversal_value,
 )

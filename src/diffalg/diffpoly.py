@@ -965,14 +965,6 @@ def initial(p: DiffPoly, var, ranking: Ranking = None) -> DiffPoly:
     return p._leading(_leader_degree(p, var, ranking)[0])[1]
 
 
-def is_lower_than(f: DiffPoly, g: DiffPoly, var) -> bool:
-    """f lower than g per var: smaller order, or equal order and smaller
-    degree in the leading derivative of var."""
-    lf, lg = f.leader_in(var), g.leader_in(var)
-    # (x_var^(k), degree) pairs of one variable compare by order, then degree
-    return lg is not None and (lf is None or lf < lg)
-
-
 # -- linear differential operators ----------------------------------------
 
 

@@ -1,12 +1,15 @@
-"""Bipartite matching with Hall certificates, regular decompositions, one
-search for the perfect matchings of a square graph (lexicographic
-enumeration with polynomial delay; its first element answers the tropical
-layer's lex-least questions, the whole list its witness questions), and the
-paper's directed-cycle construction, which no other module calls."""
+"""Bipartite matching with Hall certificates, and one search for the
+perfect matchings of a square graph (lexicographic enumeration with
+polynomial delay; its first element answers the tropical layer's lex-least
+questions, the whole list its witness questions).  The tropical layer calls
+perfect_matchings; hall_matching has no caller in the program: the tests
+and the benchmark's tracer (bench/tracer.py) read it.  The paper's
+regular decomposition and directed-cycle construction live with the tests
+(tests/helpers.py)."""
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import InternalInvariantViolation
 
@@ -28,14 +31,6 @@ class BipartiteMultigraph(namedtuple("BipartiteMultigraph", "left right edges"))
         for l, r in self.edges:
             adj[l].add(r)
         return adj
-
-    def degrees(self):
-        dl = [0] * self.left
-        dr = [0] * self.right
-        for l, r in self.edges:
-            dl[l] += 1
-            dr[r] += 1
-        return dl, dr
 
 
 class Matching(namedtuple("Matching", "pairs")):
@@ -83,30 +78,6 @@ def hall_matching(graph: BipartiteMultigraph):
             return HallViolation(tuple(sorted(left_set)), tuple(sorted(nbhd)))
     pairs = tuple(sorted((u, v) for v, u in enumerate(match_r) if u is not None))
     return Matching(pairs)
-
-
-def decompose_regular(graph: BipartiteMultigraph, k: int):
-    """Split a k-regular bipartite multigraph into k perfect matchings."""
-    dl, dr = graph.degrees()
-    for side, degs in (("left", dl), ("right", dr)):
-        for v, d in enumerate(degs):
-            if d != k:
-                raise ValueError("%s vertex %d has degree %d, expected %d" % (side, v, d, k))
-    if graph.left != graph.right:
-        raise ValueError("regularity forces equal sides")
-    remaining = Counter(graph.edges)
-    out = []
-    for _ in range(k):
-        sub = BipartiteMultigraph(graph.left, graph.right, tuple(remaining.elements()))
-        m = hall_matching(sub)
-        if isinstance(m, HallViolation):
-            raise InternalInvariantViolation("regular graph lost a perfect matching: %r in %r" % (m, graph))
-        out.append(m)
-        for e in m.pairs:
-            remaining[e] -= 1
-    if sum(remaining.values()):
-        raise InternalInvariantViolation("edges left after %d matchings of %r" % (k, graph))
-    return out
 
 
 def perfect_matchings(adj):
@@ -163,25 +134,3 @@ def perfect_matchings(adj):
             stack.append((iter(adj[i + 1]), m))
         else:
             yield tuple(rho)
-
-
-def find_directed_cycle(successor):
-    """A directed cycle in an out-degree-one digraph without self-loops.
-
-    `successor` is a sequence with successor[i] the unique out-neighbour of
-    i.  Walk from the smallest vertex; the first repeat closes the cycle.
-    The paper's directed-cycle construction, kept as such."""
-    n = len(successor)
-    for i, s in enumerate(successor):
-        if not 0 <= s < n:
-            raise ValueError("successor of %d out of range" % i)
-        if s == i:
-            raise ValueError("self-loop at %d" % i)
-    walk = [0]
-    pos = {0: 0}
-    while True:
-        nxt = successor[walk[-1]]
-        if nxt in pos:
-            return tuple(walk[pos[nxt]:])
-        pos[nxt] = len(walk)
-        walk.append(nxt)

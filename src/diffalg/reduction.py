@@ -60,7 +60,8 @@ formed.  S and the Q_ik are then numbers, so the kernel checks
 S*f - sum_ik Q_ik * D^k g_i - den*r = 0 exactly on the term dicts, at the
 cost of numbers times shifted rows, in place of the probabilistic replay.
 Its one step log holds each den*a as a number, which that check reads, and
-the divisor's leading coefficient as one constant polynomial per divisor.
+the divisor's leading coefficient as one constant polynomial per divisor
+that takes a step.
 The certificate forms the constants of the den*a, S and the Q_i as
 polynomials, and checks them on the divisors' derivative chains, only when
 S or the Q_i are read.
@@ -382,26 +383,27 @@ def _linear_divide(f: DiffPoly, divisors, leads, pres):
     only, each candidate compared by its divisor's key prefix as in
     ritt_divide.  Each step logs (i, k, den*a, mult): den*a a number, which
     the exact check reads, and mult the divisor's leading coefficient as its
-    one constant polynomial.  The remainder of a division that took
-    a step keeps the top orders of every variable, read once off the last
-    word (diffpoly._linear_poly).  The measure must drop at every step and
-    the certificate identity must hold exactly, or InternalInvariantViolation
-    is raised."""
+    one constant polynomial, built at the divisor's first step.  The
+    remainder of a division that took a step keeps the top orders of every
+    variable, read once off the last word (diffpoly._linear_poly).  The
+    measure must drop at every step and the certificate identity must hold
+    exactly, or InternalInvariantViolation is raised."""
     ring = f.ring
     ft = _linear_terms(f)
     # per divisor: its key prefix, the variable and order of its leader, its
-    # terms, and its leading coefficient as a number and as a polynomial
+    # terms, and its leading coefficient; mults[i] is that coefficient as a
+    # polynomial, once divisor i has taken a step
     rows = []
     for g, (ld, _), pre in zip(divisors, leads, pres):
         gt = _linear_terms(g)
-        lc = _linear_at(ring, gt, ld.var, ld.order)
-        rows.append((pre, ld.var, ld.order, gt, lc, _poly(ring, {0: lc})))
+        rows.append((pre, ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
+    mults = [None] * len(rows)
     r, den, log, last = ft, 1, [], None
     while True:
         # the highest unreduced derivative, as _violates finds it in full mode
         w, masks, up = _linear_word(ring, r)
         best = None
-        for i, (pre, v, og, _, _, _) in enumerate(rows):
+        for i, (pre, v, og, _, _) in enumerate(rows):
             o = ((w & masks[v]).bit_length() - 1) // up
             if o >= og:
                 key = pre + (o, v) if pre is not None else (o,)
@@ -414,7 +416,10 @@ def _linear_divide(f: DiffPoly, divisors, leads, pres):
             raise _no_drop(key, last, f, divisors, _poly(ring, r))
         last = key
         # lc*r - a*D^k g cancels the term a*x_v^(o) of r
-        _, v, og, gt, lc, mult = rows[i]
+        _, v, og, gt, lc = rows[i]
+        mult = mults[i]
+        if mult is None:
+            mult = mults[i] = _poly(ring, {0: lc})
         a, t = _linear_step(ring, r, lc, v, o, gt, o - og)
         log.append((i, o - og, a * den, mult))
         c, r = _primitive(t)
@@ -632,27 +637,3 @@ def dimensions(charset: AutoreducedSet, nvars=None):
     else:
         bound = POS_INF
     return diff_dim, bound
-
-
-def elimination_project(charset: AutoreducedSet, keep) -> AutoreducedSet:
-    """Restrict to the polynomials supported entirely on the kept block.
-
-    The ranking must be a block elimination ranking whose lowest block is
-    exactly the kept variables.  The kept polynomials then form a prefix,
-    since every leader in the kept block ranks below every other leader;
-    InternalInvariantViolation when they do not.
-    """
-    ring = charset.elements[0].ring
-    keep_idx = tuple(ring.var_index(v) for v in keep)
-    rk = charset.ranking
-    if rk.kind != "elim" or set(rk.blocks[0]) != set(keep_idx):
-        raise ValueError("ranking's lowest block must equal the kept variables")
-    inside = [all(v in keep_idx for v in p.variables()) for p in charset.elements]
-    cut = sum(inside)
-    if not all(inside[:cut]) or any(inside[cut:]):
-        raise InternalInvariantViolation(
-            "kept polynomials do not form a prefix: %s" % ", ".join(render(p) for p in charset.elements)
-        )
-    if cut == 0:
-        raise ValueError("no polynomial lies in the kept block")
-    return AutoreducedSet._make((charset.elements[:cut], rk))  # a prefix of an autoreduced set is one

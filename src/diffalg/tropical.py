@@ -21,9 +21,8 @@ every minor the second-form search asks about.  Only tdet_brute, for the
 tests, enumerates the n! permutations.
 
 Matrices are tuples of row tuples (OrderMatrix.entries), never an
-OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute,
-minor, transversal_value and cyclic_sum raise ValueError on a ragged or
-empty one.
+OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute
+and minor raise ValueError on a ragged or empty one.
 """
 
 from __future__ import annotations
@@ -125,10 +124,6 @@ def minor(entries, drop_row, drop_col):
 # -- permutations (tuples p with p[i] = image of i; compose right-to-left) --
 
 
-def identity_perm(n):
-    return tuple(range(n))
-
-
 def compose(p, q):
     """(p o q)(i) = p(q(i)): apply q first."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -148,25 +143,6 @@ def transposition(n, i, j):
 
 
 # -- tropical determinant ---------------------------------------------------
-
-
-def transversal_value(entries, rho):
-    _shape(entries)
-    if sorted(rho) != list(range(len(entries))):
-        raise ValueError("not a permutation: %r" % (rho,))
-    return sum(entries[i][rho[i]] for i in range(len(entries)))
-
-
-def cyclic_sum(entries, cycle):
-    """a_{i1,i2} + a_{i2,i3} + ... + a_{is,i1} for a genuine cycle (length >= 2)."""
-    n, m = _shape(entries)
-    if m != n:
-        raise ValueError("cyclic sums need a square matrix")
-    if len(cycle) < 2 or len(set(cycle)) != len(cycle):
-        raise ValueError("not a cycle: %r" % (cycle,))
-    if any(not 0 <= i < n for i in cycle):
-        raise ValueError("cycle index out of range")
-    return sum(entries[cycle[k]][cycle[(k + 1) % len(cycle)]] for k in range(len(cycle)))
 
 
 def tdet_brute(entries):
@@ -368,16 +344,10 @@ def permute(entries, sigma, tau):
 LESS, GREATER, EQUAL = "less", "greater", "equal"
 
 
-def ritt_key(entries):
-    """Per column the sorted entry vector; columns compared left to right."""
-    n, m = _shape(entries)
-    return tuple(tuple(sorted(entries[i][j] for i in range(n))) for j in range(m))
-
-
 def ritt_compare(a, b) -> str:
-    """Compares ritt_key(a) with ritt_key(b), one column of each at a time,
-    stopping at the first whose sorted entries differ; a column whose
-    entries are equal as they stand is passed over unsorted."""
+    """Ritt's ordering: compares the columns of a and b left to right, each
+    as its sorted entry vector, stopping at the first pair that differs; a
+    column whose entries are equal as they stand is passed over unsorted."""
     shape = _shape(a)
     if _shape(b) != shape:
         raise ValueError("shape mismatch")

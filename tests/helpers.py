@@ -1,9 +1,21 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators, reference implementations and the paper's
+constructions, shared by the test modules."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from diffalg import DiffRing, NEG_INF
+from diffalg import (
+    NEG_INF,
+    AutoreducedSet,
+    BipartiteMultigraph,
+    DiffRing,
+    HallViolation,
+    InternalInvariantViolation,
+    hall_matching,
+    render,
+)
+from diffalg.tropical import _shape
 
 NAMES = ("x", "y", "z", "t", "u", "v")
 
@@ -78,6 +90,125 @@ def all_cycles(n):
                 out.append((first,) + rest)
     return out
 
+
+# -- the paper's constructions -----------------------------------------------------
+# What the paper states and the tests check, which no program path runs:
+# the identity permutation and the cyclic sum (acceptance criterion 4), the
+# split of a regular bipartite multigraph into perfect matchings (criterion
+# 6), the lower-than relation (criterion 8), the transversal sum (criterion
+# 9), Ritt's ordering as a key, the directed-cycle walk, and the projection
+# of a characteristic set onto its lowest elimination block.  Matrices are
+# checked by the tropical layer's own _shape, so a ragged or empty one raises
+# as it does in the program.
+
+
+def identity_perm(n):
+    return tuple(range(n))
+
+
+def transversal_value(entries, rho):
+    _shape(entries)
+    if sorted(rho) != list(range(len(entries))):
+        raise ValueError("not a permutation: %r" % (rho,))
+    return sum(entries[i][rho[i]] for i in range(len(entries)))
+
+
+def cyclic_sum(entries, cycle):
+    """a_{i1,i2} + a_{i2,i3} + ... + a_{is,i1} for a genuine cycle (length >= 2)."""
+    n, m = _shape(entries)
+    if m != n:
+        raise ValueError("cyclic sums need a square matrix")
+    if len(cycle) < 2 or len(set(cycle)) != len(cycle):
+        raise ValueError("not a cycle: %r" % (cycle,))
+    if any(not 0 <= i < n for i in cycle):
+        raise ValueError("cycle index out of range")
+    return sum(entries[cycle[k]][cycle[(k + 1) % len(cycle)]] for k in range(len(cycle)))
+
+
+def ritt_key(entries):
+    """Per column the sorted entry vector; columns compared left to right."""
+    n, m = _shape(entries)
+    return tuple(tuple(sorted(entries[i][j] for i in range(n))) for j in range(m))
+
+
+def decompose_regular(graph, k):
+    """Split a k-regular bipartite multigraph into k perfect matchings (König)."""
+    dl, dr = [0] * graph.left, [0] * graph.right
+    for l, r in graph.edges:
+        dl[l] += 1
+        dr[r] += 1
+    for side, degs in (("left", dl), ("right", dr)):
+        for v, d in enumerate(degs):
+            if d != k:
+                raise ValueError("%s vertex %d has degree %d, expected %d" % (side, v, d, k))
+    if graph.left != graph.right:
+        raise ValueError("regularity forces equal sides")
+    remaining = Counter(graph.edges)
+    out = []
+    for _ in range(k):
+        sub = BipartiteMultigraph(graph.left, graph.right, tuple(remaining.elements()))
+        m = hall_matching(sub)
+        if isinstance(m, HallViolation):
+            raise InternalInvariantViolation("regular graph lost a perfect matching: %r in %r" % (m, graph))
+        out.append(m)
+        for e in m.pairs:
+            remaining[e] -= 1
+    if sum(remaining.values()):
+        raise InternalInvariantViolation("edges left after %d matchings of %r" % (k, graph))
+    return out
+
+
+def find_directed_cycle(successor):
+    """A directed cycle in an out-degree-one digraph without self-loops.
+
+    `successor` is a sequence with successor[i] the unique out-neighbour of
+    i.  Walk from the smallest vertex; the first repeat closes the cycle."""
+    n = len(successor)
+    for i, s in enumerate(successor):
+        if not 0 <= s < n:
+            raise ValueError("successor of %d out of range" % i)
+        if s == i:
+            raise ValueError("self-loop at %d" % i)
+    walk = [0]
+    pos = {0: 0}
+    while True:
+        nxt = successor[walk[-1]]
+        if nxt in pos:
+            return tuple(walk[pos[nxt]:])
+        pos[nxt] = len(walk)
+        walk.append(nxt)
+
+
+def is_lower_than(f, g, var):
+    """f lower than g per var: smaller order, or equal order and smaller
+    degree in the leading derivative of var."""
+    lf, lg = f.leader_in(var), g.leader_in(var)
+    # (x_var^(k), degree) pairs of one variable compare by order, then degree
+    return lg is not None and (lf is None or lf < lg)
+
+
+def elimination_project(charset, keep):
+    """Restrict to the polynomials supported entirely on the kept block.
+
+    The ranking must be a block elimination ranking whose lowest block is
+    exactly the kept variables.  The kept polynomials then form a prefix,
+    since every leader in the kept block ranks below every other leader;
+    InternalInvariantViolation when they do not.
+    """
+    ring = charset.elements[0].ring
+    keep_idx = tuple(ring.var_index(v) for v in keep)
+    rk = charset.ranking
+    if rk.kind != "elim" or set(rk.blocks[0]) != set(keep_idx):
+        raise ValueError("ranking's lowest block must equal the kept variables")
+    inside = [all(v in keep_idx for v in p.variables()) for p in charset.elements]
+    cut = sum(inside)
+    if not all(inside[:cut]) or any(inside[cut:]):
+        raise InternalInvariantViolation(
+            "kept polynomials do not form a prefix: %s" % ", ".join(render(p) for p in charset.elements)
+        )
+    if cut == 0:
+        raise ValueError("no polynomial lies in the kept block")
+    return AutoreducedSet._make((charset.elements[:cut], rk))  # a prefix of an autoreduced set is one
 
 
 # -- naive reference kernel ----------------------------------------------------------
@@ -400,7 +531,7 @@ def _brute_witness_data(a):
 def first_form_brute(a):
     """FormCertificate of the first-form normalizer, from min(good)."""
     from diffalg import FormCertificate, HypothesisFailure
-    from diffalg.tropical import compose, identity_perm, inverse, permute, transposition
+    from diffalg.tropical import compose, inverse, permute, transposition
 
     n = len(a)
     _, _, colmax, picks = _brute_witness_data(a)

@@ -15,12 +15,9 @@ from diffalg import (
     Matching,
     build_pencil,
     coseparant,
-    cyclic_sum,
-    decompose_regular,
     detect_second_form,
     fiber_at,
     hall_matching,
-    is_lower_than,
     is_reduced_wrt,
     linear_reduce,
     order_matrix,
@@ -37,19 +34,23 @@ from diffalg import (
     tdet_brute,
     to_first_form,
     to_second_form,
-    transversal_value,
 )
 from diffalg.corpus import J_INCREASING, J_INCREASING_SECOND_FORM
 from diffalg.generators import rand_linear_system, rand_matrix
-from diffalg.tropical import compose, identity_perm, inverse
+from diffalg.tropical import compose, inverse
 
 from conftest import ACCEPTANCE_LINES
 from helpers import (
     all_cycles,
+    cyclic_sum,
+    decompose_regular,
+    identity_perm,
+    is_lower_than,
     rand_nonconstant,
     rand_poly,
     rand_unit_separant_system,
     ring_of,
+    transversal_value,
 )
 
 

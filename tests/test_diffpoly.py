@@ -21,10 +21,8 @@ from diffalg import (
     build_pencil,
     coseparant,
     elimination,
-    elimination_project,
     fiber_at,
     initial,
-    is_lower_than,
     order_matrix,
     orderly,
     parse_poly,
@@ -54,7 +52,9 @@ from diffalg.diffpoly import (
 from helpers import (
     SMALL_INTS,
     SMALL_RATIONALS,
+    elimination_project,
     is_canonical_monomial,
+    is_lower_than,
     rand_nonconstant,
     rand_poly,
     ref_add,

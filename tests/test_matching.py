@@ -7,11 +7,10 @@ from diffalg import (
     BipartiteMultigraph,
     HallViolation,
     Matching,
-    decompose_regular,
-    find_directed_cycle,
     hall_matching,
 )
 from diffalg.matching import perfect_matchings
+from helpers import decompose_regular, find_directed_cycle
 
 
 def test_perfect_matching_found():
@@ -77,6 +76,12 @@ def test_decompose_regular():
 def test_decompose_regular_rejects_irregular():
     with pytest.raises(ValueError):
         decompose_regular(BipartiteMultigraph(2, 2, ((0, 0), (0, 1), (1, 0))), 2)
+
+
+def test_decompose_regular_rejects_unequal_sides():
+    with pytest.raises(ValueError) as e:
+        decompose_regular(BipartiteMultigraph(1, 2, ()), 0)
+    assert str(e.value) == "regularity forces equal sides"
 
 
 def test_find_directed_cycle():

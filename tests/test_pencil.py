@@ -7,11 +7,10 @@ from diffalg import (
     build_pencil,
     coseparant,
     fiber_at,
-    is_lower_than,
     parse_poly,
     separant,
 )
-from helpers import rand_nonconstant, ring_of
+from helpers import is_lower_than, rand_nonconstant, ring_of
 
 R2 = ring_of(2)
 

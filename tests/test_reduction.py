@@ -27,7 +27,6 @@ from diffalg import (
     compare_autoreduced,
     dimensions,
     elimination,
-    elimination_project,
     is_reduced_wrt,
     membership,
     orderly,
@@ -42,6 +41,7 @@ from diffalg.generators import rand_linear_system
 from helpers import (
     SMALL_INTS,
     SMALL_RATIONALS,
+    elimination_project,
     rand_nonconstant,
     rand_poly,
     ref_deg_in,
@@ -559,6 +559,22 @@ def test_elimination_project_returns_the_prefix_untested(monkeypatch):
     kept = elimination_project(cs, ["z", "y"])
     assert type(kept) is AutoreducedSet and kept.ranking is rk
     assert len(kept.elements) == 2 and all(a is b for a, b in zip(kept.elements, cs.elements))
+
+
+def test_elimination_project_without_kept_element():
+    rk = elimination([[0], [1]])  # x is the kept (lowest) block
+    with pytest.raises(ValueError) as e:
+        elimination_project(AutoreducedSet((P("y"),), rk), ["x"])
+    assert str(e.value) == "no polynomial lies in the kept block"
+
+
+def test_project_prefix_is_an_internal_fault():
+    # a validated set has its kept elements first, so this one is built
+    # around the constructor's checks: an internal fault, not a user error
+    bad = AutoreducedSet._make(((P("y"), P("x")), elimination([[0], [1]])))
+    with pytest.raises(InternalInvariantViolation) as e:
+        elimination_project(bad, ["x"])
+    assert str(e.value) == "kept polynomials do not form a prefix: y, x"
 
 
 # -- randomized certificate checks --------------------------------------------------

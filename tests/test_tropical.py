@@ -9,7 +9,6 @@ from diffalg import (
     NEG_INF,
     OrderMatrix,
     ResourceLimit,
-    cyclic_sum,
     detect_first_form,
     detect_second_form,
     detect_third_form,
@@ -23,22 +22,28 @@ from diffalg import (
     tdet_brute,
     to_first_form,
     to_second_form,
-    transversal_value,
 )
 from diffalg.tropical import (
     Assignment,
     _alternating_distances,
     compose,
-    identity_perm,
     inverse,
     minor,
     render_grid,
-    ritt_key,
     weak_entries,
     weak_tdet,
 )
 from diffalg.generators import rand_matrix
-from helpers import all_cycles, first_form_brute, second_form_brute, second_form_per_candidate
+from helpers import (
+    all_cycles,
+    cyclic_sum,
+    first_form_brute,
+    identity_perm,
+    ritt_key,
+    second_form_brute,
+    second_form_per_candidate,
+    transversal_value,
+)
 
 INF = NEG_INF
 
@@ -247,6 +252,18 @@ def test_transversal_and_cycles():
         cyclic_sum(a, (0,))
     with pytest.raises(ValueError):
         cyclic_sum(a, (0, 0))
+
+
+def test_transversal_value_rejects_a_non_permutation():
+    with pytest.raises(ValueError) as e:
+        transversal_value(((1, 2), (3, 4)), (0, 0))
+    assert str(e.value) == "not a permutation: (0, 0)"
+
+
+def test_cyclic_sum_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError) as e:
+        cyclic_sum(((1, 2), (3, 4)), (0, 2))
+    assert str(e.value) == "cycle index out of range"
 
 
 def test_compose_left_action():
