@@ -853,9 +853,10 @@ _UNCOVERED = (POS_INF,)  # the key prefix _facts gives a variable in no block
 class Ranking(namedtuple("Ranking", "kind blocks")):
     """Orderly or block-elimination ranking on derivatives.
 
-    kind 'orderly': compare (order, var index).
+    kind 'orderly': compare (order, var index); it takes no blocks.
     kind 'elim': blocks of variable indices, later blocks rank higher;
-    within a block compare (order, var index).
+    within a block compare (order, var index).  The blocks are kept as a
+    tuple of tuples, so rankings compare and hash by value.
     key(d) = _prefix(d.var) + (d.order, d.var) is the one rank of derivatives
     that leaders and divisions compare.
     """
@@ -863,6 +864,9 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
     def __new__(cls, kind, blocks=()):
         if kind not in ("orderly", "elim"):
             raise ValueError("unknown ranking kind %r" % kind)
+        blocks = tuple(tuple(b) for b in blocks)
+        if kind == "orderly" and blocks:
+            raise ValueError("the orderly ranking takes no blocks")
         if len({v for b in blocks for v in b}) != sum(map(len, blocks)):
             raise ValueError("variable repeated across blocks")
         return super().__new__(cls, kind, blocks)
@@ -942,7 +946,7 @@ def orderly() -> Ranking:
 
 
 def elimination(blocks) -> Ranking:
-    return Ranking("elim", tuple(tuple(b) for b in blocks))
+    return Ranking("elim", blocks)
 
 
 def _leader_degree(p: DiffPoly, var, ranking):

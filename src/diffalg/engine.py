@@ -18,10 +18,9 @@ Assignment `sol` (sol.value is the strong Jacobi number; the duals u, v and
 the transversal rho index this matrix's rows and columns) and the weak
 Jacobi number `weak`.  Each J is held in one place, and an OrderMatrix is
 built only for a step's report.  A matrix not met before is solved once,
-and only an entry point's first matrix cold: a form step changes one row,
-which enters again into the carried Assignment in O(n^2), a normalization's
-permutation and a peel's minor take theirs from the carried one
-(Assignment.take), and weak_tdet re-enters only the uncovered rows.
+cold (tdet_assignment), and its weak matrix only when the strong duals leave
+one of its -inf cells uncovered (weak_tdet); a normalization's permutation
+takes its Assignment from the carried one (Assignment.take).
 
 Small systems keep producing the same order matrices, so the answers are
 kept across calls in one process-wide memo, _ANSWERS, keyed by a strong
@@ -29,8 +28,9 @@ order matrix's entries: its Assignment, its weak Jacobi number and, once
 linear_reduce has normalized it, normalize's certificate and permuted
 matrix with that matrix's Assignment (_Answers).  A matrix met again costs
 a lookup in place of a solve, weak_tdet and a normalization.  In a seed-1
-linear-deep round of the benchmark, 56% of the solves (3,344 of 6,000) and
-45% of the normalizations (1,749 of 3,850) meet a matrix seen before.  The
+linear-deep round of the benchmark, 56% of the matrices asked for (3,344 of
+6,000) and 45% of the normalizations (1,749 of 3,850) meet a matrix seen
+before; the 2,656 misses run 2,685 Hungarian solves, 29 of them weak.  The
 memo is cleared whole past ANSWERS_BOUND entries and takes no lock: two
 threads may compute one answer at once, and each stores an equally valid
 one.  A CLI call reduces one system, so the memo gives it nothing.
@@ -41,13 +41,10 @@ are normalize's certificate and matrix: under any optimal duals the tight
 graph's perfect matchings are exactly the maximizing transversals
 (complementary slackness; Kuhn 1955), so the lexicographically least
 transversals and each second-form minor's tdet do not depend on which
-optimal Assignment normalize is given.  And the carried Assignment may be
-any optimal one, since a re-entry and Assignment.take need only optimality:
-a peel's singleton column holds its row's rho cell, the only finite one.
-Every per-step check still runs on every step (the division bound, J
-non-increase, the drop in Ritt's ordering and each division's certificate
-check); a stored answer passed normalize's detector check or the re-entry's
-tightness check when it was made."""
+optimal Assignment normalize is given.  Every per-step check still runs on
+every step (the division bound, J non-increase, the drop in Ritt's ordering
+and each division's certificate check); a stored normalization passed
+normalize's detector check when it was made."""
 
 from __future__ import annotations
 
@@ -187,16 +184,12 @@ def _remember(entries, sol, weak):
     return ans
 
 
-def _solve(entries, names, start=None, rows=()):
+def _solve(entries, names):
     """The _Solved record of a strong order matrix, its answers read from
-    _ANSWERS when the matrix was met before.  Else its Assignment is
-    tdet_assignment(entries, start, rows): cold without start; with start,
-    an optimal Assignment of a matrix that agrees with entries outside
-    `rows`, by entering those rows again (none: start is entries' own, and
-    only its tightness is checked)."""
+    _ANSWERS when the matrix was met before, else solved cold."""
     ans = _ANSWERS.get(entries)
     if ans is None:
-        sol = tdet_assignment(entries, start, rows)
+        sol = tdet_assignment(entries)
         ans = _remember(entries, sol, weak_tdet(entries, sol))
     return _Solved(entries, names, ans.sol, ans.weak)
 
@@ -216,9 +209,8 @@ def _normal_form(st):
 def _divide_step(system, di, gi, var, kind, st, mode):
     """Divide equation di by equation gi in the variable named var, in
     ritt_divide's `mode`: partial for a scripted step, full for a form step.
-    st is the system's _Solved record; only row di changes, so only it is
-    recomputed, and solved (when not met before) by entering row di again
-    into st.sol, O(n^2).
+    st is the system's _Solved record; only row di changes, so only its
+    orders are read again.
     Returns the new system, the step, and the record after the step."""
     cert = ritt_divide(system[di], [system[gi]], mode, var=var)
     r = cert.remainder
@@ -228,7 +220,7 @@ def _divide_step(system, di, gi, var, kind, st, mode):
     index = r.ring.index
     b = a[:di] + (tuple([r.order_in(index[name]) for name in names]),) + a[di + 1 :]
     _assert_division_bound(a, b, di, gi, names.index(var))
-    after = _solve(b, names, st.sol, (di,))
+    after = _solve(b, names)
     # b is a's rows with row di replaced by one of as many entries: no check to repeat
     matrix = OrderMatrix._make((b, "strong", names))
     step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, matrix)
@@ -405,15 +397,13 @@ def linear_reduce(system) -> LinearReduceResult:
             peeled += o
             del eqs[r]
             if eqs:
-                sol = st.sol.take([k for k in range(len(a)) if k != r], [k for k in range(len(a)) if k != c])
-                st = _solve(minor(a, r, c), names[:c] + names[c + 1 :], sol)
+                st = _solve(minor(a, r, c), names[:c] + names[c + 1 :])
             report()
             steps.append(ReductionStep("peel", r, -1, names[c], jw_seq[-2], jw_seq[-1], js_seq[-2], js_seq[-1]))
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;
-        # the record's Assignment is taken with its rows and columns, and the
-        # form step enters its divided row again into it
+        # the record's Assignment is taken with its rows and columns
         fc, b, sol = _normal_form(st)
         st = _Solved(b, tuple(names[j] for j in fc.col_perm), sol, st.weak)
         eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)

@@ -4,19 +4,17 @@ Entries live in Z>=0 together with -inf (float("-inf")); addition saturates
 and max ignores -inf, so plain Python arithmetic does the right thing.  The
 tropical determinant tdet(A) is the maximum transversal sum over all
 permutations.  It is computed one way only: Kuhn's Hungarian method on
-integers (tdet_assignment), with -inf cells forbidden, where rows enter the
-matching one at a time; after a change to some rows of a solved matrix only
-those rows enter again, O(n^2) each.  Its dual potentials u, v (Jacobi's
-canon offsets) make u_i + v_j >= a_ij everywhere, with equality on the
-tight graph, whose perfect matchings are exactly the maximizing
-transversals.  matching.perfect_matchings lists those in lexicographic order
-with polynomial delay: witness lists take all, the normalizer's questions
-(does one avoid the column-1 maximum? which is lexicographically least?) the
-first.  Optimal duals also answer three questions without a solve: the weak
-tdet when they cover every -inf cell (weak_tdet; else only the rows holding
-an uncovered one enter), the Assignment of a permuted matrix or a minor that
-keeps rho's column for every kept row (Assignment.take), and, by one
-shortest-path pass over the reduced costs u_i + v_j - a_ij, the tdet of
+integers (tdet_assignment), with -inf cells forbidden, where every row
+enters the matching by one shortest augmenting path, O(n^3) in all.  Its
+dual potentials u, v (Jacobi's canon offsets) make u_i + v_j >= a_ij
+everywhere, with equality on the tight graph, whose perfect matchings are
+exactly the maximizing transversals.  matching.perfect_matchings lists those
+in lexicographic order with polynomial delay: witness lists take all, the
+normalizer's questions (does one avoid the column-1 maximum? which is
+lexicographically least?) the first.  Optimal duals also answer three
+questions without a solve: the weak tdet when they cover every -inf cell
+(weak_tdet), the Assignment of a permuted matrix (Assignment.take), and, by
+one shortest-path pass over the reduced costs u_i + v_j - a_ij, the tdet of
 every minor the second-form search asks about.  Only tdet_brute, for the
 tests, enumerates the n! permutations.
 
@@ -177,65 +175,35 @@ class Assignment(namedtuple("Assignment", "value u v rho", defaults=(None, None,
     __slots__ = ()
 
     def take(self, rows, cols):
-        """The Assignment of the matrix of rows `rows` and columns `cols` of
-        this one's, in that order: a permutation or a minor.  Valid exactly
-        when rho sends every kept row to a kept column: the kept duals stay
-        feasible on the kept cells and tight on the kept part of rho, a
-        perfect matching of the kept matrix, so they are optimal (LP
-        duality), and the value is their sum."""
-        if self.rho is None:
-            raise ValueError("no finite transversal to take from")
-        kept, col = {*rows}, {j: k for k, j in enumerate(cols)}
-        if not len(rows) == len(kept) == len(col) == len(cols):
-            raise ValueError("take needs as many distinct rows as distinct columns")
-        if not kept.union(col) <= {*range(len(self.rho))}:
-            raise ValueError("row or column to take out of range")
-        rho = tuple([col.get(self.rho[i], -1) for i in rows])
-        if -1 in rho:
-            i = rows[rho.index(-1)]
-            raise ValueError("row %d's column %d is dropped" % (i, self.rho[i]))
+        """The Assignment of the matrix b_{k,l} = a_{rows[k], cols[l]}, rows
+        and cols permutations: the duals permuted alike stay feasible, and
+        tight on rho permuted alike, so they are optimal with the same value."""
+        n = [*range(len(self.rho or ()))]
+        if not n or sorted(rows) != n or sorted(cols) != n:
+            raise ValueError("take needs a permutation of the rows and one of the columns")
+        col = inverse(cols)
         u, v = tuple([self.u[i] for i in rows]), tuple([self.v[j] for j in cols])
-        return Assignment(sum(u) + sum(v), u, v, rho)
+        return Assignment(self.value, u, v, tuple([col[self.rho[i]] for i in rows]))
 
 
-def tdet_assignment(entries, start=None, rows=()):
+def tdet_assignment(entries):
     """Tropical determinant by Kuhn's Hungarian method on integers.
 
     -inf entries are forbidden cells, never padded.  Returns the Assignment:
     the value, the potentials, which are Jacobi's canon offsets (Pryce's
-    Sigma-method offsets), and the transversal matched.
-
-    Rows enter the matching one at a time, each by one shortest augmenting
-    path, O(n^2).  Without `start` every row enters: O(n^3).  `start` is an
-    optimal Assignment of a matrix that agrees with `entries` outside `rows`:
-    the other rows keep its duals and its rho columns, which stay feasible
-    and tight because their entries did not change, and only `rows` enter
-    (the first step of a row's entry sets its potential, whatever it was).
-    A start without a finite transversal holds nothing to keep, and every
-    row enters."""
+    Sigma-method offsets), and the transversal matched.  Rows enter the
+    matching one at a time, each by one shortest augmenting path, O(n^2):
+    O(n^3) in all."""
     n, m = _shape(entries)
     if m != n:
         raise ValueError("tdet needs a square matrix")
     u, v = [0] * n, [0] * n
     owner = [-1] * (n + 1)  # owner[j]: the row matched to column j
-    if start is None or start.rho is None:
-        rows = range(n)
-    else:
-        if len(start.rho) != n:
-            raise ValueError("start is the Assignment of another shape")
-        if len(set(rows)) != len(rows) or any(not 0 <= i < n for i in rows):
-            raise ValueError("rows to enter must be distinct row indices")
-        u, v = list(start.u), list(start.v)
-        for i, j in enumerate(start.rho):
-            if i not in rows:
-                if u[i] + v[j] != entries[i][j]:
-                    raise ValueError("start is not tight on kept row %d" % i)
-                owner[j] = i
     # Each entry grows a shortest-augmenting-path tree from the virtual
     # column n.  slack(i, j) = u[i] + v[j] - a[i][j] stays >= 0 for the rows
     # matched so far.
     inf = float("inf")
-    for i in rows:
+    for i in range(n):
         owner[n] = i
         j0 = n
         minv = [inf] * n
@@ -281,26 +249,23 @@ def tdet_assignment(entries, start=None, rows=()):
 
 def weak_tdet(entries, sol):
     """tdet(weak_entries(entries)) from sol, the strong matrix's Assignment.
-    The weak entries are at least the strong ones, so the duals stay feasible
-    on every row but those holding a -inf cell with u_i + v_j < 0, and
-    sol.rho, finite, stays tight: only those rows enter again (every row when
-    sol.value is -inf).  With no such row the duals solve the weak matrix as
-    they are, no weak matrix is built, and weak J = strong J."""
+    The weak entries are the strong ones with -inf read as 0, so when no -inf
+    cell has u_i + v_j < 0 the duals stay feasible on the weak matrix and
+    tight on sol.rho: weak J = strong J, and no weak matrix is built.  Else
+    (and when sol.value is -inf) the weak matrix is solved cold."""
     if sol.value == NEG_INF:
         return tdet_assignment(weak_entries(entries)).value
     u, v = sol.u, sol.v
     if len(entries) != len(u):
         raise ValueError("sol is the Assignment of another shape")
-    rows = []
     for i, row in enumerate(entries):
         if len(row) != len(v):
             raise ValueError("sol is the Assignment of another shape")
         t = -u[i]
         for vj, e in zip(v, row):
             if vj < t and e == NEG_INF:
-                rows.append(i)
-                break
-    return tdet_assignment(weak_entries(entries), sol, rows).value if rows else sol.value
+                return tdet_assignment(weak_entries(entries)).value
+    return sol.value
 
 
 WITNESS_LIMIT = 40320  # 8!: every witness list the factorial route produced

@@ -316,6 +316,19 @@ def test_ranking_is_a_validated_value():
         elimination([[0], [1, 0]])
 
 
+def test_ranking_blocks_given_as_lists_are_a_value():
+    # the constructor keeps blocks as a tuple of tuples: a ranking built
+    # from lists equals elimination's and hashes, and so does a set
+    # autoreduced under it; the orderly ranking takes no blocks
+    rk = Ranking("elim", [[1], [0]])
+    assert rk == elimination([[1], [0]]) and hash(rk) == hash(elimination([[1], [0]]))
+    assert rk.blocks == ((1,), (0,))
+    aset = AutoreducedSet((P("x'"),), rk)
+    assert {aset} == {AutoreducedSet((P("x'"),), elimination([[1], [0]]))}
+    with pytest.raises(ValueError, match="the orderly ranking takes no blocks"):
+        Ranking("orderly", [[0]])
+
+
 def test_derivative_is_a_named_pair():
     d = Derivative(var=1, order=2)
     assert d == (1, 2) and d == Derivative(1, 2) and hash(d) == hash((1, 2))

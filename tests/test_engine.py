@@ -16,6 +16,7 @@ from diffalg import (
     AutoreducedSet,
     DiffPoly,
     DegenerateSituation,
+    HypothesisFailure,
     InconsistentSystem,
     NEG_INF,
     POS_INF,
@@ -24,6 +25,7 @@ from diffalg import (
     autoreduce_loop,
     linear_reduce,
     membership,
+    normalize,
     order_matrix,
     orderly,
     parse_poly,
@@ -36,7 +38,9 @@ from diffalg import (
     step_first_form,
     step_second_form,
     tdet,
+    tdet_brute,
 )
+from diffalg.tropical import weak_entries
 from diffalg.generators import rand_linear_system
 from helpers import bareiss_det, rand_constant_coefficient_system, rand_unit_separant_system, ring_of
 
@@ -519,93 +523,74 @@ def _banded_system(rng, n, max_order=2):
 
 
 def test_linear_reduce_solves_each_matrix_once(monkeypatch):
-    # Every Hungarian call and every Assignment.take, checked at each
-    # engine._solve that misses the memo (cleared before each entry point
-    # runs): only an entry point's first matrix is solved cold; a form step's
-    # matrix is solved by entering its one divided row again into the
-    # carried Assignment (permuted by take in linear_reduce), whose duals fit
-    # every other row; a peel enters no row, only checking the Assignment it
-    # took; and the weak solve enters exactly the rows holding a -inf cell
-    # the strong duals leave uncovered (u_i + v_j < 0).  A hit calls no solver.
+    # Every engine._solve that misses the memo runs one cold Hungarian solve
+    # of its matrix, and one of the weak matrix exactly when the strong duals
+    # leave a -inf cell uncovered (u_i + v_j < 0); a hit runs none; and each
+    # J it reports is the factorial oracle's.  Each entry point runs twice:
+    # on an emptied memo, then on the memo that run filled, where every
+    # _solve hits.  linear_reduce and scripted_divide solve nowhere else.
     import diffalg.tropical as tropical_mod
 
-    events, cold = [], []
-    hungarian, take = tropical_mod.tdet_assignment, tropical_mod.Assignment.take
-    solve = engine_mod._solve
-    seen = {"cold": 0, "form": 0, "permuted": 0, "peel": 0, "covered": 0, "weak solved": 0}
+    hungarian, solve = tropical_mod.tdet_assignment, engine_mod._solve
+    calls, inside = [], []
+    seen = dict.fromkeys(("miss", "hit", "weak solved", "first", "second"), 0)
 
-    def counted(*args):
-        events.append(("solve", args))
-        return hungarian(*args)
+    def counted(a):
+        calls.append(a)
+        return hungarian(a)
 
-    def taken(sol, rows, cols):
-        out = take(sol, rows, cols)
-        events.append(("take", out))
-        return out
-
-    def checked_solve(a, names, start=None, rows=()):
-        before = events[:]
-        del events[:]
-        hit = a in engine_mod._ANSWERS
-        st = solve(a, names, start, rows)
-        inside = events[:]
-        del events[:]
-        sol = st.sol
-        assert sol.value == hungarian(a).value, a
+    def checked_solve(a, names):
+        hit, start = a in engine_mod._ANSWERS, len(calls)
+        st = solve(a, names)
+        got = calls[start:]
+        inside.extend(got)
+        weak = weak_entries(a)
         if hit:
-            assert inside == [], (a, inside)
-            return st
-        first, *inside = inside
-        if start is None:
-            assert before == [] and cold == [False] and first == ("solve", (a, None, ())), (a, before, first)
-            cold[:] = [True]
-            seen["cold"] += 1
-        elif not rows:
-            assert before == [("take", start)] and first == ("solve", (a, start, ())), (a, before, first)
-            seen["peel"] += 1
+            assert got == [], (a, got)
         else:
-            (d,) = rows
-            assert first == ("solve", (a, start, rows)) and start.rho is not None, (a, first)
-            # linear_reduce's form steps take the permuted Assignment and
-            # divide row 1 or n - 1; scripted steps divide any row
-            assert before in ([], [("take", start)]) and (not before or d in (1, len(a) - 1)), (a, before)
-            assert all(
-                start.u[i] + start.v[j] >= e if j != start.rho[i] else start.u[i] + start.v[j] == e
-                for i, row in enumerate(a)
-                if i != d
-                for j, e in enumerate(row)
-                if e != NEG_INF
-            ), (a, start)
-            seen["form"] += 1
-            seen["permuted"] += bool(before)
-        weak = tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a)
-        if sol.value == NEG_INF:
-            assert inside == [("solve", (weak,))], (a, inside)
-        else:
-            uncovered = [
-                i for i, row in enumerate(a) if any(sol.u[i] + sol.v[j] < 0 for j, e in enumerate(row) if e == NEG_INF)
-            ]
-            assert inside == ([("solve", (weak, sol, uncovered))] if uncovered else []), (a, inside)
-            seen["weak solved" if uncovered else "covered"] += 1
-        assert st.weak == hungarian(weak).value
+            sol = hungarian(a)
+            uncovered = sol.value == NEG_INF or any(
+                sol.u[i] + sol.v[j] < 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
+            )
+            assert got == ([a, weak] if uncovered else [a]), (a, got)
+            seen["weak solved"] += uncovered
+        seen["hit" if hit else "miss"] += 1
+        assert (st.sol.value, st.weak) == (tdet_brute(a)[0], tdet_brute(weak)[0]), a
         return st
+
+    def run_twice(call, only_in_solve):
+        engine_mod._ANSWERS.clear()
+        for filled in (False, True):
+            del calls[:], inside[:]
+            misses = seen["miss"]
+            try:
+                call()
+            except InconsistentSystem:
+                pass
+            assert not filled or seen["miss"] == misses
+            assert not only_in_solve or calls == inside
 
     monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
     monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
-    monkeypatch.setattr(tropical_mod.Assignment, "take", taken)
     monkeypatch.setattr(engine_mod, "_solve", checked_solve)
     rng = random.Random(18)
-    for _ in range(30):
-        sys_ = _banded_system(rng, rng.randint(5, 6))
-        engine_mod._ANSWERS.clear()
-        cold[:] = [False]
+    for k in range(60):
+        if k % 3 == 2:
+            sys_ = _banded_system(rng, rng.randint(5, 6))
+        else:
+            sys_ = rand_linear_system(rng, ring_of(rng.randint(2, 3)), max_order=4)
+        run_twice(lambda: linear_reduce(sys_), True)
+        moves = _valid_moves(sys_, sys_[0].ring)
+        if moves:
+            script = [rng.choice(moves)]
+            run_twice(lambda: scripted_divide(sys_, script), True)
         try:
-            linear_reduce(sys_)
-        except InconsistentSystem:
-            pass
-        engine_mod._ANSWERS.clear()
-        cold[:] = [False]
-        scripted_divide(sys_, [rng.choice(_valid_moves(sys_, sys_[0].ring))])
+            cert, _ = normalize(order_matrix(sys_).entries)
+        except HypothesisFailure:
+            continue
+        step = step_first_form if cert.form == "first" else step_second_form
+        run_twice(lambda: step([sys_[i] for i in cert.row_perm], list(cert.col_perm)), False)
+        seen[cert.form] += 1
     assert min(seen.values()) >= 10, seen
 
 
