@@ -356,6 +356,8 @@ def test_user_errors(sysfile, capsys):
 _R = diffalg.DiffRing(("x", "y"))
 _X, _Y, _DY = _R.var("x"), _R.var("y"), _R.var("y", 1)
 _SQUARE = ((1, 2), (3, 4))
+_NO_TRANSVERSAL = ((diffalg.NEG_INF,),)
+_TAKE = "take needs a permutation of the rows and one of the columns"
 
 
 def _err(message, call, name):
@@ -375,8 +377,10 @@ def _err(message, call, name):
     _err("empty system", lambda d: d.order_matrix([]), "order_matrix"),
     _err("tdet needs a square matrix", lambda d: d.tdet_brute(((1, 2),)), "tdet_brute-shape"),
     _err("brute force capped at n = 8", lambda d: d.tdet_brute(((0,) * 9,) * 9), "tdet_brute-n"),
-    _err("take needs a permutation of the rows and one of the columns",
-         lambda d: d.tdet_assignment(_SQUARE).take((0, 0), (0, 1)), "take"),
+    _err(_TAKE, lambda d: d.tdet_assignment(_NO_TRANSVERSAL).take((), ()), "take-transversal"),
+    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0, 0), (0, 1)), "take-repeat"),
+    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0, 1), (1, 2)), "take-range"),
+    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0,), (0,)), "take-dropped"),
     _err("sol is the Assignment of another shape",
          lambda d: d.tropical.weak_tdet(((1, 2, 3),) * 3, d.tdet_assignment(_SQUARE)), "weak_tdet"),
     _err("sol is the Assignment of another shape",
