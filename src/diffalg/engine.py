@@ -19,8 +19,10 @@ the transversal rho index this matrix's rows and columns) and the weak
 Jacobi number `weak`.  Each J is held in one place, and an OrderMatrix is
 built only for a step's report.  A matrix not met before is solved once,
 cold (tdet_assignment), and its weak matrix only when the strong duals leave
-one of its -inf cells uncovered (weak_tdet); a normalization's permutation
-takes its Assignment from the carried one (Assignment.take).
+one of its -inf cells uncovered (weak_tdet).  Two moves need no solve: a
+normalization's permutation takes its Assignment from the carried one
+(Assignment.take), and so does a peel, whose minor keeps the carried duals
+without the peeled row and column (_peel).
 
 Small systems keep producing the same order matrices, so the answers are
 kept across calls in one process-wide memo, _ANSWERS, keyed by a strong
@@ -30,7 +32,8 @@ matrix with that matrix's Assignment (_Answers).  A matrix met again costs
 a lookup in place of a solve, weak_tdet and a normalization.  In a seed-1
 linear-deep round of the benchmark, 56% of the matrices asked for (3,344 of
 6,000) and 45% of the normalizations (1,749 of 3,850) meet a matrix seen
-before; the 2,656 misses run 2,685 Hungarian solves, 29 of them weak.  The
+before; of the 2,656 misses, 221 are peeled minors read off the carried
+duals, and the rest run 2,464 Hungarian solves, 29 of them weak.  The
 memo is cleared whole past ANSWERS_BOUND entries and takes no lock: two
 threads may compute one answer at once, and each stores an equally valid
 one.  A CLI call reduces one system, so the memo gives it nothing.
@@ -62,6 +65,7 @@ from .reduction import (
 )
 from .tropical import (
     LESS,
+    Assignment,
     OrderMatrix,
     detect_first_form,
     detect_second_form,
@@ -159,7 +163,7 @@ def _check_pivot_separant(system, pivot_index, var, charset):
 
 _Solved = namedtuple("_Solved", "entries names sol weak")  # see the module docstring
 
-# A seed-1 linear-deep round of the benchmark (800 systems) solves 2,656
+# A seed-1 linear-deep round of the benchmark (800 systems) meets 2,656
 # distinct matrices and normalizes 2,101; past the bound the memo is cleared whole.
 ANSWERS_BOUND = 1 << 12
 _ANSWERS = {}  # strong order matrix entries -> its _Answers, for every caller
@@ -192,6 +196,28 @@ def _solve(entries, names):
         sol = tdet_assignment(entries)
         ans = _remember(entries, sol, weak_tdet(entries, sol))
     return _Solved(entries, names, ans.sol, ans.weak)
+
+
+def _peel(st, r, c):
+    """The _Solved record of st's matrix without row r and column c, where
+    column c is finite only in row r: every finite transversal uses (r, c),
+    so st's duals without u_r and v_c stay feasible, and tight on its rho
+    without row r, and are optimal for the minor, of value J - a_rc.  Read
+    from _ANSWERS when the minor was met before; else only its weak matrix
+    may be solved (weak_tdet)."""
+    a, sol = st.entries, st.sol
+    if sol.rho[r] != c:
+        raise InternalInvariantViolation(
+            "transversal %r misses the peeled cell (%d, %d) of\n%s" % (sol.rho, r, c, render_grid(a))
+        )
+    b = minor(a, r, c)
+    ans = _ANSWERS.get(b)
+    if ans is None:
+        u, v = sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :]
+        rho = tuple([j - (j > c) for j in sol.rho[:r] + sol.rho[r + 1 :]])
+        sub = Assignment(sol.value - a[r][c], u, v, rho)
+        ans = _remember(b, sub, weak_tdet(b, sub))
+    return _Solved(b, st.names[:c] + st.names[c + 1 :], ans.sol, ans.weak)
 
 
 def _normal_form(st):
@@ -397,7 +423,7 @@ def linear_reduce(system) -> LinearReduceResult:
             peeled += o
             del eqs[r]
             if eqs:
-                st = _solve(minor(a, r, c), names[:c] + names[c + 1 :])
+                st = _peel(st, r, c)
             report()
             steps.append(ReductionStep("peel", r, -1, names[c], jw_seq[-2], jw_seq[-1], js_seq[-2], js_seq[-1]))
             continue

@@ -15,7 +15,7 @@ from diffalg import (
     hall_matching,
     render,
 )
-from diffalg.tropical import _shape
+from diffalg.tropical import Assignment, _shape, tdet_brute
 
 NAMES = ("x", "y", "z", "t", "u", "v")
 
@@ -487,6 +487,21 @@ def rand_constant_coefficient_system(rng, n, max_order):
         matrix.append(row)
         lines.append(" ".join("%s %d*%s" % ("-" if c < 0 else "+", abs(c), t) for c, t in terms))
     return matrix, "vars: %s\n%s\n" % (", ".join(names), "\n".join(lines))
+
+
+def assert_optimal(a, sol):
+    """sol is an optimal Assignment of the square matrix a: its value is the
+    factorial oracle's, its duals are feasible on every finite cell and tight
+    on rho, and sum(u) + sum(v) = value."""
+    assert sol.value == tdet_brute(a)[0], (a, sol)
+    if sol.value == NEG_INF:
+        assert sol == Assignment(NEG_INF), (a, sol)
+        return
+    n = len(a)
+    assert sorted(sol.rho) == list(range(n)), (a, sol)
+    assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != NEG_INF), (a, sol)
+    assert all(sol.u[i] + sol.v[sol.rho[i]] == a[i][sol.rho[i]] for i in range(n)), (a, sol)
+    assert sum(sol.u) + sum(sol.v) == sol.value, (a, sol)
 
 
 # -- brute-force reference normalizers -------------------------------------------

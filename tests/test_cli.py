@@ -375,6 +375,10 @@ def _err(message, call, name):
     _err("more elements than variables", lambda d: d.dimensions(d.AutoreducedSet((_X, _DY), d.orderly()), 1),
          "dimensions"),
     _err("empty system", lambda d: d.order_matrix([]), "order_matrix"),
+    _err("var_order repeats variable 'x'", lambda d: d.order_matrix([_X, _Y], ["x", "x"]), "order_matrix-repeat"),
+    # a name and an index of one variable
+    _err("var_order repeats variable 'y'", lambda d: d.step_first_form([_X, _Y], ["y", 1]),
+         "order_matrix-repeat-index"),
     _err("tdet needs a square matrix", lambda d: d.tdet_brute(((1, 2),)), "tdet_brute-shape"),
     _err("brute force capped at n = 8", lambda d: d.tdet_brute(((0,) * 9,) * 9), "tdet_brute-n"),
     _err(_TAKE, lambda d: d.tdet_assignment(_NO_TRANSVERSAL).take((), ()), "take-transversal"),

@@ -38,11 +38,12 @@ from diffalg import (
     step_first_form,
     step_second_form,
     tdet,
+    tdet_assignment,
     tdet_brute,
 )
-from diffalg.tropical import weak_entries
+from diffalg.tropical import minor, weak_entries
 from diffalg.generators import rand_linear_system
-from helpers import bareiss_det, rand_constant_coefficient_system, rand_unit_separant_system, ring_of
+from helpers import assert_optimal, bareiss_det, rand_constant_coefficient_system, rand_unit_separant_system, ring_of
 
 R2 = ring_of(2)
 R3 = ring_of(3)
@@ -523,58 +524,90 @@ def _banded_system(rng, n, max_order=2):
 
 
 def test_linear_reduce_solves_each_matrix_once(monkeypatch):
-    # Every engine._solve that misses the memo runs one cold Hungarian solve
-    # of its matrix, and one of the weak matrix exactly when the strong duals
-    # leave a -inf cell uncovered (u_i + v_j < 0); a hit runs none; and each
-    # J it reports is the factorial oracle's.  Each entry point runs twice:
-    # on an emptied memo, then on the memo that run filled, where every
-    # _solve hits.  linear_reduce and scripted_divide solve nowhere else.
+    # Every engine._solve that misses the memo (an initial matrix, or one a
+    # division step left) runs one cold Hungarian solve of its matrix, and
+    # one of the weak matrix exactly when the strong duals leave a -inf cell
+    # uncovered (u_i + v_j < 0).  Every engine._peel that misses runs no
+    # strong solve: it carries the parent's Assignment without the peeled row
+    # and column, and runs the weak solve under the same rule.  A hit runs
+    # none; and each J either reports is the factorial oracle's.  Each entry
+    # point runs twice: on an emptied memo, then on the memo that run filled,
+    # where every lookup hits.  linear_reduce and scripted_divide solve
+    # nowhere else.
     import diffalg.tropical as tropical_mod
 
-    hungarian, solve = tropical_mod.tdet_assignment, engine_mod._solve
+    hungarian, solve, peel = tropical_mod.tdet_assignment, engine_mod._solve, engine_mod._peel
     calls, inside = [], []
-    seen = dict.fromkeys(("miss", "hit", "weak solved", "first", "second"), 0)
+    seen = dict.fromkeys(("miss", "hit", "weak solved", "peel miss", "peel hit", "peel weak", "first", "second"), 0)
 
     def counted(a):
         calls.append(a)
         return hungarian(a)
 
-    def checked_solve(a, names):
+    def uncovered(a, sol):
+        return sol.value == NEG_INF or any(
+            sol.u[i] + sol.v[j] < 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
+        )
+
+    def looked_up(a, call):
+        # the record call() returns for matrix a, the Hungarian solves it
+        # ran, and whether the memo held a's answers
         hit, start = a in engine_mod._ANSWERS, len(calls)
-        st = solve(a, names)
+        st = call()
         got = calls[start:]
         inside.extend(got)
-        weak = weak_entries(a)
+        assert st.entries == a
+        assert (st.sol.value, st.weak) == (tdet_brute(a)[0], tdet_brute(weak_entries(a))[0]), a
         if hit:
             assert got == [], (a, got)
-        else:
-            sol = hungarian(a)
-            uncovered = sol.value == NEG_INF or any(
-                sol.u[i] + sol.v[j] < 0 for i, row in enumerate(a) for j, e in enumerate(row) if e == NEG_INF
-            )
-            assert got == ([a, weak] if uncovered else [a]), (a, got)
-            seen["weak solved"] += uncovered
+        return st, got, hit
+
+    def checked_solve(a, names):
+        st, got, hit = looked_up(a, lambda: solve(a, names))
+        if not hit:
+            weak = uncovered(a, hungarian(a))
+            assert got == ([a, weak_entries(a)] if weak else [a]), (a, got)
+            seen["weak solved"] += weak
         seen["hit" if hit else "miss"] += 1
-        assert (st.sol.value, st.weak) == (tdet_brute(a)[0], tdet_brute(weak)[0]), a
         return st
+
+    def checked_peel(st, r, c):
+        a = minor(st.entries, r, c)
+        out, got, hit = looked_up(a, lambda: peel(st, r, c))
+        if not hit:
+            sol = st.sol
+            assert sol.rho[r] == c
+            assert out.sol == (
+                sol.value - st.entries[r][c],
+                sol.u[:r] + sol.u[r + 1 :],
+                sol.v[:c] + sol.v[c + 1 :],
+                tuple(j - (j > c) for j in sol.rho[:r] + sol.rho[r + 1 :]),
+            )
+            assert_optimal(a, out.sol)
+            weak = uncovered(a, out.sol)
+            assert got == ([weak_entries(a)] if weak else []), (a, got)
+            seen["peel weak"] += weak
+        seen["peel hit" if hit else "peel miss"] += 1
+        return out
 
     def run_twice(call, only_in_solve):
         engine_mod._ANSWERS.clear()
         for filled in (False, True):
             del calls[:], inside[:]
-            misses = seen["miss"]
+            misses = seen["miss"] + seen["peel miss"]
             try:
                 call()
             except InconsistentSystem:
                 pass
-            assert not filled or seen["miss"] == misses
+            assert not filled or seen["miss"] + seen["peel miss"] == misses
             assert not only_in_solve or calls == inside
 
     monkeypatch.setattr(tropical_mod, "tdet_assignment", counted)
     monkeypatch.setattr(engine_mod, "tdet_assignment", counted)
     monkeypatch.setattr(engine_mod, "_solve", checked_solve)
+    monkeypatch.setattr(engine_mod, "_peel", checked_peel)
     rng = random.Random(18)
-    for k in range(60):
+    for k in range(120):
         if k % 3 == 2:
             sys_ = _banded_system(rng, rng.randint(5, 6))
         else:
@@ -592,6 +625,41 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         run_twice(lambda: step([sys_[i] for i in cert.row_perm], list(cert.col_perm)), False)
         seen[cert.form] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_peel_read_off_is_optimal_for_the_minor():
+    # a matrix with a column finite in one row only: every finite transversal
+    # uses that cell, and the cold Assignment without its row and column is
+    # an optimal one of the minor, whose tdet is J minus the cell
+    rng = random.Random(38)
+    peeled = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        a = [[NEG_INF if rng.random() < 0.3 else rng.randint(0, 5) for _ in range(n)] for _ in range(n)]
+        r, c = rng.randrange(n), rng.randrange(n)
+        for i in range(n):
+            a[i][c] = rng.randint(0, 5) if i == r else NEG_INF
+        a = tuple(map(tuple, a))
+        st = engine_mod._Solved(a, tuple("x%d" % j for j in range(n)), tdet_assignment(a), None)
+        if st.sol.value == NEG_INF:
+            continue
+        engine_mod._ANSWERS.clear()
+        out = engine_mod._peel(st, r, c)
+        b = minor(a, r, c)
+        assert out.entries == b and out.names == st.names[:c] + st.names[c + 1 :]
+        assert_optimal(b, out.sol)
+        assert out.sol.value == tdet_brute(b)[0] == st.sol.value - a[r][c]
+        assert out.weak == tdet_brute(weak_entries(b))[0]
+        peeled += 1
+    assert peeled >= 100, peeled
+    # a carried transversal that misses the peeled cell is the program's fault
+    from diffalg.errors import InternalInvariantViolation
+    from diffalg.tropical import Assignment
+
+    a = ((1, NEG_INF), (2, 3))
+    wrong = engine_mod._Solved(a, ("x", "y"), Assignment(4, (1, 3), (0, 0), (1, 0)), 4)
+    with pytest.raises(InternalInvariantViolation, match=r"misses the peeled cell \(1, 1\)"):
+        engine_mod._peel(wrong, 1, 1)
 
 
 def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):

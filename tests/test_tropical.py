@@ -36,6 +36,7 @@ from diffalg.tropical import (
 from diffalg.generators import rand_matrix
 from helpers import (
     all_cycles,
+    assert_optimal,
     cyclic_sum,
     first_form_brute,
     identity_perm,
@@ -449,6 +450,35 @@ def test_assignment_potentials_are_optimal_duals():
         assert sum(sol.u) + sum(sol.v) == sol.value
 
 
+def test_row_maximum_start_cases():
+    # tdet_assignment starts from u = the row maxima, v = 0, each row matched
+    # to the first free column where it reaches its maximum; only the rows
+    # left free augment.  Every case against the oracle, with its duals.
+    cases = {
+        "n = 1": ((4,),),
+        "n = 1, no finite entry": ((INF,),),
+        "a row of -inf": ((1, 2, 0), (INF, INF, INF), (0, 3, 1)),
+        "all matched greedily": ((5, 1, INF), (0, 2, 1), (INF, 0, 7)),
+        "ties in a row's maximum": ((3, 3, 1), (3, 3, 0), (2, 3, 3)),
+        "all rows tied": ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+        "Hall fails, row maxima finite": ((1, INF, INF), (4, INF, INF), (0, 2, 5)),
+        "Hall fails after augmenting": ((1, 2, INF), (3, 0, INF), (2, 1, INF)),
+    }
+    no_transversal = {
+        "n = 1, no finite entry", "a row of -inf", "Hall fails, row maxima finite", "Hall fails after augmenting"
+    }
+    for name, a in cases.items():
+        sol = tdet_assignment(a)
+        assert_optimal(a, sol)
+        assert (sol.value == INF) == (name in no_transversal), name
+    # with every row's first maximum in a column of its own no row augments:
+    # the starting duals and matching are the answer
+    sol = tdet_assignment(cases["all matched greedily"])
+    assert sol == Assignment(14, (5, 2, 7), (0, 0, 0), (0, 1, 2))
+    # a tie sends row 1 past its first maximum, taken by row 0
+    assert tdet_assignment(((3, 3, 1), (3, 3, 0), (0, 0, 2))).rho == (0, 1, 2)
+
+
 def test_dual_certificates_match_brute():
     # The strong duals give the weak J (weak_tdet), and Assignment.take
     # hands a permuted matrix its optimal Assignment, against the factorial
@@ -467,7 +497,7 @@ def test_dual_certificates_match_brute():
                 sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
                 refused = [(range(n), range(n))]
                 if sol.value != INF:
-                    _assert_optimal(permute(a, sigma, tau), sol.take(sigma, tau))
+                    assert_optimal(permute(a, sigma, tau), sol.take(sigma, tau))
                     seen["permuted"] += 1
                     refused = [(sigma[1:], tau[1:]), (sigma, tau[:-1] + [n])]
                 for rows, cols in refused:
@@ -475,20 +505,6 @@ def test_dual_certificates_match_brute():
                         sol.take(rows, cols)
                     seen["refused"] += 1
     assert min(seen.values()) >= 50, seen
-
-
-def _assert_optimal(a, sol):
-    # value against the factorial oracle; duals feasible on every finite
-    # cell and tight on rho; sum(u) + sum(v) = value
-    assert sol.value == tdet_brute(a)[0], (a, sol)
-    if sol.value == INF:
-        assert sol == Assignment(INF), (a, sol)
-        return
-    n = len(a)
-    assert sorted(sol.rho) == list(range(n)), (a, sol)
-    assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != INF), (a, sol)
-    assert all(sol.u[i] + sol.v[sol.rho[i]] == a[i][sol.rho[i]] for i in range(n)), (a, sol)
-    assert sum(sol.u) + sum(sol.v) == sol.value, (a, sol)
 
 
 def test_second_form_minors_from_one_pass(monkeypatch):
@@ -630,7 +646,7 @@ def test_normalize_reads_the_same_answer_off_any_optimal_assignment():
         raised = permute(tuple(tuple(e + cj for e, cj in zip(row, c)) for row in a), sigma, tau)
         back = tdet_assignment(raised).take(inverse(sigma), inverse(tau))
         taken = Assignment(cold.value, back.u, tuple(vj - cj for vj, cj in zip(back.v, c)), back.rho)
-        _assert_optimal(a, taken)
+        assert_optimal(a, taken)
         other = (taken.u, taken.v) != (cold.u, cold.v)
         other_duals += other
         try:
