@@ -25,7 +25,10 @@ Sums, products and powers are rules on packed term dicts (_merge, _product,
 _power), which DiffPoly's operators and the parser (textio) share.
 Each polynomial caches its support word, the OR of its monomials: a field of
 the word is nonzero iff that derivative occurs, so is_constant is a test and
-the orderly leader is the word's top field.  A derivative ranks by
+the orderly leader is the word's top field.  The three masks of a ring
+(_Masks), one set per number of variables, span every order up to
+MAX_ORDER, so every word: variable v's fields of a word w are
+(w >> v*FIELD_BITS) & low.  A derivative ranks by
 Ranking.key, its variable's prefix (the block under an elimination ranking,
 resolved once per ranking) followed by (order, var): the one order that
 leaders and a division's measure compare (Ritt 1950, ch. I; Kolchin 1973).
@@ -177,45 +180,26 @@ def _decode(nvars, m):
     return tuple(sorted((_at(s, nvars), (m >> s) & _FIELD) for s in _shifts(m)))
 
 
-class _Masks:
-    """Masks over the packed fields of rings of one number of variables: one
-    per variable (its field at every order), `guard`, the top bit of every
-    field (an exponent over MAX_EXPONENT), and `unit`, the lowest bit of
-    every field (an exponent of 1).  They cover the first `orders` orders,
-    the words up to `limit`."""
+class _Masks(namedtuple("_Masks", "low guard unit")):
+    """Masks over the packed fields of rings of one number of variables, at
+    every order up to MAX_ORDER: `low`, every field of variable 0; `guard`,
+    the top bit of every field (an exponent over MAX_EXPONENT); and `unit`,
+    the lowest bit of every field (an exponent of 1)."""
 
-    __slots__ = ("var", "guard", "unit", "orders", "limit")
-
-    def __init__(self, var, guard, unit, orders, limit):
-        self.var, self.guard, self.unit, self.orders, self.limit = var, guard, unit, orders, limit
+    __slots__ = ()
 
 
-class _Layout:
-    """The _Masks of the rings of `nvars` variables.  They depend on that
-    number alone, so one layout serves all such rings (_LAYOUTS); it grows
-    them with the longest support word it is asked about, replacing them
-    whole, so no thread reads a mix."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.masks = self._build(8)
-
-    def _build(self, orders):
-        period = self.nvars * FIELD_BITS
-        rep = sum(1 << (period * k) for k in range(orders))  # 1 in the first field of each order
-        var = tuple((_FIELD << (v * FIELD_BITS)) * rep for v in range(self.nvars))
-        guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(self.nvars)) * rep
-        return _Masks(var, guard, guard >> (FIELD_BITS - 1), orders, (1 << (period * orders)) - 1)
-
-    def cover(self, w):
-        """The masks, covering at least the word w."""
-        m = self.masks
-        if w > m.limit:
-            m = self.masks = self._build(max(2 * m.orders, -(-w.bit_length() // (self.nvars * FIELD_BITS))))
-        return m
+def _ring_masks(nvars):
+    """The _Masks of the rings of nvars variables, each read off one
+    little-endian byte pattern repeated over its fields."""
+    size = FIELD_BITS // 8  # bytes per field
+    orders = MAX_ORDER + 1
+    low = int.from_bytes(_FIELD.to_bytes(size * nvars, "little") * orders, "little") if nvars else 0
+    guard = int.from_bytes((1 << (FIELD_BITS - 1)).to_bytes(size, "little") * (nvars * orders), "little")
+    return _Masks(low, guard, guard >> (FIELD_BITS - 1))
 
 
-_LAYOUTS = {}  # number of variables -> its _Layout
+_MASKS = {}  # number of variables -> its _Masks, shared by all rings of that many
 
 
 class DiffRing:
@@ -232,7 +216,7 @@ class DiffRing:
         self.names = names
         self.nvars = len(names)
         self.index = {nm: i for i, nm in enumerate(names)}
-        self._layout = _LAYOUTS.get(self.nvars) or _LAYOUTS.setdefault(self.nvars, _Layout(self.nvars))
+        self._masks = _MASKS.get(self.nvars) or _MASKS.setdefault(self.nvars, _ring_masks(self.nvars))
 
     def __eq__(self, other):
         return isinstance(other, DiffRing) and self.names == other.names
@@ -324,13 +308,14 @@ class DiffPoly:
             tops = self._tops = {}
         elif v in tops:
             return tops[v]
-        w = self._support()
-        x = w & self.ring._layout.cover(w).var[v] if w else 0
+        ring = self.ring
+        x = (self._support() >> v * FIELD_BITS) & ring._masks.low
         got = None
         if x:
-            s = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            order = (x.bit_length() - 1) // (ring.nvars * FIELD_BITS)
+            s = (order * ring.nvars + v) * FIELD_BITS
             mask = _FIELD << s
-            got = (s // FIELD_BITS // self.ring.nvars, max(map(mask.__and__, self._packed)) >> s)
+            got = (order, max(map(mask.__and__, self._packed)) >> s)
         tops[v] = got
         return got
 
@@ -436,7 +421,7 @@ class DiffPoly:
             w = p._support()
             if w and (w.bit_length() - 1) // up >= MAX_ORDER:
                 raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
-            if w & ring._layout.cover(w).guard:
+            if w & ring._masks.guard:
                 raise ResourceLimit("derivation refused: an exponent over MAX_EXPONENT = %d" % MAX_EXPONENT)
             # d^e -> e * d^(e-1) * d': one field down by one, the next order's
             # up by one, for each nonzero field of the monomial, highest first
@@ -554,13 +539,11 @@ def _guard(ring, w1, w2):
     """Refuse (ResourceLimit) a product of two non-constant factors, of
     support words w1 and w2, when a factor has an exponent over MAX_EXPONENT,
     whose sum with another could carry out of its field."""
-    if w1 and w2:
-        w = w1 | w2
-        if w & ring._layout.cover(w).guard:
-            raise ResourceLimit(
-                "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
-                % (MAX_EXPONENT, FIELD_BITS)
-            )
+    if w1 and w2 and (w1 | w2) & ring._masks.guard:
+        raise ResourceLimit(
+            "product refused: an exponent over MAX_EXPONENT = %d could carry out of its %d-bit field"
+            % (MAX_EXPONENT, FIELD_BITS)
+        )
 
 
 def _scale(t, k):
@@ -769,7 +752,7 @@ def _is_linear(p: DiffPoly) -> bool:
     if lin is None:
         t = p._packed
         w = p._support()
-        lin = p._lin = sum(map(int.bit_count, t)) == len(t) - (0 in t) and w & p.ring._layout.cover(w).unit == w
+        lin = p._lin = sum(map(int.bit_count, t)) == len(t) - (0 in t) and w & p.ring._masks.unit == w
     return lin
 
 
@@ -779,26 +762,25 @@ def _linear_terms(p: DiffPoly):
 
 
 def _linear_word(ring, t):
-    """(w, masks, up) for the linear term dict t: its support word w, the
-    ring's mask of each variable covering w, and the field period
-    up = n*FIELD_BITS, so that the order of the top derivative of variable v
-    is ((w & masks[v]).bit_length() - 1) // up, -1 when v does not occur.
-    t's monomials are distinct single bits and 0, so w is their sum.  An
-    order over MAX_ORDER, which only a derivative D^k g can reach, raises
-    ResourceLimit as DiffPoly.derive does."""
+    """The support word w of the linear term dict t, off which the order of
+    the top derivative of variable v reads as
+    (((w >> v*FIELD_BITS) & ring._masks.low).bit_length() - 1) // (n*FIELD_BITS),
+    -1 when v does not occur.  t's monomials are distinct single bits and 0,
+    so w is their sum.  An order over MAX_ORDER, which only a derivative
+    D^k g can reach, raises ResourceLimit as DiffPoly.derive does, so the
+    ring's masks span w."""
     w = sum(t)
-    up = ring.nvars * FIELD_BITS
-    if w.bit_length() > (MAX_ORDER + 1) * up:
+    if w.bit_length() > (MAX_ORDER + 1) * ring.nvars * FIELD_BITS:
         raise ResourceLimit("derivative of order over the cap MAX_ORDER = %d" % MAX_ORDER)
-    return w, ring._layout.cover(w).var, up
+    return w
 
 
 def _linear_tops(ring, w):
     """The order of the top derivative of each variable of the ring, -1 for
     an absent one, read off w, the support word of a linear term dict, as
-    _linear_word describes."""
-    up = ring.nvars * FIELD_BITS
-    return [((w & x).bit_length() - 1) // up for x in ring._layout.cover(w).var]
+    _linear_word describes, at each variable's shift v*FIELD_BITS."""
+    low, up = ring._masks.low, ring.nvars * FIELD_BITS
+    return [(((w >> s) & low).bit_length() - 1) // up for s in range(0, up, FIELD_BITS)]
 
 
 def _linear_at(ring, t, var, order):
@@ -854,7 +836,8 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
     """Orderly or block-elimination ranking on derivatives.
 
     kind 'orderly': compare (order, var index); it takes no blocks.
-    kind 'elim': blocks of variable indices, later blocks rank higher;
+    kind 'elim': blocks of variable indices (ints >= 0, ValueError for any
+    other entry), later blocks rank higher;
     within a block compare (order, var index).  The blocks are kept as a
     tuple of tuples, so rankings compare and hash by value.
     key(d) = _prefix(d.var) + (d.order, d.var) is the one rank of derivatives
@@ -864,7 +847,7 @@ class Ranking(namedtuple("Ranking", "kind blocks")):
     def __new__(cls, kind, blocks=()):
         if kind not in ("orderly", "elim"):
             raise ValueError("unknown ranking kind %r" % kind)
-        blocks = tuple(tuple(b) for b in blocks)
+        blocks = tuple(tuple(_count(v, "block entry") for v in b) for b in blocks)
         if kind == "orderly" and blocks:
             raise ValueError("the orderly ranking takes no blocks")
         if len({v for b in blocks for v in b}) != sum(map(len, blocks)):

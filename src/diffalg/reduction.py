@@ -75,6 +75,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .diffpoly import (
+    FIELD_BITS,
     POS_INF,
     PRIME,
     Derivative,
@@ -379,32 +380,33 @@ def _linear_divide(f: DiffPoly, divisors, leads, pres):
     same steps, remainder, den and certificate.  divisors, leads and pres are
     as _leads returns them.  Each iteration takes the remainder's support
     word once (diffpoly._linear_word, with its MAX_ORDER guard) and reads off
-    it, through the ring's masks, the top orders of the divisors' variables
-    only, each candidate compared by its divisor's key prefix as in
-    ritt_divide.  Each step logs (i, k, den*a, mult): den*a a number, which
-    the exact check reads, and mult the divisor's leading coefficient as its
-    one constant polynomial, built at the divisor's first step.  The
+    it the top orders of the divisors' variables only, each at its shift
+    v*FIELD_BITS under the ring's mask `low` and compared by its divisor's
+    key prefix as in ritt_divide.  Each step logs (i, k, den*a, mult): den*a
+    a number, which the exact check reads, and mult the divisor's leading
+    coefficient as its one constant polynomial, built at its first step.  The
     remainder of a division that took a step keeps the top orders of every
     variable, read once off the last word (diffpoly._linear_poly).  The
     measure must drop at every step and the certificate identity must hold
     exactly, or InternalInvariantViolation is raised."""
     ring = f.ring
     ft = _linear_terms(f)
-    # per divisor: its key prefix, the variable and order of its leader, its
-    # terms, and its leading coefficient; mults[i] is that coefficient as a
-    # polynomial, once divisor i has taken a step
+    # per divisor: its key prefix, its leader's variable v, shift v*FIELD_BITS
+    # and order, its terms, and its leading coefficient; mults[i] is that
+    # coefficient as a polynomial, once divisor i has taken a step
     rows = []
     for g, (ld, _), pre in zip(divisors, leads, pres):
         gt = _linear_terms(g)
-        rows.append((pre, ld.var, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
+        rows.append((pre, ld.var, ld.var * FIELD_BITS, ld.order, gt, _linear_at(ring, gt, ld.var, ld.order)))
     mults = [None] * len(rows)
+    low, up = ring._masks.low, ring.nvars * FIELD_BITS
     r, den, log, last = ft, 1, [], None
     while True:
         # the highest unreduced derivative, as _violates finds it in full mode
-        w, masks, up = _linear_word(ring, r)
+        w = _linear_word(ring, r)
         best = None
-        for i, (pre, v, og, _, _) in enumerate(rows):
-            o = ((w & masks[v]).bit_length() - 1) // up
+        for i, (pre, v, sv, og, _, _) in enumerate(rows):
+            o = (((w >> sv) & low).bit_length() - 1) // up
             if o >= og:
                 key = pre + (o, v) if pre is not None else (o,)
                 if best is None or key > best[0]:
@@ -416,7 +418,7 @@ def _linear_divide(f: DiffPoly, divisors, leads, pres):
             raise _no_drop(key, last, f, divisors, _poly(ring, r))
         last = key
         # lc*r - a*D^k g cancels the term a*x_v^(o) of r
-        _, v, og, gt, lc = rows[i]
+        _, v, _, og, gt, lc = rows[i]
         mult = mults[i]
         if mult is None:
             mult = mults[i] = _poly(ring, {0: lc})
@@ -432,10 +434,10 @@ def _linear_divide(f: DiffPoly, divisors, leads, pres):
     S, Q = 1, {}
     for i, k, t, _ in reversed(log):
         Q[i, k] = Q.get((i, k), 0) + S * t
-        S = S * rows[i][4]
+        S = S * rows[i][5]
     acc = _submul({m: S * b for m, b in ft.items()}, den, r, 0, ring)
     for (i, k), q in Q.items():
-        _submul(acc, q, rows[i][3], k, ring)
+        _submul(acc, q, rows[i][4], k, ring)
     if any(acc.values()):
         raise _violation(f, chains, "full", "exactly, r = %s" % describe(rem))
     return DivisionCertificate(f, chains, log, rem, den, "full")

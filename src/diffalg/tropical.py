@@ -92,11 +92,14 @@ def weak_entries(entries):
 
 
 def order_matrix(polys, var_order=None, convention="strong") -> OrderMatrix:
-    """Row per polynomial, column per variable, entry = order of the variable."""
+    """Row per polynomial, column per variable, entry = order of the variable.
+    The polynomials share one ring: ValueError("mixed rings: ...") otherwise."""
     polys = list(polys)
     if not polys:
         raise ValueError("empty system")
     ring = polys[0].ring
+    for p in polys:
+        polys[0]._coerce(p)  # equal rings pass, mixed rings raise
     if var_order is None:
         var_order = list(range(ring.nvars))
     cols = [ring.var_index(v) for v in var_order]

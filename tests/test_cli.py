@@ -376,6 +376,9 @@ def _err(message, call, name):
          "dimensions"),
     _err("empty system", lambda d: d.order_matrix([]), "order_matrix"),
     _err("var_order repeats variable 'x'", lambda d: d.order_matrix([_X, _Y], ["x", "x"]), "order_matrix-repeat"),
+    # a row of a wider ring, which would be read in this ring's columns
+    _err("mixed rings: DiffRing(x, y) vs DiffRing(x, y, z)",
+         lambda d: d.order_matrix([_R.var("x", 1) + _Y, d.DiffRing(("x", "y", "z")).var("z")]), "order_matrix-mixed"),
     # a name and an index of one variable
     _err("var_order repeats variable 'y'", lambda d: d.step_first_form([_X, _Y], ["y", 1]),
          "order_matrix-repeat-index"),
@@ -395,6 +398,15 @@ def _err(message, call, name):
     _err("need a square matrix, n >= 2", lambda d: d.normalize(((1,),)), "normalize"),
     _err("name 'x' already in ring", lambda d: _R.extend("x"), "extend"),
     _err("leader of a constant", lambda d: d.orderly().leader(_R.const(2)), "leader"),
+    # True == 1 and 1.0 == 1 would put variable 1 in block 0
+    _err("block entry must be a non-negative int, not True", lambda d: d.elimination([[True], [0]]),
+         "elimination-bool"),
+    _err("block entry must be a non-negative int, not 1.0", lambda d: d.elimination([[1.0], [0]]),
+         "elimination-float"),
+    _err("block entry must be a non-negative int, not 'y'", lambda d: d.elimination([["y"], [0, 1]]),
+         "elimination-name"),
+    _err("block entry must be a non-negative int, not -1", lambda d: d.elimination([[-1], [0, 1]]),
+         "elimination-negative"),
     _err("polynomial does not involve variable y", lambda d: d.separant(_X, "y"), "separant"),
     _err("empty system", lambda d: d.linear_reduce([]), "linear_reduce"),
 ])

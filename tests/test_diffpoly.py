@@ -44,6 +44,7 @@ from diffalg.diffpoly import (
     _decode,
     _encode,
     _field_value,
+    _is_linear,
     _poly,
     _render_cmp,
     _renderable,
@@ -707,8 +708,9 @@ def test_leaders_match_brute_force():
     assert str(err.value) == "variable 2 not covered by blocks"
 
 
-def test_orders_past_the_first_masks():
-    # the masks grow with the orders they meet; order_in and the leaders follow
+def test_masks_span_every_order():
+    # the masks span every order up to MAX_ORDER; order_in and the leaders
+    # read them at any order
     rng = random.Random(5)
     for _ in range(200):
         p = rand_poly(rng, R3, max_order=40)
@@ -720,9 +722,43 @@ def test_orders_past_the_first_masks():
             assert orderly().leader(p) == max(p.support(), key=orderly().key)
     # they depend on the number of variables alone: rings of one size share
     # them, and a ring of no variables has masks of no fields
-    assert DiffRing(("p", "q", "r"))._layout is R3._layout
+    assert DiffRing(("p", "q", "r"))._masks is R3._masks
     empty = DiffRing(())
     assert empty.const(3).derive() == 0 and empty.const(2) ** 3 == 8 and empty.const(3) * 2 == 6
+    assert _is_linear(empty.const(3)) and empty._masks == (0, 0, 0)
+    # up to the order cap, in rings of 1, 3 and 30 variables
+    for n in (1, 3, 30):
+        ring = DiffRing(["x%d" % v for v in range(n)])
+        blocks = list(range(n))
+        rng.shuffle(blocks)
+        rankings = [orderly(), elimination([blocks[: n // 2], blocks[n // 2:]]), elimination([[v] for v in blocks])]
+        for _ in range(60):
+            p = rand_poly(rng, ring, max_order=MAX_ORDER)
+            for v in range(n):
+                assert p.order_in(v) == ref_order_in(p.terms, v, "strong")
+            brute = {d for m in p.terms for d, _ in m}
+            if brute:
+                for rk in rankings:
+                    assert rk.leader(p) == max(brute, key=rk.key)
+        top = ring.var(n - 1, MAX_ORDER)
+        row = 2 * top - ring.var(0, MAX_ORDER) + ring.var(0) + 5
+        assert _is_linear(row) and not _is_linear(row * ring.var(0, MAX_ORDER))
+        assert row.order_in(n - 1) == MAX_ORDER and orderly().leader(row) == Derivative(n - 1, MAX_ORDER)
+        # the linear kernel divides at the cap, f - D^999(g), and reads the
+        # remainder's top orders off its word
+        f = top + ring.var(0)
+        g = ring.var(n - 1, 1) + (ring.var(0) if n > 1 else 0)
+        rem = ritt_divide(f, [g], "full").remainder
+        assert rem == (ring.var(0) - ring.var(0, MAX_ORDER - 1) if n > 1 else ring.var(0))
+        assert [rem.order_in(v) for v in range(n)] == [MAX_ORDER - 1 if n > 1 else 0] + [NEG_INF] * (n - 1)
+        heavy = DiffPoly(ring, {((Derivative(n - 1, MAX_ORDER), MAX_EXPONENT + 1),): 1})
+        with pytest.raises(ResourceLimit, match="product refused"):
+            heavy * ring.var(0)
+        with pytest.raises(ResourceLimit, match="MAX_ORDER"):
+            top.derive()
+    # every mask of a 300-variable ring spans its 1,001 orders of 300 fields
+    wide = DiffRing(["x%d" % v for v in range(300)])
+    assert sum(m.bit_length() for m in wide._masks) <= 3 * 1001 * 300 * 16
 
 
 def test_lift_into_extended_ring():
