@@ -14,29 +14,29 @@ takes its linear kernel on linear operands in full mode (linear_reduce's).
 
 Every entry point carries the active system from step to step as one
 _Solved record: its strong order matrix's `entries` and column `names`, its
-Assignment `sol` (sol.value is the strong Jacobi number; the duals u, v and
-the transversal rho index this matrix's rows and columns) and the weak
-Jacobi number `weak`.  Each J is held in one place, and an OrderMatrix is
-built only for a step's report.  A matrix not met before is solved once,
-cold (tdet_assignment), and its weak matrix only when the strong duals leave
-one of its -inf cells uncovered (weak_tdet).  Two moves need no solve: a
-normalization's permutation takes its Assignment from the carried one
-(Assignment.take), and so does a peel, whose minor keeps the carried duals
-without the peeled row and column (_peel).
+strong and weak Jacobi numbers `j` and `weak`, and `sol`, an optimal
+Assignment whose duals u, v and transversal rho index the matrix's rows and
+columns.  Each J is held in one place, and an OrderMatrix is built only for
+a step's report.  A matrix not met before is solved once, cold
+(tdet_assignment), and its weak matrix only when the strong duals leave one
+of its -inf cells uncovered (weak_tdet).  A peel needs no solve: its minor
+keeps the carried duals without the peeled row and column (_peel), the only
+reader of duals.  A normalized record keeps both J and carries no
+Assignment (sol is None), since a form step divides it at once.
 
 Small systems keep producing the same order matrices, so the answers are
 kept across calls in one process-wide memo, _ANSWERS, keyed by a strong
 order matrix's entries: its Assignment, its weak Jacobi number and, once
-linear_reduce has normalized it, normalize's certificate and permuted
-matrix with that matrix's Assignment (_Answers).  A matrix met again costs
-a lookup in place of a solve, weak_tdet and a normalization.  In a seed-1
-linear-deep round of the benchmark, 56% of the matrices asked for (3,344 of
-6,000) and 45% of the normalizations (1,749 of 3,850) meet a matrix seen
-before; of the 2,656 misses, 221 are peeled minors read off the carried
-duals, and the rest run 2,464 Hungarian solves, 29 of them weak.  The
-memo is cleared whole past ANSWERS_BOUND entries and takes no lock: two
-threads may compute one answer at once, and each stores an equally valid
-one.  A CLI call reduces one system, so the memo gives it nothing.
+linear_reduce has normalized it, normalize's certificate and permuted matrix
+(_Answers).  A matrix met again costs a lookup in place of a solve,
+weak_tdet and a normalization.  In a seed-1 linear-deep round of the
+benchmark, 56% of the matrices asked for (3,344 of 6,000) and 45% of the
+normalizations (1,749 of 3,850) meet a matrix seen before; of the 2,656
+misses, 221 are peeled minors read off the carried duals, and the rest run
+2,464 Hungarian solves, 29 of them weak.  The memo is cleared whole past
+ANSWERS_BOUND entries and takes no lock: two threads may compute one answer
+at once, and each stores an equally valid one.  A CLI call reduces one
+system, so the memo gives it nothing.
 
 The memo is exact because everything the engine reads of these answers is a
 function of the matrix alone.  The strong and weak Jacobi numbers are.  So
@@ -161,7 +161,7 @@ def _check_pivot_separant(system, pivot_index, var, charset):
     raise DegenerateSituation(system, pivot_index, var)
 
 
-_Solved = namedtuple("_Solved", "entries names sol weak")  # see the module docstring
+_Solved = namedtuple("_Solved", "entries names j weak sol")  # see the module docstring
 
 # A seed-1 linear-deep round of the benchmark (800 systems) meets 2,656
 # distinct matrices and normalizes 2,101; past the bound the memo is cleared whole.
@@ -170,10 +170,9 @@ _ANSWERS = {}  # strong order matrix entries -> its _Answers, for every caller
 
 
 class _Answers:
-    """What the engine reads of one strong order matrix (module docstring):
-    an optimal Assignment `sol`, the weak Jacobi number `weak`, and `normal`,
-    normalize's (FormCertificate, permuted matrix) with the permuted matrix's
-    Assignment, None until linear_reduce first normalizes the matrix."""
+    """What the engine reads of one strong order matrix (module docstring): an
+    optimal Assignment `sol`, the weak Jacobi number `weak`, and `normal`,
+    normalize's (FormCertificate, permuted matrix) once linear_reduce has."""
 
     __slots__ = ("sol", "weak", "normal")
 
@@ -195,7 +194,7 @@ def _solve(entries, names):
     if ans is None:
         sol = tdet_assignment(entries)
         ans = _remember(entries, sol, weak_tdet(entries, sol))
-    return _Solved(entries, names, ans.sol, ans.weak)
+    return _Solved(entries, names, ans.sol.value, ans.weak, ans.sol)
 
 
 def _peel(st, r, c):
@@ -215,20 +214,19 @@ def _peel(st, r, c):
     if ans is None:
         u, v = sol.u[:r] + sol.u[r + 1 :], sol.v[:c] + sol.v[c + 1 :]
         rho = tuple([j - (j > c) for j in sol.rho[:r] + sol.rho[r + 1 :]])
-        sub = Assignment(sol.value - a[r][c], u, v, rho)
+        sub = Assignment(st.j - a[r][c], u, v, rho)
         ans = _remember(b, sub, weak_tdet(b, sub))
-    return _Solved(b, st.names[:c] + st.names[c + 1 :], ans.sol, ans.weak)
+    return _Solved(b, st.names[:c] + st.names[c + 1 :], ans.sol.value, ans.weak, ans.sol)
 
 
 def _normal_form(st):
-    """(FormCertificate, permuted matrix, its Assignment) of normalize on
-    st's matrix, read from _ANSWERS when the matrix was normalized before."""
+    """(FormCertificate, permuted matrix) of normalize on st's matrix, read
+    from _ANSWERS when the matrix was normalized before."""
     ans = _ANSWERS.get(st.entries)
     if ans is None:
         ans = _remember(st.entries, st.sol, st.weak)
     if ans.normal is None:
-        fc, b = normalize(st.entries, st.sol)
-        ans.normal = fc, b, st.sol.take(fc.row_perm, fc.col_perm)
+        ans.normal = normalize(st.entries, st.sol)
     return ans.normal
 
 
@@ -249,7 +247,7 @@ def _divide_step(system, di, gi, var, kind, st, mode):
     after = _solve(b, names)
     # b is a's rows with row di replaced by one of as many entries: no check to repeat
     matrix = OrderMatrix._make((b, "strong", names))
-    step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.sol.value, after.sol.value, cert, matrix)
+    step = ReductionStep(kind, di, gi, var, st.weak, after.weak, st.j, after.j, cert, matrix)
     return out, step, after
 
 
@@ -261,8 +259,8 @@ def _form_step(system, kind, st):
     dividend = 1 if kind == "first-form" else len(system) - 1
     out, step, after = _divide_step(system, dividend, 0, st.names[0], kind, st, "full")
     a, b = st.entries, after.entries
-    if after.sol.value > st.sol.value:
-        raise InternalInvariantViolation("J increased: %s -> %s\n%s" % (st.sol.value, after.sol.value, render_grid(b)))
+    if after.j > st.j:
+        raise InternalInvariantViolation("J increased: %s -> %s\n%s" % (st.j, after.j, render_grid(b)))
     if b != a and ritt_compare(b, a) != LESS:
         raise InternalInvariantViolation(
             "matrix did not drop in Ritt's ordering:\n%s\n->\n%s" % (render_grid(a), render_grid(b))
@@ -275,7 +273,7 @@ def _detected_form_step(system, var_order, kind, charset):
     m = order_matrix(system, var_order)
     st = _solve(m.entries, m.col_names)
     detect = detect_first_form if kind == "first-form" else detect_second_form
-    if not detect(st.entries, st.sol.value):
+    if not detect(st.entries, st.j):
         raise ValueError("system is not in %s" % kind.replace("-", " "))
     # only here: on linear_reduce's linear systems every pivot separant is constant
     _check_pivot_separant(system, 0, system[0].ring.var_index(st.names[0]), charset)
@@ -300,7 +298,7 @@ def scripted_divide(system, script, var_order=None):
     ring = system[0].ring
     m = order_matrix(system, var_order)
     st = _solve(m.entries, m.col_names)
-    jw0, js0 = st.weak, st.sol.value
+    jw0, js0 = st.weak, st.j
     steps = []
     for pos, (di, gi, var) in enumerate(script):
         v = ring.var_index(var)
@@ -381,11 +379,11 @@ def linear_reduce(system) -> LinearReduceResult:
             raise ValueError("equation %d is not linear" % i)
 
     # The active system's _Solved record is carried from one iteration to
-    # the next (see the module docstring); its Assignment serves both the
-    # J-sequence and the next normalization.
+    # the next (see the module docstring); its Assignment serves the next
+    # normalization or peel.
     m = order_matrix(system, None)
     st = _solve(m.entries, m.col_names)
-    j_init = st.sol.value
+    j_init = st.j
     max_ord = max((e for row in st.entries for e in row if e != NEG_INF), default=0)
     budget = STEP_BUDGET_FACTOR * n * (1 + max_ord)
     eqs = list(system)
@@ -398,7 +396,7 @@ def linear_reduce(system) -> LinearReduceResult:
     fresh = eqs  # the rows not yet tested for a nonzero constant
 
     def report():
-        js_seq.append(peeled + (st.sol.value if eqs else 0))
+        js_seq.append(peeled + (st.j if eqs else 0))
         jw_seq.append(peeled + (st.weak if eqs else 0))
 
     while eqs:
@@ -407,7 +405,7 @@ def linear_reduce(system) -> LinearReduceResult:
                 raise InconsistentSystem(p)
         fresh = ()
         # a zero equation leaves a row of -inf, so it is caught here too
-        if st.sol.value == NEG_INF:
+        if st.j == NEG_INF:
             degenerate = True
             break
         a, names = st.entries, st.names
@@ -429,9 +427,9 @@ def linear_reduce(system) -> LinearReduceResult:
             continue
         # every live column is shared: normalize with the first column in
         # front, to the first form when its hypothesis holds, else the second;
-        # the record's Assignment is taken with its rows and columns
-        fc, b, sol = _normal_form(st)
-        st = _Solved(b, tuple(names[j] for j in fc.col_perm), sol, st.weak)
+        # the permuted record keeps both J and, divided at once, no Assignment
+        fc, b = _normal_form(st)
+        st = _Solved(b, tuple(names[j] for j in fc.col_perm), st.j, st.weak, None)
         eqs, step, st = _form_step([eqs[i] for i in fc.row_perm], fc.form + "-form", st)
         fresh = (step.certificate.remainder,)
         steps.append(step)

@@ -38,6 +38,7 @@ import re
 from fractions import Fraction
 
 from .diffpoly import (
+    _DESCRIBE_LIMIT,
     _NAME,
     MAX_EXPONENT,
     MAX_ORDER,
@@ -62,7 +63,19 @@ _OPERATORS = {op: (op, op) for op in "-+*^/()'"}  # the token of each operator
 class ParseError(ValueError):
     def __init__(self, msg, text, pos):
         self.pos = pos
-        super().__init__("%s at column %d: %r" % (msg, pos + 1, text))
+        super().__init__(msg + _at(text, pos))
+
+
+def _at(text, pos):
+    """' at column N: ' and the quoted line, for a fault at column pos (from 0);
+    past _DESCRIBE_LIMIT characters, as describe cuts: a window of that many,
+    from a quarter of it before the fault, "..." where cut, and the length."""
+    if len(text) <= _DESCRIBE_LIMIT:
+        return " at column %d: %r" % (pos + 1, text)
+    start = max(0, min(pos - _DESCRIBE_LIMIT // 4, len(text) - _DESCRIBE_LIMIT))
+    end = start + _DESCRIBE_LIMIT
+    cut = "... " * (start > 0), text[start:end], " ..." * (end < len(text)), len(text)
+    return " at column %d: %s%r%s <%d characters>" % (pos + 1, *cut)
 
 
 def _column(text, i):
@@ -83,7 +96,7 @@ def _tokenize(text):
                 try:
                     t = ("int", int(tok))
                 except ValueError:  # more digits than the interpreter converts
-                    where = " at column %d: %r" % (_column(text, len(out)) + 1, text)
+                    where = _at(text, _column(text, len(out)))
                     raise digit_limit("integer of %s" % digits_size(len(tok)), where) from None
             else:
                 raise ParseError("unexpected character %r" % tok, text, _column(text, len(out)))
@@ -131,8 +144,8 @@ class _Parser:
     def _capped(self, value, cap, what, i):
         """value, or ResourceLimit at the column of token i when it is over cap."""
         if value > cap:
-            raise ResourceLimit(
-                "%s %d over the cap of %d at column %d: %r" % (what, value, cap, _column(self.text, i) + 1, self.text))
+            where = _at(self.text, _column(self.text, i))
+            raise ResourceLimit("%s %d over the cap of %d%s" % (what, value, cap, where))
         return value
 
     def parse(self):

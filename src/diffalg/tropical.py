@@ -14,13 +14,12 @@ u_i + v_j >= a_ij everywhere, with equality on the tight graph, whose
 perfect matchings are exactly the maximizing transversals.  matching.perfect_matchings lists those
 in lexicographic order with polynomial delay: witness lists take all, the
 normalizer's questions (does one avoid the column-1 maximum? which is
-lexicographically least?) the first.  Optimal duals also answer three
+lexicographically least?) the first.  Optimal duals also answer two
 questions without a solve: the weak tdet when they cover every -inf cell
-(weak_tdet), the Assignment of a permuted matrix (Assignment.take), and, by
-one shortest-path pass over the reduced costs u_i + v_j - a_ij, the tdet of
-every minor the second-form search asks about; the engine reads a peeled
-minor's Assignment off them too.  Only tdet_brute, for the tests,
-enumerates the n! permutations.
+(weak_tdet) and, by one shortest-path pass over the reduced costs
+u_i + v_j - a_ij, the tdet of every minor the second-form search asks about;
+the engine reads a peeled minor's Assignment off them too.  Only
+tdet_brute, for the tests, enumerates the n! permutations.
 
 Matrices are tuples of row tuples (OrderMatrix.entries), never an
 OrderMatrix; the solvers, detectors, normalize, the Ritt ordering, permute
@@ -179,17 +178,6 @@ class Assignment(namedtuple("Assignment", "value u v rho", defaults=(None, None,
     Without a finite transversal, value is -inf and u, v, rho are None."""
 
     __slots__ = ()
-
-    def take(self, rows, cols):
-        """The Assignment of the matrix b_{k,l} = a_{rows[k], cols[l]}, rows
-        and cols permutations: the duals permuted alike stay feasible, and
-        tight on rho permuted alike, so they are optimal with the same value."""
-        n = [*range(len(self.rho or ()))]
-        if not n or sorted(rows) != n or sorted(cols) != n:
-            raise ValueError("take needs a permutation of the rows and one of the columns")
-        col = inverse(cols)
-        u, v = tuple([self.u[i] for i in rows]), tuple([self.v[j] for j in cols])
-        return Assignment(self.value, u, v, tuple([col[self.rho[i]] for i in rows]))
 
 
 def tdet_assignment(entries):

@@ -357,7 +357,6 @@ _R = diffalg.DiffRing(("x", "y"))
 _X, _Y, _DY = _R.var("x"), _R.var("y"), _R.var("y", 1)
 _SQUARE = ((1, 2), (3, 4))
 _NO_TRANSVERSAL = ((diffalg.NEG_INF,),)
-_TAKE = "take needs a permutation of the rows and one of the columns"
 
 
 def _err(message, call, name):
@@ -384,10 +383,6 @@ def _err(message, call, name):
          "order_matrix-repeat-index"),
     _err("tdet needs a square matrix", lambda d: d.tdet_brute(((1, 2),)), "tdet_brute-shape"),
     _err("brute force capped at n = 8", lambda d: d.tdet_brute(((0,) * 9,) * 9), "tdet_brute-n"),
-    _err(_TAKE, lambda d: d.tdet_assignment(_NO_TRANSVERSAL).take((), ()), "take-transversal"),
-    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0, 0), (0, 1)), "take-repeat"),
-    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0, 1), (1, 2)), "take-range"),
-    _err(_TAKE, lambda d: d.tdet_assignment(_SQUARE).take((0,), (0,)), "take-dropped"),
     _err("sol is the Assignment of another shape",
          lambda d: d.tropical.weak_tdet(((1, 2, 3),) * 3, d.tdet_assignment(_SQUARE)), "weak_tdet"),
     _err("sol is the Assignment of another shape",
@@ -656,6 +651,7 @@ def test_public_surface_is_pinned():
     for mod in [diffalg, *mods]:
         assert not [name for name in TEST_ONLY if hasattr(mod, name)], mod.__name__
     assert not hasattr(diffalg.BipartiteMultigraph, "degrees")
+    assert not hasattr(diffalg.tropical.Assignment, "take")
 
 
 REPO = Path(__file__).resolve().parent.parent

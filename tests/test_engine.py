@@ -557,7 +557,8 @@ def test_linear_reduce_solves_each_matrix_once(monkeypatch):
         got = calls[start:]
         inside.extend(got)
         assert st.entries == a
-        assert (st.sol.value, st.weak) == (tdet_brute(a)[0], tdet_brute(weak_entries(a))[0]), a
+        j = tdet_brute(a)[0]
+        assert (st.j, st.sol.value, st.weak) == (j, j, tdet_brute(weak_entries(a))[0]), a
         if hit:
             assert got == [], (a, got)
         return st, got, hit
@@ -640,15 +641,16 @@ def test_peel_read_off_is_optimal_for_the_minor():
         for i in range(n):
             a[i][c] = rng.randint(0, 5) if i == r else NEG_INF
         a = tuple(map(tuple, a))
-        st = engine_mod._Solved(a, tuple("x%d" % j for j in range(n)), tdet_assignment(a), None)
-        if st.sol.value == NEG_INF:
+        sol = tdet_assignment(a)
+        st = engine_mod._Solved(a, tuple("x%d" % j for j in range(n)), sol.value, None, sol)
+        if st.j == NEG_INF:
             continue
         engine_mod._ANSWERS.clear()
         out = engine_mod._peel(st, r, c)
         b = minor(a, r, c)
         assert out.entries == b and out.names == st.names[:c] + st.names[c + 1 :]
         assert_optimal(b, out.sol)
-        assert out.sol.value == tdet_brute(b)[0] == st.sol.value - a[r][c]
+        assert out.j == out.sol.value == tdet_brute(b)[0] == st.j - a[r][c]
         assert out.weak == tdet_brute(weak_entries(b))[0]
         peeled += 1
     assert peeled >= 100, peeled
@@ -657,29 +659,32 @@ def test_peel_read_off_is_optimal_for_the_minor():
     from diffalg.tropical import Assignment
 
     a = ((1, NEG_INF), (2, 3))
-    wrong = engine_mod._Solved(a, ("x", "y"), Assignment(4, (1, 3), (0, 0), (1, 0)), 4)
+    wrong = engine_mod._Solved(a, ("x", "y"), 4, 4, Assignment(4, (1, 3), (0, 0), (1, 0)))
     with pytest.raises(InternalInvariantViolation, match=r"misses the peeled cell \(1, 1\)"):
         engine_mod._peel(wrong, 1, 1)
 
 
 def test_form_steps_carry_the_duals_of_their_own_matrix(monkeypatch):
-    # after normalize the record holds the permuted matrix with its duals
-    # permuted alike, so before and after each form step the duals are
-    # feasible for the record's matrix and sum to its tropical determinant
+    # before and after each form step the record's J and weak J are the
+    # tropical determinants of its own matrix; the normalized record a form
+    # step divides carries no Assignment, and the record after the step
+    # carries one whose duals are feasible for its matrix and sum to its J
     form_step = engine_mod._form_step
     kinds = []
 
     def check(st):
         a, sol = st.entries, st.sol
-        assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != NEG_INF)
-        assert sum(sol.u) + sum(sol.v) == sol.value == tdet(a)
-        assert st.weak == tdet(tuple(tuple(0 if e == NEG_INF else e for e in row) for row in a))
+        assert st.j == tdet(a) and st.weak == tdet(weak_entries(a))
+        if sol is not None and sol.u is not None:
+            assert all(sol.u[i] + sol.v[j] >= e for i, row in enumerate(a) for j, e in enumerate(row) if e != NEG_INF)
+            assert sum(sol.u) + sum(sol.v) == sol.value == st.j
 
     def checked_form_step(system, kind, st):
+        assert st.sol is None
         check(st)
         out, step, after = form_step(system, kind, st)
-        if after.sol.value != NEG_INF:
-            check(after)
+        assert after.sol is not None and after.sol.value == after.j
+        check(after)
         kinds.append(kind)
         return out, step, after
 

@@ -8,6 +8,8 @@ import hashlib
 import json
 import random
 import re
+import sys
+from ast import literal_eval
 from fractions import Fraction
 
 import pytest
@@ -138,7 +140,8 @@ def test_parse_outcomes_are_pinned():
     # One digest over what parse_poly and parse_system make of seeded
     # strings and systems: the rendered result, or the exception's type and
     # message (its column included), so any change to the grammar, to a
-    # result or to an error text shows here.
+    # result or to an error text shows here.  A line over _DESCRIBE_LIMIT
+    # characters is quoted as a window of it.
     rng = random.Random(20)
     h = hashlib.sha256()
     valid = 0
@@ -153,7 +156,55 @@ def test_parse_outcomes_are_pinned():
         valid += out[0] == "="
         h.update(json.dumps([text, names, out]).encode())
     assert valid == 8520
-    assert h.hexdigest() == "e3babe275b8783c33ea74977b169d6971865612500f070cddd93c811c421848a"
+    assert h.hexdigest() == "3381525052b9883ffdfb262be92a8a72ed81f0970316df61228b7ea0fac1b279"
+
+
+def test_errors_on_long_lines_quote_a_window():
+    # Each of the three messages that quote a line (a stray character or
+    # token, an integer past the interpreter's digit limit, an order over
+    # its cap), with the fault near either end of a line of exactly
+    # _DESCRIBE_LIMIT characters, quoted whole, and of one more, quoted as a
+    # window of _DESCRIBE_LIMIT characters that holds the faulty token, each
+    # cut marked "...", and the line's length.  The column counts in the
+    # whole line.
+    limit = diffpoly._DESCRIBE_LIMIT
+    digits = sys.get_int_max_str_digits()
+    over = "9" * 641  # past the least digit limit the interpreter allows
+    seen = set()
+    try:
+        sys.set_int_max_str_digits(640)
+        for n in (limit, limit + 1):
+            for head, tail, error, what, column, token in (
+                ("x $", "", ParseError, "unexpected character '$'", 3, "$"),
+                ("x", "$", ParseError, "unexpected character '$'", n, "$"),
+                ("x", "+", ParseError, "unexpected token", n + 1, ""),
+                (over, "", ResourceLimit, "integer of 641 digits", 1, over),
+                ("x", over, ResourceLimit, "integer of 641 digits", n - 640, over),
+                ("x^(1001)", "", ResourceLimit, "derivative order 1001 over the cap", 1, "x^(1001)"),
+                ("x +", "x^(1001)", ResourceLimit, "derivative order 1001 over the cap", n - 7, "x^(1001)"),
+            ):
+                line = head + " " * (n - len(head) - len(tail)) + tail
+                with pytest.raises(error) as e:
+                    parse_poly(line, RING)
+                msg = str(e.value)
+                at = " at column %d: " % column
+                assert msg.startswith(what) and at in msg, msg
+                quoted = msg.split(at, 1)[1]
+                if n == limit:
+                    assert quoted == repr(line)
+                    continue
+                length = " <%d characters>" % n
+                assert quoted.endswith(length) and len(msg) < 1200, msg
+                window = quoted[: -len(length)]
+                start = 1 if window.startswith("... ") else 0
+                cut = window.endswith(" ...")
+                window = literal_eval(window[4 * start : len(window) - 4 * cut])
+                assert window == line[start : start + limit] and cut == (start + limit < n)
+                assert start <= column - 1 and column - 1 + len(token) <= start + limit, msg
+                seen.add((start, cut))
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert seen == {(0, True), (1, False)}
 
 
 def test_which_of_two_bad_lines_reports():
